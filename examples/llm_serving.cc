@@ -22,24 +22,10 @@
  * report slices; any of these can be recorded with --trace-out for
  * later replay. See docs/SERVING.md for the full option matrix.
  *
- *   ./llm_serving [model] [requests] [slo_ms_per_token]
- *                 [--replicas N] [--policy fcfs|sjf|edf]
- *                 [--router round-robin|least-loaded|queue-depth|
- *                           predicted-finish|kv-affinity|slo-budget]
- *                 [--roles prefill,decode,...] [--kv-link-gbs G]
- *                 [--batching none|static|continuous] [--max-batch B]
- *                 [--prefill-chunk T] [--preempt]
- *                 [--kv-capacity auto|TOKENS] [--kv-block T]
- *                 [--kv-admission none|queue|shed]
- *                 [--kv-layout unified|partitioned]
- *                 [--rate req_per_s] [--seed S]
- *                 [--clients N] [--think-ms T]
- *                 [--sessions N] [--turns T] [--prefix-cache on|off]
- *                 [--trace-in path] [--trace-out path]
- *                 [--trace-csv path] [--rate-profile SPEC]
- *                 [--burst BASE:RATIO:ON_MS:OFF_MS:DUR_MS]
- *                 [--background-trace path] [--slo MS_PER_TOKEN]
- *                 [--shards N]
+ *   ./llm_serving [model] [requests] [slo_ms_per_token] [options]
+ *
+ * `llm_serving --help` prints every option (the `usage` text below).
+ * Usage errors exit 2, simulation errors exit 1.
  *
  * --shards N splits the cluster drain into N independent sub-cluster
  * simulations (serve/sharded_drain.hh) that run on N worker threads
@@ -75,6 +61,36 @@
 
 namespace
 {
+
+const char *const usage =
+    "usage: llm_serving [model] [requests] [slo_ms_per_token] [options]\n"
+    "\n"
+    "  model             GPT-2 size: m, l, xl (default) or 2.5b\n"
+    "  requests          requests to serve (default 12)\n"
+    "  slo_ms_per_token  report SLO in ms per token (default 10)\n"
+    "\n"
+    "Without --replicas, serves the mix on one IANUS and one NPU-MEM\n"
+    "device. Cluster mode (--replicas N) takes:\n"
+    "  [--policy fcfs|sjf|edf]\n"
+    "  [--router round-robin|least-loaded|queue-depth|\n"
+    "            predicted-finish|kv-affinity|slo-budget]\n"
+    "  [--roles prefill,decode,...] [--kv-link-gbs G]\n"
+    "  [--batching none|static|continuous] [--max-batch B]\n"
+    "  [--prefill-chunk T] [--preempt]\n"
+    "  [--kv-capacity auto|TOKENS] [--kv-block T]\n"
+    "  [--kv-admission none|queue|shed]\n"
+    "  [--kv-layout unified|partitioned]\n"
+    "  [--rate req_per_s] [--seed S]\n"
+    "  [--clients N] [--think-ms T]\n"
+    "  [--sessions N] [--turns T] [--prefix-cache on|off]\n"
+    "  [--trace-in path] [--trace-out path]\n"
+    "  [--trace-csv path] [--rate-profile SPEC]\n"
+    "  [--burst BASE:RATIO:ON_MS:OFF_MS:DUR_MS]\n"
+    "  [--background-trace path] [--slo MS_PER_TOKEN]\n"
+    "  [--shards N]\n"
+    "\n"
+    "Exit status: 0 on success, 1 on a simulation error, 2 on a usage\n"
+    "error. See docs/SERVING.md for the option matrix.\n";
 
 struct Args
 {
@@ -204,7 +220,10 @@ parseArgs(int argc, char **argv)
             }
             return argv[++i];
         };
-        if (a == "--replicas")
+        if (a == "-h" || a == "--help") {
+            std::fputs(usage, stdout);
+            std::exit(0);
+        } else if (a == "--replicas")
             args.replicas = parseCount(a, next(), 1024);
         else if (a == "--policy")
             args.policy = next(), cluster_flag = true;
@@ -307,6 +326,12 @@ parseArgs(int argc, char **argv)
             std::fprintf(stderr, "unexpected argument %s\n", a.c_str());
             std::exit(2);
         }
+    }
+    try {
+        ianus::workloads::gpt2(args.model);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "%s\nsee llm_serving --help\n", e.what());
+        std::exit(2);
     }
     if (cluster_flag && args.replicas == 0) {
         std::fprintf(stderr,
@@ -912,7 +937,14 @@ clusterMode(const Args &args)
 int
 main(int argc, char **argv)
 {
-    Args args = parseArgs(argc, argv);
-    return args.replicas > 0 ? clusterMode(args)
-                             : singleDeviceMode(args);
+    try {
+        Args args = parseArgs(argc, argv);
+        return args.replicas > 0 ? clusterMode(args)
+                                 : singleDeviceMode(args);
+    } catch (const std::exception &e) {
+        // A fatal error (IANUS_FATAL) the flags did not rule out, such
+        // as an unreadable trace file: report it instead of aborting.
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
+    }
 }

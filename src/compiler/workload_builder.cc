@@ -201,6 +201,15 @@ WorkloadBuilder::ffn2NonDuplicated(std::uint64_t block) const
                        covered * static_cast<double>(model_.nBlocks) + 0.5);
 }
 
+bool
+WorkloadBuilder::uniformBlocks() const
+{
+    for (std::uint64_t b = 1; b < model_.nBlocks; ++b)
+        if (ffn2NonDuplicated(b) != ffn2NonDuplicated(0))
+            return false;
+    return true;
+}
+
 dram::ChannelSet
 WorkloadBuilder::weightMask(bool on_pim_side) const
 {
@@ -739,6 +748,15 @@ WorkloadBuilder::lmHead(Ctx &ctx, std::uint64_t tokens) const
     barrier(ctx, OpClass::LmHead);
 }
 
+std::uint64_t
+WorkloadBuilder::blockCount(std::optional<std::uint64_t> blocks) const
+{
+    std::uint64_t n = blocks.value_or(model_.nBlocks);
+    IANUS_ASSERT(n >= 1 && n <= model_.nBlocks, "cannot emit ", n,
+                 " of ", model_.name, "'s ", model_.nBlocks, " blocks");
+    return n;
+}
+
 isa::Program
 WorkloadBuilder::buildSummarization(std::uint64_t input_tokens) const
 {
@@ -746,9 +764,9 @@ WorkloadBuilder::buildSummarization(std::uint64_t input_tokens) const
 }
 
 isa::Program
-WorkloadBuilder::buildSummarizationChunk(std::uint64_t prior_tokens,
-                                         std::uint64_t chunk_tokens,
-                                         bool last_chunk) const
+WorkloadBuilder::buildSummarizationChunk(
+    std::uint64_t prior_tokens, std::uint64_t chunk_tokens,
+    bool last_chunk, std::optional<std::uint64_t> blocks) const
 {
     IANUS_ASSERT(chunk_tokens > 0, "empty prefill chunk");
     if (!model_.decoder() && (prior_tokens > 0 || !last_chunk))
@@ -756,6 +774,7 @@ WorkloadBuilder::buildSummarizationChunk(std::uint64_t prior_tokens,
                     "(encoder attention is bidirectional and cannot "
                     "resume causally)");
     checkCapacity(prior_tokens, chunk_tokens);
+    const std::uint64_t n_blocks = blockCount(blocks);
     Ctx ctx(sys_.cores);
 
     for (std::uint16_t c = 0; c < sys_.cores; ++c) {
@@ -764,7 +783,7 @@ WorkloadBuilder::buildSummarizationChunk(std::uint64_t prior_tokens,
         emb.channels = sys_.dramChannelMask();
         emit(ctx, c, UnitKind::DmaIn, OpClass::Embedding, emb, {});
     }
-    for (std::uint64_t b = 0; b < model_.nBlocks; ++b)
+    for (std::uint64_t b = 0; b < n_blocks; ++b)
         blockSummarization(ctx, prior_tokens, chunk_tokens);
 
     if (!last_chunk) {
@@ -797,7 +816,8 @@ WorkloadBuilder::buildGenerationToken(std::uint64_t kv_len) const
 
 isa::Program
 WorkloadBuilder::buildGenerationBatch(
-    const std::vector<std::uint64_t> &kv_lens) const
+    const std::vector<std::uint64_t> &kv_lens,
+    std::optional<std::uint64_t> blocks) const
 {
     IANUS_ASSERT(model_.decoder(), "generation needs a decoder model");
     IANUS_ASSERT(!kv_lens.empty(),
@@ -806,6 +826,7 @@ WorkloadBuilder::buildGenerationBatch(
         IANUS_ASSERT(kv_len > 0, "generation with empty KV cache");
     const std::uint64_t b = kv_lens.size();
     checkCapacity(b);
+    const std::uint64_t n_blocks = blockCount(blocks);
     Ctx ctx(sys_.cores);
 
     for (std::uint16_t c = 0; c < sys_.cores; ++c) {
@@ -814,7 +835,7 @@ WorkloadBuilder::buildGenerationBatch(
         emb.channels = sys_.dramChannelMask();
         emit(ctx, c, UnitKind::DmaIn, OpClass::Embedding, emb, {});
     }
-    for (std::uint64_t blk = 0; blk < model_.nBlocks; ++blk)
+    for (std::uint64_t blk = 0; blk < n_blocks; ++blk)
         blockGeneration(ctx, kv_lens);
     lmHead(ctx, b);
     ctx.prog.validate();

@@ -106,10 +106,15 @@ class WorkloadBuilder
      * Decoder models only when resuming (prior_tokens > 0) or
      * deferring the head (!last_chunk): encoder attention is
      * bidirectional and cannot be chunked causally.
+     *
+     * @p blocks truncates the program to its first @p blocks
+     * transformer blocks (default: all of them), compiled under the
+     * full model's decisions — see uniformBlocks().
      */
-    isa::Program buildSummarizationChunk(std::uint64_t prior_tokens,
-                                         std::uint64_t chunk_tokens,
-                                         bool last_chunk) const;
+    isa::Program
+    buildSummarizationChunk(std::uint64_t prior_tokens,
+                            std::uint64_t chunk_tokens, bool last_chunk,
+                            std::optional<std::uint64_t> blocks = {}) const;
 
     /** One generation step with @p kv_len keys/values already cached. */
     isa::Program buildGenerationToken(std::uint64_t kv_len) const;
@@ -127,9 +132,11 @@ class WorkloadBuilder
      * back to the matrix unit once amortized weight streaming wins.
      *
      * A batch of one emits exactly the buildGenerationToken program.
+     * @p blocks truncates the program as in buildSummarizationChunk().
      */
     isa::Program
-    buildGenerationBatch(const std::vector<std::uint64_t> &kv_lens) const;
+    buildGenerationBatch(const std::vector<std::uint64_t> &kv_lens,
+                         std::optional<std::uint64_t> blocks = {}) const;
 
     /** FC-only program (all blocks) for the Fig 12 mapping study. */
     isa::Program buildFcSweep(std::uint64_t tokens) const;
@@ -158,6 +165,16 @@ class WorkloadBuilder
 
     /** Fraction of FC weights that cannot be duplicated (partitioned). */
     double nonDuplicatedFraction() const { return nonDupFraction_; }
+
+    /**
+     * Whether every transformer block compiles alike. A truncated
+     * program (the blocks argument of the stage builders) keeps the
+     * full model's per-block decisions; today the only one is whether
+     * a block's FFN2 weights spill to the PIM half of a partitioned
+     * memory, which splits partitioned GPT-2 2.5B into two kinds of
+     * block.
+     */
+    bool uniformBlocks() const;
 
     const BuildOptions &options() const { return opts_; }
     const workloads::ModelConfig &model() const { return model_; }
@@ -200,6 +217,7 @@ class WorkloadBuilder
                                 std::uint64_t kv_len,
                                 std::uint32_t ln_dep) const;
     void lmHead(Ctx &ctx, std::uint64_t tokens) const;
+    std::uint64_t blockCount(std::optional<std::uint64_t> blocks) const;
 
     // Placement ----------------------------------------------------------
     FcMappingDecision decideFc(std::uint64_t tokens, std::uint64_t k,

@@ -53,7 +53,8 @@ MultiDeviceSystem::run(const workloads::ModelConfig &model,
 {
     // Unlike the one-shot IanusSystem::run, repeated runs memoize: the
     // scaling studies sweep many requests per (model, device count)
-    // pair, so the programs are kept and shared via compile().
+    // pair, so the cached program stats are kept and shared via
+    // compile().
     return compile(model, opts).run(request, token_stride);
 }
 

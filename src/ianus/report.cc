@@ -49,27 +49,59 @@ RunStats::exclusive(isa::OpClass cls) const
     return classExclusive[static_cast<std::size_t>(cls)];
 }
 
+namespace
+{
+
+/** Apply @p f(out, a, b) to every double field of (@p out, @p a, @p b);
+ *  wallTicks, the one integer field, is left to the caller. */
+template <typename F>
+void
+zipFields(RunStats &out, const RunStats &a, const RunStats &b, F f)
+{
+    for (std::size_t i = 0; i < RunStats::numClasses; ++i) {
+        f(out.classBusy[i], a.classBusy[i], b.classBusy[i]);
+        f(out.classSpan[i], a.classSpan[i], b.classSpan[i]);
+        f(out.classExclusive[i], a.classExclusive[i], b.classExclusive[i]);
+    }
+    for (std::size_t i = 0; i < RunStats::numUnits; ++i)
+        f(out.unitBusy[i], a.unitBusy[i], b.unitBusy[i]);
+    f(out.commands, a.commands, b.commands);
+    f(out.muFlops, a.muFlops, b.muFlops);
+    f(out.vuElems, a.vuElems, b.vuElems);
+    f(out.dramReadBytes, a.dramReadBytes, b.dramReadBytes);
+    f(out.dramWriteBytes, a.dramWriteBytes, b.dramWriteBytes);
+    f(out.pimWeightBytes, a.pimWeightBytes, b.pimWeightBytes);
+    f(out.pimMacros, a.pimMacros, b.pimMacros);
+    f(out.pimActivates, a.pimActivates, b.pimActivates);
+    f(out.pimGbBursts, a.pimGbBursts, b.pimGbBursts);
+    f(out.pimRdBursts, a.pimRdBursts, b.pimRdBursts);
+}
+
+} // namespace
+
 void
 RunStats::scaleAdd(const RunStats &o, double w)
 {
     wallTicks += static_cast<Tick>(static_cast<double>(o.wallTicks) * w);
-    for (std::size_t i = 0; i < numClasses; ++i) {
-        classBusy[i] += o.classBusy[i] * w;
-        classSpan[i] += o.classSpan[i] * w;
-        classExclusive[i] += o.classExclusive[i] * w;
-    }
-    for (std::size_t i = 0; i < numUnits; ++i)
-        unitBusy[i] += o.unitBusy[i] * w;
-    commands += o.commands * w;
-    muFlops += o.muFlops * w;
-    vuElems += o.vuElems * w;
-    dramReadBytes += o.dramReadBytes * w;
-    dramWriteBytes += o.dramWriteBytes * w;
-    pimWeightBytes += o.pimWeightBytes * w;
-    pimMacros += o.pimMacros * w;
-    pimActivates += o.pimActivates * w;
-    pimGbBursts += o.pimGbBursts * w;
-    pimRdBursts += o.pimRdBursts * w;
+    zipFields(*this, *this, o,
+              [w](double &out, double a, double b) { out = a + b * w; });
+}
+
+RunStats
+RunStats::blockPeriodic(const RunStats &one, const RunStats &two,
+                        std::uint64_t blocks)
+{
+    IANUS_ASSERT(blocks >= 1, "a block-periodic program has a block");
+    IANUS_ASSERT(two.wallTicks >= one.wallTicks,
+                 "the 2-block run ends before the 1-block run");
+    const std::uint64_t more = blocks - 1;
+    RunStats s;
+    s.wallTicks = one.wallTicks + more * (two.wallTicks - one.wallTicks);
+    const double k = static_cast<double>(more);
+    zipFields(s, one, two, [k](double &out, double a, double b) {
+        out = a + k * (b - a);
+    });
+    return s;
 }
 
 RunStats

@@ -80,6 +80,17 @@ struct RunStats
     /** this += o. */
     void merge(const RunStats &o) { scaleAdd(o, 1.0); }
 
+    /**
+     * Statistics of a program of @p blocks identical blocks, from the
+     * runs of its 1-block prefix @p one and 2-block prefix @p two:
+     * one + (blocks - 1) * (two - one), field by field. wallTicks
+     * stays in integer arithmetic (two must not end before one). Every
+     * field of an engine run is an integer-valued double, so the
+     * result is exact while the fields stay below 2^53.
+     */
+    static RunStats blockPeriodic(const RunStats &one, const RunStats &two,
+                                  std::uint64_t blocks);
+
     double wallMs() const { return ticksToMs(wallTicks); }
 };
 

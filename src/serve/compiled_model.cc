@@ -39,13 +39,22 @@ CompiledModel::clearCache() const
 }
 
 RunStats
-CompiledModel::execute(const isa::Program &prog) const
+CompiledModel::execute(
+    const std::function<isa::Program(std::uint64_t blocks)> &build) const
 {
     ExecutionEngine engine(cfg_, opts_.devices);
-    return engine.run(prog);
+    const std::uint64_t blocks = model_.nBlocks;
+    if (blocks < 3 || !builder_.uniformBlocks())
+        return engine.run(build(blocks));
+    // Every block ends at a barrier that drains the machine, so each
+    // block after the first costs exactly the same; the first is
+    // measured, since it may overlap the ungated embedding load.
+    RunStats one = engine.run(build(1));
+    RunStats two = engine.run(build(2));
+    return RunStats::blockPeriodic(one, two, blocks);
 }
 
-const CompiledModel::Entry &
+const RunStats &
 CompiledModel::summarization(std::uint64_t input_tokens) const
 {
     auto it = summarizationCache_.find(input_tokens);
@@ -53,15 +62,15 @@ CompiledModel::summarization(std::uint64_t input_tokens) const
         ++cache_.summarizationHits;
         return it->second;
     }
-    Entry entry;
-    entry.program = builder_.buildSummarization(input_tokens);
-    entry.stats = execute(entry.program);
+    RunStats stats = execute([&](std::uint64_t blocks) {
+        return builder_.buildSummarizationChunk(0, input_tokens, true,
+                                                blocks);
+    });
     ++cache_.summarizationBuilds;
-    return summarizationCache_.emplace(input_tokens, std::move(entry))
-        .first->second;
+    return summarizationCache_.emplace(input_tokens, stats).first->second;
 }
 
-const CompiledModel::Entry &
+const RunStats &
 CompiledModel::generation(std::uint64_t kv_len) const
 {
     auto it = generationCache_.find(kv_len);
@@ -69,12 +78,11 @@ CompiledModel::generation(std::uint64_t kv_len) const
         ++cache_.generationHits;
         return it->second;
     }
-    Entry entry;
-    entry.program = builder_.buildGenerationToken(kv_len);
-    entry.stats = execute(entry.program);
+    RunStats stats = execute([&](std::uint64_t blocks) {
+        return builder_.buildGenerationBatch({kv_len}, blocks);
+    });
     ++cache_.generationBuilds;
-    return generationCache_.emplace(kv_len, std::move(entry))
-        .first->second;
+    return generationCache_.emplace(kv_len, stats).first->second;
 }
 
 const RunStats &
@@ -82,7 +90,7 @@ CompiledModel::summarizationStats(std::uint64_t input_tokens) const
 {
     if (input_tokens == 0)
         IANUS_FATAL("summarization needs at least one input token");
-    return summarization(input_tokens).stats;
+    return summarization(input_tokens);
 }
 
 const RunStats &
@@ -95,21 +103,20 @@ CompiledModel::prefillChunkStats(std::uint64_t prior_tokens,
     // A whole-prompt chunk IS the monolithic summarization: share its
     // cache entry so the fallback is structural, not numerical.
     if (prior_tokens == 0 && last_chunk)
-        return summarization(chunk_tokens).stats;
+        return summarization(chunk_tokens);
 
     auto key = std::make_tuple(prior_tokens, chunk_tokens, last_chunk);
     auto it = chunkCache_.find(key);
     if (it != chunkCache_.end()) {
         ++cache_.chunkHits;
-        return it->second.stats;
+        return it->second;
     }
-    Entry entry;
-    entry.program = builder_.buildSummarizationChunk(
-        prior_tokens, chunk_tokens, last_chunk);
-    entry.stats = execute(entry.program);
+    RunStats stats = execute([&](std::uint64_t blocks) {
+        return builder_.buildSummarizationChunk(prior_tokens, chunk_tokens,
+                                                last_chunk, blocks);
+    });
     ++cache_.chunkBuilds;
-    return chunkCache_.emplace(key, std::move(entry))
-        .first->second.stats;
+    return chunkCache_.emplace(key, stats).first->second;
 }
 
 RunStats
@@ -125,7 +132,7 @@ CompiledModel::generationStepStats(
     // A batch of one is the scalar entry — sharing the cache makes
     // batch-1 equivalence structural rather than numerical.
     if (kv_lens.size() == 1)
-        return generation(kv_lens.front()).stats;
+        return generation(kv_lens.front());
 
     std::sort(kv_lens.begin(), kv_lens.end());
     auto it = batchCache_.find(kv_lens);
@@ -133,12 +140,13 @@ CompiledModel::generationStepStats(
         ++cache_.batchHits;
         return it->second;
     }
-    // The program is discarded after execution and the oldest entry
-    // evicted beyond the cap: batched keys rarely recur (all KV
-    // lengths advance together), so only recent stats are worth the
-    // memory. Eviction is deterministic — a re-miss just recomputes
-    // the same pure function.
-    RunStats stats = execute(builder_.buildGenerationBatch(kv_lens));
+    // The oldest entry is evicted beyond the cap: batched keys rarely
+    // recur (all KV lengths advance together), so only recent stats
+    // are worth the memory. Eviction is deterministic — a re-miss just
+    // recomputes the same pure function.
+    RunStats stats = execute([&](std::uint64_t blocks) {
+        return builder_.buildGenerationBatch(kv_lens, blocks);
+    });
     ++cache_.batchBuilds;
     if (batchCache_.size() >= maxBatchEntries) {
         batchCache_.erase(batchOrder_.front());
@@ -155,7 +163,7 @@ CompiledModel::estimatedStepMs() const
 {
     if (!model_.decoder())
         return 0.0;
-    return generation(routingProbeKv).stats.wallMs();
+    return generation(routingProbeKv).wallMs();
 }
 
 double
@@ -185,7 +193,7 @@ CompiledModel::estimateGenerationMs(
     if (steps == 0)
         return 0.0;
     std::uint64_t mid_kv = request.inputTokens + 1 + steps / 2;
-    return static_cast<double>(steps) * generation(mid_kv).stats.wallMs();
+    return static_cast<double>(steps) * generation(mid_kv).wallMs();
 }
 
 double
@@ -212,7 +220,7 @@ CompiledModel::run(const workloads::InferenceRequest &request,
     report.inputTokens = request.inputTokens;
     report.outputTokens = request.outputTokens;
 
-    report.summarization = summarization(request.inputTokens).stats;
+    report.summarization = summarization(request.inputTokens);
 
     // Encoders have no generation stage at all; for decoders the first
     // output token is produced by the summarization LM head and
@@ -225,7 +233,7 @@ CompiledModel::run(const workloads::InferenceRequest &request,
         return report;
 
     auto step_stats = [&](std::uint64_t t) -> const RunStats & {
-        return generation(request.inputTokens + 1 + t).stats;
+        return generation(request.inputTokens + 1 + t);
     };
 
     if (token_stride == 1 || steps <= 2 * token_stride) {

@@ -3,19 +3,26 @@
  * Compile-once / serve-many front end.
  *
  * CompiledModel binds one (SystemConfig, ModelConfig, BuildOptions)
- * triple to a WorkloadBuilder and memoizes what the one-shot
- * IanusSystem::run path recomputes on every call: summarization
- * programs keyed by input length, resumed prefill *chunks* keyed by
- * (prior, chunk, has-LM-head), generation-step programs keyed by KV
- * length, and *batched* generation steps keyed by the sorted KV-length
- * multiset of the batch, each together with the RunStats its
- * (deterministic) execution produced. A serving workload that replays
- * a request mix — or a strided generation that revisits the same KV
- * samples — pays for each distinct program exactly once.
+ * triple to a WorkloadBuilder and memoizes the RunStats of every
+ * program it serves: summarizations keyed by input length, resumed
+ * prefill *chunks* keyed by (prior, chunk, has-LM-head), generation
+ * steps keyed by KV length, and *batched* generation steps keyed by
+ * the sorted KV-length multiset of the batch. The device model is
+ * deterministic, so a serving workload that replays a request mix —
+ * or a strided generation that revisits the same KV samples — pays for
+ * each distinct program exactly once, and keeps only its statistics.
  *
- * run() reproduces IanusSystem::run bit for bit: the same programs are
- * built, the same engine executes them, and the same trapezoidal stride
- * integration combines the samples. Only redundant work is skipped.
+ * A cache miss does not simulate the whole program either. Every
+ * transformer block ends at a barrier that drains the machine, so when
+ * all blocks compile alike (WorkloadBuilder::uniformBlocks) the stats
+ * of the L-block program follow exactly from those of its 1-block and
+ * 2-block prefixes (RunStats::blockPeriodic). Models with fewer than
+ * three blocks, or with two kinds of block, run the full program.
+ *
+ * IanusSystem::run is a thin wrapper over run(), which combines the
+ * cached samples by trapezoidal stride integration. Every cached entry
+ * equals, bit for bit, the engine run of the full program the builder
+ * emits for its key (tests/test_block_periodic.cc).
  */
 
 #ifndef IANUS_SERVE_COMPILED_MODEL_HH
@@ -23,8 +30,10 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <tuple>
+#include <vector>
 
 #include "compiler/workload_builder.hh"
 #include "ianus/report.hh"
@@ -191,24 +200,21 @@ class CompiledModel
 
     const CacheStats &cacheStats() const { return cache_; }
 
-    /** Cached entry count (summarization + generation programs plus
-     *  batched-step stats entries). */
+    /** Cached entry count: one per distinct program served
+     *  (summarization, chunk, generation and batched-step stats). */
     std::size_t cachedPrograms() const;
 
-    /** Drop all memoized programs and statistics. */
+    /** Drop all memoized statistics. */
     void clearCache() const;
 
   private:
-    /** A compiled program together with its executed statistics. */
-    struct Entry
-    {
-        isa::Program program;
-        RunStats stats;
-    };
-
-    const Entry &summarization(std::uint64_t input_tokens) const;
-    const Entry &generation(std::uint64_t kv_len) const;
-    RunStats execute(const isa::Program &prog) const;
+    const RunStats &summarization(std::uint64_t input_tokens) const;
+    const RunStats &generation(std::uint64_t kv_len) const;
+    /** Executed statistics of the full program build(nBlocks), from
+     *  build(1) and build(2) when the model's blocks are uniform. */
+    RunStats execute(
+        const std::function<isa::Program(std::uint64_t blocks)> &build)
+        const;
 
     SystemConfig cfg_;
     workloads::ModelConfig model_;
@@ -216,16 +222,15 @@ class CompiledModel
     compiler::WorkloadBuilder builder_;
 
     // The device model is deterministic, so memoizing a program's stats
-    // alongside the program makes a replayed request nearly free.
-    mutable std::map<std::uint64_t, Entry> summarizationCache_;
-    mutable std::map<std::uint64_t, Entry> generationCache_;
-    // Batched steps, keyed by the sorted KV-length multiset. Stats
-    // only (no program), bounded to maxBatchEntries FIFO: every
-    // member's KV length advances each step, so keys rarely recur
-    // within a drain, and an unbounded cache would grow linearly with
-    // simulated tokens. The bound keeps the hit pattern that matters —
-    // consecutive segments share trapezoid endpoints — while capping
-    // memory.
+    // makes a replayed request nearly free.
+    mutable std::map<std::uint64_t, RunStats> summarizationCache_;
+    mutable std::map<std::uint64_t, RunStats> generationCache_;
+    // Batched steps, keyed by the sorted KV-length multiset, bounded
+    // to maxBatchEntries FIFO: every member's KV length advances each
+    // step, so keys rarely recur within a drain, and an unbounded
+    // cache would grow linearly with simulated tokens. The bound keeps
+    // the hit pattern that matters — consecutive segments share
+    // trapezoid endpoints — while capping memory.
     mutable std::map<std::vector<std::uint64_t>, RunStats> batchCache_;
     mutable std::deque<std::vector<std::uint64_t>> batchOrder_;
     // Resumed prefill chunks, keyed by (prior, chunk, has LM head).
@@ -233,7 +238,7 @@ class CompiledModel
     // length resume at the same chunk-aligned offsets, so these keys
     // recur across a serving trace.
     mutable std::map<std::tuple<std::uint64_t, std::uint64_t, bool>,
-                     Entry>
+                     RunStats>
         chunkCache_;
     mutable CacheStats cache_;
 };

@@ -1,7 +1,8 @@
 /** @file llm_serving flag validation: every rejected combination must
- *  exit 2 with a usage message on stderr, not start a simulation. The
- *  tests run the real binary (path baked in as LLM_SERVING_BIN) so the
- *  parse-and-validate layer is exercised end to end. */
+ *  exit 2 with a usage message on stderr, not start a simulation; a
+ *  fatal simulation error exits 1 with its message, and --help exits
+ *  0. The tests run the real binary (path baked in as LLM_SERVING_BIN)
+ *  so the parse-and-validate layer is exercised end to end. */
 
 #include <gtest/gtest.h>
 
@@ -16,13 +17,15 @@ namespace
 #error "LLM_SERVING_BIN must name the llm_serving executable"
 #endif
 
-/** Run `llm_serving <args>` with stderr folded into the captured
- *  output; returns the exit code and fills @p output. */
+/** Run `llm_serving <args>`, capturing stdout and, with
+ *  @p with_stderr, stderr too; returns the exit code and fills
+ *  @p output. */
 int
-runCli(const std::string &args, std::string &output)
+runCli(const std::string &args, std::string &output,
+       bool with_stderr = true)
 {
-    const std::string cmd =
-        std::string(LLM_SERVING_BIN) + " " + args + " 2>&1";
+    const std::string cmd = std::string(LLM_SERVING_BIN) + " " + args +
+                            (with_stderr ? " 2>&1" : " 2>/dev/null");
     std::FILE *pipe = ::popen(cmd.c_str(), "r");
     EXPECT_NE(pipe, nullptr) << cmd;
     if (!pipe)
@@ -115,6 +118,38 @@ TEST(CliValidation, MalformedSpecsFailBeforeServing)
     EXPECT_NE(out.find("rate profile"), std::string::npos) << out;
     EXPECT_EQ(runCli("m 4 --replicas 2 --burst 20:5", out), 2) << out;
     EXPECT_NE(out.find("--burst"), std::string::npos) << out;
+}
+
+TEST(CliValidation, HelpPrintsUsageToStdout)
+{
+    for (const char *flag : {"--help", "-h", "m 4 --replicas 2 --help"}) {
+        std::string out;
+        EXPECT_EQ(runCli(flag, out, false), 0) << flag << "\n" << out;
+        EXPECT_NE(out.find("usage: llm_serving"), std::string::npos)
+            << flag << "\n" << out;
+        EXPECT_NE(out.find("--replicas"), std::string::npos) << out;
+    }
+}
+
+TEST(CliValidation, UnknownModelSizeIsAUsageError)
+{
+    expectUsageError("nope 4", "unknown GPT-2 size 'nope'");
+    expectUsageError("3b 4 --replicas 2", "unknown GPT-2 size '3b'");
+}
+
+TEST(CliValidation, FatalErrorsExitOneWithTheirMessage)
+{
+    std::string out;
+    EXPECT_EQ(runCli("m 4 --replicas 2 --trace-in /nonexistent/trace",
+                     out),
+              1)
+        << out;
+    EXPECT_NE(out.find("cannot open arrival trace"), std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("terminate called"), std::string::npos) << out;
+    EXPECT_EQ(runCli("m 4 --replicas 2 --rate-profile ramp:1:2", out), 1)
+        << out;
+    EXPECT_NE(out.find("rate profile"), std::string::npos) << out;
 }
 
 } // namespace

@@ -315,8 +315,9 @@ TEST(ServingInvariantSweep, ConservationAcrossAllCombinations)
                                 << cell << " id " << r.id;
                             EXPECT_GE(r.startMs, r.arrivalMs) << cell;
                             EXPECT_GE(r.finishMs, r.startMs) << cell;
-                            if (r.preemptions == 0)
+                            if (r.preemptions == 0) {
                                 EXPECT_EQ(r.suspendedMs, 0.0) << cell;
+                            }
                             if (!preempt) {
                                 EXPECT_EQ(r.preemptions, 0u) << cell;
                                 EXPECT_EQ(r.suspendedMs, 0.0) << cell;
@@ -410,8 +411,9 @@ TEST(ServingInvariantSweep, KvCapacityPreservesConservation)
                 EXPECT_EQ(dispatched, trace.size() + rep.preemptions())
                     << cell;
                 EXPECT_GT(rep.kvPeakPressure, 0.0) << cell;
-                if (admission == KvAdmission::Queue)
+                if (admission == KvAdmission::Queue) {
                     EXPECT_EQ(rep.kvSpilledSegments, 0u) << cell;
+                }
             }
 }
 
@@ -635,8 +637,9 @@ TEST(ServingInvariantSweep, DisaggregatedConservationAcrossCells)
                         EXPECT_GT(r.kvTransferMs, 0.0)
                             << cell << " id " << r.id;
                         transfers += 1;
-                        if (!preempt)
+                        if (!preempt) {
                             EXPECT_EQ(r.preemptions, 0u) << cell;
+                        }
                         EXPECT_DOUBLE_EQ(r.serviceMs,
                                          r.finishMs - r.startMs -
                                              r.suspendedMs)
