@@ -31,13 +31,20 @@ using compiler::AttnMapping;
 using compiler::BuildOptions;
 using compiler::SchedulingPolicy;
 
+/**
+ * gtest prints a parameter without a printer as its raw bytes, and those
+ * bytes end up in the ctest test names. Holding the model name inline
+ * (not as a pointer) and leaving no padding keeps every byte initialised,
+ * so the names are the same on every build and run.
+ */
 struct SweepPoint
 {
-    const char *model;
+    char model[13];
     bool unified;
     SchedulingPolicy policy;
     AttnMapping attn;
 };
+static_assert(sizeof(SweepPoint) == 16, "SweepPoint must have no padding");
 
 class ConfigSweep : public ::testing::TestWithParam<SweepPoint>
 {
@@ -146,9 +153,14 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
-/** PAS never loses to naive scheduling on any evaluated point. */
+/**
+ * PAS never loses to naive scheduling on any evaluated point. The model
+ * is a std::string, not a const char *, because gtest prints a pointer
+ * inside a tuple by its address, which would change the test names on
+ * every run.
+ */
 class PolicySweep
-    : public ::testing::TestWithParam<std::tuple<const char *, bool>>
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>>
 {
 };
 
