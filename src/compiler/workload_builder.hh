@@ -63,6 +63,8 @@ struct BuildOptions
     AttnMapping attnMapping = AttnMapping::MatrixUnit;
     FcPlacement fcPlacement = FcPlacement::Adaptive;
     unsigned devices = 1; ///< multi-IANUS scaling (Section 7.1)
+
+    bool operator==(const BuildOptions &) const = default;
 };
 
 /** Per-FC shape/placement summary (test/bench introspection). */

@@ -31,6 +31,8 @@ struct DramTiming
 
     /** Minimum activate-to-activate within one bank (row cycle). */
     Tick rowCycle() const { return tRAS + tRP; }
+
+    bool operator==(const DramTiming &) const = default;
 };
 
 /** Geometry and bandwidth of the GDDR6(-AiM) memory system. */
@@ -75,6 +77,8 @@ struct Gddr6Config
 
     /** Validate internal consistency; fatal() on user misconfiguration. */
     void validate() const;
+
+    bool operator==(const Gddr6Config &) const = default;
 };
 
 } // namespace ianus::dram

@@ -19,9 +19,9 @@
 #ifndef IANUS_IANUS_IANUS_SYSTEM_HH
 #define IANUS_IANUS_IANUS_SYSTEM_HH
 
-#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "compiler/workload_builder.hh"
 #include "ianus/execution_engine.hh"
@@ -116,10 +116,9 @@ class MultiDeviceSystem
     SystemConfig cfg_;
     unsigned devices_;
 
-    /** Memoized CompiledModels keyed by (model, opts); see compile(). */
-    mutable std::map<std::string,
-                     std::unique_ptr<serve::CompiledModel>>
-        compiled_;
+    /** Memoized CompiledModels, one per distinct (model, opts); see
+     *  compile(). */
+    mutable std::vector<std::unique_ptr<serve::CompiledModel>> compiled_;
 };
 
 } // namespace ianus

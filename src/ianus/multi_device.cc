@@ -1,7 +1,5 @@
 #include "ianus/ianus_system.hh"
 
-#include <sstream>
-
 #include "common/logging.hh"
 #include "serve/compiled_model.hh"
 
@@ -26,23 +24,14 @@ MultiDeviceSystem::compile(const workloads::ModelConfig &model,
 {
     opts.devices = devices_;
 
-    // Key on every field that changes compilation output; name alone is
-    // not enough (callers may hand-build ModelConfigs).
-    std::ostringstream key;
-    key << model.name << '/' << toString(model.family) << '/'
-        << model.embDim << 'x' << model.headDim << 'x' << model.nHeads
-        << 'x' << model.nBlocks << 'v' << model.vocab << '|'
-        << compiler::toString(opts.policy) << '/'
-        << compiler::toString(opts.attnMapping) << '/'
-        << static_cast<int>(opts.fcPlacement);
-
-    auto it = compiled_.find(key.str());
-    if (it == compiled_.end())
-        it = compiled_
-                 .emplace(key.str(), std::make_unique<serve::CompiledModel>(
-                                         cfg_, model, opts))
-                 .first;
-    return *it->second;
+    // Match on every field (the defaulted operator==), not the name
+    // alone: callers may hand-build ModelConfigs.
+    for (const auto &compiled : compiled_)
+        if (compiled->model() == model && compiled->options() == opts)
+            return *compiled;
+    compiled_.push_back(
+        std::make_unique<serve::CompiledModel>(cfg_, model, opts));
+    return *compiled_.back();
 }
 
 InferenceReport

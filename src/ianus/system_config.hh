@@ -36,6 +36,8 @@ struct PcieParams
     /** Per-hop setup cost of one peer-to-peer ring step (doorbell +
      *  DMA descriptor); calibrated against the Fig 18 scaling curve. */
     Tick latency = 500 * tickPerNs;
+
+    bool operator==(const PcieParams &) const = default;
 };
 
 /** One IANUS device. */
@@ -120,6 +122,11 @@ struct SystemConfig
     std::uint64_t weightCapacityBytes() const;
 
     void validate() const;
+
+    /** Every field, nested parameter structs included: equal configs
+     *  compile and execute every program alike (DevicePool shares one
+     *  program-statistics store between replicas on that basis). */
+    bool operator==(const SystemConfig &) const = default;
 
     // --- Factories ----------------------------------------------------
 

@@ -38,6 +38,8 @@ struct NocParams
      */
     double onChipBytesPerTick = 256.0 / 1428.57;
     Tick syncLatency = 200 * tickPerNs;   ///< core barrier round trip
+
+    bool operator==(const NocParams &) const = default;
 };
 
 /** All-to-all crossbar; pure timing helper. */

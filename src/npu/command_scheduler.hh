@@ -33,6 +33,8 @@ struct SchedulerConfig
 {
     unsigned issueSlots = 4;
     unsigned pendingSlots = 256;
+
+    bool operator==(const SchedulerConfig &) const = default;
 };
 
 /** Dependency/queue mechanism for one Program. */

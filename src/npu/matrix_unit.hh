@@ -46,6 +46,8 @@ struct MatrixUnitParams
     {
         return 2.0 * rows * cols * macsPerPe * freqGhz / 1000.0;
     }
+
+    bool operator==(const MatrixUnitParams &) const = default;
 };
 
 /** Timing + functional model of the matrix unit. */

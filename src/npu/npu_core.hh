@@ -25,6 +25,8 @@ struct CoreMemoryParams
     /** WM entry feeds one systolic column set; AM entries are 2x (4.1). */
     std::uint64_t weightEntryBytes = 128;
     std::uint64_t actEntryBytes = 256;
+
+    bool operator==(const CoreMemoryParams &) const = default;
 };
 
 /** Aggregate of one core's units; owns no event state. */

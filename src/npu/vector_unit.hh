@@ -33,6 +33,8 @@ struct VectorUnitParams
     Cycles launchOverhead = 32; ///< kernel setup cost
 
     unsigned lanes() const { return processors * vliwWidth; }
+
+    bool operator==(const VectorUnitParams &) const = default;
 };
 
 /** Timing + functional model of the vector unit. */

@@ -43,6 +43,8 @@ struct PimUnitParams
     unsigned elemsPerMac = 16;     ///< BF16 elements per MACAB per bank
     double puGflops = 32.0;        ///< per-PU peak (16 MACs @ 1 GHz)
     Tick actafTicks = 4000;        ///< LUT interpolate + writeback, per tile
+
+    bool operator==(const PimUnitParams &) const = default;
 };
 
 /** Timing/energy breakdown of one macro command on one channel. */

@@ -16,31 +16,58 @@ CompiledModel::CompiledModel(const SystemConfig &sys,
     // unsatisfiable configuration fails with a clear error instead of a
     // compiler panic.
     : cfg_((sys.validate(), sys)), model_(model), opts_(opts),
-      builder_(cfg_, model_, opts_)
+      builder_(cfg_, model_, opts_), store_(std::make_shared<Store>())
 {
 }
 
 std::size_t
 CompiledModel::cachedPrograms() const
 {
-    return summarizationCache_.size() + generationCache_.size() +
-           batchCache_.size() + chunkCache_.size();
+    return front_.summarization.size() + front_.generation.size() +
+           batchCache_.size() + front_.chunk.size();
 }
 
 void
 CompiledModel::clearCache() const
 {
-    summarizationCache_.clear();
-    generationCache_.clear();
+    {
+        std::lock_guard<std::mutex> lock(store_->mutex);
+        store_->caches = ScalarCaches{};
+    }
+    front_ = ScalarCaches{};
     batchCache_.clear();
     batchOrder_.clear();
-    chunkCache_.clear();
     cache_ = CacheStats{};
 }
 
+template <class Key>
+const RunStats &
+CompiledModel::cached(std::map<Key, RunStats> ScalarCaches::*table,
+                      const Key &key, std::uint64_t &hits,
+                      std::uint64_t &builds, const Build &build) const
+{
+    std::map<Key, RunStats> &front = front_.*table;
+    auto it = front.find(key);
+    if (it != front.end()) {
+        ++hits;
+        return it->second;
+    }
+    // Build under the lock, so that a pool builds each key once even
+    // when shards on several threads miss it together.
+    std::lock_guard<std::mutex> lock(store_->mutex);
+    std::map<Key, RunStats> &shared = store_->caches.*table;
+    auto entry = shared.find(key);
+    if (entry != shared.end()) {
+        ++hits;
+    } else {
+        entry = shared.emplace(key, execute(build)).first;
+        ++builds;
+    }
+    return front.emplace(key, entry->second).first->second;
+}
+
 RunStats
-CompiledModel::execute(
-    const std::function<isa::Program(std::uint64_t blocks)> &build) const
+CompiledModel::execute(const Build &build) const
 {
     ExecutionEngine engine(cfg_, opts_.devices);
     const std::uint64_t blocks = model_.nBlocks;
@@ -57,32 +84,23 @@ CompiledModel::execute(
 const RunStats &
 CompiledModel::summarization(std::uint64_t input_tokens) const
 {
-    auto it = summarizationCache_.find(input_tokens);
-    if (it != summarizationCache_.end()) {
-        ++cache_.summarizationHits;
-        return it->second;
-    }
-    RunStats stats = execute([&](std::uint64_t blocks) {
-        return builder_.buildSummarizationChunk(0, input_tokens, true,
-                                                blocks);
-    });
-    ++cache_.summarizationBuilds;
-    return summarizationCache_.emplace(input_tokens, stats).first->second;
+    return cached(&ScalarCaches::summarization, input_tokens,
+                  cache_.summarizationHits, cache_.summarizationBuilds,
+                  [&](std::uint64_t blocks) {
+                      return builder_.buildSummarizationChunk(
+                          0, input_tokens, true, blocks);
+                  });
 }
 
 const RunStats &
 CompiledModel::generation(std::uint64_t kv_len) const
 {
-    auto it = generationCache_.find(kv_len);
-    if (it != generationCache_.end()) {
-        ++cache_.generationHits;
-        return it->second;
-    }
-    RunStats stats = execute([&](std::uint64_t blocks) {
-        return builder_.buildGenerationBatch({kv_len}, blocks);
-    });
-    ++cache_.generationBuilds;
-    return generationCache_.emplace(kv_len, stats).first->second;
+    return cached(&ScalarCaches::generation, kv_len,
+                  cache_.generationHits, cache_.generationBuilds,
+                  [&](std::uint64_t blocks) {
+                      return builder_.buildGenerationBatch({kv_len},
+                                                           blocks);
+                  });
 }
 
 const RunStats &
@@ -105,18 +123,13 @@ CompiledModel::prefillChunkStats(std::uint64_t prior_tokens,
     if (prior_tokens == 0 && last_chunk)
         return summarization(chunk_tokens);
 
-    auto key = std::make_tuple(prior_tokens, chunk_tokens, last_chunk);
-    auto it = chunkCache_.find(key);
-    if (it != chunkCache_.end()) {
-        ++cache_.chunkHits;
-        return it->second;
-    }
-    RunStats stats = execute([&](std::uint64_t blocks) {
-        return builder_.buildSummarizationChunk(prior_tokens, chunk_tokens,
-                                                last_chunk, blocks);
-    });
-    ++cache_.chunkBuilds;
-    return chunkCache_.emplace(key, stats).first->second;
+    return cached(&ScalarCaches::chunk,
+                  ChunkKey(prior_tokens, chunk_tokens, last_chunk),
+                  cache_.chunkHits, cache_.chunkBuilds,
+                  [&](std::uint64_t blocks) {
+                      return builder_.buildSummarizationChunk(
+                          prior_tokens, chunk_tokens, last_chunk, blocks);
+                  });
 }
 
 RunStats

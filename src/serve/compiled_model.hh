@@ -23,6 +23,14 @@
  * cached samples by trapezoidal stride integration. Every cached entry
  * equals, bit for bit, the engine run of the full program the builder
  * emits for its key (tests/test_block_periodic.cc).
+ *
+ * Equal triples build equal programs, so a DevicePool lets its equal
+ * replicas share one mutex-guarded store of summarization, chunk and
+ * generation stats, and each key is built once per pool. Every replica
+ * keeps its own unlocked copy of the entries it has served in front of
+ * that store: only a first lookup on a replica takes the lock. A
+ * standalone CompiledModel's store is private. Batched-step entries
+ * stay per replica.
  */
 
 #ifndef IANUS_SERVE_COMPILED_MODEL_HH
@@ -32,6 +40,8 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <tuple>
 #include <vector>
 
@@ -43,7 +53,12 @@
 namespace ianus::serve
 {
 
-/** Cache accounting (bench/test introspection). */
+/**
+ * Cache accounting of one replica (bench/test introspection). A lookup
+ * that this replica has not served before but its pool's shared store
+ * has counts as a hit; only a program actually executed counts as a
+ * build, so builds summed over a pool equal its distinct programs.
+ */
 struct CacheStats
 {
     std::uint64_t summarizationBuilds = 0;
@@ -200,32 +215,70 @@ class CompiledModel
 
     const CacheStats &cacheStats() const { return cache_; }
 
-    /** Cached entry count: one per distinct program served
-     *  (summarization, chunk, generation and batched-step stats). */
+    /** Cached entry count of this replica: one per distinct program it
+     *  has served (summarization, chunk, generation and batched-step
+     *  stats), whether it built the entry or its pool's store did. */
     std::size_t cachedPrograms() const;
 
-    /** Drop all memoized statistics. */
+    /** Drop all memoized statistics and this replica's accounting. A
+     *  store shared with a pool's equal replicas is emptied too; their
+     *  own entries and accounting stay. */
     void clearCache() const;
 
   private:
+    friend class DevicePool;
+
+    using Build = std::function<isa::Program(std::uint64_t blocks)>;
+    using ChunkKey = std::tuple<std::uint64_t, std::uint64_t, bool>;
+
+    // The device model is deterministic, so memoizing a program's stats
+    // makes a replayed request nearly free.
+    struct ScalarCaches
+    {
+        std::map<std::uint64_t, RunStats> summarization;
+        std::map<std::uint64_t, RunStats> generation;
+        // Resumed prefill chunks, keyed by (prior, chunk, has LM head).
+        // Unbounded like the summarization cache: requests of equal
+        // prompt length resume at the same chunk-aligned offsets, so
+        // these keys recur across a serving trace.
+        std::map<ChunkKey, RunStats> chunk;
+    };
+
+    /** The entries every replica of one triple in a pool shares. */
+    struct Store
+    {
+        std::mutex mutex; ///< guards caches
+        ScalarCaches caches;
+    };
+
+    /** Use @p peer's store from now on (DevicePool, equal triples). */
+    void shareStore(const CompiledModel &peer) { store_ = peer.store_; }
+
+    /** The entry of @p key in @p table: from this replica's front, else
+     *  from the store under its lock, executing @p build on a store
+     *  miss; counts a hit or a build in @p hits / @p builds. */
+    template <class Key>
+    const RunStats &cached(std::map<Key, RunStats> ScalarCaches::*table,
+                           const Key &key, std::uint64_t &hits,
+                           std::uint64_t &builds, const Build &build) const;
+
     const RunStats &summarization(std::uint64_t input_tokens) const;
     const RunStats &generation(std::uint64_t kv_len) const;
     /** Executed statistics of the full program build(nBlocks), from
      *  build(1) and build(2) when the model's blocks are uniform. */
-    RunStats execute(
-        const std::function<isa::Program(std::uint64_t blocks)> &build)
-        const;
+    RunStats execute(const Build &build) const;
 
     SystemConfig cfg_;
     workloads::ModelConfig model_;
     compiler::BuildOptions opts_;
     compiler::WorkloadBuilder builder_;
 
-    // The device model is deterministic, so memoizing a program's stats
-    // makes a replayed request nearly free.
-    mutable std::map<std::uint64_t, RunStats> summarizationCache_;
-    mutable std::map<std::uint64_t, RunStats> generationCache_;
-    // Batched steps, keyed by the sorted KV-length multiset, bounded
+    // This replica's copies of the store entries it has served: read
+    // without a lock, since a replica is driven by one thread at a time.
+    mutable ScalarCaches front_;
+    std::shared_ptr<Store> store_;
+    // Batched steps stay per replica (their keys rarely recur across
+    // replicas either), keyed by the sorted KV-length multiset, bounded
     // to maxBatchEntries FIFO: every member's KV length advances each
     // step, so keys rarely recur within a drain, and an unbounded
     // cache would grow linearly with simulated tokens. The bound keeps
@@ -233,13 +286,6 @@ class CompiledModel
     // trapezoid endpoints — while capping memory.
     mutable std::map<std::vector<std::uint64_t>, RunStats> batchCache_;
     mutable std::deque<std::vector<std::uint64_t>> batchOrder_;
-    // Resumed prefill chunks, keyed by (prior, chunk, has LM head).
-    // Unbounded like the summarization cache: requests of equal prompt
-    // length resume at the same chunk-aligned offsets, so these keys
-    // recur across a serving trace.
-    mutable std::map<std::tuple<std::uint64_t, std::uint64_t, bool>,
-                     RunStats>
-        chunkCache_;
     mutable CacheStats cache_;
 };
 

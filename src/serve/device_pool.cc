@@ -40,11 +40,8 @@ DevicePool::DevicePool(const SystemConfig &sys,
         IANUS_FATAL("a device pool needs at least one replica");
     replicas_.reserve(opts.replicas);
     roles_.reserve(opts.replicas);
-    for (std::size_t i = 0; i < opts.replicas; ++i) {
-        replicas_.push_back(
-            std::make_unique<CompiledModel>(sys, model, opts.build));
-        roles_.push_back(ReplicaRole::Unified);
-    }
+    for (std::size_t i = 0; i < opts.replicas; ++i)
+        addReplica(std::make_unique<CompiledModel>(sys, model, opts.build));
 }
 
 void
@@ -53,6 +50,13 @@ DevicePool::addReplica(std::unique_ptr<CompiledModel> replica,
 {
     if (!replica)
         IANUS_FATAL("cannot add a null replica to a device pool");
+    for (const auto &peer : replicas_)
+        if (peer->config() == replica->config() &&
+            peer->model() == replica->model() &&
+            peer->options() == replica->options()) {
+            replica->shareStore(*peer);
+            break;
+        }
     replicas_.push_back(std::move(replica));
     roles_.push_back(role);
 }

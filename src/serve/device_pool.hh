@@ -2,8 +2,8 @@
  * @file
  * A pool of serving replicas.
  *
- * DevicePool owns N independent replicas, each a CompiledModel bound to
- * its own program cache. A replica is one *serving unit*: a single
+ * DevicePool owns N replicas, each a CompiledModel (equal replicas
+ * share one program store). A replica is one *serving unit*: a single
  * IANUS device by default, or a tensor-parallel group when
  * PoolOptions::build.devices > 1 (the Section 7.1 multi-device
  * partitioning) — replicas scale throughput, tensor-parallel devices
@@ -15,7 +15,9 @@
  * The homogeneous constructor clones one (SystemConfig, ModelConfig,
  * BuildOptions) triple across the pool; addReplica() admits
  * heterogeneous pools (e.g. mixing IANUS and NPU-MEM replicas) for
- * experiments.
+ * experiments. Replicas with equal triples build equal programs, so
+ * they share one program-statistics store (see CompiledModel): the
+ * pool builds each distinct program once, not once per replica.
  */
 
 #ifndef IANUS_SERVE_DEVICE_POOL_HH
@@ -63,7 +65,7 @@ struct PoolOptions
     compiler::BuildOptions build{};
 };
 
-/** N serving replicas, each with its own program cache. */
+/** N serving replicas; equal replicas share one program store. */
 class DevicePool
 {
   public:
@@ -78,7 +80,9 @@ class DevicePool
     DevicePool(DevicePool &&) = default;
     DevicePool &operator=(DevicePool &&) = default;
 
-    /** Append a (possibly heterogeneous) replica with a role. */
+    /** Append a (possibly heterogeneous) replica with a role. It
+     *  adopts the program store of the first replica whose triple
+     *  equals its own, if any, and keeps its own otherwise. */
     void addReplica(std::unique_ptr<CompiledModel> replica,
                     ReplicaRole role = ReplicaRole::Unified);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <map>
 #include <thread>
 #include <utility>
@@ -104,10 +105,10 @@ drainSharded(const DevicePool &pool, const ServingOptions &opts,
     }
 
     // Run every shard: an ordinary single-threaded drain over its own
-    // replicas and trace slice. Shards share nothing mutable (each
-    // CompiledModel's caches belong to exactly one shard), so the
-    // thread count is pure wall-clock policy — results cannot depend
-    // on it.
+    // replicas and trace slice. The only state shards share is the
+    // pool's program stores, which lock and hold pure functions of
+    // their keys, so the thread count is pure wall-clock policy —
+    // results cannot depend on it.
     auto runShard = [&](std::size_t s) {
         ShardRun &r = runs[s];
         ServingOptions sopts = opts;
@@ -125,24 +126,36 @@ drainSharded(const DevicePool &pool, const ServingOptions &opts,
         r.report = engine.drain();
     };
 
+    // A failing shard must not escape a worker thread (that would call
+    // std::terminate): each shard's exception is kept, and after every
+    // worker has joined the lowest-indexed one is rethrown, whatever
+    // the thread count.
+    std::vector<std::exception_ptr> failures(S);
+    std::atomic<std::size_t> next{0};
+    auto work = [&] {
+        for (std::size_t s = next.fetch_add(1); s < S;
+             s = next.fetch_add(1)) {
+            try {
+                runShard(s);
+            } catch (...) {
+                failures[s] = std::current_exception();
+            }
+        }
+    };
     std::size_t threads = shard.threads == 0 ? S : shard.threads;
     threads = std::min(threads, S);
-    if (threads <= 1) {
-        for (std::size_t s = 0; s < S; ++s)
-            runShard(s);
-    } else {
-        std::atomic<std::size_t> next{0};
-        std::vector<std::thread> pool_;
-        pool_.reserve(threads);
-        for (std::size_t t = 0; t < threads; ++t)
-            pool_.emplace_back([&] {
-                for (std::size_t s = next.fetch_add(1); s < S;
-                     s = next.fetch_add(1))
-                    runShard(s);
-            });
-        for (std::thread &t : pool_)
-            t.join();
+    {
+        // The calling thread works too. A jthread joins when the scope
+        // ends, so a thread that fails to start cannot leave another
+        // running.
+        std::vector<std::jthread> workers;
+        for (std::size_t t = 1; t < threads; ++t)
+            workers.emplace_back(work);
+        work();
     }
+    for (const std::exception_ptr &failure : failures)
+        if (failure)
+            std::rethrow_exception(failure);
 
     // --- Deterministic merge ------------------------------------------
     // Results: k-way merge by (completion tick, shard index), keeping

@@ -14,9 +14,14 @@
  * same round-robin counter at its first row (a cross-shard turn could
  * never hit its prefix cache), and a tagless trace reduces exactly to
  * the per-request assignment. Each shard then runs an
- * ordinary ServingEngine::drain on its own event loop, touching only
- * its own replicas' CompiledModels, so shards execute concurrently
- * with no shared mutable state.
+ * ordinary ServingEngine::drain on its own event loop over its own
+ * replicas' CompiledModels, so shards execute concurrently. The one
+ * thing they share is the pool's program stores (equal replicas in
+ * different shards use one): a store is mutex-guarded, and its entries
+ * are pure functions of their keys, so sharing changes no result.
+ * A shard that fails does not take the process down: after every
+ * worker has joined, the lowest-indexed shard's exception is rethrown
+ * to the caller, for any thread count.
  *
  * Determinism contract (tested by test_sharded_drain.cc, specified in
  * docs/PERFORMANCE.md):

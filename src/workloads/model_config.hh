@@ -64,6 +64,8 @@ struct ModelConfig
     double forwardFlops(std::uint64_t tokens) const;
 
     std::string describe() const;
+
+    bool operator==(const ModelConfig &) const = default;
 };
 
 /** Request shape: (input size, output size) at batch 1 (Section 6.1). */

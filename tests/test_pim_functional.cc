@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <random>
 
 #include "common/bf16.hh"
@@ -76,6 +77,15 @@ struct GemvShape
     std::uint64_t rows, cols;
     unsigned channels;
 };
+
+// gtest names each case after its printed parameter. Without a printer
+// it dumps the raw bytes, including the 4 uninitialised padding bytes
+// after `channels`, and the test names change from build to build.
+void
+PrintTo(const GemvShape &shape, std::ostream *os)
+{
+    *os << shape.rows << "x" << shape.cols << "_" << shape.channels << "ch";
+}
 
 class GemvAccuracy : public ::testing::TestWithParam<GemvShape>
 {

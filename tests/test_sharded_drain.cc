@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -424,6 +425,52 @@ TEST(ShardedDrain, SourceTagsSurviveTheMerge)
     std::vector<SourceSlice> slices = rep.sourceSlices();
     ASSERT_EQ(slices.size(), 2u);
     EXPECT_EQ(slices[0].requests + slices[1].requests, trace.size());
+}
+
+/** Routes every request one past the shard's last replica. */
+struct OutOfRangeRouter : Router
+{
+    const char *name() const override { return "oob"; }
+    std::size_t route(const QueuedRequest &,
+                      const std::vector<ReplicaStatus> &replicas,
+                      double) override
+    {
+        return replicas.size();
+    }
+};
+
+// A fatal inside a shard reaches the caller as an exception for every
+// thread count, never std::terminate from a worker thread. Three
+// replicas in two shards give the shards different sizes, so each
+// shard's message names its own size: the lowest-indexed shard's
+// failure is the one rethrown.
+TEST(ShardedDrain, WorkerFailureReachesTheCaller)
+{
+    DevicePool pool = makePool(workloads::gpt2("m"), 3);
+    ArrivalTrace trace = makeTrace(8);
+    ServingOptions opts;
+    opts.tokenStride = 4;
+
+    std::vector<std::string> messages;
+    for (std::size_t threads : {1u, 2u}) {
+        ShardOptions sh;
+        sh.shards = 2;
+        sh.threads = threads;
+        try {
+            (void)drainSharded(pool, opts, trace, sh, PolicyFactory{}, [] {
+                return std::make_unique<OutOfRangeRouter>();
+            });
+            ADD_FAILURE() << "threads " << threads << ": no exception";
+        } catch (const std::runtime_error &e) {
+            messages.push_back(e.what());
+        }
+    }
+    ASSERT_EQ(messages.size(), 2u);
+    EXPECT_EQ(messages[0], messages[1]);
+    EXPECT_NE(messages[0].find("returned out-of-range replica 1 (pool "
+                               "has 1)"),
+              std::string::npos)
+        << messages[0];
 }
 
 } // namespace
