@@ -12,19 +12,30 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "baselines/gpu_model.hh"
+#include "example_cli.hh"
 #include "serve/compiled_model.hh"
 
+namespace
+{
+
+const char *const usage =
+    "usage: bert_qa_throughput [input_tokens...]\n"
+    "\n"
+    "  input_tokens  prompt lengths to sweep (default 128 256 512)\n"
+    "\n"
+    "Exit status: 0 on success, 1 on a simulation error, 2 on a usage\n"
+    "error.\n";
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace ianus;
     std::vector<std::uint64_t> inputs;
     for (int i = 1; i < argc; ++i)
-        inputs.push_back(std::strtoull(argv[i], nullptr, 10));
+        inputs.push_back(examples::parseCount("input_tokens", argv[i]));
     if (inputs.empty())
         inputs = {128, 256, 512};
 
@@ -54,4 +65,12 @@ main(int argc, char **argv)
                 "BERT-L costs %.2f ms on IANUS.\n",
                 bert_l.run({384, 1}).totalMs());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return ianus::examples::runExample(argc, argv, usage, run);
 }

@@ -9,23 +9,37 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <string>
 
+#include "example_cli.hh"
 #include "ianus/ianus_system.hh"
 
+namespace
+{
+
+const char *const usage =
+    "usage: design_space_explorer [model] [input] [output]\n"
+    "\n"
+    "  model   GPT-2 size: m, l (default), xl or 2.5b\n"
+    "  input   prompt tokens (default 256)\n"
+    "  output  generated tokens (default 32)\n"
+    "\n"
+    "Exit status: 0 on success, 1 on a simulation error, 2 on a usage\n"
+    "error.\n";
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace ianus;
     using compiler::BuildOptions;
     using compiler::SchedulingPolicy;
 
-    std::string size = argc > 1 ? argv[1] : "l";
+    workloads::ModelConfig model =
+        examples::gpt2Arg(argc > 1 ? argv[1] : "l");
     workloads::InferenceRequest req;
-    req.inputTokens = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 256;
-    req.outputTokens = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 32;
-    workloads::ModelConfig model = workloads::gpt2(size);
+    req.inputTokens =
+        argc > 2 ? examples::parseCount("input", argv[2]) : 256;
+    req.outputTokens =
+        argc > 3 ? examples::parseCount("output", argv[3]) : 32;
 
     std::printf("design space for %s at (%llu,%llu)\n\n",
                 model.describe().c_str(),
@@ -70,4 +84,12 @@ main(int argc, char **argv)
                 "workloads is PIM chips; for summarization it is "
                 "cores; PAS compounds with both.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return ianus::examples::runExample(argc, argv, usage, run);
 }

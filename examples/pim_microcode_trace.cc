@@ -9,24 +9,45 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <string>
 
+#include "example_cli.hh"
 #include "ianus/pim_control_unit.hh"
 #include "pim/pim_channel.hh"
 
+namespace
+{
+
+const char *const usage =
+    "usage: pim_microcode_trace [rows] [cols] [--gelu]\n"
+    "\n"
+    "  rows    GEMV output rows (default 384)\n"
+    "  cols    GEMV input columns (default 1536)\n"
+    "  --gelu  fuse the GELU activation into the macro\n"
+    "\n"
+    "Exit status: 0 on success, 1 on a simulation error, 2 on a usage\n"
+    "error.\n";
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace ianus;
-    std::uint64_t rows = argc > 1 ? std::strtoull(argv[1], nullptr, 10)
-                                  : 384;
-    std::uint64_t cols = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                                  : 1536;
+    std::uint64_t rows = 384;
+    std::uint64_t cols = 1536;
     bool gelu = false;
-    for (int i = 1; i < argc; ++i)
+    int positional = 0;
+    for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--gelu") == 0)
             gelu = true;
+        else if (positional == 0)
+            rows = examples::parseCount("rows", argv[i]), ++positional;
+        else if (positional == 1)
+            cols = examples::parseCount("cols", argv[i]), ++positional;
+        else
+            throw examples::UsageError(std::string("unexpected argument ") +
+                                       argv[i]);
+    }
 
     dram::Gddr6Config mem;
     pim::MacroCommand macro;
@@ -84,4 +105,12 @@ main(int argc, char **argv)
                 "argument: head-dim 64 gives 6.25%%)\n",
                 100.0 * tiling.rowUtilization());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return ianus::examples::runExample(argc, argv, usage, run);
 }

@@ -8,24 +8,38 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <string>
 
 #include "baselines/gpu_model.hh"
 #include "energy/energy_model.hh"
+#include "example_cli.hh"
 #include "serve/compiled_model.hh"
 
+namespace
+{
+
+const char *const usage =
+    "usage: quickstart [model] [input] [output]\n"
+    "\n"
+    "  model   GPT-2 size: m, l, xl (default) or 2.5b\n"
+    "  input   prompt tokens (default 128)\n"
+    "  output  generated tokens (default 64)\n"
+    "\n"
+    "Exit status: 0 on success, 1 on a simulation error, 2 on a usage\n"
+    "error.\n";
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace ianus;
 
-    std::string size = argc > 1 ? argv[1] : "xl";
+    workloads::ModelConfig model =
+        examples::gpt2Arg(argc > 1 ? argv[1] : "xl");
     workloads::InferenceRequest req;
-    req.inputTokens = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 128;
-    req.outputTokens = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 64;
+    req.inputTokens =
+        argc > 2 ? examples::parseCount("input", argv[2]) : 128;
+    req.outputTokens =
+        argc > 3 ? examples::parseCount("output", argv[3]) : 64;
 
-    workloads::ModelConfig model = workloads::gpt2(size);
     std::printf("model: %s\n", model.describe().c_str());
     std::printf("request: input=%llu output=%llu (batch 1)\n\n",
                 (unsigned long long)req.inputTokens,
@@ -67,4 +81,12 @@ main(int argc, char **argv)
                 "cores %.2f) | NPU-MEM %.2f\n",
                 ie.total(), ie.normalDramJ, ie.pimJ, ie.coreJ, ne.total());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return ianus::examples::runExample(argc, argv, usage, run);
 }

@@ -382,25 +382,38 @@ makeRouter(const std::string &name, double slo_ms_per_token)
 namespace
 {
 
-/** Percentile of an already-sorted sample vector. */
-double
-percentileSorted(const std::vector<double> &sorted, double p)
+/** Where percentile @p p reads in @p n sorted samples: rank lo, and
+ *  rank hi = lo + 1 weighted by frac — or lo alone (hi == lo) at a
+ *  bound, where the value is read as is. */
+struct PercentileRead
+{
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    double frac = 0.0;
+};
+
+PercentileRead
+percentileRead(std::size_t n, double p)
 {
     if (p <= 0.0)
-        return sorted.front();
+        return {0, 0, 0.0};
     if (p >= 100.0)
-        return sorted.back();
-    double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+        return {n - 1, n - 1, 0.0};
+    double rank = p / 100.0 * static_cast<double>(n - 1);
     std::size_t lo = static_cast<std::size_t>(rank);
-    double frac = rank - static_cast<double>(lo);
-    if (lo + 1 >= sorted.size())
-        return sorted.back();
-    return sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]);
+    if (lo + 1 >= n)
+        return {n - 1, n - 1, 0.0};
+    return {lo, lo + 1, rank - static_cast<double>(lo)};
 }
 
-/** Sort @p values in place and read all of @p ps off the one sort.
- *  The percentile contract (see ServingReport::percentile): empty
- *  values yield 0.0, p clamps to [0, 100], NaN p is fatal. */
+/** Read all of @p ps off @p values, reordering it in place. Only the
+ *  ranks the ps read are selected: std::nth_element per distinct rank,
+ *  ascending, each over the tail past the previous one (everything
+ *  there is >= it, so the tail holds exactly the higher order
+ *  statistics). An order statistic is one value whatever the
+ *  algorithm, so this equals reading a full sort. The percentile
+ *  contract (see ServingReport::percentile): empty values yield 0.0,
+ *  p clamps to [0, 100], NaN p is fatal. */
 std::vector<double>
 percentilesInPlace(std::vector<double> &values,
                    const std::vector<double> &ps)
@@ -414,9 +427,27 @@ percentilesInPlace(std::vector<double> &values,
     std::vector<double> out(ps.size(), 0.0);
     if (values.empty())
         return out;
-    std::sort(values.begin(), values.end());
-    for (std::size_t i = 0; i < ps.size(); ++i)
-        out[i] = percentileSorted(values, ps[i]);
+    std::vector<std::size_t> ranks;
+    ranks.reserve(2 * ps.size());
+    for (double p : ps) {
+        PercentileRead r = percentileRead(values.size(), p);
+        ranks.push_back(r.lo);
+        ranks.push_back(r.hi);
+    }
+    std::sort(ranks.begin(), ranks.end());
+    ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+    auto from = values.begin();
+    for (std::size_t rank : ranks) {
+        auto at = values.begin() + static_cast<std::ptrdiff_t>(rank);
+        std::nth_element(from, at, values.end());
+        from = at + 1;
+    }
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+        PercentileRead r = percentileRead(values.size(), ps[i]);
+        out[i] = r.lo == r.hi ? values[r.lo]
+                              : values[r.lo] + r.frac * (values[r.hi] -
+                                                        values[r.lo]);
+    }
     return out;
 }
 
@@ -693,7 +724,7 @@ ServingReport::meanBatchOccupancy() const
     double steps = 0.0;
     double weighted = 0.0;
     for (const RequestResult &r : results) {
-        double s = static_cast<double>(r.report.generationSteps);
+        double s = static_cast<double>(r.generationSteps);
         steps += s;
         weighted += s * r.meanBatchSize;
     }
@@ -1069,12 +1100,29 @@ ServingEngine::drain()
     std::vector<double> freeAt(n, 0.0);
     std::vector<bool> busy(n, false);
 
+    // Legacy whole-request service (the !segmented path) has at most
+    // one request in flight per replica: its result and cost wait in
+    // the replica's slot until the completion event, which then
+    // captures only the replica index.
+    struct InFlight
+    {
+        RequestResult res;
+        InferenceReport stats;
+    };
+    std::vector<InFlight> inFlight(n);
+
     // Per-replica batch runtime (populated only on the segment path).
     // A resident request is either awaiting (the rest of) its prefill
     // or generating.
     struct Member
     {
         RequestResult res;
+        /** The request's cost attribution while it is in flight: the
+         *  whole prefill plus a 1/B share of each batched generation
+         *  step (fleet aggregates stay additive — energy-model input).
+         *  finalize merges it into report.aggregate and hands it to the
+         *  completion hook; results keep no RunStats. */
+        InferenceReport stats;
         std::uint64_t prefillDone = 0; ///< prompt tokens summarized
         std::uint64_t chunksDone = 0; ///< prefill segments run so far
         std::uint64_t kvLen = 0;     ///< KV length the next step sees
@@ -1326,7 +1374,8 @@ ServingEngine::drain()
         // Residency excludes time spent evicted (x - 0.0 == x exactly,
         // so the never-preempted path is bit-identical).
         res.serviceMs = res.finishMs - res.startMs - res.suspendedMs;
-        std::uint64_t steps = res.report.generationSteps;
+        const std::uint64_t steps = m.stats.generationSteps;
+        res.generationSteps = steps;
         res.msPerToken =
             steps ? (res.finishMs - res.arrivalMs - res.firstTokenMs) /
                         static_cast<double>(steps)
@@ -1340,12 +1389,12 @@ ServingEngine::drain()
                               static_cast<double>(m.doneSteps)
                         : 1.0;
         report.generatedTokens += res.request.outputTokens;
-        report.aggregate.merge(res.report.combined());
+        report.aggregate.merge(m.stats.combined());
         report.makespanMs =
             std::max(report.makespanMs, now - first_arrival);
         report.results.push_back(std::move(res));
         if (onComplete_)
-            onComplete_(report.results.back());
+            onComplete_(report.results.back(), m.stats);
     };
 
     std::function<void(double)> pump; // forward: segments re-enter it
@@ -1523,10 +1572,10 @@ ServingEngine::drain()
             // cached prefix, and its first delta chunk must still
             // *assign* (the two tests coincide on every cold path).
             if (m.chunksDone == 0) {
-                m.res.report.summarization = s;
+                m.stats.summarization = s;
                 m.res.prefillChunks = 1;
             } else {
-                m.res.report.summarization.merge(s);
+                m.stats.summarization.merge(s);
                 m.res.prefillChunks += 1;
             }
             m.chunksDone += 1;
@@ -1597,8 +1646,8 @@ ServingEngine::drain()
             // Each member owes a 1/B share of the shared step work.
             double share = 1.0 / static_cast<double>(r.gen.size());
             for (Member &m : r.gen) {
-                m.res.report.generation.scaleAdd(seg, share);
-                m.res.report.generationSteps += g;
+                m.stats.generation.scaleAdd(seg, share);
+                m.stats.generationSteps += g;
                 m.kvLen += g;
                 m.remaining -= g;
                 m.weightedBatch += static_cast<double>(
@@ -1657,6 +1706,23 @@ ServingEngine::drain()
             // whole queue while its peers are still marked busy.
             events.schedule(events.now(), [&, end]() { pump(end); });
         });
+    };
+
+    // Legacy service on replica dev completes: fold its slot into the
+    // report, then pump — last, because pump may dispatch the replica's
+    // next request into the same slot.
+    auto completeInFlight = [&](std::size_t dev) {
+        busy[dev] = false;
+        const InFlight &f = inFlight[dev];
+        const double finish = f.res.finishMs;
+        report.generatedTokens += f.res.request.outputTokens;
+        report.aggregate.merge(f.stats.combined());
+        report.makespanMs =
+            std::max(report.makespanMs, finish - first_arrival);
+        report.results.push_back(f.res);
+        if (onComplete_)
+            onComplete_(report.results.back(), f.stats);
+        pump(finish);
     };
 
     // One candidate's dispatch attempt — the body shared by the three
@@ -1879,7 +1945,9 @@ ServingEngine::drain()
                     // Legacy whole-request service: the request holds
                     // its replica to completion, costed by the same
                     // CompiledModel::run the synchronous loop used.
-                    RequestResult res;
+                    InFlight &f = inFlight[dev];
+                    RequestResult &res = f.res;
+                    res = RequestResult{};
                     res.id = q.id;
                     res.request = q.request;
                     res.arrivalMs = q.arrivalMs;
@@ -1889,14 +1957,15 @@ ServingEngine::drain()
                     res.source = q.source;
                     res.prefilledTokens = q.request.inputTokens;
                     res.startMs = std::max(now, q.arrivalMs);
-                    res.report =
+                    f.stats =
                         replicas_[dev]->run(q.request, opts_.tokenStride);
-                    res.serviceMs = res.report.totalMs();
+                    res.serviceMs = f.stats.totalMs();
                     res.finishMs = res.startMs + res.serviceMs;
                     res.firstTokenMs = (res.startMs - res.arrivalMs) +
-                                       res.report.summarizationMs();
-                    res.msPerToken = res.report.msPerGeneratedToken();
-                    res.sloMiss = res.report.generationSteps > 0 &&
+                                       f.stats.summarizationMs();
+                    res.generationSteps = f.stats.generationSteps;
+                    res.msPerToken = f.stats.msPerGeneratedToken();
+                    res.sloMiss = res.generationSteps > 0 &&
                                   res.msPerToken > opts_.sloMsPerToken;
                     res.deadlineMiss =
                         res.finishMs > deadlineMs(res.arrivalMs,
@@ -1909,27 +1978,8 @@ ServingEngine::drain()
                     freeAt[dev] = res.finishMs;
                     report.replicas[dev].dispatched += 1;
                     report.replicas[dev].busyMs += res.serviceMs;
-
-                    // Hoisted: argument evaluation is unsequenced, so
-                    // the move-capture below must not race the finishMs
-                    // read.
-                    Tick completion = msToTicks(res.finishMs);
-                    events.schedule(
-                        completion,
-                        [&, dev, res = std::move(res)]() mutable {
-                            busy[dev] = false;
-                            double finish = res.finishMs;
-                            report.generatedTokens +=
-                                res.request.outputTokens;
-                            report.aggregate.merge(res.report.combined());
-                            report.makespanMs =
-                                std::max(report.makespanMs,
-                                         finish - first_arrival);
-                            report.results.push_back(std::move(res));
-                            if (onComplete_)
-                                onComplete_(report.results.back());
-                            pump(finish);
-                        });
+                    events.schedule(msToTicks(res.finishMs),
+                                    [&, dev]() { completeInFlight(dev); });
                 } else if (q.resumed) {
                     // Resume: the evicted member rejoins generation on
                     // its bound replica at the KV length reached — the
@@ -1961,8 +2011,8 @@ ServingEngine::drain()
                     m.res.source = q.source;
                     m.res.startMs = std::max(now, q.arrivalMs);
                     m.res.deviceIndex = dev;
-                    m.res.report.inputTokens = q.request.inputTokens;
-                    m.res.report.outputTokens = q.request.outputTokens;
+                    m.stats.inputTokens = q.request.inputTokens;
+                    m.stats.outputTokens = q.request.outputTokens;
                     const bool hit =
                         prefixOn && sessionHitDev(q) == dev;
                     const std::uint64_t dhp =

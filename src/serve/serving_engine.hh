@@ -527,7 +527,13 @@ class SloBudgetRouter : public Router
 std::unique_ptr<Router> makeRouter(const std::string &name,
                                    double slo_ms_per_token = 10.0);
 
-/** Completed request: latency decomposition + the full report. */
+/**
+ * Completed request: its latency decomposition and accounting scalars.
+ * Device cost (RunStats) is not kept per request: each request's
+ * attribution merges into ServingReport::aggregate as it completes and
+ * reaches the completion hook (ServingEngine::setCompletionHook), so a
+ * million-request report holds scalars only.
+ */
 struct RequestResult
 {
     std::uint64_t id = 0;
@@ -538,9 +544,9 @@ struct RequestResult
     double finishMs = 0.0; ///< when the last token was emitted
 
     /** Device residency (finish - start - suspended). Served alone and
-     *  never evicted this equals report.totalMs(); in a batch it is
-     *  wall time sharing the replica, so summing it across requests
-     *  double-counts. */
+     *  never evicted this equals the request's InferenceReport
+     *  totalMs(); in a batch it is wall time sharing the replica, so
+     *  summing it across requests double-counts. */
     double serviceMs = 0.0;
     /** TTFT: queueing, any batch stall or interleaved segments between
      *  prefill chunks, and the prefill itself (the last chunk's LM
@@ -551,13 +557,22 @@ struct RequestResult
      *  step but deflates nothing — throughput gains show up in
      *  tokensPerSecond(), not here. */
     double msPerToken = 0.0;
-    bool sloMiss = false;
 
+    // The three flags and the source tag share one 8-byte slot.
+    bool sloMiss = false;
     /** Finished after its EDF deadline (arrival + SLO x output tokens).
      *  Unlike sloMiss, which judges the generation cadence only, this
      *  charges queueing and suspension too — the completion-budget view
      *  EDF schedules against, and the metric preemption moves. */
     bool deadlineMiss = false;
+    /** True iff the prefix cache served this turn's shared prefix: the
+     *  request prefilled only its delta on the replica still holding
+     *  the prior turn's KV. */
+    bool prefixHit = false;
+    /** Traffic source echoed from the submit (0 = untagged; mixed
+     *  drains tag interactive vs batch — see
+     *  ServingReport::sourceSlices). */
+    std::uint32_t source = 0;
 
     std::size_t deviceIndex = 0; ///< replica that served the request
                                  ///< (decode side after a handoff)
@@ -595,23 +610,14 @@ struct RequestResult
     std::uint64_t sessionId = 0;
     std::uint64_t turnIndex = 0;
     std::uint64_t prefixTokens = 0;
-    /** True iff the prefix cache served this turn's shared prefix: the
-     *  request prefilled only its delta on the replica still holding
-     *  the prior turn's KV. */
-    bool prefixHit = false;
     /** Prompt tokens this request actually prefilled (= input tokens,
      *  minus prefixTokens on a hit). */
     std::uint64_t prefilledTokens = 0;
 
-    /** Traffic source echoed from the submit (0 = untagged; mixed
-     *  drains tag interactive vs batch — see
-     *  ServingReport::sourceSlices). */
-    std::uint32_t source = 0;
-
-    /** Per-request attribution: the prefill is exclusive; each batched
-     *  generation step contributes a 1/B share of its RunStats, so
-     *  fleet aggregates stay additive (energy-model input). */
-    InferenceReport report;
+    /** Generation steps this request ran (its InferenceReport's
+     *  generationSteps; the weight of meanBatchSize in
+     *  ServingReport::meanBatchOccupancy). */
+    std::uint64_t generationSteps = 0;
 
     double queueMs() const { return startMs - arrivalMs; }
 
@@ -733,7 +739,9 @@ struct ServingReport
      *  bench/micro_session_prefix gates on. */
     std::uint64_t prefillTokensSaved = 0;
 
-    /** Merged per-request combined() stats (energy-model input). */
+    /** Merged per-request combined() stats, in completion order
+     *  (energy-model input; the only place per-request device cost is
+     *  kept once a drain returns). */
     RunStats aggregate;
 
     std::size_t requests() const { return results.size(); }
@@ -752,8 +760,10 @@ struct ServingReport
     static double percentile(std::vector<double> values, double p);
 
     /**
-     * All of @p ps from one shared sort of @p values (percentile() on a
-     * k-element request list is one sort per call; this is one total).
+     * All of @p ps from one pass over @p values: only the order
+     * statistics the ps read are selected (std::nth_element over
+     * successively shorter tails), never a full sort, and every result
+     * equals what a full sort would give, bit for bit.
      */
     static std::vector<double>
     percentiles(std::vector<double> values, const std::vector<double> &ps);
@@ -1019,13 +1029,21 @@ class ServingEngine
 
     /**
      * Completion feedback: called inside drain() as each request
-     * finalizes (completion order, after its RequestResult is recorded).
-     * The hook may call inject() to add new arrivals mid-drain — the
-     * feedback edge closed-loop clients need (a client's next request
-     * arrives one think time after its previous one completed). Pass
-     * nullptr to clear. The hook must not call submit() or drain().
+     * finalizes (completion order, after its RequestResult is recorded
+     * and its cost merged into the report's aggregate). The second
+     * argument is the request's own cost attribution — the whole
+     * prefill plus a 1/B share of each batched generation step; on the
+     * legacy batch-1 service path (see ServingOptions::maxBatch),
+     * exactly CompiledModel::run's report. It is the only place
+     * per-request RunStats are visible and is valid only during the
+     * call. The hook may call inject() to add new arrivals mid-drain —
+     * the feedback edge closed-loop clients need (a client's next
+     * request arrives one think time after its previous one
+     * completed). Pass nullptr to clear. The hook must not call
+     * submit() or drain().
      */
-    using CompletionHook = std::function<void(const RequestResult &)>;
+    using CompletionHook = std::function<void(const RequestResult &,
+                                              const InferenceReport &)>;
     void setCompletionHook(CompletionHook hook);
 
     /**

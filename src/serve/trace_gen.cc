@@ -944,7 +944,8 @@ runClosedLoop(ServingEngine &engine, const ClosedLoopOptions &opts)
         ServingEngine *engine;
         ~HookGuard() { engine->setCompletionHook(nullptr); }
     } hook_guard{&engine};
-    engine.setCompletionHook([&](const RequestResult &r) {
+    engine.setCompletionHook([&](const RequestResult &r,
+                                 const InferenceReport &) {
         auto it = owner.find(r.id);
         if (it == owner.end())
             return; // not ours (engine shared with other traffic)
@@ -1082,7 +1083,8 @@ runMixedDrain(ServingEngine &engine, const ClosedLoopOptions &interactive,
         ServingEngine *engine;
         ~HookGuard() { engine->setCompletionHook(nullptr); }
     } hook_guard{&engine};
-    engine.setCompletionHook([&](const RequestResult &r) {
+    engine.setCompletionHook([&](const RequestResult &r,
+                                 const InferenceReport &) {
         auto it = owner.find(r.id);
         if (it == owner.end())
             return; // background (or foreign) traffic

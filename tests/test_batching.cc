@@ -206,7 +206,7 @@ TEST(Batching, LastRequestFinishesAShrinkingBatchAlone)
     // ran 1 step shared + 4 alone: (1*2 + 4*1) / 5.
     EXPECT_EQ(byId(rep, 0).meanBatchSize, 2.0);
     EXPECT_EQ(byId(rep, 1).meanBatchSize, 1.2);
-    EXPECT_GT(byId(rep, 0).report.generationSteps, 0u);
+    EXPECT_GT(byId(rep, 0).generationSteps, 0u);
 }
 
 // Static batching seals membership: a late request waits for the
@@ -265,7 +265,7 @@ TEST(Batching, BatchedPoolAccountingStaysConsistent)
     EXPECT_GT(rep.meanBatchOccupancy(), 1.0);
     EXPECT_LE(rep.meanBatchOccupancy(), 2.0);
     for (const auto &r : rep.results) {
-        EXPECT_GT(r.report.generationSteps, 0u);
+        EXPECT_GT(r.generationSteps, 0u);
         EXPECT_GE(r.firstTokenMs, 0.0);
         EXPECT_GE(r.serviceMs, 0.0);
         EXPECT_EQ(r.request.outputTokens, 4u);

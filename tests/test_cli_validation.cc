@@ -1,8 +1,11 @@
-/** @file llm_serving flag validation: every rejected combination must
- *  exit 2 with a usage message on stderr, not start a simulation; a
- *  fatal simulation error exits 1 with its message, and --help exits
- *  0. The tests run the real binary (path baked in as LLM_SERVING_BIN)
- *  so the parse-and-validate layer is exercised end to end. */
+/** @file Example command lines: every rejected llm_serving flag
+ *  combination must exit 2 with a usage message on stderr, not start a
+ *  simulation; a fatal simulation error exits 1 with its message, and
+ *  --help exits 0. The other examples (quickstart,
+ *  design_space_explorer, bert_qa_throughput, pim_microcode_trace)
+ *  keep the same exit-status contract. The tests run the real binaries
+ *  (paths baked in as <NAME>_BIN) so the parse-and-validate layer is
+ *  exercised end to end. */
 
 #include <gtest/gtest.h>
 
@@ -13,18 +16,19 @@
 namespace
 {
 
-#ifndef LLM_SERVING_BIN
-#error "LLM_SERVING_BIN must name the llm_serving executable"
+#if !defined(LLM_SERVING_BIN) || !defined(QUICKSTART_BIN) ||             \
+    !defined(DESIGN_SPACE_EXPLORER_BIN) ||                                 \
+    !defined(BERT_QA_THROUGHPUT_BIN) || !defined(PIM_MICROCODE_TRACE_BIN)
+#error "<NAME>_BIN must name each example executable"
 #endif
 
-/** Run `llm_serving <args>`, capturing stdout and, with
- *  @p with_stderr, stderr too; returns the exit code and fills
- *  @p output. */
+/** Run `<binary> <args>`, capturing stdout and, with @p with_stderr,
+ *  stderr too; returns the exit code and fills @p output. */
 int
-runCli(const std::string &args, std::string &output,
-       bool with_stderr = true)
+runExample(const char *binary, const std::string &args,
+           std::string &output, bool with_stderr = true)
 {
-    const std::string cmd = std::string(LLM_SERVING_BIN) + " " + args +
+    const std::string cmd = std::string(binary) + " " + args +
                             (with_stderr ? " 2>&1" : " 2>/dev/null");
     std::FILE *pipe = ::popen(cmd.c_str(), "r");
     EXPECT_NE(pipe, nullptr) << cmd;
@@ -36,6 +40,14 @@ runCli(const std::string &args, std::string &output,
         output += buf;
     const int status = ::pclose(pipe);
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/** runExample() on llm_serving. */
+int
+runCli(const std::string &args, std::string &output,
+       bool with_stderr = true)
+{
+    return runExample(LLM_SERVING_BIN, args, output, with_stderr);
 }
 
 void
@@ -150,6 +162,79 @@ TEST(CliValidation, FatalErrorsExitOneWithTheirMessage)
     EXPECT_EQ(runCli("m 4 --replicas 2 --rate-profile ramp:1:2", out), 1)
         << out;
     EXPECT_NE(out.find("rate profile"), std::string::npos) << out;
+}
+
+// --- The other examples ---------------------------------------------------
+
+/** `<binary> <args>` exits @p code, prints @p needle, and never dies
+ *  of an uncaught exception. */
+void
+expectExit(const char *binary, const std::string &args, int code,
+           const std::string &needle)
+{
+    std::string out;
+    EXPECT_EQ(runExample(binary, args, out), code)
+        << binary << " " << args << "\noutput: " << out;
+    EXPECT_NE(out.find(needle), std::string::npos)
+        << binary << " " << args << "\nwanted '" << needle << "' in:\n"
+        << out;
+    EXPECT_EQ(out.find("terminate called"), std::string::npos) << out;
+}
+
+/** --help and -h print @p binary's usage to stdout and exit 0. */
+void
+expectHelp(const char *binary, const std::string &usage_head)
+{
+    for (const char *flag : {"--help", "-h"}) {
+        std::string out;
+        EXPECT_EQ(runExample(binary, flag, out, false), 0)
+            << binary << " " << flag << "\n" << out;
+        EXPECT_EQ(out.rfind(usage_head, 0), 0u)
+            << binary << " " << flag << "\n" << out;
+    }
+}
+
+TEST(CliValidation, QuickstartFailsCleanly)
+{
+    expectExit(QUICKSTART_BIN, "q", 2, "unknown GPT-2 size 'q'");
+    expectExit(QUICKSTART_BIN, "m 0 4", 2, "input wants a positive");
+    expectExit(QUICKSTART_BIN, "m 64 four", 2, "output wants a positive");
+    expectExit(QUICKSTART_BIN, "m -3 4", 2, "input wants a positive");
+    expectHelp(QUICKSTART_BIN, "usage: quickstart");
+    expectExit(QUICKSTART_BIN, "m 5000 4", 1, "fatal: activation");
+}
+
+TEST(CliValidation, DesignSpaceExplorerFailsCleanly)
+{
+    expectExit(DESIGN_SPACE_EXPLORER_BIN, "zz", 2,
+               "unknown GPT-2 size 'zz'");
+    expectExit(DESIGN_SPACE_EXPLORER_BIN, "m 256 0", 2,
+               "output wants a positive");
+    expectHelp(DESIGN_SPACE_EXPLORER_BIN, "usage: design_space_explorer");
+    expectExit(DESIGN_SPACE_EXPLORER_BIN, "m 5000 4", 1,
+               "fatal: activation");
+}
+
+TEST(CliValidation, BertQaThroughputFailsCleanly)
+{
+    expectExit(BERT_QA_THROUGHPUT_BIN, "0", 2,
+               "input_tokens wants a positive");
+    expectExit(BERT_QA_THROUGHPUT_BIN, "128 abc", 2,
+               "input_tokens wants a positive");
+    expectHelp(BERT_QA_THROUGHPUT_BIN, "usage: bert_qa_throughput");
+    expectExit(BERT_QA_THROUGHPUT_BIN, "100000", 1, "fatal: activation");
+}
+
+TEST(CliValidation, PimMicrocodeTraceFailsCleanly)
+{
+    expectExit(PIM_MICROCODE_TRACE_BIN, "0 0", 2, "rows wants a positive");
+    expectExit(PIM_MICROCODE_TRACE_BIN, "384 x", 2,
+               "cols wants a positive");
+    expectExit(PIM_MICROCODE_TRACE_BIN, "384 1536 7", 2,
+               "unexpected argument 7");
+    expectHelp(PIM_MICROCODE_TRACE_BIN, "usage: pim_microcode_trace");
+    // A lone flag is not a row count.
+    expectExit(PIM_MICROCODE_TRACE_BIN, "--gelu", 0, "GEMV[384x1536]+bias+gelu");
 }
 
 } // namespace

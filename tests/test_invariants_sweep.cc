@@ -274,6 +274,14 @@ TEST(ServingInvariantSweep, ConservationAcrossAllCombinations)
                         ServingEngine engine(pool, opts,
                                              makePolicy(policy),
                                              makeRouter(router));
+                        // Per-request cost reaches the completion hook
+                        // only; sum it in completion order.
+                        RunStats merged;
+                        engine.setCompletionHook(
+                            [&merged](const RequestResult &,
+                                      const InferenceReport &s) {
+                                merged.merge(s.combined());
+                            });
                         submitAll(trace, engine);
                         ServingReport rep = engine.drain();
 
@@ -310,13 +318,11 @@ TEST(ServingInvariantSweep, ConservationAcrossAllCombinations)
                         }
 
                         // Fleet aggregates stay additive.
-                        RunStats merged;
                         std::uint64_t tokens = 0;
                         double last_finish = 0.0;
                         double first_arrival =
                             trace.requests.front().arrivalMs;
                         for (const auto &r : rep.results) {
-                            merged.merge(r.report.combined());
                             tokens += r.request.outputTokens;
                             last_finish =
                                 std::max(last_finish, r.finishMs);

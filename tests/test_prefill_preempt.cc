@@ -247,8 +247,8 @@ TEST(Preempt, EdfEvictsLongGenerationAndResumesIt)
     // Residency excludes the suspension; nothing was re-generated.
     EXPECT_DOUBLE_EQ(longr.serviceMs,
                      longr.finishMs - longr.startMs - longr.suspendedMs);
-    EXPECT_EQ(longr.report.generationSteps, 299u);
-    EXPECT_EQ(shortr.report.generationSteps, 3u);
+    EXPECT_EQ(longr.generationSteps, 299u);
+    EXPECT_EQ(shortr.generationSteps, 3u);
     EXPECT_EQ(longr.deviceIndex, shortr.deviceIndex);
     EXPECT_EQ(rep.preemptions(), 1u);
     EXPECT_DOUBLE_EQ(rep.preemptionRate(), 0.5);
@@ -404,8 +404,8 @@ TEST(KvCapacity, EvictParkResumeCycleUnderPressure)
     // short's entire residency.
     EXPECT_GE(longr.suspendedMs, shortr.serviceMs - 1e-9);
     // Nothing was re-generated, and nothing leaked.
-    EXPECT_EQ(longr.report.generationSteps, 299u);
-    EXPECT_EQ(shortr.report.generationSteps, 3u);
+    EXPECT_EQ(longr.generationSteps, 299u);
+    EXPECT_EQ(shortr.generationSteps, 3u);
     ASSERT_EQ(rep.replicas.size(), 1u);
     EXPECT_EQ(rep.replicas[0].kvTokensEnd, 0u);
     EXPECT_EQ(rep.replicas[0].kvBlocksLeaked, 0u);

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <random>
+#include <vector>
 
 #include "serve/serving_engine.hh"
 
@@ -192,8 +195,8 @@ TEST(ServingReport, PercentileContractAtTheEdges)
 
 TEST(ServingReport, BatchPercentilesShareOneSort)
 {
-    // percentiles() computes all ranks from one shared sort and must
-    // agree with repeated single-percentile calls.
+    // percentiles() reads all ranks off one shared selection pass and
+    // must agree with repeated single-percentile calls.
     std::vector<double> v = {40, 10, 20, 30};
     std::vector<double> ps = {0, 25, 50, 75, 95, 100};
     std::vector<double> batch = ServingReport::percentiles(v, ps);
@@ -203,6 +206,59 @@ TEST(ServingReport, BatchPercentilesShareOneSort)
     EXPECT_TRUE(
         ServingReport::percentiles({}, {50, 99}) ==
         (std::vector<double>{0.0, 0.0}));
+}
+
+TEST(ServingReport, SelectedPercentilesMatchAFullSort)
+{
+    // percentiles() selects only the ranks its ps read; every value must
+    // equal the closest-ranks interpolation over a fully sorted copy,
+    // exactly. Small value ranges force heavy duplicates, and the p
+    // lists are unsorted, repeated, and step past both bounds.
+    auto reference = [](std::vector<double> v, double p) {
+        if (v.empty())
+            return 0.0;
+        std::sort(v.begin(), v.end());
+        if (p <= 0.0)
+            return v.front();
+        if (p >= 100.0)
+            return v.back();
+        double rank = p / 100.0 * static_cast<double>(v.size() - 1);
+        std::size_t lo = static_cast<std::size_t>(rank);
+        double frac = rank - static_cast<double>(lo);
+        if (lo + 1 >= v.size())
+            return v.back();
+        return v[lo] + frac * (v[lo + 1] - v[lo]);
+    };
+    const std::vector<std::vector<double>> p_lists = {
+        {50.0},
+        {99.0, 50.0, 95.0, 50.0},
+        {100.0, 0.0, 100.0, 0.0},
+        {-25.0, 250.0, 99.9, 0.1, -1e9, 1e9},
+        {95.0, 5.0, 95.0, 37.5, 62.5, 12.5, 87.5, 5.0},
+        {99.99, 0.01, 33.3, 66.7, 100.0, 0.0, 50.0, -0.5}};
+    std::mt19937 rng(20241017);
+    std::vector<std::size_t> sizes = {1, 2, 3, 4, 5, 5000};
+    std::uniform_int_distribution<std::size_t> size_dist(1, 5000);
+    for (int i = 0; i < 40; ++i)
+        sizes.push_back(size_dist(rng));
+    for (std::size_t n : sizes) {
+        // Between 1 and ~n/4 distinct values, halves included.
+        std::uniform_int_distribution<int> value_dist(
+            0, 1 + static_cast<int>(n / 4));
+        std::vector<double> v(n);
+        for (double &x : v)
+            x = 0.5 * value_dist(rng);
+        for (const std::vector<double> &ps : p_lists) {
+            std::vector<double> got = ServingReport::percentiles(v, ps);
+            ASSERT_EQ(got.size(), ps.size());
+            for (std::size_t k = 0; k < ps.size(); ++k)
+                EXPECT_EQ(got[k], reference(v, ps[k]))
+                    << "n " << n << " p " << ps[k];
+        }
+        EXPECT_EQ(ServingReport::percentile(v, 42.0),
+                  reference(v, 42.0))
+            << "n " << n;
+    }
 }
 
 TEST(ServingReport, ServiceTimePercentileExcludesQueueing)

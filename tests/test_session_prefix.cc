@@ -62,12 +62,22 @@ twoTurnTrace(std::uint64_t prior_in, std::uint64_t prior_out,
     return trace;
 }
 
+/** Each request's cost attribution, by id, as the completion hook
+ *  handed it over (results keep no per-request RunStats). */
+using StatsById = std::map<std::uint64_t, InferenceReport>;
+
 ServingReport
 drainOn(const DevicePool &pool, const ArrivalTrace &trace,
-        ServingOptions opts, const std::string &router = "round-robin")
+        ServingOptions opts, const std::string &router = "round-robin",
+        StatsById *stats = nullptr)
 {
     ServingEngine engine(pool, opts, makePolicy("fcfs"),
                          makeRouter(router));
+    if (stats)
+        engine.setCompletionHook(
+            [stats](const RequestResult &r, const InferenceReport &s) {
+                stats->emplace(r.id, s);
+            });
     submitAll(trace, engine);
     return engine.drain();
 }
@@ -98,7 +108,9 @@ TEST(SessionPrefix, HitPrefillCostEqualsChunkTableEntry)
     for (const Split &s : splits) {
         ArrivalTrace trace =
             twoTurnTrace(s.priorIn, s.priorOut, s.delta);
-        ServingReport rep = drainOn(pool, trace, ServingOptions{});
+        StatsById stats;
+        ServingReport rep = drainOn(pool, trace, ServingOptions{},
+                                    "round-robin", &stats);
         const std::uint64_t prior = s.priorIn + s.priorOut;
         std::string what = "prior " + std::to_string(prior) +
                            " delta " + std::to_string(s.delta);
@@ -113,7 +125,7 @@ TEST(SessionPrefix, HitPrefillCostEqualsChunkTableEntry)
         EXPECT_EQ(turn1->prefilledTokens, s.delta) << what;
         EXPECT_EQ(rep.prefixHits, 1u) << what;
         EXPECT_EQ(rep.prefillTokensSaved, prior) << what;
-        expectStatsEqual(turn1->report.summarization,
+        expectStatsEqual(stats.at(turn1->id).summarization,
                          cm.prefillChunkStats(prior, s.delta, true),
                          what);
     }
@@ -134,7 +146,8 @@ TEST(SessionPrefix, ChunkedHitComposesChunkTableEntries)
     ArrivalTrace trace = twoTurnTrace(64, 16, delta);
     ServingOptions opts;
     opts.prefillChunk = 48;
-    ServingReport rep = drainOn(pool, trace, opts);
+    StatsById stats;
+    ServingReport rep = drainOn(pool, trace, opts, "round-robin", &stats);
 
     const RequestResult *turn1 = nullptr;
     for (const auto &r : rep.results)
@@ -146,10 +159,10 @@ TEST(SessionPrefix, ChunkedHitComposesChunkTableEntries)
     RunStats expected = cm.prefillChunkStats(prior, 48, false);
     expected.merge(cm.prefillChunkStats(prior + 48, 48, true));
     // merge() sums the additive fields; compare those.
-    EXPECT_EQ(turn1->report.summarization.commands, expected.commands);
-    EXPECT_EQ(turn1->report.summarization.muFlops, expected.muFlops);
-    EXPECT_EQ(turn1->report.summarization.dramReadBytes,
-              expected.dramReadBytes);
+    const RunStats &got = stats.at(turn1->id).summarization;
+    EXPECT_EQ(got.commands, expected.commands);
+    EXPECT_EQ(got.muFlops, expected.muFlops);
+    EXPECT_EQ(got.dramReadBytes, expected.dramReadBytes);
 }
 
 // --- Eviction falls back to the monolithic cost ---------------------------
@@ -181,7 +194,8 @@ TEST(SessionPrefix, EvictedPrefixReprefillsAtMonolithicCost)
     opts.kv.capacityTokens = 256;
     opts.kv.blockTokens = 16;
     opts.kv.admission = KvAdmission::Queue;
-    ServingReport rep = drainOn(pool, trace, opts);
+    StatsById stats;
+    ServingReport rep = drainOn(pool, trace, opts, "round-robin", &stats);
 
     ASSERT_EQ(rep.requests(), 3u);
     const RequestResult *turn1 = nullptr;
@@ -195,7 +209,7 @@ TEST(SessionPrefix, EvictedPrefixReprefillsAtMonolithicCost)
     EXPECT_EQ(rep.prefillTokensSaved, 0u);
     EXPECT_EQ(turn1->prefilledTokens, turn1->request.inputTokens);
     expectStatsEqual(
-        turn1->report.summarization,
+        stats.at(turn1->id).summarization,
         cm.prefillChunkStats(0, turn1->request.inputTokens, true),
         "evicted re-prefill");
     for (const auto &u : rep.replicas) {
