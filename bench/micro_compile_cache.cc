@@ -14,11 +14,17 @@
  * The two paths must produce identical latency numbers — the cache only
  * skips redundant work. Reports wall-clock speedup and cache counters.
  *
- *   ./micro_compile_cache [--fast] [--csv]
+ *   ./micro_compile_cache [--fast] [--csv] [--floor PROGRAMS_PER_S]
+ *
+ * --floor exits 1 if the uncached path, where every request compiles
+ * and executes its programs, costs fewer programs per second than the
+ * floor — the Release CI gate on device execution.
  */
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <random>
 #include <vector>
 
@@ -44,6 +50,10 @@ main(int argc, char **argv)
 {
     using namespace ianus;
     bench::Options opts = bench::parseArgs(argc, argv);
+    double floor_pps = 0.0;
+    for (int i = 1; i < argc; ++i)
+        if (std::strcmp(argv[i], "--floor") == 0 && i + 1 < argc)
+            floor_pps = std::strtod(argv[i + 1], nullptr);
     bench::banner("micro: program cache",
                   "compile-once/serve-many vs per-request recompilation "
                   "(host cost; simulated latencies must be identical)");
@@ -112,5 +122,18 @@ main(int argc, char **argv)
                 (unsigned long long)cs.builds(),
                 (unsigned long long)cs.hits(), uncached_s / cached_s,
                 identical ? "yes" : "NO — BUG");
-    return identical && uncached_s / cached_s >= 2.0 ? 0 : 1;
+    if (!identical || uncached_s / cached_s < 2.0)
+        return 1;
+
+    if (floor_pps > 0.0) {
+        const double pps = static_cast<double>(uncached_builds) / uncached_s;
+        std::printf("\nfloor: uncached path at %.0f programs/s (floor %.0f)\n",
+                    pps, floor_pps);
+        if (pps < floor_pps) {
+            std::printf("FAIL: below the programs/s floor\n");
+            return 1;
+        }
+        std::printf("PASS\n");
+    }
+    return 0;
 }

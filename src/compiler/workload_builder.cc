@@ -543,6 +543,7 @@ WorkloadBuilder::blockGeneration(
         emit(ctx, c, UnitKind::VectorUnit, OpClass::FfnAdd, add, {fc});
     }
     barrier(ctx, OpClass::FfnAdd, b * e * pim::elemBytes); // sync 4
+    ctx.prog.markBlockEnd(*ctx.gate);
 
     ++ctx.blockIndex;
 }
@@ -720,6 +721,7 @@ WorkloadBuilder::blockSummarization(Ctx &ctx, std::uint64_t prior,
         emit(ctx, c, UnitKind::VectorUnit, OpClass::FfnAdd, add, {fc});
     }
     barrier(ctx, OpClass::FfnAdd, n * e * pim::elemBytes);
+    ctx.prog.markBlockEnd(*ctx.gate);
 
     ++ctx.blockIndex;
 }

@@ -1,6 +1,7 @@
 #include "dram/channel_arbiter.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 
@@ -13,6 +14,7 @@ namespace
 {
 
 constexpr double kBytesEpsilon = 1e-6;
+constexpr unsigned kMaxChannels = 32; ///< bits of a ChannelSet
 
 } // namespace
 
@@ -38,18 +40,10 @@ ChannelArbiter::ChannelArbiter(sim::EventQueue &eq, const Gddr6Config &cfg,
 {
     IANUS_ASSERT(efficiency > 0.0 && efficiency <= 1.0,
                  "efficiency must be in (0, 1]");
+    IANUS_ASSERT(cfg.channels <= kMaxChannels,
+                 "a channel set holds at most ", kMaxChannels, " channels");
     perChannelRate_ = cfg.channelPeakBytesPerTick() * efficiency;
     exclusive_.assign(cfg.channels, 0);
-}
-
-unsigned
-ChannelArbiter::flowsOnChannel(unsigned ch) const
-{
-    unsigned n = 0;
-    for (const Flow &f : flows_)
-        if (f.channels & (1u << ch))
-            ++n;
-    return n;
 }
 
 void
@@ -68,20 +62,20 @@ void
 ChannelArbiter::recomputeRates()
 {
     // Per-channel share: capacity / flows on it; zero when exclusively
-    // reserved by a PIM macro command.
-    std::vector<double> share(cfg_.channels, 0.0);
-    for (unsigned ch = 0; ch < cfg_.channels; ++ch) {
-        if (exclusive_[ch] > 0)
-            continue;
-        unsigned n = flowsOnChannel(ch);
-        if (n > 0)
-            share[ch] = perChannelRate_ / static_cast<double>(n);
-    }
+    // reserved by a PIM macro command. A flow's rate sums its shares in
+    // channel order.
+    std::array<unsigned, kMaxChannels> flows_on{};
+    for (const Flow &f : flows_)
+        for (ChannelSet m = f.channels; m; m &= m - 1)
+            ++flows_on[std::countr_zero(m)];
+    std::array<double, kMaxChannels> share{};
+    for (unsigned ch = 0; ch < cfg_.channels; ++ch)
+        if (exclusive_[ch] == 0 && flows_on[ch] > 0)
+            share[ch] = perChannelRate_ / static_cast<double>(flows_on[ch]);
     for (Flow &f : flows_) {
         f.rate = 0.0;
-        for (unsigned ch = 0; ch < cfg_.channels; ++ch)
-            if (f.channels & (1u << ch))
-                f.rate += share[ch];
+        for (ChannelSet m = f.channels; m; m &= m - 1)
+            f.rate += share[std::countr_zero(m)];
     }
 }
 
@@ -115,23 +109,28 @@ ChannelArbiter::rescheduleCompletion()
 void
 ChannelArbiter::completeFinished()
 {
-    std::vector<std::function<void()>> callbacks;
-    for (auto it = flows_.begin(); it != flows_.end();) {
-        if (it->bytesLeft <= kBytesEpsilon) {
-            callbacks.push_back(std::move(it->onComplete));
-            it = flows_.erase(it);
-        } else {
-            ++it;
-        }
+    // Compact the live flows in place and take the finished ones'
+    // callbacks out in start order. They fire once flows_ is
+    // consistent again, since a callback may start a new flow.
+    IANUS_ASSERT(done_.empty(), "re-entrant flow completion");
+    std::size_t live = 0;
+    for (std::size_t i = 0; i < flows_.size(); ++i) {
+        if (flows_[i].bytesLeft <= kBytesEpsilon)
+            done_.push_back(std::move(flows_[i].onComplete));
+        else if (live++ != i)
+            flows_[live - 1] = std::move(flows_[i]);
     }
-    for (auto &cb : callbacks)
+    flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(live),
+                 flows_.end());
+    for (sim::SmallFn &cb : done_)
         if (cb)
             cb();
+    done_.clear();
 }
 
 ChannelArbiter::FlowId
 ChannelArbiter::startFlow(std::uint64_t bytes, ChannelSet channels,
-                          bool is_write, std::function<void()> on_complete)
+                          bool is_write, sim::SmallFn on_complete)
 {
     IANUS_ASSERT((channels & allChannels(cfg_)) == channels,
                  "flow uses channels outside the memory system");

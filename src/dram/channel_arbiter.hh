@@ -22,7 +22,6 @@
 #define IANUS_DRAM_CHANNEL_ARBITER_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "dram/dram_params.hh"
@@ -61,7 +60,7 @@ class ChannelArbiter
      * @param on_complete  Fired from event context when the last byte moves.
      */
     FlowId startFlow(std::uint64_t bytes, ChannelSet channels, bool is_write,
-                     std::function<void()> on_complete);
+                     sim::SmallFn on_complete);
 
     /** Stall all flows on @p channels (PIM macro command entry). */
     void acquireExclusive(ChannelSet channels);
@@ -92,7 +91,7 @@ class ChannelArbiter
         ChannelSet channels;
         bool isWrite;
         double rate = 0.0; ///< bytes per tick, current share
-        std::function<void()> onComplete;
+        sim::SmallFn onComplete;
     };
 
     sim::EventQueue &eq_;
@@ -100,7 +99,8 @@ class ChannelArbiter
     double efficiency_;
     double perChannelRate_; ///< bytes/tick after efficiency derating
 
-    std::vector<Flow> flows_;
+    std::vector<Flow> flows_;      ///< live flows, in start order
+    std::vector<sim::SmallFn> done_; ///< completions being fired
     std::vector<int> exclusive_;   ///< per-channel reservation depth
     Tick lastUpdate_ = 0;
     sim::EventId pendingEvent_ = 0;
@@ -115,7 +115,6 @@ class ChannelArbiter
     void recomputeRates();
     void rescheduleCompletion();
     void completeFinished();
-    unsigned flowsOnChannel(unsigned ch) const;
 };
 
 } // namespace ianus::dram

@@ -1,8 +1,8 @@
 #include "ianus/execution_engine.hh"
 
+#include <algorithm>
 #include <array>
 #include <bit>
-#include <memory>
 
 #include "common/logging.hh"
 #include "dram/channel_arbiter.hh"
@@ -27,14 +27,15 @@ class RunContext
 {
   public:
     RunContext(const SystemConfig &cfg, unsigned devices,
-               const isa::Program &prog)
+               const isa::Program &prog, std::vector<RunStats> *block_ends)
         : cfg_(cfg), devices_(devices), prog_(prog),
           arbiter_(eq_, cfg.mem, cfg.dmaEfficiency),
           sched_(prog, cfg.cores, cfg.sched), mu_(cfg.mu), vu_(cfg.vu),
           pimEngine_(cfg.mem, cfg.pimUnit), noc_(cfg.noc),
           dma_(noc_, cfg.mem),
           unitBusy_(cfg.cores),
-          startTick_(prog.size(), 0)
+          startTick_(prog.size(), 0), join_(prog.size()),
+          blockEnds_(block_ends)
     {
     }
 
@@ -50,12 +51,7 @@ class RunContext
                             " commands completed");
             }
         }
-        stats_.wallTicks = eq_.now();
-        stats_.dramReadBytes +=
-            static_cast<double>(arbiter_.readBytes());
-        stats_.dramWriteBytes +=
-            static_cast<double>(arbiter_.writeBytes());
-        return stats_;
+        return snapshot();
     }
 
   private:
@@ -73,6 +69,16 @@ class RunContext
 
     std::vector<std::array<bool, RunStats::numUnits>> unitBusy_;
     std::vector<Tick> startTick_;
+    /** A weight-streamed GEMM finishes when both its compute and its
+     *  weight flow have: halves still running, and the latest end. */
+    struct Join
+    {
+        unsigned left = 0;
+        Tick at = 0;
+    };
+    std::vector<Join> join_; ///< by command id
+    std::vector<RunStats> *blockEnds_;
+    std::size_t nextEnd_ = 0; ///< next entry of prog_.blockEnds()
     dram::ChannelSet pimBusyMask_ = 0;
     dram::ChannelSet pimWaitMask_ = 0;
     RunStats stats_;
@@ -86,6 +92,25 @@ class RunContext
     idx(UnitKind unit)
     {
         return static_cast<std::size_t>(unit);
+    }
+
+    /** The statistics so far: wall time now, DRAM bytes moved so far. */
+    RunStats
+    snapshot() const
+    {
+        RunStats s = stats_;
+        s.wallTicks = eq_.now();
+        s.dramReadBytes += static_cast<double>(arbiter_.readBytes());
+        s.dramWriteBytes += static_cast<double>(arbiter_.writeBytes());
+        return s;
+    }
+
+    /** Whether (@p core, @p unit) has a ready command; one that has
+     *  none cannot dispatch, so pump() skips it. */
+    bool
+    hasReady(std::uint16_t core, UnitKind unit) const
+    {
+        return sched_.readyUnits(core) & (1u << idx(unit));
     }
 
     /** Channels an off-chip command would touch; 0 for on-chip work. */
@@ -111,13 +136,15 @@ class RunContext
             // PIM pass first so DMA dispatch sees fresh wait masks.
             pimWaitMask_ = 0;
             for (std::uint16_t c = 0; c < cfg_.cores; ++c)
-                progress |= tryDispatchPim(c);
+                if (hasReady(c, UnitKind::Pim))
+                    progress |= tryDispatchPim(c);
             static constexpr UnitKind npu_units[] = {
                 UnitKind::MatrixUnit, UnitKind::VectorUnit,
                 UnitKind::DmaIn, UnitKind::DmaOut, UnitKind::Sync};
             for (std::uint16_t c = 0; c < cfg_.cores; ++c)
                 for (UnitKind unit : npu_units)
-                    progress |= tryDispatch(c, unit);
+                    if (hasReady(c, unit))
+                        progress |= tryDispatch(c, unit);
         }
         pumping_ = false;
     }
@@ -284,25 +311,17 @@ class RunContext
             // Weight stream pipelined with compute: done when both the
             // flow and the compute are, plus one tile of pipeline fill.
             compute += mu_.tileFillTicks();
-            auto joint = std::make_shared<std::pair<int, Tick>>(2, 0);
-            auto part = [this, id, joint](Tick at) {
-                joint->second = std::max(joint->second, at);
-                if (--joint->first == 0) {
-                    Tick when = std::max(joint->second, eq_.now());
-                    eq_.schedule(when, [this, id] { finish(id); });
-                }
-            };
-            eq_.scheduleIn(compute,
-                           [this, part] { part(eq_.now()); });
+            join_[id] = Join{2, 0};
+            eq_.scheduleIn(compute, [this, id] { joinPart(id, eq_.now()); });
             Tick fixed = dma_.loadStartLatency();
             std::uint16_t core = cmd.core;
             arbiter_.startFlow(g->weightBytes, g->weightChannels, false,
-                               [this, part, fixed, core] {
+                               [this, id, fixed, core] {
                                    // Weight stream drained: the load DMA
                                    // engine frees up for queued loads.
                                    unitBusy_[core][idx(UnitKind::DmaIn)] =
                                        false;
-                                   part(eq_.now() + fixed);
+                                   joinPart(id, eq_.now() + fixed);
                                    pump();
                                });
             return;
@@ -343,6 +362,18 @@ class RunContext
         IANUS_PANIC("unhandled payload in command ", cmd.id);
     }
 
+    /** One half of weight-streamed GEMM @p id ends at @p at; the
+     *  second schedules its finish. */
+    void
+    joinPart(std::uint32_t id, Tick at)
+    {
+        Join &j = join_[id];
+        j.at = std::max(j.at, at);
+        if (--j.left == 0)
+            eq_.schedule(std::max(j.at, eq_.now()),
+                         [this, id] { finish(id); });
+    }
+
     /** Ring allgather/allreduce over PCIe (Section 7.1). */
     Tick
     allReduceTicks(std::uint64_t bytes) const
@@ -367,6 +398,15 @@ class RunContext
         closeSpan(cmd.opClass);
         unitBusy_[cmd.core][idx(cmd.unit)] = false;
         sched_.complete(id);
+        // A block's closing barrier completes on a drained machine, and
+        // the next block waits on it: snapshot before that dispatches.
+        const auto &ends = prog_.blockEnds();
+        if (blockEnds_ && nextEnd_ < ends.size() && ends[nextEnd_] == id) {
+            IANUS_ASSERT(eq_.empty(), "block ", nextEnd_,
+                         " ends with work in flight");
+            blockEnds_->push_back(snapshot());
+            ++nextEnd_;
+        }
         pump();
     }
 
@@ -395,10 +435,11 @@ ExecutionEngine::ExecutionEngine(const SystemConfig &cfg, unsigned devices)
 }
 
 RunStats
-ExecutionEngine::run(const isa::Program &prog)
+ExecutionEngine::run(const isa::Program &prog,
+                     std::vector<RunStats> *block_ends)
 {
     prog.validate();
-    RunContext ctx(cfg_, devices_, prog);
+    RunContext ctx(cfg_, devices_, prog, block_ends);
     return ctx.execute();
 }
 

@@ -23,6 +23,8 @@
 #ifndef IANUS_IANUS_EXECUTION_ENGINE_HH
 #define IANUS_IANUS_EXECUTION_ENGINE_HH
 
+#include <vector>
+
 #include "ianus/report.hh"
 #include "ianus/system_config.hh"
 #include "isa/program.hh"
@@ -41,8 +43,16 @@ class ExecutionEngine
      */
     explicit ExecutionEngine(const SystemConfig &cfg, unsigned devices = 1);
 
-    /** Run @p prog to completion; panics on deadlock (a compiler bug). */
-    RunStats run(const isa::Program &prog);
+    /**
+     * Run @p prog to completion; panics on deadlock (a compiler bug).
+     * With @p block_ends, also append one snapshot per block end of
+     * @p prog (Program::blockEnds()), taken as that barrier completes
+     * and before the next block dispatches: the statistics so far,
+     * with wallTicks the barrier's completion tick and the DRAM bytes
+     * moved so far. Panics if work is still in flight there.
+     */
+    RunStats run(const isa::Program &prog,
+                 std::vector<RunStats> *block_ends = nullptr);
 
     const SystemConfig &config() const { return cfg_; }
     unsigned devices() const { return devices_; }

@@ -88,18 +88,24 @@ RunStats::scaleAdd(const RunStats &o, double w)
 }
 
 RunStats
-RunStats::blockPeriodic(const RunStats &one, const RunStats &two,
-                        std::uint64_t blocks)
+RunStats::blockPeriodic(const RunStats &two, const RunStats &end0,
+                        const RunStats &end1, std::uint64_t blocks)
 {
     IANUS_ASSERT(blocks >= 1, "a block-periodic program has a block");
-    IANUS_ASSERT(two.wallTicks >= one.wallTicks,
-                 "the 2-block run ends before the 1-block run");
-    const std::uint64_t more = blocks - 1;
+    IANUS_ASSERT(end0.wallTicks <= end1.wallTicks,
+                 "block 1 ends before block 0");
+    IANUS_ASSERT(end1.wallTicks <= two.wallTicks,
+                 "the run ends before block 1");
+    const Tick block = end1.wallTicks - end0.wallTicks;
     RunStats s;
-    s.wallTicks = one.wallTicks + more * (two.wallTicks - one.wallTicks);
-    const double k = static_cast<double>(more);
-    zipFields(s, one, two, [k](double &out, double a, double b) {
-        out = a + k * (b - a);
+    s.wallTicks = blocks >= 2 ? two.wallTicks + (blocks - 2) * block
+                              : two.wallTicks - block;
+    RunStats one_block;
+    zipFields(one_block, end1, end0,
+              [](double &out, double a, double b) { out = a - b; });
+    const double k = static_cast<double>(blocks) - 2.0;
+    zipFields(s, two, one_block, [k](double &out, double a, double b) {
+        out = a + k * b;
     });
     return s;
 }

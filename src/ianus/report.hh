@@ -81,15 +81,27 @@ struct RunStats
     void merge(const RunStats &o) { scaleAdd(o, 1.0); }
 
     /**
-     * Statistics of a program of @p blocks identical blocks, from the
-     * runs of its 1-block prefix @p one and 2-block prefix @p two:
-     * one + (blocks - 1) * (two - one), field by field. wallTicks
-     * stays in integer arithmetic (two must not end before one). Every
-     * field of an engine run is an integer-valued double, so the
+     * Statistics of a program of @p blocks identical blocks, from one
+     * run of its 2-block prefix: @p two is that run, and @p end0 and
+     * @p end1 are its snapshots at the barriers that close blocks 0
+     * and 1 (ExecutionEngine::run). Their difference is one block, so
+     * the result is two + (blocks - 2) * (end1 - end0), field by field;
+     * blocks == 1 takes that block away again. wallTicks stays in
+     * integer arithmetic, and end0 <= end1 <= two must hold for it.
+     * Every field of an engine run is an integer-valued double, so the
      * result is exact while the fields stay below 2^53.
      */
-    static RunStats blockPeriodic(const RunStats &one, const RunStats &two,
-                                  std::uint64_t blocks);
+    static RunStats blockPeriodic(const RunStats &two, const RunStats &end0,
+                                  const RunStats &end1, std::uint64_t blocks);
+
+    /** The same from whole runs of the 1-block prefix @p one and the
+     *  2-block prefix @p two, whose difference is also one block. */
+    static RunStats
+    blockPeriodic(const RunStats &one, const RunStats &two,
+                  std::uint64_t blocks)
+    {
+        return blockPeriodic(two, one, two, blocks);
+    }
 
     double wallMs() const { return ticksToMs(wallTicks); }
 };

@@ -44,6 +44,17 @@ Program::hasCommandsOnCore(std::uint16_t core) const
     return lastPerCore_.count(core) > 0;
 }
 
+void
+Program::markBlockEnd(std::uint32_t id)
+{
+    const auto *sync = std::get_if<SyncArgs>(&at(id).payload);
+    IANUS_ASSERT(sync && !sync->phaseMarker,
+                 "block end ", id, " is not a barrier");
+    IANUS_ASSERT(blockEnds_.empty() || blockEnds_.back() < id,
+                 "block ends out of program order");
+    blockEnds_.push_back(id);
+}
+
 std::map<UnitKind, std::size_t>
 Program::unitHistogram() const
 {

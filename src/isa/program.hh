@@ -43,6 +43,15 @@ class Program
     std::uint32_t lastOnCore(std::uint16_t core) const;
     bool hasCommandsOnCore(std::uint16_t core) const;
 
+    /**
+     * Record command @p id, a barrier (non-marker Sync), as the one that
+     * closes a transformer block. Blocks close in program order.
+     */
+    void markBlockEnd(std::uint32_t id);
+
+    /** The closing barrier of every emitted block, in block order. */
+    const std::vector<std::uint32_t> &blockEnds() const { return blockEnds_; }
+
     /** Command count per unit kind (test/report helper). */
     std::map<UnitKind, std::size_t> unitHistogram() const;
 
@@ -52,6 +61,7 @@ class Program
   private:
     std::vector<Command> commands_;
     std::map<std::uint16_t, std::uint32_t> lastPerCore_;
+    std::vector<std::uint32_t> blockEnds_;
 };
 
 } // namespace ianus::isa

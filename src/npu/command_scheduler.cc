@@ -9,6 +9,7 @@ namespace
 {
 
 constexpr std::size_t kUnitKinds = 6;
+static_assert(kUnitKinds <= 8, "readyMask_ holds one bit per unit kind");
 
 } // namespace
 
@@ -26,12 +27,13 @@ CommandScheduler::CommandScheduler(const isa::Program &prog, unsigned cores,
     const std::size_t n = prog.size();
     state_.assign(n, State::Unfetched);
     depsLeft_.assign(n, 0);
-    dependents_.assign(n, {});
+    depStart_.assign(n + 1, 0);
     coreOrder_.assign(cores_, {});
     fetchCursor_.assign(cores_, 0);
     windowOccupancy_.assign(cores_, 0);
     ready_.assign(cores_, std::vector<std::deque<std::uint32_t>>(
                               kUnitKinds));
+    readyMask_.assign(cores_, 0);
     issuedCount_.assign(cores_, std::vector<unsigned>(kUnitKinds, 0));
 
     for (const isa::Command &c : prog.commands()) {
@@ -39,9 +41,16 @@ CommandScheduler::CommandScheduler(const isa::Program &prog, unsigned cores,
                      c.core, " but system has ", cores_);
         depsLeft_[c.id] = static_cast<std::uint32_t>(c.deps.size());
         for (std::uint32_t d : c.deps)
-            dependents_[d].push_back(c.id);
+            ++depStart_[d + 1];
         coreOrder_[c.core].push_back(c.id);
     }
+    for (std::size_t i = 0; i < n; ++i)
+        depStart_[i + 1] += depStart_[i];
+    dependents_.resize(depStart_[n]);
+    std::vector<std::uint32_t> fill(depStart_.begin(), depStart_.end() - 1);
+    for (const isa::Command &c : prog.commands())
+        for (std::uint32_t d : c.deps)
+            dependents_[fill[d]++] = c.id;
     for (std::uint16_t core = 0; core < cores_; ++core)
         fetchMore(core);
 }
@@ -67,6 +76,7 @@ CommandScheduler::makeReady(std::uint32_t id)
     state_[id] = State::Ready;
     const isa::Command &c = program_->at(id);
     ready_[c.core][unitIndex(c.unit)].push_back(id);
+    readyMask_[c.core] |= static_cast<std::uint8_t>(1u << unitIndex(c.unit));
 }
 
 std::optional<std::uint32_t>
@@ -89,6 +99,9 @@ CommandScheduler::issue(std::uint32_t id)
                  "out-of-order issue from the ready FIFO");
     IANUS_ASSERT(canIssue(c.core, c.unit), "issue queue overflow");
     q.pop_front();
+    if (q.empty())
+        readyMask_[c.core] &=
+            static_cast<std::uint8_t>(~(1u << unitIndex(c.unit)));
     ++issuedCount_[c.core][unitIndex(c.unit)];
     state_[id] = State::Issued;
 }
@@ -105,7 +118,8 @@ CommandScheduler::complete(std::uint32_t id)
     --windowOccupancy_[c.core];
     ++completed_;
 
-    for (std::uint32_t dep : dependents_[id]) {
+    for (std::uint32_t i = depStart_[id]; i < depStart_[id + 1]; ++i) {
+        const std::uint32_t dep = dependents_[i];
         IANUS_ASSERT(depsLeft_[dep] > 0, "dependency double count");
         if (--depsLeft_[dep] == 0 && state_[dep] == State::Pending)
             makeReady(dep);

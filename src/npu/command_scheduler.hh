@@ -44,6 +44,14 @@ class CommandScheduler
     CommandScheduler(const isa::Program &prog, unsigned cores,
                      const SchedulerConfig &cfg = SchedulerConfig{});
 
+    /** Bitmask of the units of @p core whose ready FIFO is non-empty
+     *  (bit i == UnitKind i). */
+    std::uint8_t
+    readyUnits(std::uint16_t core) const
+    {
+        return readyMask_[core];
+    }
+
     /** Next ready command for (core, unit) without removing it. */
     std::optional<std::uint32_t> peekReady(std::uint16_t core,
                                            isa::UnitKind unit) const;
@@ -85,7 +93,10 @@ class CommandScheduler
 
     std::vector<State> state_;
     std::vector<std::uint32_t> depsLeft_;
-    std::vector<std::vector<std::uint32_t>> dependents_;
+    /** Dependents of command i, in id order:
+     *  dependents_[depStart_[i] .. depStart_[i + 1]). */
+    std::vector<std::uint32_t> depStart_;
+    std::vector<std::uint32_t> dependents_;
 
     /** Per-core fetch cursor (next program index owned by that core). */
     std::vector<std::vector<std::uint32_t>> coreOrder_;
@@ -94,6 +105,7 @@ class CommandScheduler
 
     /** Ready FIFOs indexed [core][unit]. */
     std::vector<std::vector<std::deque<std::uint32_t>>> ready_;
+    std::vector<std::uint8_t> readyMask_; ///< per core, see readyUnits()
     std::vector<std::vector<unsigned>> issuedCount_;
 
     std::size_t completed_ = 0;

@@ -40,7 +40,27 @@ CompiledModel::clearCache() const
     cache_ = CacheStats{};
 }
 
-template <class Key>
+template <class Build>
+RunStats
+CompiledModel::execute(const Build &build) const
+{
+    ExecutionEngine engine(cfg_, opts_.devices);
+    const std::uint64_t blocks = model_.nBlocks;
+    if (blocks < 3 || !builder_.uniformBlocks())
+        return engine.run(build(blocks));
+    // Every block ends at a barrier that drains the machine, so each
+    // block after the first costs exactly what the 2-block run spends
+    // between its two block ends. The first block is run, not
+    // composed: it may overlap the ungated embedding load.
+    std::vector<RunStats> ends;
+    ends.reserve(2);
+    const RunStats two = engine.run(build(2), &ends);
+    IANUS_ASSERT(ends.size() == 2, "a 2-block program recorded ",
+                 ends.size(), " block ends");
+    return RunStats::blockPeriodic(two, ends[0], ends[1], blocks);
+}
+
+template <class Key, class Build>
 const RunStats &
 CompiledModel::cached(std::map<Key, RunStats> ScalarCaches::*table,
                       const Key &key, std::uint64_t &hits,
@@ -64,21 +84,6 @@ CompiledModel::cached(std::map<Key, RunStats> ScalarCaches::*table,
         ++builds;
     }
     return front.emplace(key, entry->second).first->second;
-}
-
-RunStats
-CompiledModel::execute(const Build &build) const
-{
-    ExecutionEngine engine(cfg_, opts_.devices);
-    const std::uint64_t blocks = model_.nBlocks;
-    if (blocks < 3 || !builder_.uniformBlocks())
-        return engine.run(build(blocks));
-    // Every block ends at a barrier that drains the machine, so each
-    // block after the first costs exactly the same; the first is
-    // measured, since it may overlap the ungated embedding load.
-    RunStats one = engine.run(build(1));
-    RunStats two = engine.run(build(2));
-    return RunStats::blockPeriodic(one, two, blocks);
 }
 
 const RunStats &

@@ -14,10 +14,13 @@
  *
  * A cache miss does not simulate the whole program either. Every
  * transformer block ends at a barrier that drains the machine, so when
- * all blocks compile alike (WorkloadBuilder::uniformBlocks) the stats
- * of the L-block program follow exactly from those of its 1-block and
- * 2-block prefixes (RunStats::blockPeriodic). Models with fewer than
- * three blocks, or with two kinds of block, run the full program.
+ * all blocks compile alike (WorkloadBuilder::uniformBlocks) a miss
+ * runs the 2-block prefix once, with the engine's snapshots at its two
+ * block-closing barriers, and the stats of the L-block program follow
+ * exactly: the run plus L - 2 copies of its second block
+ * (RunStats::blockPeriodic). Models with fewer than three blocks, or
+ * with two kinds of block, run the full program. The build callables
+ * are template parameters, so a lookup that hits constructs nothing.
  *
  * IanusSystem::run is a thin wrapper over run(), which combines the
  * cached samples by trapezoidal stride integration. Every cached entry
@@ -38,7 +41,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -228,7 +230,6 @@ class CompiledModel
   private:
     friend class DevicePool;
 
-    using Build = std::function<isa::Program(std::uint64_t blocks)>;
     using ChunkKey = std::tuple<std::uint64_t, std::uint64_t, bool>;
 
     // The device model is deterministic, so memoizing a program's stats
@@ -257,7 +258,7 @@ class CompiledModel
     /** The entry of @p key in @p table: from this replica's front, else
      *  from the store under its lock, executing @p build on a store
      *  miss; counts a hit or a build in @p hits / @p builds. */
-    template <class Key>
+    template <class Key, class Build>
     const RunStats &cached(std::map<Key, RunStats> ScalarCaches::*table,
                            const Key &key, std::uint64_t &hits,
                            std::uint64_t &builds, const Build &build) const;
@@ -265,8 +266,9 @@ class CompiledModel
     const RunStats &summarization(std::uint64_t input_tokens) const;
     const RunStats &generation(std::uint64_t kv_len) const;
     /** Executed statistics of the full program build(nBlocks), from
-     *  build(1) and build(2) when the model's blocks are uniform. */
-    RunStats execute(const Build &build) const;
+     *  one run of build(2) when the model's blocks are uniform;
+     *  @p build maps a block count to a Program. */
+    template <class Build> RunStats execute(const Build &build) const;
 
     SystemConfig cfg_;
     workloads::ModelConfig model_;

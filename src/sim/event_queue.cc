@@ -1,6 +1,6 @@
 #include "sim/event_queue.hh"
 
-#include <algorithm>
+#include <limits>
 
 #include "common/logging.hh"
 
@@ -8,14 +8,30 @@ namespace ianus::sim
 {
 
 EventId
-EventQueue::push(Tick when, std::uint8_t phase, SmallFn fn)
+EventQueue::push(Tick when, std::uint8_t phase, SmallFn &&fn)
 {
     IANUS_ASSERT(when >= now_, "event scheduled in the past: ", when,
                  " < ", now_);
-    EventId id = nextId_++;
-    queue_.push(Entry{when, phase, id, std::move(fn)});
+    std::uint32_t slot;
+    if (freeSlots_.empty()) {
+        IANUS_ASSERT(slots_.size() <
+                         std::numeric_limits<std::uint32_t>::max(),
+                     "too many pending events");
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+    } else {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+    }
+    Slot &s = slots_[slot];
+    const std::uint64_t seq = nextSeq_++;
+    s.fn = std::move(fn);
+    s.seq = seq;
+    if (++s.gen == 0) // keep every EventId non-zero
+        s.gen = 1;
+    queue_.push(Key{when, seq, slot, phase});
     ++liveEvents_;
-    return id;
+    return (EventId{s.gen} << 32) | slot;
 }
 
 EventId
@@ -30,77 +46,66 @@ EventQueue::scheduleEarly(Tick when, SmallFn fn)
     return push(when, 0, std::move(fn));
 }
 
+void
+EventQueue::release(std::uint32_t slot)
+{
+    slots_[slot].seq = 0;
+    freeSlots_.push_back(slot);
+}
+
 bool
 EventQueue::deschedule(EventId id)
 {
-    // Lazy deletion: remember the id, skip it when popped. The cancelled
-    // list stays small because ids are dropped when their entries surface.
-    if (id == 0 || id >= nextId_)
+    // The key stays in the heap until it surfaces; it no longer matches
+    // its slot, so skipCancelled() drops it then.
+    const auto slot = static_cast<std::uint32_t>(id);
+    if (slot >= slots_.size())
         return false;
-    if (isCancelled(id))
+    Slot &s = slots_[slot];
+    if (s.seq == 0 || s.gen != static_cast<std::uint32_t>(id >> 32))
         return false;
-    cancelled_.push_back(id);
-    if (liveEvents_ > 0)
-        --liveEvents_;
+    s.fn = SmallFn{};
+    release(slot);
+    --liveEvents_;
     return true;
 }
 
 bool
-EventQueue::isCancelled(EventId id) const
+EventQueue::skipCancelled()
 {
-    return std::find(cancelled_.begin(), cancelled_.end(), id) !=
-           cancelled_.end();
-}
-
-void
-EventQueue::dropCancelled(EventId id)
-{
-    auto it = std::find(cancelled_.begin(), cancelled_.end(), id);
-    if (it != cancelled_.end())
-        cancelled_.erase(it);
+    while (!queue_.empty()) {
+        const Key &top = queue_.top();
+        if (slots_[top.slot].seq == top.seq)
+            return true;
+        queue_.pop();
+    }
+    return false;
 }
 
 bool
 EventQueue::step()
 {
-    while (!queue_.empty()) {
-        // priority_queue::top() is const; the entry is popped right after,
-        // so moving the callable out (instead of copying the whole Entry)
-        // is safe and skips a heap-backed copy for large callables.
-        Entry &top = const_cast<Entry &>(queue_.top());
-        if (isCancelled(top.id)) {
-            EventId id = top.id;
-            queue_.pop();
-            dropCancelled(id);
-            continue;
-        }
-        IANUS_ASSERT(top.when >= now_, "time went backwards");
-        now_ = top.when;
-        SmallFn fn = std::move(top.fn);
-        queue_.pop();
-        --liveEvents_;
-        ++executed_;
-        fn();
-        return true;
-    }
-    return false;
+    if (!skipCancelled())
+        return false;
+    const Key top = queue_.top();
+    queue_.pop();
+    IANUS_ASSERT(top.when >= now_, "time went backwards");
+    now_ = top.when;
+    // Move the callable out first: it may schedule events, which can
+    // reuse its slot or grow the slot vector.
+    SmallFn fn = std::move(slots_[top.slot].fn);
+    release(top.slot);
+    --liveEvents_;
+    ++executed_;
+    fn();
+    return true;
 }
 
 Tick
 EventQueue::run(Tick limit)
 {
-    while (!queue_.empty()) {
-        const Entry &top = queue_.top();
-        if (isCancelled(top.id)) {
-            EventId id = top.id;
-            queue_.pop();
-            dropCancelled(id);
-            continue;
-        }
-        if (top.when > limit)
-            break;
+    while (skipCancelled() && queue_.top().when <= limit)
         step();
-    }
     return now_;
 }
 

@@ -23,7 +23,8 @@
 namespace ianus::sim
 {
 
-/** Opaque handle identifying a scheduled event (for cancellation). */
+/** Opaque handle identifying a scheduled event (for cancellation); never
+ *  0, so 0 can stand for "no event". */
 using EventId = std::uint64_t;
 
 /**
@@ -138,6 +139,11 @@ class SmallFn
  * series of events up front (lowest ids -> first at tied ticks) can
  * instead schedule each one lazily from its predecessor's callback without
  * changing same-tick ordering against normally-scheduled events.
+ *
+ * The heap orders small (when, phase, sequence, slot) keys; the callables
+ * stay put in a slot vector whose free slots are reused, so scheduling
+ * allocates only when the pending set outgrows every earlier one (or a
+ * callable outgrows SmallFn's inline buffer).
  */
 class EventQueue
 {
@@ -160,7 +166,7 @@ class EventQueue
     EventId
     scheduleIn(Tick delay, SmallFn fn)
     {
-        return schedule(now_ + delay, std::move(fn));
+        return push(now_ + delay, 1, std::move(fn));
     }
 
     /**
@@ -170,7 +176,10 @@ class EventQueue
      */
     EventId scheduleEarly(Tick when, SmallFn fn);
 
-    /** Cancel a pending event. Returns false if already fired/cancelled. */
+    /**
+     * Cancel a pending event and destroy its callable. Returns false if
+     * it already fired or was cancelled.
+     */
     bool deschedule(EventId id);
 
     /** True when no runnable events remain. */
@@ -192,35 +201,51 @@ class EventQueue
     std::uint64_t executed() const { return executed_; }
 
   private:
-    struct Entry
+    /** Heap key: the firing order, and where the callable waits. */
+    struct Key
     {
         Tick when;
+        std::uint64_t seq; ///< scheduling order, unique
+        std::uint32_t slot;
         std::uint8_t phase;
-        EventId id;
-        SmallFn fn;
 
         bool
-        operator>(const Entry &o) const
+        operator>(const Key &o) const
         {
             if (when != o.when)
                 return when > o.when;
             if (phase != o.phase)
                 return phase > o.phase;
-            return id > o.id;
+            return seq > o.seq;
         }
     };
+    static_assert(sizeof(Key) == 24, "heap keys stay small to sift");
 
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
-        queue_;
-    std::vector<EventId> cancelled_;
+    /**
+     * A pending callable. seq names the event that holds the slot (0:
+     * free), so a key whose event was cancelled, and whose slot may
+     * since hold another event, no longer matches it. gen counts the
+     * slot's uses and tells a stale EventId from the current one.
+     */
+    struct Slot
+    {
+        SmallFn fn;
+        std::uint64_t seq = 0;
+        std::uint32_t gen = 0;
+    };
+
+    std::priority_queue<Key, std::vector<Key>, std::greater<Key>> queue_;
+    std::vector<Slot> slots_;
+    std::vector<std::uint32_t> freeSlots_;
     Tick now_ = 0;
-    EventId nextId_ = 1;
+    std::uint64_t nextSeq_ = 1;
     std::size_t liveEvents_ = 0;
     std::uint64_t executed_ = 0;
 
-    EventId push(Tick when, std::uint8_t phase, SmallFn fn);
-    bool isCancelled(EventId id) const;
-    void dropCancelled(EventId id);
+    EventId push(Tick when, std::uint8_t phase, SmallFn &&fn);
+    /** Pop cancelled keys off the top; false when none is live. */
+    bool skipCancelled();
+    void release(std::uint32_t slot);
 };
 
 } // namespace ianus::sim

@@ -1,21 +1,24 @@
 /**
  * @file
  * Block-periodic device execution: CompiledModel costs a program from
- * the runs of its 1-block and 2-block prefixes
- * (RunStats::blockPeriodic). These tests hold every served statistic
- * to the full program, bit for bit, over the model zoo × memory
- * systems × build options × program shapes. The reference is always
- * ExecutionEngine::run on the full WorkloadBuilder program — never
- * IanusSystem::run, which shares the block-periodic path.
+ * one run of its 2-block prefix and that run's snapshots at the
+ * barriers closing its two blocks (RunStats::blockPeriodic). These
+ * tests hold every served statistic to the full program, bit for bit,
+ * over the model zoo × memory systems × build options × program
+ * shapes. The reference is always ExecutionEngine::run on the full
+ * WorkloadBuilder program — never IanusSystem::run, which shares the
+ * block-periodic path.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <optional>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "compiler/workload_builder.hh"
@@ -114,38 +117,48 @@ statsWith(Tick wall, double value)
     return s;
 }
 
+// A 2-block run that ends at 300 and whose blocks end at 100 and 250:
+// its second block is 150 ticks and 12 of every other filled field.
+const RunStats twoRun = statsWith(300, 25.0);
+const RunStats end0 = statsWith(100, 7.0);
+const RunStats end1 = statsWith(250, 19.0);
+
 TEST(BlockPeriodic, HelperReturnsThePrefixRunsForOneAndTwoBlocks)
 {
-    RunStats one = statsWith(100, 7.0);
-    RunStats two = statsWith(250, 19.0);
-    EXPECT_TRUE(bitIdentical(RunStats::blockPeriodic(one, two, 1), one));
-    EXPECT_TRUE(bitIdentical(RunStats::blockPeriodic(one, two, 2), two));
+    EXPECT_TRUE(bitIdentical(RunStats::blockPeriodic(twoRun, end0, end1, 2),
+                             twoRun));
+    EXPECT_TRUE(bitIdentical(RunStats::blockPeriodic(twoRun, end0, end1, 1),
+                             statsWith(150, 13.0)));
 }
 
 TEST(BlockPeriodic, HelperAddsOneBlockDeltaPerExtraBlock)
 {
-    RunStats one = statsWith(100, 7.0);
-    RunStats two = statsWith(250, 19.0);
-    RunStats s = RunStats::blockPeriodic(one, two, 24);
-    EXPECT_TRUE(bitIdentical(s, statsWith(100 + 23 * 150, 7.0 + 23 * 12.0)));
+    RunStats s = RunStats::blockPeriodic(twoRun, end0, end1, 24);
+    EXPECT_TRUE(bitIdentical(s, statsWith(300 + 22 * 150, 25.0 + 22 * 12.0)));
     EXPECT_EQ(s.commands, 0.0); // untouched fields stay zero
 }
 
 TEST(BlockPeriodic, HelperKeepsWallTicksInIntegerArithmetic)
 {
-    // 2^62 + 6 has no double representation (the spacing there is
+    // 2^62 + 7 has no double representation (the spacing there is
     // 1024): a floating-point wallTicks would round it.
     const Tick base = Tick{1} << 62;
-    RunStats s = RunStats::blockPeriodic(statsWith(base, 0.0),
+    RunStats s = RunStats::blockPeriodic(statsWith(base + 4, 0.0),
+                                         statsWith(base, 0.0),
                                          statsWith(base + 3, 0.0), 3);
-    EXPECT_EQ(s.wallTicks, base + 6);
+    EXPECT_EQ(s.wallTicks, base + 7);
 }
 
 TEST(BlockPeriodic, HelperRejectsASecondBlockThatEndsEarlier)
 {
-    EXPECT_DEATH(RunStats::blockPeriodic(statsWith(250, 0.0),
+    EXPECT_DEATH(RunStats::blockPeriodic(statsWith(300, 0.0),
+                                         statsWith(250, 0.0),
                                          statsWith(100, 0.0), 3),
-                 "ends before");
+                 "block 1 ends before block 0");
+    EXPECT_DEATH(RunStats::blockPeriodic(statsWith(200, 0.0),
+                                         statsWith(100, 0.0),
+                                         statsWith(250, 0.0), 3),
+                 "run ends before block 1");
 }
 
 // --- Served stats against the full program ---------------------------
@@ -386,5 +399,155 @@ TEST(BlockPeriodic, TruncationAddsTheSameCommandsPerBlock)
     EXPECT_DEATH(builder.buildGenerationBatch({8}, model.nBlocks + 1),
                  "cannot emit");
 }
+
+// --- Block ends and the snapshots taken at them ----------------------
+
+/** The program of @p s cut to its first @p blocks blocks. */
+isa::Program
+truncatedProgram(const WorkloadBuilder &builder, const Shape &s,
+                 std::uint64_t blocks)
+{
+    switch (s.kind) {
+      case Shape::Prefill:
+        return builder.buildSummarizationChunk(0, s.a, true, blocks);
+      case Shape::Chunk:
+        return builder.buildSummarizationChunk(s.a, s.b, s.last, blocks);
+      case Shape::Generation:
+        return builder.buildGenerationBatch({s.a}, blocks);
+      case Shape::Batch:
+        return builder.buildGenerationBatch(batchKvs(s.a), blocks);
+    }
+    return {};
+}
+
+/** @p prog records one barrier per block, each of which every later
+ *  command waits on. */
+testing::AssertionResult
+closesEveryBlock(const isa::Program &prog, std::uint64_t blocks)
+{
+    const std::vector<std::uint32_t> &ends = prog.blockEnds();
+    if (ends.size() != blocks)
+        return testing::AssertionFailure()
+               << ends.size() << " block ends for " << blocks << " blocks";
+    for (std::size_t k = 0; k < ends.size(); ++k) {
+        const isa::Command &end = prog.at(ends[k]);
+        const auto *sync = std::get_if<isa::SyncArgs>(&end.payload);
+        if (end.unit != isa::UnitKind::Sync || !sync || sync->phaseMarker)
+            return testing::AssertionFailure()
+                   << "block end " << k << " is not a barrier";
+        if (k > 0 && ends[k] <= ends[k - 1])
+            return testing::AssertionFailure() << "block ends out of order";
+        // By induction in id order: a dependency at or after the
+        // barrier waits on it.
+        for (std::uint32_t id = ends[k] + 1; id < prog.size(); ++id) {
+            const std::vector<std::uint32_t> &deps = prog.at(id).deps;
+            if (deps.empty() ||
+                *std::max_element(deps.begin(), deps.end()) < ends[k])
+                return testing::AssertionFailure()
+                       << "command " << id << " does not wait on block end "
+                       << k;
+        }
+    }
+    return testing::AssertionSuccess();
+}
+
+TEST(BlockPeriodic, ProgramsRecordOneClosingBarrierPerBlock)
+{
+    int checked = 0;
+    for (const auto &model : {workloads::gpt2("m"), workloads::bert("b")}) {
+        WorkloadBuilder builder(SystemConfig::ianusDefault(), model);
+        for (const Shape &s : allShapes) {
+            if (!model.decoder() && s.kind != Shape::Prefill)
+                continue;
+            const std::string what = model.name + " " + describe(s);
+            for (std::uint64_t blocks : {std::uint64_t{1}, std::uint64_t{2},
+                                         model.nBlocks})
+                EXPECT_TRUE(closesEveryBlock(
+                    truncatedProgram(builder, s, blocks), blocks))
+                    << what << ", " << blocks << " blocks";
+            EXPECT_TRUE(closesEveryBlock(fullProgram(builder, s),
+                                         model.nBlocks))
+                << what << ", full";
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, 14); // 11 GPT-2 shapes, 3 BERT prefills
+}
+
+/**
+ * Run the 2-block prefix of every shape with snapshots: they are exact,
+ * taking them changes nothing, and taking the second block away again,
+ * two − (end1 − end0), leaves the 1-block run bit for bit. Returns how
+ * many shapes were compared.
+ */
+int
+expectSnapshotsRemoveOneBlock(const workloads::ModelConfig &model,
+                              const SystemConfig &sys,
+                              const BuildOptions &opts,
+                              const std::string &label)
+{
+    std::optional<WorkloadBuilder> builder;
+    try {
+        builder.emplace(sys, model, opts);
+    } catch (const std::runtime_error &) {
+        return 0;
+    }
+    ExecutionEngine engine(sys, opts.devices);
+    int compared = 0;
+    for (const Shape &s : allShapes) {
+        if (!model.decoder() && s.kind != Shape::Prefill)
+            continue;
+        const std::string what = label + " " + describe(s);
+        std::optional<isa::Program> two_blocks;
+        try {
+            two_blocks = truncatedProgram(*builder, s, 2);
+        } catch (const std::runtime_error &) {
+            continue;
+        }
+        std::vector<RunStats> ends;
+        const RunStats two = engine.run(*two_blocks, &ends);
+        if (ends.size() != 2) {
+            ADD_FAILURE() << what << ": " << ends.size() << " snapshots";
+            continue;
+        }
+        EXPECT_TRUE(exactIntegers(ends[0])) << what;
+        EXPECT_TRUE(exactIntegers(ends[1])) << what;
+        EXPECT_TRUE(bitIdentical(two, engine.run(*two_blocks))) << what;
+        const RunStats one = engine.run(truncatedProgram(*builder, s, 1));
+        EXPECT_TRUE(bitIdentical(
+            RunStats::blockPeriodic(two, ends[0], ends[1], 1), one))
+            << what;
+        ++compared;
+    }
+    return compared;
+}
+
+class BlockSnapshotSweep : public testing::TestWithParam<SweepCase>
+{
+};
+
+TEST_P(BlockSnapshotSweep, TwoBlockRunLessOneBlockIsTheOneBlockRun)
+{
+    const SweepCase &c = GetParam();
+    const workloads::ModelConfig model = c.make(c.size);
+    int compared = 0;
+    for (const SystemCase &sys : systems) {
+        for (const auto &[opt_name, opts] : buildOptions())
+            compared += expectSnapshotsRemoveOneBlock(
+                model, sys.make(), opts,
+                std::string(c.model) + " " + sys.name + " " + opt_name);
+    }
+    EXPECT_GT(compared, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Zoo, BlockSnapshotSweep,
+    testing::Values(SweepCase{"gpt2_m", &workloads::gpt2, "m"},
+                    SweepCase{"bert_b", &workloads::bert, "b"},
+                    SweepCase{"bert_l", &workloads::bert, "l"},
+                    SweepCase{"gpt_6_7b", &workloads::gptLarge, "6.7b"}),
+    [](const testing::TestParamInfo<SweepCase> &info) {
+        return std::string(info.param.model);
+    });
 
 } // namespace

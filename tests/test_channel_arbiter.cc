@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "dram/channel_arbiter.hh"
 #include "sim/event_queue.hh"
 
@@ -139,6 +144,59 @@ TEST_F(ArbiterFixture, EfficiencyDeratesBandwidth)
     derated.startFlow(32768, 0x1, false, [&] { done = eq.now(); });
     eq.run();
     EXPECT_EQ(done, 2048 * ianus::tickPerNs);
+}
+
+TEST_F(ArbiterFixture, FlowsFinishingTogetherCompleteInStartOrder)
+{
+    // A longer flow first, then three that end at one event: 64 KiB
+    // over two channels, half of each, and 32 KiB on each of those two
+    // channels, sharing it.
+    std::vector<std::pair<int, Tick>> done;
+    auto record = [&](int flow) {
+        return [&, flow] { done.emplace_back(flow, eq.now()); };
+    };
+    arb.startFlow(131072, 0x8, false, record(3));
+    arb.startFlow(65536, 0x3, false, record(0));
+    arb.startFlow(32768, 0x1, false, record(1));
+    arb.startFlow(32768, 0x2, false, record(2));
+    eq.run();
+    const Tick together = 2048 * ianus::tickPerNs;
+    EXPECT_EQ(done, (std::vector<std::pair<int, Tick>>{
+                        {0, together},
+                        {1, together},
+                        {2, together},
+                        {3, 4096 * ianus::tickPerNs}}));
+    EXPECT_EQ(arb.activeFlows(), 0u);
+}
+
+TEST_F(ArbiterFixture, CompletionCallbackMayStartAFlow)
+{
+    Tick first = 0, second = 0;
+    arb.startFlow(32768, 0x1, false, [&] {
+        first = eq.now();
+        arb.startFlow(16384, 0x1, true, [&] { second = eq.now(); });
+    });
+    eq.run();
+    EXPECT_EQ(first, 1024 * ianus::tickPerNs);
+    EXPECT_EQ(second, (1024 + 512) * ianus::tickPerNs);
+    EXPECT_EQ(arb.writeBytes(), 16384u);
+    EXPECT_EQ(arb.activeFlows(), 0u);
+}
+
+TEST_F(ArbiterFixture, CallbackLargerThanTheInlineBufferFires)
+{
+    std::array<std::uint64_t, 8> payload{};
+    for (std::size_t i = 0; i < payload.size(); ++i)
+        payload[i] = i + 1;
+    std::uint64_t sum = 0;
+    auto callback = [payload, &sum] {
+        for (std::uint64_t v : payload)
+            sum += v;
+    };
+    static_assert(sizeof(callback) > ianus::sim::SmallFn::sboBytes);
+    arb.startFlow(32768, 0x1, false, callback);
+    eq.run();
+    EXPECT_EQ(sum, 36u);
 }
 
 TEST(ChannelArbiterHelpers, ChipChannelMasks)

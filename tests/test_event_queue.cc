@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <random>
+#include <tuple>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -11,7 +15,9 @@
 namespace
 {
 
+using ianus::sim::EventId;
 using ianus::sim::EventQueue;
+using ianus::sim::SmallFn;
 using ianus::Tick;
 
 TEST(EventQueue, RunsEventsInTimeOrder)
@@ -175,6 +181,170 @@ TEST(EventQueue, LargeCapturesSurviveHeapFallback)
     for (std::size_t i = 0; i < payload.size(); ++i)
         expect += i * 3 + 1;
     EXPECT_EQ(sum, expect);
+}
+
+/**
+ * Drives an EventQueue with a seeded random mix of operations and
+ * keeps the reference: every pending event's (when, phase, scheduling
+ * order). Each callable holds a copy of one shared_ptr, so its use
+ * count is 1 + the callables still alive.
+ */
+class RandomMix
+{
+  public:
+    explicit RandomMix(unsigned seed) : rng_(seed) {}
+
+    /** One top-level operation, then the invariants. */
+    void
+    operate()
+    {
+        switch (rng_() % 8) {
+          case 0:
+          case 1:
+          case 2: add(); break;
+          case 3: cancelOne(); break;
+          case 4: cancelFired(); break;
+          default: eq_.step(); break;
+        }
+        checkCounts();
+    }
+
+    void
+    drain()
+    {
+        eq_.run();
+        checkCounts();
+        EXPECT_TRUE(pending_.empty());
+        EXPECT_TRUE(eq_.empty());
+    }
+
+    std::uint64_t fired() const { return fired_.size(); }
+    std::uint64_t cancelled() const { return cancelled_; }
+
+  private:
+    /** A callable of a chosen size: the padding puts it on either side
+     *  of SmallFn's inline buffer. */
+    template <std::size_t Pad>
+    struct Probe
+    {
+        std::shared_ptr<int> token;
+        RandomMix *mix;
+        std::uint64_t seq;
+        std::array<unsigned char, Pad> pad{};
+
+        void operator()() const { mix->fire(seq); }
+    };
+    static_assert(sizeof(Probe<1>) <= SmallFn::sboBytes);
+    static_assert(sizeof(Probe<64>) > SmallFn::sboBytes);
+
+    struct Pending
+    {
+        Tick when;
+        int phase; ///< 0 early, 1 normal
+        std::uint64_t seq;
+        EventId id;
+    };
+
+    std::mt19937 rng_;
+    EventQueue eq_;
+    std::shared_ptr<int> token_ = std::make_shared<int>(0);
+    std::vector<Pending> pending_;
+    std::vector<EventId> fired_;
+    std::uint64_t nextSeq_ = 0;
+    std::uint64_t cancelled_ = 0;
+
+    /** Schedule one event at now + [0, 7], in a random phase, with a
+     *  small or a large capture. */
+    void
+    add()
+    {
+        const Tick when = eq_.now() + rng_() % 8;
+        const bool early = rng_() % 3 == 0;
+        const std::uint64_t seq = nextSeq_++;
+        SmallFn fn;
+        if (rng_() % 2)
+            fn = Probe<1>{token_, this, seq};
+        else
+            fn = Probe<64>{token_, this, seq};
+        const EventId id = early ? eq_.scheduleEarly(when, std::move(fn))
+                                 : eq_.schedule(when, std::move(fn));
+        EXPECT_NE(id, 0u);
+        pending_.push_back({when, early ? 0 : 1, seq, id});
+    }
+
+    void
+    cancelOne()
+    {
+        if (pending_.empty())
+            return;
+        auto it = pending_.begin() +
+                  static_cast<std::ptrdiff_t>(rng_() % pending_.size());
+        const EventId id = it->id;
+        pending_.erase(it);
+        EXPECT_TRUE(eq_.deschedule(id));
+        EXPECT_FALSE(eq_.deschedule(id));
+        ++cancelled_;
+    }
+
+    /** A fired event's id is stale: cancelling it changes nothing,
+     *  even if its slot now holds another event. */
+    void
+    cancelFired()
+    {
+        if (fired_.empty())
+            return;
+        EXPECT_FALSE(eq_.deschedule(fired_[rng_() % fired_.size()]));
+    }
+
+    void
+    fire(std::uint64_t seq)
+    {
+        auto first = std::min_element(
+            pending_.begin(), pending_.end(),
+            [](const Pending &a, const Pending &b) {
+                return std::tie(a.when, a.phase, a.seq) <
+                       std::tie(b.when, b.phase, b.seq);
+            });
+        ASSERT_NE(first, pending_.end()) << "event " << seq;
+        ASSERT_EQ(first->seq, seq) << "fired out of (when, phase, id) order";
+        EXPECT_EQ(eq_.now(), first->when);
+        fired_.push_back(first->id);
+        pending_.erase(first);
+        // The firing callable is alive until it returns.
+        EXPECT_EQ(token_.use_count(),
+                  static_cast<long>(2 + pending_.size()));
+        // Re-entrant work: same-tick and later events, and a cancel.
+        for (unsigned n = rng_() % 3; n > 0; --n)
+            add();
+        if (rng_() % 4 == 0)
+            cancelOne();
+    }
+
+    void
+    checkCounts()
+    {
+        EXPECT_EQ(eq_.pending(), pending_.size());
+        EXPECT_EQ(token_.use_count(),
+                  static_cast<long>(1 + pending_.size()));
+    }
+};
+
+// A seeded random mix of schedule, scheduleEarly, deschedule (of live
+// and of already-fired ids) and re-entrant scheduling from callbacks,
+// with captures inside and beyond SmallFn's inline buffer. Every event
+// fires in (when, phase, scheduling order), and every callable, fired
+// or cancelled, is destroyed once: a freed slot keeps no capture alive.
+TEST(EventQueue, RandomMixFiresInOrderAndDestroysEachCallableOnce)
+{
+    for (unsigned seed : {1u, 2u, 3u, 7919u}) {
+        SCOPED_TRACE(seed);
+        RandomMix mix(seed);
+        for (int op = 0; op < 4000; ++op)
+            mix.operate();
+        mix.drain();
+        EXPECT_GT(mix.fired(), 1000u);
+        EXPECT_GT(mix.cancelled(), 100u);
+    }
 }
 
 } // namespace

@@ -232,6 +232,51 @@ TEST_F(EngineFixture, BarriersGateAllCores)
     EXPECT_GE(s.wallTicks, slowest + cfg.noc.syncLatency);
 }
 
+TEST_F(EngineFixture, BlockEndsSnapshotTheStatsSoFar)
+{
+    // Two blocks: a load, then a VU op, each closed by a barrier.
+    Program p;
+    std::uint32_t a = p.add(load(0, 1 << 20, 0xFF));
+    std::uint32_t end0 =
+        p.add(0, UnitKind::Sync, OpClass::Other, SyncArgs{}, {a});
+    p.markBlockEnd(end0);
+    std::uint32_t b = p.add(vu(1, 64000, {end0}));
+    p.markBlockEnd(
+        p.add(0, UnitKind::Sync, OpClass::Other, SyncArgs{}, {b}));
+    p.add(vu(2, 64, {p.blockEnds().back()}));
+
+    ExecutionEngine engine(cfg);
+    std::vector<RunStats> ends;
+    RunStats s = engine.run(p, &ends);
+    ASSERT_EQ(ends.size(), 2u);
+    EXPECT_EQ(ends[0].commands, 2.0);
+    EXPECT_EQ(ends[0].dramReadBytes, static_cast<double>(1 << 20));
+    EXPECT_EQ(ends[1].commands, 4.0);
+    EXPECT_EQ(ends[1].dramReadBytes, static_cast<double>(1 << 20));
+    EXPECT_EQ(ends[0].busy(UnitKind::VectorUnit), 0.0);
+    EXPECT_GT(ends[1].busy(UnitKind::VectorUnit), 0.0);
+    EXPECT_LT(ends[1].busy(UnitKind::VectorUnit),
+              s.busy(UnitKind::VectorUnit));
+    EXPECT_LT(ends[0].wallTicks, ends[1].wallTicks);
+    EXPECT_LT(ends[1].wallTicks, s.wallTicks);
+    // Taking snapshots does not change the run.
+    RunStats plain = engine.run(p);
+    EXPECT_EQ(plain.wallTicks, s.wallTicks);
+    EXPECT_EQ(plain.commands, s.commands);
+}
+
+TEST_F(EngineFixture, BlockEndWithWorkInFlightPanics)
+{
+    // The barrier does not wait for the load, so it completes first.
+    Program p;
+    p.add(load(0, 1 << 20, 0xFF));
+    p.markBlockEnd(p.add(0, UnitKind::Sync, OpClass::Other, SyncArgs{}, {}));
+    ExecutionEngine engine(cfg);
+    EXPECT_EQ(engine.run(p).commands, 2.0);
+    std::vector<RunStats> ends;
+    EXPECT_DEATH(engine.run(p, &ends), "work in flight");
+}
+
 TEST_F(EngineFixture, InterDeviceBarrierAddsPcieTime)
 {
     Program p;
