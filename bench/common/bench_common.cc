@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <sstream>
 
@@ -20,6 +21,28 @@ parseArgs(int argc, char **argv)
             opts.csv = true;
     }
     return opts;
+}
+
+double
+floorArg(int argc, char **argv, const char *usage)
+{
+    double floor = 0.0;
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--floor") != 0)
+            continue;
+        const char *value = i + 1 < argc ? argv[++i] : "";
+        char *end = nullptr;
+        floor = std::strtod(value, &end);
+        if (end == value || *end != '\0' || !std::isfinite(floor) ||
+            floor <= 0.0) {
+            std::fprintf(stderr,
+                         "--floor wants a positive number, got '%s'\n"
+                         "usage: %s\n",
+                         value, usage);
+            std::exit(2);
+        }
+    }
+    return floor;
 }
 
 void

@@ -24,6 +24,14 @@ struct Options
 
 Options parseArgs(int argc, char **argv);
 
+/**
+ * The value of `--floor VALUE` in @p argv, 0 when the flag is absent.
+ * A missing, non-numeric or non-positive value is a usage error: it
+ * prints @p usage to stderr and exits with status 2, so a CI gate can
+ * never be skipped by a typo.
+ */
+double floorArg(int argc, char **argv, const char *usage);
+
 /** Print the harness banner: what figure, what the paper reports. */
 void banner(const std::string &title, const std::string &paper_claim);
 

@@ -14,17 +14,22 @@
  * The two paths must produce identical latency numbers — the cache only
  * skips redundant work. Reports wall-clock speedup and cache counters.
  *
+ * A second table times one run() call on warm programs. "unique
+ * shapes" replays more distinct shapes than the request memo holds,
+ * twice in the same order, and reports the second pass: every call
+ * misses the memo and sums its cached samples. "repeated shapes"
+ * replays the mix above, whose shapes the memo holds.
+ *
  *   ./micro_compile_cache [--fast] [--csv] [--floor PROGRAMS_PER_S]
  *
  * --floor exits 1 if the uncached path, where every request compiles
  * and executes its programs, costs fewer programs per second than the
- * floor — the Release CI gate on device execution.
+ * floor — the Release CI gate on device execution. A floor that is
+ * missing, not a number or not positive exits 2 before any work.
  */
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <random>
 #include <vector>
 
@@ -50,10 +55,9 @@ main(int argc, char **argv)
 {
     using namespace ianus;
     bench::Options opts = bench::parseArgs(argc, argv);
-    double floor_pps = 0.0;
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--floor") == 0 && i + 1 < argc)
-            floor_pps = std::strtod(argv[i + 1], nullptr);
+    const double floor_pps = bench::floorArg(
+        argc, argv, "micro_compile_cache [--fast] [--csv] "
+                    "[--floor PROGRAMS_PER_S]");
     bench::banner("micro: program cache",
                   "compile-once/serve-many vs per-request recompilation "
                   "(host cost; simulated latencies must be identical)");
@@ -118,12 +122,46 @@ main(int argc, char **argv)
     table.print(opts);
 
     std::printf("\ncache: %llu builds, %llu hits | speedup %.2fx | "
-                "latency numbers identical: %s\n",
+                "latency numbers identical: %s\n\n",
                 (unsigned long long)cs.builds(),
                 (unsigned long long)cs.hits(), uncached_s / cached_s,
                 identical ? "yes" : "NO — BUG");
     if (!identical || uncached_s / cached_s < 2.0)
         return 1;
+
+    // Per-call cost on warm programs. There are more shapes than the
+    // memo holds, so a replay in the same order evicts each shape
+    // before it comes round again.
+    std::vector<workloads::InferenceRequest> unique;
+    for (std::uint64_t out = 2;
+         unique.size() <= serve::CompiledModel::maxRequestEntries; ++out)
+        for (std::uint64_t in : ins)
+            unique.push_back({in, out});
+    serve::CompiledModel warm(cfg, model);
+    for (const auto &req : unique)
+        warm.run(req, stride);
+    t0 = Clock::now();
+    for (const auto &req : unique)
+        warm.run(req, stride);
+    const double unique_ns = secondsSince(t0) * 1e9 / unique.size();
+
+    const unsigned rounds = 100;
+    t0 = Clock::now();
+    for (unsigned r = 0; r < rounds; ++r)
+        for (const auto &req : mix)
+            compiled.run(req, stride);
+    const double repeated_ns =
+        secondsSince(t0) * 1e9 / (rounds * mix.size());
+
+    bench::Table calls({"replay", "calls", "ns_per_call"});
+    calls.addRow({"unique shapes (2nd pass)",
+                  bench::Table::num(static_cast<double>(unique.size()), 0),
+                  bench::Table::num(unique_ns, 0)});
+    calls.addRow({"repeated shapes",
+                  bench::Table::num(static_cast<double>(rounds * mix.size()),
+                                    0),
+                  bench::Table::num(repeated_ns, 0)});
+    calls.print(opts);
 
     if (floor_pps > 0.0) {
         const double pps = static_cast<double>(uncached_builds) / uncached_s;

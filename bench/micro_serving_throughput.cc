@@ -20,13 +20,12 @@
  *
  * --fast caps the sweep at 50k requests. --floor exits 1 if the
  * largest serial drain simulates fewer requests per second than the
- * floor — the Release CI regression gate.
+ * floor — the Release CI regression gate. A floor that is missing,
+ * not a number or not positive exits 2 before any work.
  */
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -66,10 +65,9 @@ int
 main(int argc, char **argv)
 {
     bench::Options opts = bench::parseArgs(argc, argv);
-    double floor_rps = 0.0;
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--floor") == 0 && i + 1 < argc)
-            floor_rps = std::strtod(argv[i + 1], nullptr);
+    const double floor_rps = bench::floorArg(
+        argc, argv, "micro_serving_throughput [--fast] [--csv] "
+                    "[--floor REQ_PER_S]");
 
     bench::banner(
         "micro: serving throughput",

@@ -35,9 +35,21 @@ CompiledModel::clearCache() const
         store_->caches = ScalarCaches{};
     }
     front_ = ScalarCaches{};
+    summarizationIndex_ = FrontIndex{};
+    generationIndex_ = FrontIndex{};
     batchCache_.clear();
-    batchOrder_.clear();
+    requests_.clear();
     cache_ = CacheStats{};
+}
+
+void
+CompiledModel::FrontIndex::add(std::uint64_t tokens, const RunStats &stats)
+{
+    if (tokens >= maxIndexedTokens)
+        return;
+    if (tokens >= at.size())
+        at.resize(tokens + 1, nullptr);
+    at[tokens] = &stats;
 }
 
 template <class Build>
@@ -86,26 +98,42 @@ CompiledModel::cached(std::map<Key, RunStats> ScalarCaches::*table,
     return front.emplace(key, entry->second).first->second;
 }
 
+template <class Build>
+const RunStats &
+CompiledModel::indexed(FrontIndex &index,
+                       std::map<std::uint64_t, RunStats> ScalarCaches::*table,
+                       std::uint64_t tokens, std::uint64_t &hits,
+                       std::uint64_t &builds, const Build &build) const
+{
+    if (const RunStats *stats = index.find(tokens)) {
+        ++hits;
+        return *stats;
+    }
+    const RunStats &stats = cached(table, tokens, hits, builds, build);
+    index.add(tokens, stats);
+    return stats;
+}
+
 const RunStats &
 CompiledModel::summarization(std::uint64_t input_tokens) const
 {
-    return cached(&ScalarCaches::summarization, input_tokens,
-                  cache_.summarizationHits, cache_.summarizationBuilds,
-                  [&](std::uint64_t blocks) {
-                      return builder_.buildSummarizationChunk(
-                          0, input_tokens, true, blocks);
-                  });
+    return indexed(summarizationIndex_, &ScalarCaches::summarization,
+                   input_tokens, cache_.summarizationHits,
+                   cache_.summarizationBuilds, [&](std::uint64_t blocks) {
+                       return builder_.buildSummarizationChunk(
+                           0, input_tokens, true, blocks);
+                   });
 }
 
 const RunStats &
 CompiledModel::generation(std::uint64_t kv_len) const
 {
-    return cached(&ScalarCaches::generation, kv_len,
-                  cache_.generationHits, cache_.generationBuilds,
-                  [&](std::uint64_t blocks) {
-                      return builder_.buildGenerationBatch({kv_len},
-                                                           blocks);
-                  });
+    return indexed(generationIndex_, &ScalarCaches::generation, kv_len,
+                   cache_.generationHits, cache_.generationBuilds,
+                   [&](std::uint64_t blocks) {
+                       return builder_.buildGenerationBatch({kv_len},
+                                                            blocks);
+                   });
 }
 
 const RunStats &
@@ -153,10 +181,9 @@ CompiledModel::generationStepStats(
         return generation(kv_lens.front());
 
     std::sort(kv_lens.begin(), kv_lens.end());
-    auto it = batchCache_.find(kv_lens);
-    if (it != batchCache_.end()) {
+    if (const RunStats *hit = batchCache_.find(kv_lens)) {
         ++cache_.batchHits;
-        return it->second;
+        return *hit;
     }
     // The oldest entry is evicted beyond the cap: batched keys rarely
     // recur (all KV lengths advance together), so only recent stats
@@ -166,13 +193,8 @@ CompiledModel::generationStepStats(
         return builder_.buildGenerationBatch(kv_lens, blocks);
     });
     ++cache_.batchBuilds;
-    if (batchCache_.size() >= maxBatchEntries) {
-        batchCache_.erase(batchOrder_.front());
-        batchOrder_.pop_front();
+    if (batchCache_.insert(std::move(kv_lens), stats))
         ++cache_.batchEvictions;
-    }
-    batchOrder_.push_back(kv_lens);
-    batchCache_.emplace(std::move(kv_lens), stats);
     return stats;
 }
 
@@ -234,6 +256,22 @@ CompiledModel::run(const workloads::InferenceRequest &request,
     if (token_stride == 0)
         IANUS_FATAL("token stride must be positive (1 = exact)");
 
+    const RequestKey key(request.inputTokens, request.outputTokens,
+                         token_stride);
+    if (const InferenceReport *hit = requests_.find(key)) {
+        ++cache_.requestHits;
+        return *hit;
+    }
+    // Inserted only once cost() returns: a fatal leaves no entry.
+    InferenceReport report = cost(request, token_stride);
+    requests_.insert(key, report);
+    return report;
+}
+
+InferenceReport
+CompiledModel::cost(const workloads::InferenceRequest &request,
+                    unsigned token_stride) const
+{
     InferenceReport report;
     report.inputTokens = request.inputTokens;
     report.outputTokens = request.outputTokens;
@@ -245,46 +283,43 @@ CompiledModel::run(const workloads::InferenceRequest &request,
     // generation steps produce the rest.
     if (!model_.decoder())
         return report;
-    std::uint64_t steps = request.outputTokens - 1;
+    const std::uint64_t steps = request.outputTokens - 1;
     report.generationSteps = steps;
     if (steps == 0)
         return report;
 
-    auto step_stats = [&](std::uint64_t t) -> const RunStats & {
-        return generation(request.inputTokens + 1 + t);
-    };
-
-    if (token_stride == 1 || steps <= 2 * token_stride) {
+    // Step t runs at KV length input + 1 + t.
+    const std::uint64_t kv0 = request.inputTokens + 1;
+    if (token_stride == 1 || steps <= 2 * std::uint64_t{token_stride}) {
         for (std::uint64_t t = 0; t < steps; ++t)
-            report.generation.merge(step_stats(t));
+            report.generation.merge(generation(kv0 + t));
         return report;
     }
 
     // Strided sampling with trapezoidal integration: token latency is a
-    // smooth function of KV length (only attention terms grow).
-    std::vector<std::uint64_t> samples;
-    for (std::uint64_t t = 0; t < steps; t += token_stride)
-        samples.push_back(t);
-    if (samples.back() != steps - 1)
-        samples.push_back(steps - 1);
-
-    std::vector<const RunStats *> stats;
-    stats.reserve(samples.size());
-    for (std::uint64_t t : samples)
-        stats.push_back(&step_stats(t));
-
-    for (std::size_t j = 0; j < samples.size(); ++j) {
+    // smooth function of KV length (only attention terms grow). The
+    // samples are t = 0, stride, 2 * stride, ... below steps, plus the
+    // last step; each sample's weight is half the distance between its
+    // neighbours, and an end sample's also covers itself. steps >
+    // 2 * stride, so there are at least three samples.
+    const std::uint64_t last = steps - 1;
+    std::uint64_t prev = 0;
+    for (std::uint64_t t = 0;;) {
+        const std::uint64_t next =
+            last - t > token_stride ? t + token_stride : last;
         double w = 0.0;
-        if (j == 0)
-            w = static_cast<double>(samples[1] - samples[0]) / 2.0 + 0.5;
-        else if (j + 1 == samples.size())
-            w = static_cast<double>(samples[j] - samples[j - 1]) / 2.0 +
-                0.5;
+        if (t == 0)
+            w = static_cast<double>(next - t) / 2.0 + 0.5;
+        else if (t == last)
+            w = static_cast<double>(t - prev) / 2.0 + 0.5;
         else
-            w = static_cast<double>(samples[j + 1] - samples[j - 1]) / 2.0;
-        report.generation.scaleAdd(*stats[j], w);
+            w = static_cast<double>(next - prev) / 2.0;
+        report.generation.scaleAdd(generation(kv0 + t), w);
+        if (t == last)
+            return report;
+        prev = t;
+        t = next;
     }
-    return report;
 }
 
 } // namespace ianus::serve

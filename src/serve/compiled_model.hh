@@ -27,24 +27,33 @@
  * equals, bit for bit, the engine run of the full program the builder
  * emits for its key (tests/test_block_periodic.cc).
  *
+ * Serving traces draw their requests from a small grid of shapes, so
+ * run() also memoizes whole requests: the InferenceReport of each
+ * (input, output, stride) in a FIFO bounded to maxRequestEntries. A
+ * memo hit is one map lookup and a copy; it allocates nothing and
+ * looks up no program. A miss sums the samples in one pass, and finds
+ * each summarization and generation entry it has served before by an
+ * O(1) index on the token count. The memo is per replica, takes no
+ * lock, and is never shared through the pool's store.
+ *
  * Equal triples build equal programs, so a DevicePool lets its equal
  * replicas share one mutex-guarded store of summarization, chunk and
  * generation stats, and each key is built once per pool. Every replica
  * keeps its own unlocked copy of the entries it has served in front of
  * that store: only a first lookup on a replica takes the lock. A
  * standalone CompiledModel's store is private. Batched-step entries
- * stay per replica.
+ * and the request memo stay per replica.
  */
 
 #ifndef IANUS_SERVE_COMPILED_MODEL_HH
 #define IANUS_SERVE_COMPILED_MODEL_HH
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "compiler/workload_builder.hh"
@@ -59,7 +68,10 @@ namespace ianus::serve
  * Cache accounting of one replica (bench/test introspection). A lookup
  * that this replica has not served before but its pool's shared store
  * has counts as a hit; only a program actually executed counts as a
- * build, so builds summed over a pool equal its distinct programs.
+ * build, so builds summed over a pool equal its distinct programs. A
+ * run() answered by the request memo counts one request hit and looks
+ * up no program, so the per-program counters count only the lookups
+ * actually made.
  */
 struct CacheStats
 {
@@ -72,6 +84,7 @@ struct CacheStats
     std::uint64_t batchEvictions = 0; ///< FIFO-evicted batched entries
     std::uint64_t chunkBuilds = 0; ///< resumed prefill chunks (prior > 0)
     std::uint64_t chunkHits = 0;
+    std::uint64_t requestHits = 0; ///< run() calls the memo answered
 
     std::uint64_t
     builds() const
@@ -83,8 +96,71 @@ struct CacheStats
     std::uint64_t
     hits() const
     {
-        return summarizationHits + generationHits + batchHits + chunkHits;
+        return summarizationHits + generationHits + batchHits + chunkHits +
+               requestHits;
     }
+};
+
+/**
+ * A map bounded to a fixed number of entries, evicting the oldest
+ * first. Its entries must be pure functions of their keys, so an
+ * evicted entry is simply computed again. Once full, an insertion
+ * reuses the evicted entry's node and allocates nothing. Not copyable:
+ * the insertion order is kept as iterators into the map, which a move
+ * carries along and a copy would not.
+ */
+template <class Key, class Value> class FifoMap
+{
+  public:
+    explicit FifoMap(std::size_t capacity) : capacity_(capacity) {}
+    FifoMap(const FifoMap &) = delete;
+    FifoMap &operator=(const FifoMap &) = delete;
+    FifoMap(FifoMap &&) = default;
+    FifoMap &operator=(FifoMap &&) = default;
+
+    /** The entry of @p key, or nullptr. */
+    const Value *
+    find(const Key &key) const
+    {
+        auto it = map_.find(key);
+        return it == map_.end() ? nullptr : &it->second;
+    }
+
+    /** Add an entry for @p key, which must be absent; returns whether
+     *  the oldest entry was evicted to make room. */
+    bool
+    insert(Key key, const Value &value)
+    {
+        if (order_.size() < capacity_) {
+            order_.push_back(map_.emplace(std::move(key), value).first);
+            return false;
+        }
+        auto node = map_.extract(order_[oldest_]);
+        node.key() = std::move(key);
+        node.mapped() = value;
+        order_[oldest_] = map_.insert(std::move(node)).position;
+        oldest_ = (oldest_ + 1) % capacity_;
+        return true;
+    }
+
+    std::size_t size() const { return map_.size(); }
+
+    void
+    clear()
+    {
+        map_.clear();
+        order_.clear();
+        oldest_ = 0;
+    }
+
+  private:
+    using Map = std::map<Key, Value>;
+
+    std::size_t capacity_;
+    Map map_;
+    /** Entries in insertion order, a ring once full. */
+    std::vector<typename Map::iterator> order_;
+    std::size_t oldest_ = 0;
 };
 
 /** One model compiled onto one device configuration, ready to serve. */
@@ -102,11 +178,19 @@ class CompiledModel
      * programs. Identical semantics (and identical numbers) to
      * IanusSystem::run, which is a thin wrapper over this.
      *
+     * The report is memoized per (input, output, stride) in a FIFO of
+     * maxRequestEntries; an entry is added only once its computation
+     * returns, so a fatal error leaves none behind.
+     *
      * Rejects invalid requests (zero input or output tokens) and a zero
      * @p token_stride with a fatal error.
      */
     InferenceReport run(const workloads::InferenceRequest &request,
                         unsigned token_stride = 1) const;
+
+    /** Most whole-request reports run() retains (FIFO eviction, about
+     *  0.75 MB per replica when full). */
+    static constexpr std::size_t maxRequestEntries = 1024;
 
     /**
      * Executed statistics of the summarization (prefill) stage over
@@ -219,18 +303,22 @@ class CompiledModel
 
     /** Cached entry count of this replica: one per distinct program it
      *  has served (summarization, chunk, generation and batched-step
-     *  stats), whether it built the entry or its pool's store did. */
+     *  stats), whether it built the entry or its pool's store did. The
+     *  request memo holds no programs and is not counted. */
     std::size_t cachedPrograms() const;
 
-    /** Drop all memoized statistics and this replica's accounting. A
-     *  store shared with a pool's equal replicas is emptied too; their
-     *  own entries and accounting stay. */
+    /** Drop all memoized statistics, the request memo and this
+     *  replica's accounting. A store shared with a pool's equal
+     *  replicas is emptied too; their own entries and accounting
+     *  stay. */
     void clearCache() const;
 
   private:
     friend class DevicePool;
 
     using ChunkKey = std::tuple<std::uint64_t, std::uint64_t, bool>;
+    /** run()'s memo key: (input tokens, output tokens, stride). */
+    using RequestKey = std::tuple<std::uint64_t, std::uint64_t, unsigned>;
 
     // The device model is deterministic, so memoizing a program's stats
     // makes a replayed request nearly free.
@@ -255,6 +343,28 @@ class CompiledModel
     /** Use @p peer's store from now on (DevicePool, equal triples). */
     void shareStore(const CompiledModel &peer) { store_ = peer.store_; }
 
+    /**
+     * A dense index by token count into one front table, so that a
+     * front hit on a summarization or generation entry is one array
+     * read. It points into this replica's own front and never into the
+     * store, which another replica's clearCache() may empty. Token
+     * counts from maxIndexedTokens on stay unindexed.
+     */
+    struct FrontIndex
+    {
+        static constexpr std::uint64_t maxIndexedTokens = 1 << 14;
+
+        std::vector<const RunStats *> at;
+
+        const RunStats *
+        find(std::uint64_t tokens) const
+        {
+            return tokens < at.size() ? at[tokens] : nullptr;
+        }
+
+        void add(std::uint64_t tokens, const RunStats &stats);
+    };
+
     /** The entry of @p key in @p table: from this replica's front, else
      *  from the store under its lock, executing @p build on a store
      *  miss; counts a hit or a build in @p hits / @p builds. */
@@ -263,8 +373,19 @@ class CompiledModel
                            const Key &key, std::uint64_t &hits,
                            std::uint64_t &builds, const Build &build) const;
 
+    /** cached() for a table keyed by token count, through @p index. */
+    template <class Build>
+    const RunStats &
+    indexed(FrontIndex &index,
+            std::map<std::uint64_t, RunStats> ScalarCaches::*table,
+            std::uint64_t tokens, std::uint64_t &hits,
+            std::uint64_t &builds, const Build &build) const;
+
     const RunStats &summarization(std::uint64_t input_tokens) const;
     const RunStats &generation(std::uint64_t kv_len) const;
+    /** run() without the memo: the request costed from program stats. */
+    InferenceReport cost(const workloads::InferenceRequest &request,
+                         unsigned token_stride) const;
     /** Executed statistics of the full program build(nBlocks), from
      *  one run of build(2) when the model's blocks are uniform;
      *  @p build maps a block count to a Program. */
@@ -278,6 +399,8 @@ class CompiledModel
     // This replica's copies of the store entries it has served: read
     // without a lock, since a replica is driven by one thread at a time.
     mutable ScalarCaches front_;
+    mutable FrontIndex summarizationIndex_;
+    mutable FrontIndex generationIndex_;
     std::shared_ptr<Store> store_;
     // Batched steps stay per replica (their keys rarely recur across
     // replicas either), keyed by the sorted KV-length multiset, bounded
@@ -286,8 +409,12 @@ class CompiledModel
     // cache would grow linearly with simulated tokens. The bound keeps
     // the hit pattern that matters — consecutive segments share
     // trapezoid endpoints — while capping memory.
-    mutable std::map<std::vector<std::uint64_t>, RunStats> batchCache_;
-    mutable std::deque<std::vector<std::uint64_t>> batchOrder_;
+    mutable FifoMap<std::vector<std::uint64_t>, RunStats> batchCache_{
+        maxBatchEntries};
+    // run()'s whole-request memo, per replica and unlocked like the
+    // front.
+    mutable FifoMap<RequestKey, InferenceReport> requests_{
+        maxRequestEntries};
     mutable CacheStats cache_;
 };
 

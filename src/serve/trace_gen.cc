@@ -1,11 +1,16 @@
 #include "serve/trace_gen.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
+#include <memory>
 #include <random>
+#include <string_view>
+#include <system_error>
 
 #include "common/logging.hh"
 #include "serve/serving_engine.hh"
@@ -44,40 +49,84 @@ pick(std::mt19937 &rng, const std::vector<std::uint64_t> &choices)
     return choices[rng() % choices.size()];
 }
 
-/** strtoull that rejects a leading '-' (which strtoull would otherwise
- *  silently wrap modulo 2^64 instead of failing). */
-unsigned long long
-parseUnsigned(const char *s, char **end, bool &ok)
+/** The first of [p, end) that is not a space or a tab, the blanks
+ *  that separate fields. */
+const char *
+skipBlanks(const char *p, const char *end)
 {
-    const char *p = s;
-    while (*p == ' ' || *p == '\t')
+    while (p != end && (*p == ' ' || *p == '\t'))
         ++p;
-    if (*p == '-') {
-        *end = const_cast<char *>(s);
-        ok = false;
-        return 0;
-    }
-    unsigned long long v = std::strtoull(s, end, 10);
-    ok = ok && *end != s;
-    return v;
+    return p;
 }
 
-/** Next '\n'-terminated (or final) line of @p text from @p pos;
- *  advances @p pos past the newline. Returns false at end of text. */
+/**
+ * Parse the decimal unsigned integer that starts at @p p after any
+ * spaces or tabs: digits only, so no sign, no other whitespace and no
+ * value above 2^64 - 1. Returns one past its last digit, or nullptr if
+ * there is none; a null @p p stays null, so a row's fields chain.
+ */
+const char *
+parseUnsigned(const char *p, const char *end, std::uint64_t &out)
+{
+    if (!p)
+        return nullptr;
+    p = skipBlanks(p, end);
+    const auto [next, ec] = std::from_chars(p, end, out);
+    return ec == std::errc() ? next : nullptr;
+}
+
+/** parseUnsigned() for a decimal double: an optional '-', then a
+ *  fixed or scientific literal, nan or inf, within the double range. */
+const char *
+parseDouble(const char *p, const char *end, double &out)
+{
+    if (!p)
+        return nullptr;
+    p = skipBlanks(p, end);
+    const auto [next, ec] =
+        std::from_chars(p, end, out, std::chars_format::general);
+    return ec == std::errc() ? next : nullptr;
+}
+
+/** Next '\n'-terminated (or final) line of @p text from @p pos,
+ *  without its newline; advances @p pos past the newline. Returns
+ *  false at end of text. */
 bool
-nextLine(const std::string &text, std::size_t &pos, std::string &line)
+nextLine(std::string_view text, std::size_t &pos, std::string_view &line)
 {
     if (pos >= text.size())
         return false;
     std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) {
-        line = text.substr(pos);
-        pos = text.size();
-    } else {
-        line = text.substr(pos, nl - pos);
-        pos = nl + 1;
-    }
+    if (nl == std::string_view::npos)
+        nl = text.size();
+    line = text.substr(pos, nl - pos);
+    pos = nl + 1;
     return true;
+}
+
+struct FileCloser
+{
+    void operator()(std::FILE *f) const { std::fclose(f); }
+};
+
+/** The whole file at @p path, read with one call sized by its length;
+ *  fatal, naming @p what, if it cannot be opened or read. A directory,
+ *  a pipe or any other file without a size is a read error. */
+std::string
+readFile(const std::string &path, const char *what)
+{
+    const std::unique_ptr<std::FILE, FileCloser> f(
+        std::fopen(path.c_str(), "rb"));
+    if (!f)
+        IANUS_FATAL("cannot open ", what, " '", path, "'");
+    std::error_code ec;
+    const std::uintmax_t size = std::filesystem::file_size(path, ec);
+    if (!ec) {
+        std::string text(size, '\0');
+        if (std::fread(text.data(), 1, size, f.get()) == size)
+            return text;
+    }
+    IANUS_FATAL("read error loading ", what, " '", path, "'");
 }
 
 } // namespace
@@ -184,17 +233,17 @@ normalizeColumn(const std::string &name)
 /** Split one CSV line on commas (the schema has no quoted fields);
  *  a trailing '\r' (CRLF logs) is stripped from the last field. */
 std::vector<std::string>
-splitCsvRow(const std::string &line)
+splitCsvRow(std::string_view line)
 {
     std::vector<std::string> fields;
     std::size_t pos = 0;
     for (;;) {
         std::size_t comma = line.find(',', pos);
-        if (comma == std::string::npos) {
-            fields.push_back(line.substr(pos));
+        if (comma == std::string_view::npos) {
+            fields.emplace_back(line.substr(pos));
             break;
         }
-        fields.push_back(line.substr(pos, comma - pos));
+        fields.emplace_back(line.substr(pos, comma - pos));
         pos = comma + 1;
     }
     if (!fields.empty() && !fields.back().empty() &&
@@ -229,14 +278,15 @@ parseCalendarMs(const std::string &field, double &out_ms)
     if (std::sscanf(field.c_str(), "%d-%d-%d%c%d:%d:%lf%n", &y, &mo, &d,
                     &sep, &h, &mi, &sec, &n) != 7)
         return false;
-    const char *rest = field.c_str() + n;
-    if (*rest == 'Z')
+    std::size_t rest = static_cast<std::size_t>(n);
+    if (rest < field.size() && field[rest] == 'Z')
         ++rest;
-    if (*rest != '\0')
+    if (rest != field.size())
         return false;
+    // %lf also reads nan, which no ordering test below would catch.
     if ((sep != ' ' && sep != 'T') || mo < 1 || mo > 12 || d < 1 ||
-        d > 31 || h < 0 || h > 23 || mi < 0 || mi > 59 || sec < 0.0 ||
-        sec >= 61.0)
+        d > 31 || h < 0 || h > 23 || mi < 0 || mi > 59 ||
+        !(sec >= 0.0 && sec < 61.0))
         return false;
     const double days = static_cast<double>(daysFromCivil(y, mo, d));
     out_ms = ((days * 86400.0 + h * 3600.0 + mi * 60.0) + sec) * 1000.0;
@@ -251,7 +301,7 @@ parseNumericMs(const std::string &field, double &out_ms)
         return false;
     char *end = nullptr;
     out_ms = std::strtod(field.c_str(), &end);
-    return end != field.c_str() && *end == '\0' && std::isfinite(out_ms);
+    return end == field.c_str() + field.size() && std::isfinite(out_ms);
 }
 
 } // namespace
@@ -260,7 +310,7 @@ ArrivalTrace
 importRequestLog(const std::string &csv)
 {
     std::size_t pos = 0;
-    std::string line;
+    std::string_view line;
     if (!nextLine(csv, pos, line))
         IANUS_FATAL("request log is empty (a CSV log needs a header "
                     "row)");
@@ -345,17 +395,14 @@ importRequestLog(const std::string &csv)
         }
         r.stampMs = ms;
 
-        char *end = nullptr;
-        bool ok = true;
-        r.input = parseUnsigned(fields[inCol].c_str(), &end, ok);
-        ok = ok && *end == '\0';
-        if (!ok || r.input == 0)
+        auto count = [](const std::string &field, std::uint64_t &out) {
+            const char *end = field.data() + field.size();
+            return parseUnsigned(field.data(), end, out) == end && out > 0;
+        };
+        if (!count(fields[inCol], r.input))
             IANUS_FATAL("request log row ", rowNo, " needs a positive "
                         "prompt token count, got '", fields[inCol], "'");
-        ok = true;
-        r.output = parseUnsigned(fields[outCol].c_str(), &end, ok);
-        ok = ok && *end == '\0';
-        if (!ok || r.output == 0)
+        if (!count(fields[outCol], r.output))
             IANUS_FATAL("request log row ", rowNo, " needs a positive "
                         "output token count, got '", fields[outCol], "'");
 
@@ -380,6 +427,10 @@ importRequestLog(const std::string &csv)
                          return a.stampMs < b.stampMs;
                      });
     const double base = rows.front().stampMs;
+    if (!std::isfinite(rows.back().stampMs - base))
+        IANUS_FATAL("request log spans ", rows.back().stampMs - base,
+                    " ms from its first to its last timestamp, beyond "
+                    "the range of a double");
 
     // Session turns count per session in sorted order; each turn's
     // prefix is the conversation so far (prior input + output) when
@@ -403,10 +454,10 @@ importRequestLog(const std::string &csv)
             SessionState &s = sessions[r.sessionId];
             t.sessionId = r.sessionId;
             t.turnIndex = s.turns;
-            if (s.turns > 0) {
-                const std::uint64_t grown = s.prevInput + s.prevOutput;
-                t.prefixTokens = grown < r.input ? grown : 0;
-            }
+            // prevInput + prevOutput < input, without overflow.
+            if (s.turns > 0 && s.prevOutput < r.input &&
+                s.prevInput < r.input - s.prevOutput)
+                t.prefixTokens = s.prevInput + s.prevOutput;
             s.turns += 1;
             s.prevInput = r.input;
             s.prevOutput = r.output;
@@ -419,19 +470,7 @@ importRequestLog(const std::string &csv)
 ArrivalTrace
 loadRequestLog(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        IANUS_FATAL("cannot open request log '", path, "'");
-    std::string text;
-    char buf[4096];
-    std::size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, got);
-    bool bad = std::ferror(f) != 0;
-    std::fclose(f);
-    if (bad)
-        IANUS_FATAL("read error loading request log '", path, "'");
-    return importRequestLog(text);
+    return importRequestLog(readFile(path, "request log"));
 }
 
 ArrivalTrace
@@ -1158,20 +1197,20 @@ formatTrace(const ArrivalTrace &trace)
 ArrivalTrace
 parseTrace(const std::string &text)
 {
+    // Each line is read in place: a row is a view into @p text, parsed
+    // field by field with std::from_chars.
     std::size_t pos = 0;
-    std::string line;
-    bool v2 = false;
+    std::string_view line;
     if (!nextLine(text, pos, line) ||
         (line != traceMagic && line != traceMagicV2))
         IANUS_FATAL("arrival trace must start with '", traceMagic,
                     "' or '", traceMagicV2, "', got '", line, "'");
-    v2 = (line == traceMagicV2);
+    const bool v2 = (line == traceMagicV2);
     if (!nextLine(text, pos, line))
         IANUS_FATAL("arrival trace is missing its request-count line");
-    char *end = nullptr;
-    bool count_ok = true;
-    unsigned long long count = parseUnsigned(line.c_str(), &end, count_ok);
-    if (!count_ok || *end != '\0')
+    std::uint64_t count = 0;
+    if (parseUnsigned(line.data(), line.data() + line.size(), count) !=
+        line.data() + line.size())
         IANUS_FATAL("arrival trace request count must be a non-negative "
                     "integer, got '",
                     line, "'");
@@ -1181,32 +1220,26 @@ parseTrace(const std::string &text)
     // could possibly hold (>= 6 bytes per row), so a corrupt count
     // fails with the parser's diagnostic, not bad_alloc.
     trace.requests.reserve(static_cast<std::size_t>(
-        std::min<unsigned long long>(count, text.size() / 4)));
+        std::min<std::uint64_t>(count, text.size() / 4)));
     double prev = 0.0;
-    std::map<unsigned long long, unsigned long long> next_turn;
-    for (unsigned long long i = 0; i < count; ++i) {
+    std::map<std::uint64_t, std::uint64_t> next_turn;
+    for (std::uint64_t i = 0; i < count; ++i) {
         if (!nextLine(text, pos, line))
             IANUS_FATAL("arrival trace ends after ", i, " of ", count,
                         " requests");
         TimedRequest t;
-        const char *s = line.c_str();
-        t.arrivalMs = std::strtod(s, &end);
-        bool ok = end != s;
-        s = end;
-        unsigned long long input = parseUnsigned(s, &end, ok);
-        s = end;
-        unsigned long long output = parseUnsigned(s, &end, ok);
-        unsigned long long session = 0, turn = 0, prefix = 0;
+        std::uint64_t input = 0, output = 0;
+        std::uint64_t session = 0, turn = 0, prefix = 0;
+        const char *end = line.data() + line.size();
+        const char *p = parseDouble(line.data(), end, t.arrivalMs);
+        p = parseUnsigned(p, end, input);
+        p = parseUnsigned(p, end, output);
         if (v2) {
-            s = end;
-            session = parseUnsigned(s, &end, ok);
-            s = end;
-            turn = parseUnsigned(s, &end, ok);
-            s = end;
-            prefix = parseUnsigned(s, &end, ok);
+            p = parseUnsigned(p, end, session);
+            p = parseUnsigned(p, end, turn);
+            p = parseUnsigned(p, end, prefix);
         }
-        ok = ok && *end == '\0';
-        if (!ok)
+        if (p != end)
             IANUS_FATAL("arrival trace row ", i, " must be 'arrival_ms "
                         "input output",
                         v2 ? " session_id turn_index prefix_tokens" : "",
@@ -1238,7 +1271,7 @@ parseTrace(const std::string &text)
                         " (each turn must add new prompt tokens): '",
                         line, "'");
         if (session != 0) {
-            unsigned long long expected = 0;
+            std::uint64_t expected = 0;
             auto it = next_turn.find(session);
             if (it != next_turn.end())
                 expected = it->second;
@@ -1285,19 +1318,7 @@ saveTrace(const ArrivalTrace &trace, const std::string &path)
 ArrivalTrace
 loadTrace(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        IANUS_FATAL("cannot open arrival trace '", path, "'");
-    std::string text;
-    char buf[4096];
-    std::size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, got);
-    bool bad = std::ferror(f) != 0;
-    std::fclose(f);
-    if (bad)
-        IANUS_FATAL("read error loading arrival trace '", path, "'");
-    return parseTrace(text);
+    return parseTrace(readFile(path, "arrival trace"));
 }
 
 } // namespace ianus::serve

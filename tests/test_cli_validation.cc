@@ -3,7 +3,8 @@
  *  simulation; a fatal simulation error exits 1 with its message, and
  *  --help exits 0. The other examples (quickstart,
  *  design_space_explorer, bert_qa_throughput, pim_microcode_trace)
- *  keep the same exit-status contract. The tests run the real binaries
+ *  keep the same exit-status contract, and the benches with a CI floor
+ *  reject a bad --floor the same way. The tests run the real binaries
  *  (paths baked in as <NAME>_BIN) so the parse-and-validate layer is
  *  exercised end to end. */
 
@@ -18,8 +19,10 @@ namespace
 
 #if !defined(LLM_SERVING_BIN) || !defined(QUICKSTART_BIN) ||             \
     !defined(DESIGN_SPACE_EXPLORER_BIN) ||                                 \
-    !defined(BERT_QA_THROUGHPUT_BIN) || !defined(PIM_MICROCODE_TRACE_BIN)
-#error "<NAME>_BIN must name each example executable"
+    !defined(BERT_QA_THROUGHPUT_BIN) || !defined(PIM_MICROCODE_TRACE_BIN) || \
+    !defined(MICRO_COMPILE_CACHE_BIN) ||                                   \
+    !defined(MICRO_SERVING_THROUGHPUT_BIN)
+#error "<NAME>_BIN must name each example and floor-gated bench"
 #endif
 
 /** Run `<binary> <args>`, capturing stdout and, with @p with_stderr,
@@ -235,6 +238,19 @@ TEST(CliValidation, PimMicrocodeTraceFailsCleanly)
     expectHelp(PIM_MICROCODE_TRACE_BIN, "usage: pim_microcode_trace");
     // A lone flag is not a row count.
     expectExit(PIM_MICROCODE_TRACE_BIN, "--gelu", 0, "GEMV[384x1536]+bias+gelu");
+}
+
+TEST(CliValidation, BenchFloorsRejectABadValue)
+{
+    // strtod read these as 0, which skipped the gate. Each must exit 2
+    // before the bench starts (--fast keeps a regression short).
+    for (const char *bin :
+         {MICRO_COMPILE_CACHE_BIN, MICRO_SERVING_THROUGHPUT_BIN})
+        for (const char *args :
+             {"--fast --floor", "--floor --fast", "--fast --floor abc",
+              "--fast --floor 12x", "--fast --floor 0",
+              "--fast --floor -5", "--fast --floor nan"})
+            expectExit(bin, args, 2, "--floor wants a positive number");
 }
 
 } // namespace

@@ -255,6 +255,32 @@ TEST(PoolStore, ClearCacheDropsTheSharedStore)
     EXPECT_EQ(pool.replica(2).cacheStats().builds(), builds);
 }
 
+TEST(PoolStore, ClearingTheStoreKeepsAnotherReplicasFrontValid)
+{
+    PoolOptions opts;
+    opts.replicas = 2;
+    DevicePool pool(SystemConfig::ianusDefault(), workloads::gpt2("m"),
+                    opts);
+    (void)pool.replica(0).run({64, 8});
+    (void)pool.replica(1).run({64, 8}); // copies the store's entries
+    pool.replica(0).clearCache();       // and empties the store
+    (void)pool.replica(0).run({32, 40}); // which refills freed memory
+
+    // A new shape over the same samples misses replica 1's request
+    // memo and finds every entry in its own front, by token count.
+    const CompiledModel &r = pool.replica(1);
+    const std::uint64_t builds = r.cacheStats().builds();
+    const workloads::InferenceRequest req{64, 5};
+    const InferenceReport got = r.run(req);
+    EXPECT_EQ(r.cacheStats().builds(), builds);
+    EXPECT_EQ(r.cacheStats().summarizationHits, 2u);
+    EXPECT_EQ(r.cacheStats().generationHits, 7u + 4u);
+    CompiledModel twin(r.config(), r.model(), r.options());
+    const InferenceReport want = twin.run(req);
+    EXPECT_TRUE(sameBits(got.summarization, want.summarization));
+    EXPECT_TRUE(sameBits(got.generation, want.generation));
+}
+
 TEST(PoolStore, ThreadedShardedDrainBuildsEachKeyOnce)
 {
     TraceOptions topts;

@@ -204,6 +204,66 @@ TEST(TraceImport, MalformedLogsAreFatalWithRowNumbers)
                  std::runtime_error);
 }
 
+TEST(TraceImport, TokenCountsRejectSignsHexAndOtherWhitespace)
+{
+    auto log = [](const std::string &rows) {
+        return "arrival_ms,prompt_tokens,output_tokens\n" + rows;
+    };
+    // strtoull skipped the \f and took the '-', wrapping the prompt to
+    // 2^64 - 64 tokens.
+    EXPECT_THROW(serve::importRequestLog(log("0,\f-64,8\n")),
+                 std::runtime_error);
+    EXPECT_THROW(serve::importRequestLog(log("0,64,\v-8\n")),
+                 std::runtime_error);
+    for (const char *row :
+         {"0,+64,8\n", "0,64,+8\n", "0,0x40,8\n", "0,\r64,8\n",
+          "0,64,\v8\n", "0,18446744073709551616,8\n"})
+        EXPECT_THROW(serve::importRequestLog(log(row)), std::runtime_error)
+            << row;
+    // Leading spaces and tabs, and a CRLF line end, still parse.
+    ArrivalTrace ok = serve::importRequestLog(log("0, 64,\t8\r\n"));
+    ASSERT_EQ(ok.size(), 1u);
+    EXPECT_EQ(ok.requests[0].request.inputTokens, 64u);
+    EXPECT_EQ(ok.requests[0].request.outputTokens, 8u);
+}
+
+TEST(TraceImport, ImportedTimestampsStayFinite)
+{
+    // %lf reads "nan" seconds, and two finite stamps can lie further
+    // apart than a double holds; either would leave a non-finite
+    // arrival that parseTrace rejects.
+    EXPECT_THROW(
+        serve::importRequestLog("timestamp,prompt_tokens,output_tokens\n"
+                                "2023-11-16 18:00:00,64,8\n"
+                                "2023-11-16 18:00:nan,64,8\n"
+                                "2023-11-16 18:00:05,64,8\n"),
+        std::runtime_error);
+    EXPECT_THROW(
+        serve::importRequestLog("arrival_ms,prompt_tokens,output_tokens\n"
+                                "-1e308,64,8\n"
+                                "1e308,64,8\n"),
+        std::runtime_error);
+    // Nor does a NUL end a field early.
+    using namespace std::string_literals;
+    EXPECT_THROW(
+        serve::importRequestLog("arrival_ms,prompt_tokens,output_tokens\n"
+                                "1500\0junk,64,8\n"s),
+        std::runtime_error);
+}
+
+TEST(TraceImport, PrefixInferenceDoesNotOverflow)
+{
+    // The prior turn's input + output wraps past 2^64 to 4 tokens:
+    // no prefix fits, so the turn inherits none.
+    ArrivalTrace t = serve::importRequestLog(
+        "arrival_ms,prompt_tokens,output_tokens,session_id\n"
+        "0,18446744073709551615,5,a\n"
+        "10,10,5,a\n");
+    ASSERT_EQ(t.size(), 2u);
+    EXPECT_EQ(t.requests[1].turnIndex, 1u);
+    EXPECT_EQ(t.requests[1].prefixTokens, 0u);
+}
+
 TEST(TraceImport, LoadRequestLogReadsAFile)
 {
     const std::string path = tempPath("import.csv");

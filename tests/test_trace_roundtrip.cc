@@ -132,6 +132,56 @@ TEST(TraceRoundtrip, ParseRejectsMalformedTraces)
                  std::runtime_error);
 }
 
+TEST(TraceRoundtrip, ParseRejectsSignsHexAndOtherWhitespace)
+{
+    auto v1 = [](const std::string &rows, const char *count = "1") {
+        return std::string("ianus-arrival-trace v1\n") + count + "\n" +
+               rows;
+    };
+    // strtoull skipped \v, \f and \r and then took the '-', wrapping
+    // the output to 2^64 - 8 tokens.
+    EXPECT_THROW(serve::parseTrace(v1("1.5 64\v-8\n")),
+                 std::runtime_error);
+    EXPECT_THROW(serve::parseTrace(v1("1.5 \f-64 8\n")),
+                 std::runtime_error);
+    // Fields are separated by spaces or tabs only.
+    for (const char *row : {"1.5\v64 8\n", "1.5 64\f8\n", "1.5\r64 8\n",
+                            "\r1.5 64 8\n", "1.5 64 8\r\n"})
+        EXPECT_THROW(serve::parseTrace(v1(row)), std::runtime_error)
+            << row;
+    // No '+' signs, hex integers or hex floats: formatTrace writes none.
+    for (const char *row : {"+1.5 64 8\n", "1.5 +64 8\n", "1.5 64 +8\n",
+                            "0x1p3 64 8\n", "1.5 0x40 8\n"})
+        EXPECT_THROW(serve::parseTrace(v1(row)), std::runtime_error)
+            << row;
+    EXPECT_THROW(serve::parseTrace(v1("", "+0")), std::runtime_error);
+    EXPECT_THROW(serve::parseTrace(v1("", "\v0")), std::runtime_error);
+    // Values outside their type, and bytes after a NUL, are rejected
+    // too (strtoull clamped, strtod flushed to zero, and the C string
+    // ended at the NUL).
+    EXPECT_THROW(serve::parseTrace(v1("1.5 18446744073709551616 8\n")),
+                 std::runtime_error);
+    EXPECT_THROW(serve::parseTrace(v1("1e-400 64 8\n")),
+                 std::runtime_error);
+    using namespace std::string_literals;
+    EXPECT_THROW(serve::parseTrace(v1("1.5 64 8\0junk\n"s)),
+                 std::runtime_error);
+    EXPECT_THROW(serve::parseTrace(
+                     "ianus-arrival-trace v2\n1\n1.5 64 8 1 0 \v-1\n"),
+                 std::runtime_error);
+    // A directory has no size to read.
+    EXPECT_THROW(serve::loadTrace(::testing::TempDir()), std::runtime_error);
+
+    // Spaces and tabs still separate fields, and every value up to
+    // 2^64 - 1 parses.
+    ArrivalTrace ok = serve::parseTrace(
+        v1("\t 1.5 \t18446744073709551615  8\n"));
+    ASSERT_EQ(ok.size(), 1u);
+    EXPECT_EQ(ok.requests[0].arrivalMs, 1.5);
+    EXPECT_EQ(ok.requests[0].request.inputTokens, ~std::uint64_t{0});
+    EXPECT_EQ(ok.requests[0].request.outputTokens, 8u);
+}
+
 // --- Session traces (v2) --------------------------------------------------
 
 serve::ArrivalTrace
