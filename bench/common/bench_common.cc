@@ -11,38 +11,41 @@ namespace bench
 {
 
 Options
-parseArgs(int argc, char **argv)
+parseArgs(int argc, char **argv, const char *floor_value)
 {
+    const char *slash = std::strrchr(argv[0], '/');
+    std::string usage = std::string("usage: ") +
+                        (slash ? slash + 1 : argv[0]) + " [--fast] [--csv]";
+    if (floor_value)
+        usage += std::string(" [--floor ") + floor_value + "]";
+    auto fail = [&usage](const std::string &why) {
+        std::fprintf(stderr, "%s\n%s\n", why.c_str(), usage.c_str());
+        std::exit(2);
+    };
+
     Options opts;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--fast") == 0)
+        const std::string arg = argv[i];
+        if (arg == "--fast") {
             opts.fast = true;
-        else if (std::strcmp(argv[i], "--csv") == 0)
+        } else if (arg == "--csv") {
             opts.csv = true;
-    }
-    return opts;
-}
-
-double
-floorArg(int argc, char **argv, const char *usage)
-{
-    double floor = 0.0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--floor") != 0)
-            continue;
-        const char *value = i + 1 < argc ? argv[++i] : "";
-        char *end = nullptr;
-        floor = std::strtod(value, &end);
-        if (end == value || *end != '\0' || !std::isfinite(floor) ||
-            floor <= 0.0) {
-            std::fprintf(stderr,
-                         "--floor wants a positive number, got '%s'\n"
-                         "usage: %s\n",
-                         value, usage);
-            std::exit(2);
+        } else if (arg == "-h" || arg == "--help") {
+            std::printf("%s\n", usage.c_str());
+            std::exit(0);
+        } else if (arg == "--floor" && floor_value) {
+            const char *value = i + 1 < argc ? argv[++i] : "";
+            char *end = nullptr;
+            opts.floor = std::strtod(value, &end);
+            if (end == value || *end != '\0' || !std::isfinite(opts.floor) ||
+                opts.floor <= 0.0)
+                fail(std::string("--floor wants a positive number, got '") +
+                     value + "'");
+        } else {
+            fail("unknown argument '" + arg + "'");
         }
     }
-    return floor;
+    return opts;
 }
 
 void

@@ -18,19 +18,20 @@ namespace bench
 /** Parsed harness options. */
 struct Options
 {
-    bool fast = false; ///< coarser token strides for quick runs
-    bool csv = false;  ///< machine-readable output
+    bool fast = false;  ///< coarser token strides for quick runs
+    bool csv = false;   ///< machine-readable output
+    double floor = 0.0; ///< `--floor VALUE`; 0 when absent
 };
 
-Options parseArgs(int argc, char **argv);
-
 /**
- * The value of `--floor VALUE` in @p argv, 0 when the flag is absent.
- * A missing, non-numeric or non-positive value is a usage error: it
- * prints @p usage to stderr and exits with status 2, so a CI gate can
- * never be skipped by a typo.
+ * Parse a bench's command line: `--fast`, `--csv` and, when
+ * @p floor_value names the floor's unit (e.g. "REQ_PER_S"),
+ * `--floor VALUE`. `-h` and `--help` print the usage to stdout and
+ * exit 0. Any other argument, or a floor that is missing, not a number
+ * or not positive, prints the usage to stderr and exits 2, so a typo
+ * can never skip a CI gate.
  */
-double floorArg(int argc, char **argv, const char *usage);
+Options parseArgs(int argc, char **argv, const char *floor_value = nullptr);
 
 /** Print the harness banner: what figure, what the paper reports. */
 void banner(const std::string &title, const std::string &paper_claim);

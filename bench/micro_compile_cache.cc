@@ -54,10 +54,8 @@ int
 main(int argc, char **argv)
 {
     using namespace ianus;
-    bench::Options opts = bench::parseArgs(argc, argv);
-    const double floor_pps = bench::floorArg(
-        argc, argv, "micro_compile_cache [--fast] [--csv] "
-                    "[--floor PROGRAMS_PER_S]");
+    const bench::Options opts =
+        bench::parseArgs(argc, argv, "PROGRAMS_PER_S");
     bench::banner("micro: program cache",
                   "compile-once/serve-many vs per-request recompilation "
                   "(host cost; simulated latencies must be identical)");
@@ -163,11 +161,11 @@ main(int argc, char **argv)
                   bench::Table::num(repeated_ns, 0)});
     calls.print(opts);
 
-    if (floor_pps > 0.0) {
+    if (opts.floor > 0.0) {
         const double pps = static_cast<double>(uncached_builds) / uncached_s;
         std::printf("\nfloor: uncached path at %.0f programs/s (floor %.0f)\n",
-                    pps, floor_pps);
-        if (pps < floor_pps) {
+                    pps, opts.floor);
+        if (pps < opts.floor) {
             std::printf("FAIL: below the programs/s floor\n");
             return 1;
         }

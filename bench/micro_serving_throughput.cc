@@ -64,10 +64,8 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 int
 main(int argc, char **argv)
 {
-    bench::Options opts = bench::parseArgs(argc, argv);
-    const double floor_rps = bench::floorArg(
-        argc, argv, "micro_serving_throughput [--fast] [--csv] "
-                    "[--floor REQ_PER_S]");
+    const bench::Options opts =
+        bench::parseArgs(argc, argv, "REQ_PER_S");
 
     bench::banner(
         "micro: serving throughput",
@@ -174,11 +172,11 @@ main(int argc, char **argv)
 
     table.print(opts);
 
-    if (floor_rps > 0.0) {
+    if (opts.floor > 0.0) {
         std::printf("\nfloor: serial %zu-request drain at %.0f req/s "
                     "(floor %.0f)\n",
-                    sizes.back(), largest_serial_rps, floor_rps);
-        if (largest_serial_rps < floor_rps) {
+                    sizes.back(), largest_serial_rps, opts.floor);
+        if (largest_serial_rps < opts.floor) {
             std::printf("FAIL: below the simulated-requests/s floor\n");
             return 1;
         }

@@ -15,11 +15,12 @@
 # examples/llm_serving.cc (this covers the workload flags --trace-csv,
 # --rate-profile, --burst, --background-trace, and --slo alongside the
 # older ones), the shared bench harness (bench/common/bench_common.cc,
-# for --fast/--csv), the throughput microbenchmark
-# (bench/micro_serving_throughput.cc, for --floor), or the workload
+# for --fast/--csv/--floor), the throughput microbenchmark
+# (bench/micro_serving_throughput.cc), or the workload
 # drivers (bench/micro_diurnal.cc, bench/sweep_fleet.cc) — a doc
 # referencing a flag the CLI dropped or never grew is as dead as a
-# broken link.
+# broken link. Flags of the paired perf comparison
+# (scripts/perf_pairs.py) count too.
 set -u
 
 files=("$@")
@@ -53,7 +54,8 @@ flag_srcs=("$root/examples/llm_serving.cc"
            "$root/bench/common/bench_common.cc"
            "$root/bench/micro_serving_throughput.cc"
            "$root/bench/micro_diurnal.cc"
-           "$root/bench/sweep_fleet.cc")
+           "$root/bench/sweep_fleet.cc"
+           "$root/scripts/perf_pairs.py")
 for doc in "$root/docs/SERVING.md" "$root/docs/SCHEDULING.md" \
            "$root/docs/ARCHITECTURE.md" "$root/docs/PERFORMANCE.md"; do
     [ -e "$doc" ] || continue

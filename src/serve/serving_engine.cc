@@ -942,6 +942,13 @@ ServingEngine::inject(const workloads::InferenceRequest &request,
     return injector_(request, arrival_ms, source);
 }
 
+void
+ServingEngine::reserve(std::size_t requests)
+{
+    queue_.reserve(requests);
+    resultCapacity_ = requests;
+}
+
 std::uint64_t
 ServingEngine::submit(const workloads::InferenceRequest &request,
                       double arrival_ms, std::uint64_t session_id,
@@ -1046,7 +1053,8 @@ ServingEngine::drain()
                            opts_.preempt || opts_.kv.enabled() ||
                            prefixOn || disaggOn;
     sim::EventQueue events;
-    report.results.reserve(queue_.size());
+    report.results.reserve(std::max(queue_.size(), resultCapacity_));
+    resultCapacity_ = 0;
 
     // The waiting queue lives in a structure matched to the policy's
     // declared QueueOrder (see serving_engine.hh): a plain vector that

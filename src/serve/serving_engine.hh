@@ -1028,6 +1028,18 @@ class ServingEngine
     std::size_t pending() const { return queue_.size(); }
 
     /**
+     * Size storage for @p requests in total: the submit queue, and the
+     * results the next drain() keeps. Calling it before the submits
+     * allocates each once, at final size, instead of growing them by
+     * doubling. Capacity beyond what the drain fills is never touched,
+     * so it costs address space, not resident memory. drainSharded
+     * sizes shard 0's results for the whole trace this way, because
+     * the merged report's results live in that storage. Changes no
+     * result.
+     */
+    void reserve(std::size_t requests);
+
+    /**
      * Completion feedback: called inside drain() as each request
      * finalizes (completion order, after its RequestResult is recorded
      * and its cost merged into the report's aggregate). The second
@@ -1074,6 +1086,9 @@ class ServingEngine
     std::unique_ptr<SchedulingPolicy> policy_;
     std::unique_ptr<Router> router_;
     std::vector<QueuedRequest> queue_;
+    /** Results the next drain() reserves room for, beyond the queue
+     *  (see reserve()). */
+    std::size_t resultCapacity_ = 0;
     std::uint64_t nextId_ = 0;
     double lastArrivalMs_ = 0.0;
     CompletionHook onComplete_;

@@ -21,7 +21,8 @@ struct ShardRun
     std::vector<const CompiledModel *> replicas;
     std::size_t replicaBase = 0;
     /** Global trace position of the shard's j-th submitted request
-     *  (== the shard-local request id j the engine assigns). */
+     *  (== the shard-local request id j the engine assigns); freed
+     *  once the worker has remapped its results. */
     std::vector<std::size_t> globalIndex;
     std::vector<ReplicaRole> roles; ///< this shard's slice (may be empty)
     ServingReport report;
@@ -108,7 +109,11 @@ drainSharded(const DevicePool &pool, const ServingOptions &opts,
     // replicas and trace slice. The only state shards share is the
     // pool's program stores, which lock and hold pure functions of
     // their keys, so the thread count is pure wall-clock policy —
-    // results cannot depend on it.
+    // results cannot depend on it. Each engine sizes its queue and
+    // results once, for its slice; shard 0 sizes its results for the
+    // whole trace, because the merge below fills them in place. A
+    // worker maps its own results back to global ids and devices, so
+    // the merge only moves them.
     auto runShard = [&](std::size_t s) {
         ShardRun &r = runs[s];
         ServingOptions sopts = opts;
@@ -116,6 +121,8 @@ drainSharded(const DevicePool &pool, const ServingOptions &opts,
         ServingEngine engine(r.replicas, sopts,
                              policy ? policy() : nullptr,
                              router ? router() : nullptr);
+        engine.reserve(s == 0 ? trace.requests.size()
+                              : r.globalIndex.size());
         for (std::size_t g : r.globalIndex)
             engine.submit(trace.requests[g].request,
                           trace.requests[g].arrivalMs,
@@ -124,6 +131,17 @@ drainSharded(const DevicePool &pool, const ServingOptions &opts,
                           trace.requests[g].prefixTokens,
                           trace.requests[g].source);
         r.report = engine.drain();
+        // Shard-local id j is the j-th submit.
+        for (RequestResult &res : r.report.results) {
+            if (res.id >= r.globalIndex.size())
+                IANUS_FATAL("shard ", s, " produced request id ", res.id,
+                            " beyond its ", r.globalIndex.size(),
+                            "-request slice");
+            res.id = r.globalIndex[static_cast<std::size_t>(res.id)];
+            res.deviceIndex += r.replicaBase;
+            res.prefillIndex += r.replicaBase;
+        }
+        std::vector<std::size_t>().swap(r.globalIndex);
     };
 
     // A failing shard must not escape a worker thread (that would call
@@ -157,13 +175,51 @@ drainSharded(const DevicePool &pool, const ServingOptions &opts,
         if (failure)
             std::rethrow_exception(failure);
 
-    // --- Deterministic merge ------------------------------------------
-    // Results: k-way merge by (completion tick, shard index), keeping
-    // each shard's internal completion order. Per-shard completion
-    // ticks are non-decreasing, so with S == 1 the merge is the
-    // identity and the whole report matches a plain drain bit for bit.
+    // --- Deterministic merge, in place ---------------------------------
+    // Results interleave by (completion tick, shard index), keeping each
+    // shard's internal completion order. Per-shard completion ticks are
+    // non-decreasing, so the merged order is a sort by (tick, shard,
+    // position) and can be filled from the back: each step moves the
+    // latest (tick, shard) among the shards' last unplaced results into
+    // the last free slot of shard 0's storage. That slot never lies
+    // before shard 0's unplaced results while another shard still has
+    // some, so nothing unread is overwritten, and once the other shards
+    // run out shard 0's rest is already in place. With S == 1 nothing
+    // moves, and the whole report matches a plain drain bit for bit.
     // (A global re-sort by the double finishMs would not: within one
     // tick the engine's completion order is authoritative.)
+    const double first_arrival =
+        trace.requests.empty() ? 0.0 : trace.requests.front().arrivalMs;
+    double last_finish = first_arrival;
+    std::vector<RequestResult> &merged = runs[0].report.results;
+    std::vector<std::size_t> left(S); // unplaced results per shard
+    std::vector<Tick> tail(S);        // tick of each one's last unplaced
+    std::size_t free_end = 0;         // merged[free_end..) is placed
+    for (std::size_t s = 0; s < S; ++s) {
+        const std::vector<RequestResult> &rs = runs[s].report.results;
+        left[s] = rs.size();
+        free_end += rs.size();
+        if (!rs.empty())
+            tail[s] = msToTicks(rs.back().finishMs);
+    }
+    merged.resize(free_end);
+    while (free_end > left[0]) {
+        std::size_t pick = S;
+        for (std::size_t s = 0; s < S; ++s)
+            if (left[s] > 0 && (pick == S || tail[s] >= tail[pick]))
+                pick = s;
+        std::vector<RequestResult> &from = runs[pick].report.results;
+        const RequestResult &res = from[--left[pick]];
+        last_finish = std::max(last_finish, res.finishMs);
+        merged[--free_end] = res;
+        if (left[pick] > 0)
+            tail[pick] = msToTicks(from[left[pick] - 1].finishMs);
+        else if (pick != 0)
+            std::vector<RequestResult>().swap(from);
+    }
+    for (std::size_t i = 0; i < left[0]; ++i)
+        last_finish = std::max(last_finish, merged[i].finishMs);
+
     ServingReport out;
     const ServingReport &echo = runs[0].report;
     out.policy = echo.policy;
@@ -177,49 +233,11 @@ drainSharded(const DevicePool &pool, const ServingOptions &opts,
     out.roles = roles;
     out.shards = S;
     out.replicas.assign(R, ReplicaUtilization{});
-
-    std::size_t total = 0;
-    for (const ShardRun &r : runs)
-        total += r.report.results.size();
-    out.results.reserve(total);
-
-    std::vector<std::size_t> head(S, 0);
-    for (;;) {
-        std::size_t pick = S;
-        Tick pick_tick = 0;
-        for (std::size_t s = 0; s < S; ++s) {
-            if (head[s] >= runs[s].report.results.size())
-                continue;
-            const Tick tick = msToTicks(
-                runs[s].report.results[head[s]].finishMs);
-            if (pick == S || tick < pick_tick) {
-                pick = s;
-                pick_tick = tick;
-            }
-        }
-        if (pick == S)
-            break;
-        ShardRun &r = runs[pick];
-        RequestResult res =
-            std::move(r.report.results[head[pick]++]);
-        // Shard-local id j is the j-th submit — map it back to the
-        // request's global trace position and pool-wide replica index.
-        if (res.id >= r.globalIndex.size())
-            IANUS_FATAL("shard ", pick, " produced request id ", res.id,
-                        " beyond its ", r.globalIndex.size(),
-                        "-request slice");
-        res.id = r.globalIndex[static_cast<std::size_t>(res.id)];
-        res.deviceIndex += r.replicaBase;
-        res.prefillIndex += r.replicaBase;
-        out.results.push_back(std::move(res));
-    }
+    out.results = std::move(merged);
 
     // Scalars merge additively (sums of exact counters, maxima of
-    // peaks); the makespan re-anchors every shard's last completion to
-    // the *global* first arrival.
-    const double first_arrival =
-        trace.requests.empty() ? 0.0 : trace.requests.front().arrivalMs;
-    double last_finish = first_arrival;
+    // peaks); the makespan re-anchors the last completion of any shard
+    // to the *global* first arrival.
     for (const ShardRun &r : runs) {
         const ServingReport &rep = r.report;
         for (std::size_t d = 0; d < rep.replicas.size(); ++d)
@@ -241,8 +259,6 @@ drainSharded(const DevicePool &pool, const ServingOptions &opts,
         out.kvFragGrossTokens += rep.kvFragGrossTokens;
         out.aggregate.merge(rep.aggregate);
     }
-    for (const RequestResult &res : out.results)
-        last_finish = std::max(last_finish, res.finishMs);
     out.makespanMs = last_finish - first_arrival;
     out.kvMeanFragmentation =
         out.kvFragGrossTokens > 0

@@ -37,8 +37,13 @@
  *
  * Merged results keep completion order *within* each shard and
  * interleave shards by completion tick (ties: lowest shard first), so
- * a single-shard merge is the identity. Request ids and device indices
- * are remapped back to the global trace position and pool index.
+ * a single-shard merge is the identity. Each worker remaps its own
+ * results' request ids and device indices back to the global trace
+ * position and pool index. The merged results live in shard 0's own
+ * result storage, which its engine sizes for the whole trace
+ * (ServingEngine::reserve): the merge fills it from the back, in
+ * place, and frees every other shard's results as soon as they are
+ * all placed. No second copy of the results is ever made.
  *
  * Closed-loop clients (completion hooks / inject) are inherently
  * cross-shard feedback and are not supported here — use

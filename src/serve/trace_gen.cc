@@ -883,9 +883,11 @@ submitAll(const ArrivalTrace &trace, ServingEngine &engine)
 {
     std::vector<std::uint64_t> ids;
     ids.reserve(trace.requests.size());
+    engine.reserve(engine.pending() + trace.requests.size());
     for (const TimedRequest &t : trace.requests)
         ids.push_back(engine.submit(t.request, t.arrivalMs, t.sessionId,
-                                    t.turnIndex, t.prefixTokens));
+                                    t.turnIndex, t.prefixTokens,
+                                    t.source));
     return ids;
 }
 

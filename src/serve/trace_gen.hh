@@ -351,7 +351,9 @@ struct SessionOptions
  */
 ArrivalTrace generateSessionTrace(const SessionOptions &opts);
 
-/** Submit every trace request; returns the ids in trace order. */
+/** Submit every trace request with its session and source tags,
+ *  sizing the engine's storage for them first (ServingEngine::reserve);
+ *  returns the ids in trace order. */
 std::vector<std::uint64_t> submitAll(const ArrivalTrace &trace,
                                      ServingEngine &engine);
 

@@ -3,9 +3,10 @@
  *  simulation; a fatal simulation error exits 1 with its message, and
  *  --help exits 0. The other examples (quickstart,
  *  design_space_explorer, bert_qa_throughput, pim_microcode_trace)
- *  keep the same exit-status contract, and the benches with a CI floor
- *  reject a bad --floor the same way. The tests run the real binaries
- *  (paths baked in as <NAME>_BIN) so the parse-and-validate layer is
+ *  keep the same exit-status contract, the benches with a CI floor
+ *  reject a bad --floor the same way, and every bench rejects an
+ *  argument it does not know. The tests run the real binaries (paths
+ *  baked in as <NAME>_BIN) so the parse-and-validate layer is
  *  exercised end to end. */
 
 #include <gtest/gtest.h>
@@ -21,8 +22,9 @@ namespace
     !defined(DESIGN_SPACE_EXPLORER_BIN) ||                                 \
     !defined(BERT_QA_THROUGHPUT_BIN) || !defined(PIM_MICROCODE_TRACE_BIN) || \
     !defined(MICRO_COMPILE_CACHE_BIN) ||                                   \
-    !defined(MICRO_SERVING_THROUGHPUT_BIN)
-#error "<NAME>_BIN must name each example and floor-gated bench"
+    !defined(MICRO_SERVING_THROUGHPUT_BIN) || !defined(MICRO_DISAGG_BIN) || \
+    !defined(SWEEP_FLEET_BIN)
+#error "<NAME>_BIN must name each example and each bench tested here"
 #endif
 
 /** Run `<binary> <args>`, capturing stdout and, with @p with_stderr,
@@ -251,6 +253,23 @@ TEST(CliValidation, BenchFloorsRejectABadValue)
               "--fast --floor 12x", "--fast --floor 0",
               "--fast --floor -5", "--fast --floor nan"})
             expectExit(bin, args, 2, "--floor wants a positive number");
+}
+
+TEST(CliValidation, BenchesRejectUnknownArguments)
+{
+    // Each of these used to run the whole bench and exit 0; the last
+    // one silently skipped its CI gate.
+    expectExit(MICRO_DISAGG_BIN, "--bogus", 2,
+               "unknown argument '--bogus'\nusage: micro_disagg");
+    expectExit(SWEEP_FLEET_BIN, "--model zz", 2,
+               "unknown argument '--model'\nusage: sweep_fleet");
+    expectExit(MICRO_COMPILE_CACHE_BIN, "--fast --flor 900", 2,
+               "unknown argument '--flor'\nusage: micro_compile_cache "
+               "[--fast] [--csv] [--floor PROGRAMS_PER_S]");
+    // A bench without a gate takes no --floor either.
+    expectExit(MICRO_DISAGG_BIN, "--fast --floor 5", 2,
+               "unknown argument '--floor'");
+    expectHelp(MICRO_DISAGG_BIN, "usage: micro_disagg [--fast] [--csv]\n");
 }
 
 } // namespace

@@ -9,12 +9,15 @@
  *    the serial execution (threads == 1) is the reference the
  *    parallel one must match field for field, over shards 1/2/4/8;
  *  - with shards > 1 the merge conserves requests, ids, tokens, and
- *    device attribution even though the partition changes placement.
+ *    device attribution even though the partition changes placement;
+ *  - the in-place merge equals an independent forward merge by
+ *    (completion tick, shard), every result field, ties included.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -87,6 +90,54 @@ expectReportsIdentical(const ServingReport &a, const ServingReport &b,
     EXPECT_EQ(a.aggregate.dramReadBytes, b.aggregate.dramReadBytes)
         << cell;
     EXPECT_EQ(a.aggregate.wallTicks, b.aggregate.wallTicks) << cell;
+}
+
+static_assert(sizeof(RequestResult) == 184,
+              "RequestResult changed: compare its new fields in "
+              "expectEveryResultFieldEqual");
+
+/** Every RequestResult field, compared exactly. */
+void
+expectEveryResultFieldEqual(const RequestResult &x, const RequestResult &y,
+                            const std::string &at)
+{
+    EXPECT_EQ(x.id, y.id) << at;
+    EXPECT_EQ(x.request.inputTokens, y.request.inputTokens) << at;
+    EXPECT_EQ(x.request.outputTokens, y.request.outputTokens) << at;
+    EXPECT_EQ(x.arrivalMs, y.arrivalMs) << at;
+    EXPECT_EQ(x.startMs, y.startMs) << at;
+    EXPECT_EQ(x.finishMs, y.finishMs) << at;
+    EXPECT_EQ(x.serviceMs, y.serviceMs) << at;
+    EXPECT_EQ(x.firstTokenMs, y.firstTokenMs) << at;
+    EXPECT_EQ(x.msPerToken, y.msPerToken) << at;
+    EXPECT_EQ(x.sloMiss, y.sloMiss) << at;
+    EXPECT_EQ(x.deadlineMiss, y.deadlineMiss) << at;
+    EXPECT_EQ(x.prefixHit, y.prefixHit) << at;
+    EXPECT_EQ(x.source, y.source) << at;
+    EXPECT_EQ(x.deviceIndex, y.deviceIndex) << at;
+    EXPECT_EQ(x.prefillIndex, y.prefillIndex) << at;
+    EXPECT_EQ(x.kvTransferMs, y.kvTransferMs) << at;
+    EXPECT_EQ(x.kvTransferTokens, y.kvTransferTokens) << at;
+    EXPECT_EQ(x.meanBatchSize, y.meanBatchSize) << at;
+    EXPECT_EQ(x.preemptions, y.preemptions) << at;
+    EXPECT_EQ(x.suspendedMs, y.suspendedMs) << at;
+    EXPECT_EQ(x.prefillChunks, y.prefillChunks) << at;
+    EXPECT_EQ(x.sessionId, y.sessionId) << at;
+    EXPECT_EQ(x.turnIndex, y.turnIndex) << at;
+    EXPECT_EQ(x.prefixTokens, y.prefixTokens) << at;
+    EXPECT_EQ(x.prefilledTokens, y.prefilledTokens) << at;
+    EXPECT_EQ(x.generationSteps, y.generationSteps) << at;
+}
+
+void
+expectEveryResultFieldEqual(const std::vector<RequestResult> &a,
+                            const std::vector<RequestResult> &b,
+                            const std::string &cell)
+{
+    ASSERT_EQ(a.size(), b.size()) << cell;
+    for (std::size_t i = 0; i < a.size(); ++i)
+        expectEveryResultFieldEqual(a[i], b[i],
+                                    cell + " result " + std::to_string(i));
 }
 
 /** Heterogeneous 8-replica pool (alternating IANUS / NPU-MEM) so
@@ -425,6 +476,190 @@ TEST(ShardedDrain, SourceTagsSurviveTheMerge)
     std::vector<SourceSlice> slices = rep.sourceSlices();
     ASSERT_EQ(slices.size(), 2u);
     EXPECT_EQ(slices[0].requests + slices[1].requests, trace.size());
+
+    // One shard is a plain drain, tags included: submitAll forwards
+    // them as drainSharded does.
+    ServingEngine engine(pool, opts, makePolicy("fcfs"),
+                         makeRouter("round-robin"));
+    submitAll(trace, engine);
+    ServingReport plain = engine.drain();
+    sh.shards = 1;
+    ServingReport one =
+        drainSharded(pool, opts, trace, sh, "fcfs", "round-robin");
+    expectEveryResultFieldEqual(plain.results, one.results, "S=1");
+    EXPECT_EQ(plain.sourceSlices().size(), 2u);
+}
+
+/**
+ * The merge drainSharded documents, rebuilt independently of it: the
+ * same partition (whole sessions, round-robin), one plain ServingEngine
+ * per shard over a replica view, and a forward k-way merge of the
+ * per-shard results by (completion tick, shard), with ids and devices
+ * mapped back to the trace and the pool. Sets @p makespan_ms the way
+ * the merged report defines it.
+ */
+std::vector<RequestResult>
+forwardMergedResults(const DevicePool &pool, const ServingOptions &opts,
+                     const ArrivalTrace &trace, std::size_t shards,
+                     const std::string &policy, const std::string &router,
+                     double &makespan_ms)
+{
+    const std::size_t R = pool.size();
+    std::vector<ArrivalTrace> part(shards);
+    std::vector<std::vector<std::size_t>> global(shards);
+    std::map<std::uint64_t, std::size_t> sessionShard;
+    std::size_t rr = 0;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const std::uint64_t sid = trace.requests[i].sessionId;
+        std::size_t s = rr % shards;
+        if (sid == 0) {
+            ++rr;
+        } else {
+            auto [it, fresh] = sessionShard.emplace(sid, s);
+            rr += fresh ? 1 : 0;
+            s = it->second;
+        }
+        part[s].requests.push_back(trace.requests[i]);
+        global[s].push_back(i);
+    }
+
+    std::vector<std::vector<RequestResult>> done(shards);
+    for (std::size_t s = 0; s < shards; ++s) {
+        const std::size_t lo = s * R / shards;
+        std::vector<const CompiledModel *> view;
+        for (std::size_t d = lo; d < (s + 1) * R / shards; ++d)
+            view.push_back(&pool.replica(d));
+        ServingEngine engine(view, opts, makePolicy(policy),
+                             makeRouter(router));
+        submitAll(part[s], engine);
+        done[s] = engine.drain().results;
+        for (RequestResult &r : done[s]) {
+            r.id = global[s].at(static_cast<std::size_t>(r.id));
+            r.deviceIndex += lo;
+            r.prefillIndex += lo;
+        }
+    }
+
+    const double first = trace.requests.front().arrivalMs;
+    double last = first;
+    std::vector<RequestResult> merged;
+    std::vector<std::size_t> head(shards, 0);
+    for (;;) {
+        std::size_t pick = shards;
+        Tick pick_tick = 0;
+        for (std::size_t s = 0; s < shards; ++s) {
+            if (head[s] == done[s].size())
+                continue;
+            const Tick tick = msToTicks(done[s][head[s]].finishMs);
+            if (pick == shards || tick < pick_tick) {
+                pick = s;
+                pick_tick = tick;
+            }
+        }
+        if (pick == shards)
+            break;
+        merged.push_back(done[pick][head[pick]++]);
+        last = std::max(last, merged.back().finishMs);
+    }
+    makespan_ms = last - first;
+    return merged;
+}
+
+/** One trace and the options it drains under. */
+struct MergeCase
+{
+    std::string name;
+    ArrivalTrace trace;
+    ServingOptions opts;
+};
+
+std::vector<MergeCase>
+mergeCases()
+{
+    std::vector<MergeCase> cases;
+    ServingOptions plain;
+    plain.tokenStride = 4;
+    cases.push_back({"poisson", makeTrace(48), plain});
+
+    // One shape, all at t = 0: equal replicas in different shards
+    // finish on the same ticks, so the merge's tie rule decides.
+    ArrivalTrace burst;
+    for (std::size_t i = 0; i < 48; ++i)
+        burst.requests.push_back({{64, 8}, 0.0});
+    cases.push_back({"ties", burst, plain});
+
+    SessionOptions so;
+    so.seed = 5;
+    so.sessions = 16;
+    so.sessionsPerSec = 40.0;
+    ServingOptions prefix = plain;
+    prefix.prefixCache = true;
+    cases.push_back({"sessions", generateSessionTrace(so), prefix});
+
+    // A KV pool too small for the longest requests: shards shed some,
+    // so they return fewer results than they were given.
+    TraceOptions to;
+    to.seed = 3;
+    to.requests = 48;
+    to.arrivalsPerSec = 600.0;
+    to.inputTokenChoices = {32, 64};
+    to.outputTokenChoices = {8, 300};
+    ServingOptions shed = plain;
+    shed.batching = BatchingMode::Continuous;
+    shed.maxBatch = 4;
+    shed.kv.capacityTokens = 384;
+    shed.kv.blockTokens = 16;
+    shed.kv.admission = KvAdmission::Shed;
+    cases.push_back({"shed", generatePoissonTrace(to), shed});
+    return cases;
+}
+
+// The in-place merge against an independent forward merge: S = 2, 3
+// and 4 shards of 4 replicas, run serially and one thread per shard,
+// over a Poisson trace, an all-at-once trace full of tick ties, a
+// session trace with the prefix cache, and shed admission. Every
+// result field and the makespan must match.
+TEST(ShardedDrain, InPlaceMergeMatchesAForwardMerge)
+{
+    DevicePool pool = makePool(workloads::gpt2("m"), 4);
+    for (const MergeCase &c : mergeCases()) {
+        for (std::size_t shards : {2u, 3u, 4u}) {
+            double makespan = 0.0;
+            const std::vector<RequestResult> ref = forwardMergedResults(
+                pool, c.opts, c.trace, shards, "fcfs", "round-robin",
+                makespan);
+            std::size_t ties = 0;
+            for (std::size_t i = 1; i < ref.size(); ++i)
+                ties += msToTicks(ref[i].finishMs) ==
+                        msToTicks(ref[i - 1].finishMs);
+            if (c.name == "ties") {
+                EXPECT_GE(ties, ref.size() / 4) << "S=" << shards;
+            }
+            for (std::size_t threads : {std::size_t{1}, shards}) {
+                ShardOptions sh;
+                sh.shards = shards;
+                sh.threads = threads;
+                const ServingReport rep = drainSharded(
+                    pool, c.opts, c.trace, sh, "fcfs", "round-robin");
+                const std::string cell = c.name + "/S=" +
+                                         std::to_string(shards) + "/T=" +
+                                         std::to_string(threads);
+                if (c.name == "shed") {
+                    EXPECT_GT(rep.kvShed, 0u) << cell;
+                    EXPECT_EQ(rep.results.size() + rep.kvShed,
+                              c.trace.size())
+                        << cell;
+                } else {
+                    EXPECT_EQ(rep.results.size(), c.trace.size()) << cell;
+                }
+                if (c.name == "sessions") {
+                    EXPECT_GT(rep.prefixHits, 0u) << cell;
+                }
+                expectEveryResultFieldEqual(ref, rep.results, cell);
+                EXPECT_EQ(rep.makespanMs, makespan) << cell;
+            }
+        }
+    }
 }
 
 /** Routes every request one past the shard's last replica. */
