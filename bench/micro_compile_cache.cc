@@ -14,11 +14,16 @@
  * The two paths must produce identical latency numbers — the cache only
  * skips redundant work. Reports wall-clock speedup and cache counters.
  *
- * A second table times one run() call on warm programs. "unique
- * shapes" replays more distinct shapes than the request memo holds,
- * twice in the same order, and reports the second pass: every call
- * misses the memo and sums its cached samples. "repeated shapes"
- * replays the mix above, whose shapes the memo holds.
+ * A second table times single calls, in µs. "unique shapes" replays
+ * more distinct shapes than the request memo holds, twice in the same
+ * order, and reports the second pass: every run() call misses the
+ * memo and sums its cached samples on warm programs. "repeated shapes"
+ * replays the mix above, whose shapes the memo holds. The two "miss"
+ * rows time one program-cache miss as CompiledModel runs it, for one
+ * generation step and for a batch of 8: the step's 2-block prefix is
+ * built into the storage of the previous miss's program and executed
+ * once with its block-end snapshots, and build and execution are
+ * timed apart.
  *
  *   ./micro_compile_cache [--fast] [--csv] [--floor PROGRAMS_PER_S]
  *
@@ -31,9 +36,11 @@
 #include <chrono>
 #include <cstdio>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "common/bench_common.hh"
+#include "ianus/execution_engine.hh"
 #include "serve/compiled_model.hh"
 #include "serve/trace_gen.hh"
 
@@ -46,6 +53,47 @@ double
 secondsSince(Clock::time_point t0)
 {
     return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/** Mean host µs of one program-cache miss, split into its parts. */
+struct MissCost
+{
+    double buildUs = 0.0;
+    double executeUs = 0.0;
+};
+
+/**
+ * @p misses program-cache misses of generation steps over @p batch
+ * requests each, run the way CompiledModel runs a miss: the 2-block
+ * prefix is built into the previous miss's program storage and
+ * executed once, with its block-end snapshots. The KV lengths advance
+ * from miss to miss, as a drain's do.
+ */
+MissCost
+timeMisses(const ianus::SystemConfig &cfg,
+           const ianus::workloads::ModelConfig &model, std::size_t batch,
+           unsigned misses)
+{
+    const ianus::compiler::WorkloadBuilder builder(cfg, model);
+    ianus::ExecutionEngine engine(cfg);
+    ianus::isa::Program prog;
+    std::vector<ianus::RunStats> ends;
+    std::vector<std::uint64_t> kv(batch);
+    MissCost cost;
+    for (unsigned i = 0; i < misses; ++i) {
+        for (std::size_t j = 0; j < batch; ++j)
+            kv[j] = 257 + 8 * i + 32 * j;
+        Clock::time_point t0 = Clock::now();
+        prog = builder.buildGenerationBatch(kv, 2, std::move(prog));
+        cost.buildUs += secondsSince(t0) * 1e6;
+        t0 = Clock::now();
+        ends.clear();
+        (void)engine.run(prog, &ends);
+        cost.executeUs += secondsSince(t0) * 1e6;
+    }
+    cost.buildUs /= misses;
+    cost.executeUs /= misses;
+    return cost;
 }
 
 } // namespace
@@ -151,14 +199,26 @@ main(int argc, char **argv)
     const double repeated_ns =
         secondsSince(t0) * 1e9 / (rounds * mix.size());
 
-    bench::Table calls({"replay", "calls", "ns_per_call"});
+    const unsigned misses = 40;
+    const MissCost step = timeMisses(cfg, model, 1, misses);
+    const MissCost batch8 = timeMisses(cfg, model, 8, misses);
+
+    bench::Table calls(
+        {"call", "calls", "us_per_call", "build_us", "execute_us"});
     calls.addRow({"unique shapes (2nd pass)",
                   bench::Table::num(static_cast<double>(unique.size()), 0),
-                  bench::Table::num(unique_ns, 0)});
+                  bench::Table::num(unique_ns / 1e3, 3), "-", "-"});
     calls.addRow({"repeated shapes",
                   bench::Table::num(static_cast<double>(rounds * mix.size()),
                                     0),
-                  bench::Table::num(repeated_ns, 0)});
+                  bench::Table::num(repeated_ns / 1e3, 3), "-", "-"});
+    for (const auto &[name, cost] :
+         {std::pair{"miss: generation step", step},
+          std::pair{"miss: batch of 8", batch8}})
+        calls.addRow({name, bench::Table::num(misses, 0),
+                      bench::Table::num(cost.buildUs + cost.executeUs, 1),
+                      bench::Table::num(cost.buildUs, 1),
+                      bench::Table::num(cost.executeUs, 1)});
     calls.print(opts);
 
     if (opts.floor > 0.0) {

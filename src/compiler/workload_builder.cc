@@ -38,8 +38,14 @@ struct WorkloadBuilder::Ctx
     std::vector<std::optional<std::uint32_t>> tail; ///< per-core last cmd
     std::optional<std::uint32_t> gate;              ///< last barrier
     std::uint64_t blockIndex = 0;
+    std::vector<std::uint32_t> deps; ///< the next command's, reused
 
-    explicit Ctx(unsigned cores) : tail(cores) {}
+    /** Emit into @p storage, emptied first. */
+    Ctx(unsigned cores, isa::Program storage)
+        : prog(std::move(storage)), tail(cores)
+    {
+        prog.clear();
+    }
 };
 
 WorkloadBuilder::WorkloadBuilder(const SystemConfig &sys,
@@ -72,18 +78,19 @@ WorkloadBuilder::WorkloadBuilder(const SystemConfig &sys,
 std::uint32_t
 WorkloadBuilder::emit(Ctx &ctx, std::uint16_t core, UnitKind unit,
                       OpClass cls, isa::Payload payload,
-                      std::vector<std::uint32_t> deps) const
+                      isa::Deps deps) const
 {
+    std::vector<std::uint32_t> &all = ctx.deps;
+    all.assign(deps.begin(), deps.end());
     if (ctx.gate)
-        deps.push_back(*ctx.gate);
+        all.push_back(*ctx.gate);
     // Naive scheduling: the compiler emits a serial per-core chain —
     // no prefetch, no unit-level overlap (the Fig 13 baseline).
     if (opts_.policy == SchedulingPolicy::Naive && ctx.tail[core])
-        deps.push_back(*ctx.tail[core]);
-    std::sort(deps.begin(), deps.end());
-    deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
-    std::uint32_t id =
-        ctx.prog.add(core, unit, cls, std::move(payload), std::move(deps));
+        all.push_back(*ctx.tail[core]);
+    std::sort(all.begin(), all.end());
+    all.erase(std::unique(all.begin(), all.end()), all.end());
+    std::uint32_t id = ctx.prog.add(core, unit, cls, std::move(payload), all);
     ctx.tail[core] = id;
     return id;
 }
@@ -92,14 +99,14 @@ void
 WorkloadBuilder::barrier(Ctx &ctx, OpClass cls,
                          std::uint64_t inter_device_bytes) const
 {
-    std::vector<std::uint32_t> deps;
+    std::vector<std::uint32_t> &deps = ctx.deps;
+    deps.clear();
     for (const auto &t : ctx.tail)
         if (t)
             deps.push_back(*t);
     isa::SyncArgs args;
     args.interDeviceBytes = opts_.devices > 1 ? inter_device_bytes : 0;
-    std::uint32_t id = ctx.prog.add(0, UnitKind::Sync, cls, args,
-                                    std::move(deps));
+    std::uint32_t id = ctx.prog.add(0, UnitKind::Sync, cls, args, deps);
     ctx.gate = id;
     for (auto &t : ctx.tail)
         t = id;
@@ -107,8 +114,7 @@ WorkloadBuilder::barrier(Ctx &ctx, OpClass cls,
 
 std::uint32_t
 WorkloadBuilder::emitGather(Ctx &ctx, std::uint16_t core,
-                            std::uint64_t full_bytes, OpClass cls,
-                            std::vector<std::uint32_t> deps) const
+                            std::uint64_t full_bytes, OpClass cls) const
 {
     // Allgather of column-partitioned activations over the on-chip NoC:
     // each core already holds 1/ways of the vector.
@@ -116,7 +122,7 @@ WorkloadBuilder::emitGather(Ctx &ctx, std::uint16_t core,
     isa::DmaArgs dma;
     dma.bytes = bytes;
     dma.offChip = false;
-    return emit(ctx, core, UnitKind::DmaIn, cls, dma, std::move(deps));
+    return emit(ctx, core, UnitKind::DmaIn, cls, dma, {});
 }
 
 std::uint32_t
@@ -124,8 +130,7 @@ WorkloadBuilder::emitFc(Ctx &ctx, std::uint16_t core, OpClass cls,
                         const FcMappingDecision &decision,
                         std::uint64_t tokens, std::uint64_t k,
                         std::uint64_t n_slice, bool gelu_after,
-                        bool weights_on_pim_side,
-                        std::vector<std::uint32_t> deps) const
+                        bool weights_on_pim_side, isa::Deps deps) const
 {
     if (decision.unit == FcUnit::Pim) {
         pim::MacroCommand macro;
@@ -135,8 +140,7 @@ WorkloadBuilder::emitFc(Ctx &ctx, std::uint16_t core, OpClass cls,
         macro.fusedGelu = gelu_after; // GELU follows the FC into PIM
         macro.channelMask = sys_.pimChipMaskForCore(core);
         isa::PimArgs args{macro, tokens};
-        std::uint32_t id = emit(ctx, core, UnitKind::Pim, cls, args,
-                                std::move(deps));
+        std::uint32_t id = emit(ctx, core, UnitKind::Pim, cls, args, deps);
         pim::GemvTiling tiling = pim::GemvTiling::compute(
             n_slice, k, sys_.mem, sys_.mem.channelsPerChip);
         if (tiling.kTiles() > 1) {
@@ -154,7 +158,7 @@ WorkloadBuilder::emitFc(Ctx &ctx, std::uint16_t core, OpClass cls,
     gemm.weightBytes = k * n_slice * pim::elemBytes;
     gemm.weightChannels = weightMask(weights_on_pim_side);
     std::uint32_t id = emit(ctx, core, UnitKind::MatrixUnit, cls, gemm,
-                            std::move(deps));
+                            deps);
     if (gelu_after) {
         isa::VuArgs gelu{VuOpKind::Gelu, tokens * n_slice};
         id = emit(ctx, core, UnitKind::VectorUnit, cls, gelu, {id});
@@ -310,11 +314,9 @@ WorkloadBuilder::attentionGenerationMu(Ctx &ctx, std::uint16_t core,
     for (std::uint64_t h = 0; h < heads; ++h) {
         // PAS orders head h's PIM work after head h-1's off-chip DMAs so
         // PIM bursts and normal accesses interleave without conflict.
-        std::vector<std::uint32_t> pim_deps{ln_dep, kpre};
-        if (have_prev) {
-            pim_deps.push_back(prev_vcat);
-            pim_deps.push_back(prev_store);
-        }
+        const std::uint32_t pim_dep_ids[] = {ln_dep, kpre, prev_vcat,
+                                             prev_store};
+        const isa::Deps pim_deps(pim_dep_ids, have_prev ? 4 : 2);
 
         std::uint32_t k_gen =
             emitFc(ctx, core, OpClass::FcQkv, qkv_dec, 1, e, hd, false,
@@ -403,11 +405,9 @@ WorkloadBuilder::attentionGenerationPim(Ctx &ctx, std::uint16_t core,
     std::uint32_t prev_k_store = 0, prev_v_store = 0;
     bool have_prev = false;
     for (std::uint64_t h = 0; h < heads; ++h) {
-        std::vector<std::uint32_t> pim_deps{ln_dep};
-        if (have_prev) {
-            pim_deps.push_back(prev_k_store);
-            pim_deps.push_back(prev_v_store);
-        }
+        const std::uint32_t pim_dep_ids[] = {ln_dep, prev_k_store,
+                                             prev_v_store};
+        const isa::Deps pim_deps(pim_dep_ids, have_prev ? 3 : 1);
 
         std::uint32_t k_gen =
             emitFc(ctx, core, OpClass::FcQkv, qkv_dec, 1, e, hd, false,
@@ -501,7 +501,7 @@ WorkloadBuilder::blockGeneration(
     FcMappingDecision attn_dec = decideFc(b, e, colSlice(e), false, {});
     for (std::uint16_t c = 0; c < sys_.cores; ++c) {
         std::uint32_t g = emitGather(ctx, c, b * e * pim::elemBytes,
-                                     OpClass::FcAttnAdd, {});
+                                     OpClass::FcAttnAdd);
         std::uint32_t fc = emitFc(ctx, c, OpClass::FcAttnAdd, attn_dec, b,
                                   e, colSlice(e), false, false, {g});
         isa::VuArgs add{VuOpKind::Add, b * colSlice(e)};
@@ -514,7 +514,7 @@ WorkloadBuilder::blockGeneration(
                                           b * e);
     for (std::uint16_t c = 0; c < sys_.cores; ++c) {
         std::uint32_t g = emitGather(ctx, c, b * e * pim::elemBytes,
-                                     OpClass::LayerNorm, {});
+                                     OpClass::LayerNorm);
         isa::VuArgs lnv{VuOpKind::LayerNorm, b * e};
         std::uint32_t ln2 = emit(ctx, c, UnitKind::VectorUnit,
                                  OpClass::LayerNorm, lnv, {g});
@@ -536,7 +536,7 @@ WorkloadBuilder::blockGeneration(
     }
     for (std::uint16_t c = 0; c < sys_.cores; ++c) {
         std::uint32_t g = emitGather(ctx, c, b * ffn * pim::elemBytes,
-                                     OpClass::FfnAdd, {});
+                                     OpClass::FfnAdd);
         std::uint32_t fc = emitFc(ctx, c, OpClass::FfnAdd, ffn2_dec, b,
                                   ffn, colSlice(e), false, non_dup, {g});
         isa::VuArgs add{VuOpKind::Add, b * colSlice(e)};
@@ -626,12 +626,10 @@ WorkloadBuilder::blockSummarization(Ctx &ctx, std::uint64_t prior,
             tr.bytes = (prior + n) * hd * pim::elemBytes;
             tr.offChip = false;
             tr.transpose = true;
-            std::vector<std::uint32_t> tr_deps{k_gen};
-            if (prior > 0)
-                tr_deps.push_back(k_prior);
+            const std::uint32_t tr_deps[] = {k_gen, k_prior};
             std::uint32_t k_trans =
                 emit(ctx, c, UnitKind::DmaOut, OpClass::SelfAttention, tr,
-                     std::move(tr_deps));
+                     isa::Deps(tr_deps, prior > 0 ? 2 : 1));
             std::uint32_t q_gen = emit(ctx, c, UnitKind::MatrixUnit,
                                        OpClass::FcQkv, fc, {wq, v_gen});
             if (decoder) {
@@ -671,11 +669,9 @@ WorkloadBuilder::blockSummarization(Ctx &ctx, std::uint64_t prior,
             sv_args.tokens = n;
             sv_args.k = prior + n;
             sv_args.n = hd;
-            std::vector<std::uint32_t> sv_deps{smax, v_move};
-            if (prior > 0)
-                sv_deps.push_back(v_prior);
+            const std::uint32_t sv_deps[] = {smax, v_move, v_prior};
             emit(ctx, c, UnitKind::MatrixUnit, OpClass::SelfAttention,
-                 sv_args, std::move(sv_deps));
+                 sv_args, isa::Deps(sv_deps, prior > 0 ? 3 : 2));
         }
     }
     barrier(ctx, OpClass::SelfAttention, n * e * pim::elemBytes);
@@ -684,7 +680,7 @@ WorkloadBuilder::blockSummarization(Ctx &ctx, std::uint64_t prior,
     FcMappingDecision attn_dec = decideFc(n, e, colSlice(e), false, {});
     for (std::uint16_t c = 0; c < sys_.cores; ++c) {
         std::uint32_t g = emitGather(ctx, c, n * e * pim::elemBytes,
-                                     OpClass::FcAttnAdd, {});
+                                     OpClass::FcAttnAdd);
         std::uint32_t fc = emitFc(ctx, c, OpClass::FcAttnAdd, attn_dec, n,
                                   e, colSlice(e), false, false, {g});
         isa::VuArgs add{VuOpKind::Add, n * colSlice(e)};
@@ -697,7 +693,7 @@ WorkloadBuilder::blockSummarization(Ctx &ctx, std::uint64_t prior,
                                           n * e);
     for (std::uint16_t c = 0; c < sys_.cores; ++c) {
         std::uint32_t g = emitGather(ctx, c, n * e * pim::elemBytes,
-                                     OpClass::LayerNorm, {});
+                                     OpClass::LayerNorm);
         isa::VuArgs lnv{VuOpKind::LayerNorm, n * e};
         std::uint32_t ln2 = emit(ctx, c, UnitKind::VectorUnit,
                                  OpClass::LayerNorm, lnv, {g});
@@ -714,7 +710,7 @@ WorkloadBuilder::blockSummarization(Ctx &ctx, std::uint64_t prior,
         ffn2_dec = decideFc(n, ffn, colSlice(e), false, {});
     for (std::uint16_t c = 0; c < sys_.cores; ++c) {
         std::uint32_t g = emitGather(ctx, c, n * ffn * pim::elemBytes,
-                                     OpClass::FfnAdd, {});
+                                     OpClass::FfnAdd);
         std::uint32_t fc = emitFc(ctx, c, OpClass::FfnAdd, ffn2_dec, n,
                                   ffn, colSlice(e), false, non_dup, {g});
         isa::VuArgs add{VuOpKind::Add, n * colSlice(e)};
@@ -768,7 +764,8 @@ WorkloadBuilder::buildSummarization(std::uint64_t input_tokens) const
 isa::Program
 WorkloadBuilder::buildSummarizationChunk(
     std::uint64_t prior_tokens, std::uint64_t chunk_tokens,
-    bool last_chunk, std::optional<std::uint64_t> blocks) const
+    bool last_chunk, std::optional<std::uint64_t> blocks,
+    isa::Program storage) const
 {
     IANUS_ASSERT(chunk_tokens > 0, "empty prefill chunk");
     if (!model_.decoder() && (prior_tokens > 0 || !last_chunk))
@@ -777,7 +774,7 @@ WorkloadBuilder::buildSummarizationChunk(
                     "resume causally)");
     checkCapacity(prior_tokens, chunk_tokens);
     const std::uint64_t n_blocks = blockCount(blocks);
-    Ctx ctx(sys_.cores);
+    Ctx ctx(sys_.cores, std::move(storage));
 
     for (std::uint16_t c = 0; c < sys_.cores; ++c) {
         isa::DmaArgs emb;
@@ -819,7 +816,7 @@ WorkloadBuilder::buildGenerationToken(std::uint64_t kv_len) const
 isa::Program
 WorkloadBuilder::buildGenerationBatch(
     const std::vector<std::uint64_t> &kv_lens,
-    std::optional<std::uint64_t> blocks) const
+    std::optional<std::uint64_t> blocks, isa::Program storage) const
 {
     IANUS_ASSERT(model_.decoder(), "generation needs a decoder model");
     IANUS_ASSERT(!kv_lens.empty(),
@@ -829,7 +826,7 @@ WorkloadBuilder::buildGenerationBatch(
     const std::uint64_t b = kv_lens.size();
     checkCapacity(b);
     const std::uint64_t n_blocks = blockCount(blocks);
-    Ctx ctx(sys_.cores);
+    Ctx ctx(sys_.cores, std::move(storage));
 
     for (std::uint16_t c = 0; c < sys_.cores; ++c) {
         isa::DmaArgs emb;
@@ -849,7 +846,7 @@ WorkloadBuilder::buildFcSweep(std::uint64_t tokens) const
 {
     // All FC layers of the model, in sequence, at the requested token
     // count — the Fig 12 adaptive-mapping study.
-    Ctx ctx(sys_.cores);
+    Ctx ctx(sys_.cores, {});
     const std::uint64_t e = model_.embDim;
     const std::uint64_t ffn = model_.ffnDim();
     struct Shape { std::uint64_t k, n; bool ffn1; };

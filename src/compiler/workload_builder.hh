@@ -35,6 +35,7 @@
 #define IANUS_COMPILER_WORKLOAD_BUILDER_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <vector>
 
@@ -112,11 +113,17 @@ class WorkloadBuilder
      * @p blocks truncates the program to its first @p blocks
      * transformer blocks (default: all of them), compiled under the
      * full model's decisions — see uniformBlocks().
+     *
+     * The program is built into @p storage, whose contents are dropped
+     * and whose capacity is kept: a caller that builds many programs
+     * can pass the last one back in, and the program then allocates
+     * nothing once it fits.
      */
     isa::Program
     buildSummarizationChunk(std::uint64_t prior_tokens,
                             std::uint64_t chunk_tokens, bool last_chunk,
-                            std::optional<std::uint64_t> blocks = {}) const;
+                            std::optional<std::uint64_t> blocks = {},
+                            isa::Program storage = {}) const;
 
     /** One generation step with @p kv_len keys/values already cached. */
     isa::Program buildGenerationToken(std::uint64_t kv_len) const;
@@ -134,11 +141,13 @@ class WorkloadBuilder
      * back to the matrix unit once amortized weight streaming wins.
      *
      * A batch of one emits exactly the buildGenerationToken program.
-     * @p blocks truncates the program as in buildSummarizationChunk().
+     * @p blocks truncates the program and @p storage holds it, as in
+     * buildSummarizationChunk().
      */
     isa::Program
     buildGenerationBatch(const std::vector<std::uint64_t> &kv_lens,
-                         std::optional<std::uint64_t> blocks = {}) const;
+                         std::optional<std::uint64_t> blocks = {},
+                         isa::Program storage = {}) const;
 
     /** FC-only program (all blocks) for the Fig 12 mapping study. */
     isa::Program buildFcSweep(std::uint64_t tokens) const;
@@ -193,19 +202,39 @@ class WorkloadBuilder
     // Emission helpers -------------------------------------------------
     std::uint32_t emit(Ctx &ctx, std::uint16_t core, isa::UnitKind unit,
                        isa::OpClass cls, isa::Payload payload,
-                       std::vector<std::uint32_t> deps) const;
+                       isa::Deps deps) const;
+
+    std::uint32_t
+    emit(Ctx &ctx, std::uint16_t core, isa::UnitKind unit,
+         isa::OpClass cls, isa::Payload payload,
+         std::initializer_list<std::uint32_t> deps) const
+    {
+        return emit(ctx, core, unit, cls, std::move(payload),
+                    isa::Deps(deps.begin(), deps.size()));
+    }
+
     void barrier(Ctx &ctx, isa::OpClass cls,
                  std::uint64_t inter_device_bytes = 0) const;
     std::uint32_t emitGather(Ctx &ctx, std::uint16_t core,
                              std::uint64_t full_bytes,
-                             isa::OpClass cls,
-                             std::vector<std::uint32_t> deps) const;
+                             isa::OpClass cls) const;
     std::uint32_t emitFc(Ctx &ctx, std::uint16_t core, isa::OpClass cls,
                          const FcMappingDecision &decision,
                          std::uint64_t tokens, std::uint64_t k,
                          std::uint64_t n_slice, bool gelu_after,
-                         bool weights_on_pim_side,
-                         std::vector<std::uint32_t> deps) const;
+                         bool weights_on_pim_side, isa::Deps deps) const;
+
+    std::uint32_t
+    emitFc(Ctx &ctx, std::uint16_t core, isa::OpClass cls,
+           const FcMappingDecision &decision, std::uint64_t tokens,
+           std::uint64_t k, std::uint64_t n_slice, bool gelu_after,
+           bool weights_on_pim_side,
+           std::initializer_list<std::uint32_t> deps) const
+    {
+        return emitFc(ctx, core, cls, decision, tokens, k, n_slice,
+                      gelu_after, weights_on_pim_side,
+                      isa::Deps(deps.begin(), deps.size()));
+    }
 
     // Stage pieces ------------------------------------------------------
     void blockGeneration(Ctx &ctx,

@@ -4,7 +4,8 @@
  *
  * A Command is one unit of work for one execution resource — the matrix
  * unit, the vector unit, a DMA engine, the PIM (via the PIM control
- * unit), or the synchronization fabric — plus its dependency edges.
+ * unit), or the synchronization fabric. Its dependency edges live in
+ * the owning Program (Program::deps).
  * The command scheduler (Section 4.3) dispatches commands whose
  * dependencies have resolved into the owning unit's issue queue.
  *
@@ -18,7 +19,6 @@
 #include <cstdint>
 #include <string>
 #include <variant>
-#include <vector>
 
 #include "dram/channel_arbiter.hh"
 #include "pim/pim_command.hh"
@@ -135,7 +135,10 @@ struct Command
     UnitKind unit = UnitKind::Sync;
     OpClass opClass = OpClass::Other;
     Payload payload{};
-    std::vector<std::uint32_t> deps; ///< ids that must complete first
+    /** Where Program::deps() finds the ids that must complete first:
+     *  depCount ids from depBegin in the program's dependency array. */
+    std::uint32_t depBegin = 0;
+    std::uint32_t depCount = 0;
 
     std::string describe() const;
 };

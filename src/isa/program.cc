@@ -6,42 +6,29 @@ namespace ianus::isa
 {
 
 std::uint32_t
-Program::add(Command cmd)
+Program::add(Command cmd, Deps deps)
 {
     cmd.id = static_cast<std::uint32_t>(commands_.size());
-    for (std::uint32_t dep : cmd.deps)
+    for (std::uint32_t dep : deps)
         IANUS_ASSERT(dep < cmd.id, "forward dependency ", dep,
                      " from command ", cmd.id);
-    lastPerCore_[cmd.core] = cmd.id;
+    cmd.depBegin = static_cast<std::uint32_t>(deps_.size());
+    cmd.depCount = static_cast<std::uint32_t>(deps.size());
+    deps_.insert(deps_.end(), deps.begin(), deps.end());
     commands_.push_back(std::move(cmd));
     return commands_.back().id;
 }
 
 std::uint32_t
 Program::add(std::uint16_t core, UnitKind unit, OpClass cls,
-             Payload payload, std::vector<std::uint32_t> deps)
+             Payload payload, Deps deps)
 {
     Command cmd;
     cmd.core = core;
     cmd.unit = unit;
     cmd.opClass = cls;
     cmd.payload = std::move(payload);
-    cmd.deps = std::move(deps);
-    return add(std::move(cmd));
-}
-
-std::uint32_t
-Program::lastOnCore(std::uint16_t core) const
-{
-    auto it = lastPerCore_.find(core);
-    IANUS_ASSERT(it != lastPerCore_.end(), "no commands on core ", core);
-    return it->second;
-}
-
-bool
-Program::hasCommandsOnCore(std::uint16_t core) const
-{
-    return lastPerCore_.count(core) > 0;
+    return add(std::move(cmd), deps);
 }
 
 void
@@ -53,6 +40,14 @@ Program::markBlockEnd(std::uint32_t id)
     IANUS_ASSERT(blockEnds_.empty() || blockEnds_.back() < id,
                  "block ends out of program order");
     blockEnds_.push_back(id);
+}
+
+void
+Program::clear()
+{
+    commands_.clear();
+    deps_.clear();
+    blockEnds_.clear();
 }
 
 std::map<UnitKind, std::size_t>
@@ -68,7 +63,7 @@ void
 Program::validate() const
 {
     for (const Command &c : commands_) {
-        for (std::uint32_t dep : c.deps) {
+        for (std::uint32_t dep : deps(c)) {
             IANUS_ASSERT(dep < c.id, "forward dep in command ", c.id);
         }
         if (c.unit == UnitKind::Pim) {

@@ -39,8 +39,8 @@ CommandScheduler::CommandScheduler(const isa::Program &prog, unsigned cores,
     for (const isa::Command &c : prog.commands()) {
         IANUS_ASSERT(c.core < cores_, "command ", c.id, " targets core ",
                      c.core, " but system has ", cores_);
-        depsLeft_[c.id] = static_cast<std::uint32_t>(c.deps.size());
-        for (std::uint32_t d : c.deps)
+        depsLeft_[c.id] = c.depCount;
+        for (std::uint32_t d : prog.deps(c))
             ++depStart_[d + 1];
         coreOrder_[c.core].push_back(c.id);
     }
@@ -49,7 +49,7 @@ CommandScheduler::CommandScheduler(const isa::Program &prog, unsigned cores,
     dependents_.resize(depStart_[n]);
     std::vector<std::uint32_t> fill(depStart_.begin(), depStart_.end() - 1);
     for (const isa::Command &c : prog.commands())
-        for (std::uint32_t d : c.deps)
+        for (std::uint32_t d : prog.deps(c))
             dependents_[fill[d]++] = c.id;
     for (std::uint16_t core = 0; core < cores_; ++core)
         fetchMore(core);

@@ -24,7 +24,7 @@ std::size_t
 CompiledModel::cachedPrograms() const
 {
     return front_.summarization.size() + front_.generation.size() +
-           batchCache_.size() + front_.chunk.size();
+           front_.batch.size() + front_.chunk.size();
 }
 
 void
@@ -32,12 +32,11 @@ CompiledModel::clearCache() const
 {
     {
         std::lock_guard<std::mutex> lock(store_->mutex);
-        store_->caches = ScalarCaches{};
+        store_->caches = Caches{};
     }
-    front_ = ScalarCaches{};
+    front_ = Caches{};
     summarizationIndex_ = FrontIndex{};
     generationIndex_ = FrontIndex{};
-    batchCache_.clear();
     requests_.clear();
     cache_ = CacheStats{};
 }
@@ -57,16 +56,20 @@ RunStats
 CompiledModel::execute(const Build &build) const
 {
     ExecutionEngine engine(cfg_, opts_.devices);
+    isa::Program &prog = store_->spare;
     const std::uint64_t blocks = model_.nBlocks;
-    if (blocks < 3 || !builder_.uniformBlocks())
-        return engine.run(build(blocks));
+    if (blocks < 3 || !builder_.uniformBlocks()) {
+        prog = build(blocks, std::move(prog));
+        return engine.run(prog);
+    }
     // Every block ends at a barrier that drains the machine, so each
     // block after the first costs exactly what the 2-block run spends
     // between its two block ends. The first block is run, not
     // composed: it may overlap the ungated embedding load.
     std::vector<RunStats> ends;
     ends.reserve(2);
-    const RunStats two = engine.run(build(2), &ends);
+    prog = build(2, std::move(prog));
+    const RunStats two = engine.run(prog, &ends);
     IANUS_ASSERT(ends.size() == 2, "a 2-block program recorded ",
                  ends.size(), " block ends");
     return RunStats::blockPeriodic(two, ends[0], ends[1], blocks);
@@ -74,34 +77,35 @@ CompiledModel::execute(const Build &build) const
 
 template <class Key, class Build>
 const RunStats &
-CompiledModel::cached(std::map<Key, RunStats> ScalarCaches::*table,
-                      const Key &key, std::uint64_t &hits,
-                      std::uint64_t &builds, const Build &build) const
+CompiledModel::cached(Table<Key> Caches::*table, const Key &key,
+                      std::uint64_t &hits, std::uint64_t &builds,
+                      const Build &build) const
 {
-    std::map<Key, RunStats> &front = front_.*table;
-    auto it = front.find(key);
-    if (it != front.end()) {
+    Table<Key> &front = front_.*table;
+    if (const RunStats *stats = front.find(key)) {
         ++hits;
-        return it->second;
+        return *stats;
     }
     // Build under the lock, so that a pool builds each key once even
     // when shards on several threads miss it together.
     std::lock_guard<std::mutex> lock(store_->mutex);
-    std::map<Key, RunStats> &shared = store_->caches.*table;
-    auto entry = shared.find(key);
-    if (entry != shared.end()) {
+    Table<Key> &shared = store_->caches.*table;
+    const RunStats *entry = shared.find(key);
+    if (entry) {
         ++hits;
     } else {
-        entry = shared.emplace(key, execute(build)).first;
+        shared.insert(key, execute(build));
+        entry = shared.find(key);
         ++builds;
     }
-    return front.emplace(key, entry->second).first->second;
+    front.insert(key, *entry);
+    return *front.find(key);
 }
 
 template <class Build>
 const RunStats &
 CompiledModel::indexed(FrontIndex &index,
-                       std::map<std::uint64_t, RunStats> ScalarCaches::*table,
+                       Table<std::uint64_t> Caches::*table,
                        std::uint64_t tokens, std::uint64_t &hits,
                        std::uint64_t &builds, const Build &build) const
 {
@@ -117,22 +121,24 @@ CompiledModel::indexed(FrontIndex &index,
 const RunStats &
 CompiledModel::summarization(std::uint64_t input_tokens) const
 {
-    return indexed(summarizationIndex_, &ScalarCaches::summarization,
+    return indexed(summarizationIndex_, &Caches::summarization,
                    input_tokens, cache_.summarizationHits,
-                   cache_.summarizationBuilds, [&](std::uint64_t blocks) {
+                   cache_.summarizationBuilds,
+                   [&](std::uint64_t blocks, isa::Program storage) {
                        return builder_.buildSummarizationChunk(
-                           0, input_tokens, true, blocks);
+                           0, input_tokens, true, blocks,
+                           std::move(storage));
                    });
 }
 
 const RunStats &
 CompiledModel::generation(std::uint64_t kv_len) const
 {
-    return indexed(generationIndex_, &ScalarCaches::generation, kv_len,
+    return indexed(generationIndex_, &Caches::generation, kv_len,
                    cache_.generationHits, cache_.generationBuilds,
-                   [&](std::uint64_t blocks) {
-                       return builder_.buildGenerationBatch({kv_len},
-                                                            blocks);
+                   [&](std::uint64_t blocks, isa::Program storage) {
+                       return builder_.buildGenerationBatch(
+                           {kv_len}, blocks, std::move(storage));
                    });
 }
 
@@ -156,12 +162,13 @@ CompiledModel::prefillChunkStats(std::uint64_t prior_tokens,
     if (prior_tokens == 0 && last_chunk)
         return summarization(chunk_tokens);
 
-    return cached(&ScalarCaches::chunk,
+    return cached(&Caches::chunk,
                   ChunkKey(prior_tokens, chunk_tokens, last_chunk),
                   cache_.chunkHits, cache_.chunkBuilds,
-                  [&](std::uint64_t blocks) {
+                  [&](std::uint64_t blocks, isa::Program storage) {
                       return builder_.buildSummarizationChunk(
-                          prior_tokens, chunk_tokens, last_chunk, blocks);
+                          prior_tokens, chunk_tokens, last_chunk, blocks,
+                          std::move(storage));
                   });
 }
 
@@ -181,20 +188,17 @@ CompiledModel::generationStepStats(
         return generation(kv_lens.front());
 
     std::sort(kv_lens.begin(), kv_lens.end());
-    if (const RunStats *hit = batchCache_.find(kv_lens)) {
-        ++cache_.batchHits;
-        return *hit;
-    }
-    // The oldest entry is evicted beyond the cap: batched keys rarely
-    // recur (all KV lengths advance together), so only recent stats
-    // are worth the memory. Eviction is deterministic — a re-miss just
-    // recomputes the same pure function.
-    RunStats stats = execute([&](std::uint64_t blocks) {
-        return builder_.buildGenerationBatch(kv_lens, blocks);
-    });
-    ++cache_.batchBuilds;
-    if (batchCache_.insert(std::move(kv_lens), stats))
-        ++cache_.batchEvictions;
+    // Copied out at once: the front evicts its oldest entry beyond the
+    // cap. Eviction is deterministic, and a re-miss just recomputes the
+    // same pure function (or finds it in the store).
+    const RunStats stats =
+        cached(&Caches::batch, kv_lens, cache_.batchHits,
+               cache_.batchBuilds,
+               [&](std::uint64_t blocks, isa::Program storage) {
+                   return builder_.buildGenerationBatch(
+                       kv_lens, blocks, std::move(storage));
+               });
+    cache_.batchEvictions = front_.batch.evictions();
     return stats;
 }
 

@@ -37,18 +37,21 @@
  * lock, and is never shared through the pool's store.
  *
  * Equal triples build equal programs, so a DevicePool lets its equal
- * replicas share one mutex-guarded store of summarization, chunk and
- * generation stats, and each key is built once per pool. Every replica
- * keeps its own unlocked copy of the entries it has served in front of
- * that store: only a first lookup on a replica takes the lock. A
- * standalone CompiledModel's store is private. Batched-step entries
- * and the request memo stay per replica.
+ * replicas share one mutex-guarded store of summarization, chunk,
+ * generation and batched-step stats, and each key is built once per
+ * pool. Every replica keeps its own unlocked copy of the entries it has
+ * served in front of that store: only a first lookup on a replica takes
+ * the lock. A standalone CompiledModel's store is private. The request
+ * memo stays per replica. Every miss builds and runs under the store's
+ * lock, into the storage of the store's previous program, so a miss
+ * allocates no program once that storage fits.
  */
 
 #ifndef IANUS_SERVE_COMPILED_MODEL_HH
 #define IANUS_SERVE_COMPILED_MODEL_HH
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -102,16 +105,18 @@ struct CacheStats
 };
 
 /**
- * A map bounded to a fixed number of entries, evicting the oldest
- * first. Its entries must be pure functions of their keys, so an
- * evicted entry is simply computed again. Once full, an insertion
- * reuses the evicted entry's node and allocates nothing. Not copyable:
+ * A map bounded to a fixed number of entries (by default, none),
+ * evicting the oldest first. Its entries must be pure functions of
+ * their keys, so an evicted entry is simply computed again. Once full,
+ * an insertion reuses the evicted entry's node and allocates nothing;
+ * an entry stays at its address until it is evicted. Not copyable:
  * the insertion order is kept as iterators into the map, which a move
  * carries along and a copy would not.
  */
 template <class Key, class Value> class FifoMap
 {
   public:
+    FifoMap() = default;
     explicit FifoMap(std::size_t capacity) : capacity_(capacity) {}
     FifoMap(const FifoMap &) = delete;
     FifoMap &operator=(const FifoMap &) = delete;
@@ -140,10 +145,25 @@ template <class Key, class Value> class FifoMap
         node.mapped() = value;
         order_[oldest_] = map_.insert(std::move(node)).position;
         oldest_ = (oldest_ + 1) % capacity_;
+        ++evictions_;
         return true;
     }
 
     std::size_t size() const { return map_.size(); }
+
+    /** Every key held, in key order. */
+    std::vector<Key>
+    keys() const
+    {
+        std::vector<Key> out;
+        out.reserve(map_.size());
+        for (const auto &entry : map_)
+            out.push_back(entry.first);
+        return out;
+    }
+
+    /** Entries evicted since construction or the last clear(). */
+    std::uint64_t evictions() const { return evictions_; }
 
     void
     clear()
@@ -151,16 +171,18 @@ template <class Key, class Value> class FifoMap
         map_.clear();
         order_.clear();
         oldest_ = 0;
+        evictions_ = 0;
     }
 
   private:
     using Map = std::map<Key, Value>;
 
-    std::size_t capacity_;
+    std::size_t capacity_ = std::numeric_limits<std::size_t>::max();
     Map map_;
     /** Entries in insertion order, a ring once full. */
     std::vector<typename Map::iterator> order_;
     std::size_t oldest_ = 0;
+    std::uint64_t evictions_ = 0;
 };
 
 /** One model compiled onto one device configuration, ready to serve. */
@@ -223,8 +245,10 @@ class CompiledModel
      * of @p kv_lens is one request's current KV length and the step
      * emits one token per request. The entry is memoized under the
      * sorted KV-length multiset — request order never changes the cost
-     * — in a bounded FIFO cache (batched keys rarely recur within a
-     * drain, since every member's KV length advances each step).
+     * — in bounded FIFO caches, the replica's own in front of the
+     * pool's shared one (a replica's keys rarely recur within a drain,
+     * since every member's KV length advances each step, but equal
+     * replicas serving one batch mix meet the same multisets).
      * Returned by value: an entry may be evicted at any later call.
      *
      * A batch of one resolves to the scalar generation-step entry that
@@ -233,8 +257,9 @@ class CompiledModel
      */
     RunStats generationStepStats(std::vector<std::uint64_t> kv_lens) const;
 
-    /** Most batched-step entries retained (FIFO eviction; safe because
-     *  entries are pure recomputable functions of the key). */
+    /** Most batched-step entries retained, by each replica and by the
+     *  pool's store (FIFO eviction; safe because entries are pure
+     *  recomputable functions of the key). */
     static constexpr std::size_t maxBatchEntries = 1024;
 
     // --- Routing estimates --------------------------------------------------
@@ -307,6 +332,14 @@ class CompiledModel
      *  request memo holds no programs and is not counted. */
     std::size_t cachedPrograms() const;
 
+    /** The sorted KV-length multiset of every batched-step entry this
+     *  replica holds (test introspection). */
+    std::vector<std::vector<std::uint64_t>>
+    batchedKeys() const
+    {
+        return front_.batch.keys();
+    }
+
     /** Drop all memoized statistics, the request memo and this
      *  replica's accounting. A store shared with a pool's equal
      *  replicas is emptied too; their own entries and accounting
@@ -320,24 +353,36 @@ class CompiledModel
     /** run()'s memo key: (input tokens, output tokens, stride). */
     using RequestKey = std::tuple<std::uint64_t, std::uint64_t, unsigned>;
 
+    template <class Key> using Table = FifoMap<Key, RunStats>;
+
     // The device model is deterministic, so memoizing a program's stats
     // makes a replayed request nearly free.
-    struct ScalarCaches
+    struct Caches
     {
-        std::map<std::uint64_t, RunStats> summarization;
-        std::map<std::uint64_t, RunStats> generation;
+        Table<std::uint64_t> summarization;
+        Table<std::uint64_t> generation;
         // Resumed prefill chunks, keyed by (prior, chunk, has LM head).
         // Unbounded like the summarization cache: requests of equal
         // prompt length resume at the same chunk-aligned offsets, so
         // these keys recur across a serving trace.
-        std::map<ChunkKey, RunStats> chunk;
+        Table<ChunkKey> chunk;
+        // Batched steps, keyed by the sorted KV-length multiset and
+        // bounded to maxBatchEntries FIFO: every member's KV length
+        // advances each step, so keys rarely recur within a drain, and
+        // an unbounded cache would grow linearly with simulated tokens.
+        // The bound keeps the hit patterns that matter — consecutive
+        // segments share trapezoid endpoints, and equal replicas meet
+        // the same multisets — while capping memory.
+        Table<std::vector<std::uint64_t>> batch{maxBatchEntries};
     };
 
     /** The entries every replica of one triple in a pool shares. */
     struct Store
     {
-        std::mutex mutex; ///< guards caches
-        ScalarCaches caches;
+        std::mutex mutex; ///< guards caches and spare
+        Caches caches;
+        /** The last program a miss ran, kept for its storage. */
+        isa::Program spare;
     };
 
     /** Use @p peer's store from now on (DevicePool, equal triples). */
@@ -367,19 +412,20 @@ class CompiledModel
 
     /** The entry of @p key in @p table: from this replica's front, else
      *  from the store under its lock, executing @p build on a store
-     *  miss; counts a hit or a build in @p hits / @p builds. */
+     *  miss; counts a hit or a build in @p hits / @p builds. The entry
+     *  stays valid until the front table evicts it. */
     template <class Key, class Build>
-    const RunStats &cached(std::map<Key, RunStats> ScalarCaches::*table,
-                           const Key &key, std::uint64_t &hits,
-                           std::uint64_t &builds, const Build &build) const;
+    const RunStats &cached(Table<Key> Caches::*table, const Key &key,
+                           std::uint64_t &hits, std::uint64_t &builds,
+                           const Build &build) const;
 
     /** cached() for a table keyed by token count, through @p index. */
     template <class Build>
-    const RunStats &
-    indexed(FrontIndex &index,
-            std::map<std::uint64_t, RunStats> ScalarCaches::*table,
-            std::uint64_t tokens, std::uint64_t &hits,
-            std::uint64_t &builds, const Build &build) const;
+    const RunStats &indexed(FrontIndex &index,
+                            Table<std::uint64_t> Caches::*table,
+                            std::uint64_t tokens, std::uint64_t &hits,
+                            std::uint64_t &builds,
+                            const Build &build) const;
 
     const RunStats &summarization(std::uint64_t input_tokens) const;
     const RunStats &generation(std::uint64_t kv_len) const;
@@ -388,7 +434,9 @@ class CompiledModel
                          unsigned token_stride) const;
     /** Executed statistics of the full program build(nBlocks), from
      *  one run of build(2) when the model's blocks are uniform;
-     *  @p build maps a block count to a Program. */
+     *  @p build maps a block count and storage to fill to a Program.
+     *  Called under the store's lock: it builds into the store's spare
+     *  program and keeps the result there. */
     template <class Build> RunStats execute(const Build &build) const;
 
     SystemConfig cfg_;
@@ -398,19 +446,10 @@ class CompiledModel
 
     // This replica's copies of the store entries it has served: read
     // without a lock, since a replica is driven by one thread at a time.
-    mutable ScalarCaches front_;
+    mutable Caches front_;
     mutable FrontIndex summarizationIndex_;
     mutable FrontIndex generationIndex_;
     std::shared_ptr<Store> store_;
-    // Batched steps stay per replica (their keys rarely recur across
-    // replicas either), keyed by the sorted KV-length multiset, bounded
-    // to maxBatchEntries FIFO: every member's KV length advances each
-    // step, so keys rarely recur within a drain, and an unbounded
-    // cache would grow linearly with simulated tokens. The bound keeps
-    // the hit pattern that matters — consecutive segments share
-    // trapezoid endpoints — while capping memory.
-    mutable FifoMap<std::vector<std::uint64_t>, RunStats> batchCache_{
-        maxBatchEntries};
     // run()'s whole-request memo, per replica and unlocked like the
     // front.
     mutable FifoMap<RequestKey, InferenceReport> requests_{

@@ -5,8 +5,10 @@
 #include <cstdio>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <set>
+#include <string>
 #include <tuple>
 #include <utility>
 
@@ -2395,6 +2397,7 @@ ServingEngine::drain()
         ServingEngine *engine;
         ~InjectorGuard() { engine->injector_ = nullptr; }
     } injector_guard{this};
+    std::uint64_t injected = 0;
     injector_ = [&](const workloads::InferenceRequest &request,
                     double arrival_ms,
                     std::uint32_t source) -> std::uint64_t {
@@ -2417,6 +2420,7 @@ ServingEngine::drain()
         q.request = request;
         q.arrivalMs = arrival_ms;
         q.source = source;
+        ++injected;
         events.schedule(when, [&, q]() {
             readyPush(q);
             pump(q.arrivalMs);
@@ -2455,6 +2459,7 @@ ServingEngine::drain()
     scheduleNextBurst();
     events.run();
     report.simEvents = events.executed();
+    const std::uint64_t submitted = queue_.size();
     queue_.clear();
 
     // Pins surviving the drain — prefixes whose next turn never
@@ -2523,6 +2528,50 @@ ServingEngine::drain()
 
     // The queue is empty: the next submit cycle starts a fresh clock.
     lastArrivalMs_ = 0.0;
+
+    // Conservation: every offered request completed or was shed. A
+    // clean drain pays this one comparison; only a loss searches the
+    // drain's queues for the first stranded request.
+    const std::uint64_t offered = submitted + injected;
+    const std::uint64_t completed = report.results.size();
+    if (completed + report.kvShed != offered) {
+        std::uint64_t first = std::numeric_limits<std::uint64_t>::max();
+        std::string where;
+        auto note = [&](std::uint64_t id, const std::string &place) {
+            if (id < first) {
+                first = id;
+                where = place;
+            }
+        };
+        for (const QueuedRequest &q : ready)
+            note(q.id, "a ready queue");
+        for (const QueuedRequest &q : readyFifo)
+            note(q.id, "a ready queue");
+        for (const auto &entry : readyOrdered)
+            note(entry.second.id, "a ready queue");
+        for (const Handoff &h : pendingHandoff)
+            note(h.m.res.id, "pendingHandoff");
+        for (std::size_t d = 0; d < n; ++d) {
+            const std::string of = " of replica " + std::to_string(d);
+            for (const Member &m : rt[d].outbox)
+                note(m.res.id, "the outbox" + of);
+            for (const Member &m : inbound[d])
+                note(m.res.id, "inbound" + of);
+            for (const Member &m : rt[d].prefill)
+                note(m.res.id, "the prefill batch" + of);
+            for (const Member &m : rt[d].gen)
+                note(m.res.id, "the generation batch" + of);
+        }
+        for (const auto &entry : suspended)
+            note(entry.first, "suspended");
+        IANUS_FATAL("drain lost requests: ", offered, " offered, ",
+                    completed, " completed, ", report.kvShed, " shed; ",
+                    where.empty()
+                        ? std::string("no queue holds a stranded request")
+                        : "the first stranded request, id " +
+                              std::to_string(first) + ", sits in " +
+                              where);
+    }
     return report;
 }
 

@@ -59,7 +59,7 @@ TEST(Batching, BatchOfOneProgramMatchesScalarProgram)
         EXPECT_EQ(a.core, b.core);
         EXPECT_EQ(a.unit, b.unit);
         EXPECT_EQ(a.opClass, b.opClass);
-        EXPECT_EQ(a.deps, b.deps);
+        EXPECT_TRUE(std::ranges::equal(scalar.deps(a), batch.deps(b))) << i;
         EXPECT_EQ(a.describe(), b.describe());
     }
 }

@@ -440,7 +440,7 @@ closesEveryBlock(const isa::Program &prog, std::uint64_t blocks)
         // By induction in id order: a dependency at or after the
         // barrier waits on it.
         for (std::uint32_t id = ends[k] + 1; id < prog.size(); ++id) {
-            const std::vector<std::uint32_t> &deps = prog.at(id).deps;
+            const isa::Deps deps = prog.deps(prog.at(id));
             if (deps.empty() ||
                 *std::max_element(deps.begin(), deps.end()) < ends[k])
                 return testing::AssertionFailure()

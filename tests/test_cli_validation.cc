@@ -169,6 +169,27 @@ TEST(CliValidation, FatalErrorsExitOneWithTheirMessage)
     EXPECT_NE(out.find("rate profile"), std::string::npos) << out;
 }
 
+// A drain that strands requests fails instead of reporting the rest.
+// This session drain parks handoffs that never land (ROADMAP item 1);
+// once that loss is fixed, it becomes a test that every turn is served.
+TEST(CliValidation, DrainThatLosesRequestsExitsOne)
+{
+    std::string out;
+    EXPECT_EQ(runCli("m 30 10 --replicas 3 --seed 518 "
+                     "--roles prefill,unified,prefill --policy sjf "
+                     "--router slo-budget --kv-capacity 4000 "
+                     "--kv-admission queue --sessions 60 "
+                     "--prefix-cache on --rate 5",
+                     out),
+              1)
+        << out;
+    EXPECT_NE(out.find("drain lost requests: 181 offered, 164 completed, "
+                       "0 shed; the first stranded request"),
+              std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("terminate called"), std::string::npos) << out;
+}
+
 // --- The other examples ---------------------------------------------------
 
 /** `<binary> <args>` exits @p code, prints @p needle, and never dies

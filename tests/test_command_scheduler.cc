@@ -17,13 +17,12 @@ using ianus::npu::CommandScheduler;
 using ianus::npu::SchedulerConfig;
 
 Command
-vuCmd(std::uint16_t core, std::vector<std::uint32_t> deps = {})
+vuCmd(std::uint16_t core)
 {
     Command c;
     c.core = core;
     c.unit = UnitKind::VectorUnit;
     c.payload = VuArgs{VuOpKind::Add, 1};
-    c.deps = std::move(deps);
     return c;
 }
 
@@ -31,7 +30,7 @@ TEST(CommandScheduler, ReadyOnlyAfterDepsComplete)
 {
     Program p;
     std::uint32_t a = p.add(vuCmd(0));
-    std::uint32_t b = p.add(vuCmd(0, {a}));
+    std::uint32_t b = p.add(vuCmd(0), {a});
     CommandScheduler s(p, 1);
 
     auto head = s.peekReady(0, UnitKind::VectorUnit);
@@ -53,7 +52,7 @@ TEST(CommandScheduler, CrossCoreDependencies)
 {
     Program p;
     std::uint32_t a = p.add(vuCmd(0));
-    std::uint32_t b = p.add(vuCmd(1, {a})); // core 1 waits on core 0
+    std::uint32_t b = p.add(vuCmd(1), {a}); // core 1 waits on core 0
     CommandScheduler s(p, 2);
     EXPECT_FALSE(s.peekReady(1, UnitKind::VectorUnit));
     s.issue(a);
@@ -143,12 +142,13 @@ TEST_P(RandomDagLiveness, DrainsCompletely)
         c.unit = units[unit_pick(rng)];
         c.payload = VuArgs{VuOpKind::Add, 1};
         // Up to 3 random backward deps.
+        std::vector<std::uint32_t> deps;
         if (i > 0) {
             int ndeps = static_cast<int>(rng() % 4);
             for (int d = 0; d < ndeps; ++d)
-                c.deps.push_back(rng() % i);
+                deps.push_back(rng() % i);
         }
-        p.add(std::move(c));
+        p.add(std::move(c), deps);
     }
 
     CommandScheduler s(p, cores);
@@ -165,7 +165,7 @@ TEST_P(RandomDagLiveness, DrainsCompletely)
                 auto head = s.peekReady(c, u);
                 if (!head || !s.canIssue(c, u))
                     continue;
-                for (std::uint32_t dep : p.at(*head).deps)
+                for (std::uint32_t dep : p.deps(p.at(*head)))
                     EXPECT_TRUE(done[dep]) << "dep violation";
                 s.issue(*head);
                 s.complete(*head);

@@ -18,21 +18,18 @@ struct EngineFixture : ::testing::Test
     SystemConfig cfg = SystemConfig::ianusDefault();
 
     Command
-    vu(std::uint16_t core, std::uint64_t elems,
-       std::vector<std::uint32_t> deps = {})
+    vu(std::uint16_t core, std::uint64_t elems)
     {
         Command c;
         c.core = core;
         c.unit = UnitKind::VectorUnit;
         c.opClass = OpClass::LayerNorm;
         c.payload = VuArgs{VuOpKind::LayerNorm, elems};
-        c.deps = std::move(deps);
         return c;
     }
 
     Command
-    load(std::uint16_t core, std::uint64_t bytes, dram::ChannelSet ch,
-         std::vector<std::uint32_t> deps = {})
+    load(std::uint16_t core, std::uint64_t bytes, dram::ChannelSet ch)
     {
         Command c;
         c.core = core;
@@ -42,13 +39,12 @@ struct EngineFixture : ::testing::Test
         d.bytes = bytes;
         d.channels = ch;
         c.payload = d;
-        c.deps = std::move(deps);
         return c;
     }
 
     Command
     pimGemv(std::uint16_t core, std::uint64_t rows, std::uint64_t cols,
-            dram::ChannelSet mask, std::vector<std::uint32_t> deps = {})
+            dram::ChannelSet mask)
     {
         Command c;
         c.core = core;
@@ -59,7 +55,6 @@ struct EngineFixture : ::testing::Test
         m.cols = cols;
         m.channelMask = mask;
         c.payload = PimArgs{m, 1};
-        c.deps = std::move(deps);
         return c;
     }
 };
@@ -82,7 +77,7 @@ TEST_F(EngineFixture, DependentCommandsSerialize)
 {
     Program p;
     std::uint32_t a = p.add(vu(0, 64000));
-    p.add(vu(0, 64000, {a}));
+    p.add(vu(0, 64000), {a});
     ExecutionEngine engine(cfg);
     RunStats s = engine.run(p);
     EXPECT_NEAR(static_cast<double>(s.wallTicks),
@@ -223,7 +218,7 @@ TEST_F(EngineFixture, BarriersGateAllCores)
         firsts.push_back(p.add(vu(c, 64000 * (c + 1))));
     p.add(0, UnitKind::Sync, OpClass::Other, SyncArgs{}, firsts);
     std::uint32_t sync_id = static_cast<std::uint32_t>(p.size() - 1);
-    p.add(vu(0, 64, {sync_id}));
+    p.add(vu(0, 64), {sync_id});
     ExecutionEngine engine(cfg);
     RunStats s = engine.run(p);
     // Wall >= the slowest pre-barrier VU op + barrier + tail op.
@@ -240,10 +235,10 @@ TEST_F(EngineFixture, BlockEndsSnapshotTheStatsSoFar)
     std::uint32_t end0 =
         p.add(0, UnitKind::Sync, OpClass::Other, SyncArgs{}, {a});
     p.markBlockEnd(end0);
-    std::uint32_t b = p.add(vu(1, 64000, {end0}));
+    std::uint32_t b = p.add(vu(1, 64000), {end0});
     p.markBlockEnd(
         p.add(0, UnitKind::Sync, OpClass::Other, SyncArgs{}, {b}));
-    p.add(vu(2, 64, {p.blockEnds().back()}));
+    p.add(vu(2, 64), {p.blockEnds().back()});
 
     ExecutionEngine engine(cfg);
     std::vector<RunStats> ends;

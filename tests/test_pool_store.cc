@@ -13,6 +13,7 @@
 
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -104,8 +105,8 @@ expectMatchesStandaloneTwin(const DevicePool &pool, std::size_t i,
     EXPECT_EQ(a.generationBuilds + a.generationHits,
               b.generationBuilds + b.generationHits)
         << cell;
-    EXPECT_EQ(a.batchBuilds, b.batchBuilds) << cell;
-    EXPECT_EQ(a.batchHits, b.batchHits) << cell;
+    EXPECT_EQ(a.batchBuilds + a.batchHits, b.batchBuilds + b.batchHits)
+        << cell;
     EXPECT_EQ(r.cachedPrograms(), twin.cachedPrograms()) << cell;
 }
 
@@ -118,15 +119,16 @@ TEST(PoolStore, EqualReplicasBuildEachProgramOnce)
     for (std::size_t i = 0; i < pool.size(); ++i)
         expectMatchesStandaloneTwin(pool, i, "homogeneous");
 
-    // The first replica built every scalar program; the others found
-    // them in the store and counted hits. Batched steps stay per
-    // replica: each built its one multiset.
+    // The first replica built every program, the one batched multiset
+    // included; the others found them in the store and counted hits.
     EXPECT_EQ(scalarBuilds(pool.replica(0).cacheStats()), kScalarKeys);
-    for (std::size_t i = 1; i < pool.size(); ++i)
+    EXPECT_EQ(pool.replica(0).cacheStats().batchBuilds, 1u);
+    for (std::size_t i = 1; i < pool.size(); ++i) {
         EXPECT_EQ(scalarBuilds(pool.replica(i).cacheStats()), 0u);
-    for (std::size_t i = 0; i < pool.size(); ++i)
-        EXPECT_EQ(pool.replica(i).cacheStats().batchBuilds, 1u);
-    EXPECT_EQ(poolBuilds(pool), kScalarKeys + pool.size());
+        EXPECT_EQ(pool.replica(i).cacheStats().batchBuilds, 0u);
+        EXPECT_EQ(pool.replica(i).cacheStats().batchHits, 2u);
+    }
+    EXPECT_EQ(poolBuilds(pool), kScalarKeys + 1);
 }
 
 TEST(PoolStore, AddedReplicasAdoptTheFirstEqualStore)
@@ -358,6 +360,57 @@ TEST(PoolStore, ThreadedShardedDrainBuildsEachKeyOnce)
     EXPECT_EQ(a.makespanMs, b.makespanMs);
     EXPECT_EQ(a.generatedTokens, b.generatedTokens);
     EXPECT_TRUE(sameBits(a.aggregate, b.aggregate));
+}
+
+TEST(PoolStore, ContinuousBatchingBuildsEachMultisetOncePerPool)
+{
+    // An offline burst of few shapes: equal replicas meet the same KV
+    // multisets, each of them looked up on several replicas.
+    TraceOptions topts;
+    topts.seed = 5;
+    topts.requests = 64;
+    topts.arrivalsPerSec = 100'000.0;
+    topts.inputTokenChoices = {32, 64};
+    topts.outputTokenChoices = {16};
+    const ArrivalTrace trace = generatePoissonTrace(topts);
+    ServingOptions opts;
+    opts.batching = BatchingMode::Continuous;
+    opts.maxBatch = 8;
+    opts.tokenStride = 4;
+    PoolOptions popts;
+    popts.replicas = 4;
+    DevicePool pool(SystemConfig::ianusDefault(), workloads::gpt2("m"),
+                    popts);
+    ServingEngine engine(pool, opts, makePolicy("fcfs"),
+                         makeRouter("queue-depth"));
+    submitAll(trace, engine);
+    (void)engine.drain();
+
+    // No replica evicted a batched entry, so the keys each holds are
+    // the multisets it looked up.
+    std::set<std::vector<std::uint64_t>> distinct;
+    std::uint64_t builds = 0, held = 0;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+        const CacheStats &c = pool.replica(i).cacheStats();
+        ASSERT_EQ(c.batchEvictions, 0u) << "replica " << i;
+        builds += c.batchBuilds;
+        const auto keys = pool.replica(i).batchedKeys();
+        held += keys.size();
+        distinct.insert(keys.begin(), keys.end());
+    }
+    EXPECT_EQ(builds, distinct.size());
+    EXPECT_LT(distinct.size(), held) << "no multiset recurred across "
+                                        "replicas; the test shares nothing";
+
+    // Every entry a replica served is a standalone twin's, bit for bit.
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+        const CompiledModel &r = pool.replica(i);
+        CompiledModel twin(r.config(), r.model(), r.options());
+        for (const std::vector<std::uint64_t> &kv : r.batchedKeys())
+            EXPECT_TRUE(sameBits(r.generationStepStats(kv),
+                                 twin.generationStepStats(kv)))
+                << "replica " << i << " batch of " << kv.size();
+    }
 }
 
 } // namespace

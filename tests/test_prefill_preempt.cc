@@ -81,7 +81,7 @@ TEST(PrefillChunk, WholePromptChunkMatchesMonolithicProgram)
         EXPECT_EQ(a.core, b.core);
         EXPECT_EQ(a.unit, b.unit);
         EXPECT_EQ(a.opClass, b.opClass);
-        EXPECT_EQ(a.deps, b.deps);
+        EXPECT_TRUE(std::ranges::equal(mono.deps(a), chunk.deps(b))) << i;
         EXPECT_EQ(a.describe(), b.describe());
     }
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "isa/program.hh"
 
 namespace
@@ -10,13 +12,12 @@ namespace
 using namespace ianus::isa;
 
 Command
-vuCmd(std::uint16_t core, std::vector<std::uint32_t> deps = {})
+vuCmd(std::uint16_t core)
 {
     Command c;
     c.core = core;
     c.unit = UnitKind::VectorUnit;
     c.payload = VuArgs{VuOpKind::Add, 16};
-    c.deps = std::move(deps);
     return c;
 }
 
@@ -29,30 +30,17 @@ TEST(Program, AssignsSequentialIds)
     EXPECT_EQ(p.at(1).core, 1u);
 }
 
-TEST(Program, TracksLastPerCore)
-{
-    Program p;
-    p.add(vuCmd(0));
-    p.add(vuCmd(1));
-    p.add(vuCmd(0));
-    EXPECT_EQ(p.lastOnCore(0), 2u);
-    EXPECT_EQ(p.lastOnCore(1), 1u);
-    EXPECT_TRUE(p.hasCommandsOnCore(1));
-    EXPECT_FALSE(p.hasCommandsOnCore(7));
-    EXPECT_DEATH((void)p.lastOnCore(7), "no commands");
-}
-
 TEST(Program, ForwardDependencyPanics)
 {
     Program p;
-    EXPECT_DEATH(p.add(vuCmd(0, {5})), "forward dependency");
+    EXPECT_DEATH(p.add(vuCmd(0), {5}), "forward dependency");
 }
 
 TEST(Program, SelfDependencyPanics)
 {
     Program p;
     p.add(vuCmd(0));
-    EXPECT_DEATH(p.add(vuCmd(0, {1})), "forward dependency");
+    EXPECT_DEATH(p.add(vuCmd(0), {1}), "forward dependency");
 }
 
 TEST(Program, UnitHistogram)
@@ -77,6 +65,28 @@ TEST(Program, ValidateRejectsEmptyPimMask)
     EXPECT_DEATH(p.validate(), "empty channel mask");
 }
 
+TEST(Program, ClearDropsEverythingButTheStorage)
+{
+    Program p;
+    std::uint32_t a = p.add(vuCmd(0));
+    p.markBlockEnd(p.add(0, UnitKind::Sync, OpClass::Other, SyncArgs{},
+                         {a}));
+    const std::size_t capacity = p.commands().capacity();
+    p.clear();
+    EXPECT_TRUE(p.empty());
+    EXPECT_TRUE(p.blockEnds().empty());
+    EXPECT_EQ(p.commands().capacity(), capacity);
+    // Ids, dependency ranges and block ends start over.
+    EXPECT_EQ(p.add(vuCmd(1)), 0u);
+    EXPECT_EQ(p.add(vuCmd(1), {0}), 1u);
+    EXPECT_TRUE(std::ranges::equal(p.deps(p.at(1)),
+                                   std::vector<std::uint32_t>{0}));
+    EXPECT_TRUE(p.deps(p.at(0)).empty());
+    p.markBlockEnd(p.add(0, UnitKind::Sync, OpClass::Other, SyncArgs{},
+                         {1}));
+    EXPECT_EQ(p.blockEnds(), (std::vector<std::uint32_t>{2}));
+}
+
 TEST(Program, ConvenienceAddWiresDeps)
 {
     Program p;
@@ -84,7 +94,8 @@ TEST(Program, ConvenienceAddWiresDeps)
                             VuArgs{VuOpKind::Add, 8}, {});
     std::uint32_t b = p.add(0, UnitKind::VectorUnit, OpClass::Other,
                             VuArgs{VuOpKind::Add, 8}, {a});
-    EXPECT_EQ(p.at(b).deps, (std::vector<std::uint32_t>{a}));
+    EXPECT_TRUE(std::ranges::equal(p.deps(p.at(b)),
+                                   std::vector<std::uint32_t>{a}));
     p.validate();
 }
 

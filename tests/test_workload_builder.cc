@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "compiler/workload_builder.hh"
 
 namespace
@@ -79,10 +82,10 @@ TEST(WorkloadBuilder, NaivePolicySerializesPerCore)
 
     std::size_t naive_without_deps = 0, pas_without_deps = 0;
     for (const isa::Command &c : np.commands())
-        if (c.deps.empty())
+        if (np.deps(c).empty())
             ++naive_without_deps;
     for (const isa::Command &c : pp.commands())
-        if (c.deps.empty())
+        if (pp.deps(c).empty())
             ++pas_without_deps;
     // Naive: only the very first command per core lacks deps.
     EXPECT_LE(naive_without_deps, 4u);
@@ -223,6 +226,64 @@ TEST(WorkloadBuilder, ProgramsValidate)
     b.buildSummarization(512).validate();
     b.buildGenerationToken(640).validate();
     b.buildFcSweep(16).validate();
+}
+
+/** @p got equals @p want command for command — every field,
+ *  describe() and dependency span — and block end for block end. */
+void
+expectSameProgram(const isa::Program &got, const isa::Program &want,
+                  const std::string &what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::uint32_t i = 0; i < got.size(); ++i) {
+        const isa::Command &a = got.at(i);
+        const isa::Command &b = want.at(i);
+        EXPECT_EQ(a.id, b.id) << what << " #" << i;
+        EXPECT_EQ(a.core, b.core) << what << " #" << i;
+        EXPECT_EQ(a.unit, b.unit) << what << " #" << i;
+        EXPECT_EQ(a.opClass, b.opClass) << what << " #" << i;
+        EXPECT_EQ(a.depBegin, b.depBegin) << what << " #" << i;
+        EXPECT_EQ(a.depCount, b.depCount) << what << " #" << i;
+        EXPECT_EQ(a.describe(), b.describe()) << what << " #" << i;
+        EXPECT_TRUE(std::ranges::equal(got.deps(a), want.deps(b)))
+            << what << " #" << i;
+    }
+    EXPECT_EQ(got.blockEnds(), want.blockEnds()) << what;
+}
+
+// A miss builds into the storage of the previous miss's program. The
+// result must not depend on what that storage held: a rebuilt program
+// equals a fresh build, whichever larger program left the storage.
+TEST(WorkloadBuilder, ReusedStorageBuildsTheFreshProgram)
+{
+    // Four blocks, so that a whole step is smaller than two blocks of
+    // a batch of 8.
+    workloads::ModelConfig m = workloads::gpt2("m");
+    m.nBlocks = 4;
+    BuildOptions naive;
+    naive.policy = SchedulingPolicy::Naive;
+    for (const BuildOptions &opts : {BuildOptions{}, naive}) {
+        const WorkloadBuilder b(SystemConfig::ianusDefault(), m, opts);
+        const std::string policy = toString(opts.policy);
+
+        isa::Program batch =
+            b.buildGenerationBatch({70, 71, 72, 80, 90, 100, 110, 300}, 2);
+        const std::size_t left = batch.size();
+        const isa::Program step =
+            b.buildGenerationBatch({77}, {}, std::move(batch));
+        ASSERT_GT(left, step.size()) << policy;
+        expectSameProgram(step, b.buildGenerationToken(77),
+                          policy + " step after a batch of 8");
+
+        isa::Program chunk = b.buildSummarizationChunk(96, 32, false);
+        const std::size_t chunk_size = chunk.size();
+        const isa::Program prefill =
+            b.buildSummarizationChunk(0, 48, true, 2, std::move(chunk));
+        ASSERT_GT(chunk_size, prefill.size()) << policy;
+        expectSameProgram(prefill,
+                          b.buildSummarizationChunk(0, 48, true, 2),
+                          policy + " summarization after a chunk");
+    }
 }
 
 } // namespace
