@@ -32,6 +32,20 @@ makeReplicaRole(const std::string &name)
                 "' (expected unified, prefill, or decode)");
 }
 
+const char *
+missingRoleCapability(const std::vector<ReplicaRole> &roles)
+{
+    bool typed = false, prefill = false, decode = false;
+    for (ReplicaRole r : roles) {
+        typed |= r != ReplicaRole::Unified;
+        prefill |= r != ReplicaRole::Decode;
+        decode |= r != ReplicaRole::Prefill;
+    }
+    if (!typed)
+        return nullptr;
+    return !prefill ? "prefill" : !decode ? "decode" : nullptr;
+}
+
 DevicePool::DevicePool(const SystemConfig &sys,
                        const workloads::ModelConfig &model,
                        PoolOptions opts)

@@ -54,6 +54,12 @@ const char *toString(ReplicaRole role);
 /** Role by name: "unified", "prefill", "decode". Unknown is fatal. */
 ReplicaRole makeReplicaRole(const std::string &name);
 
+/** The capability a role-typed list lacks: "prefill" when no entry can
+ *  prefill (prefill or unified), else "decode" when none can decode.
+ *  nullptr when it has both or types nothing (all unified, or empty).
+ *  A typed pool, and every shard of one, needs both. */
+const char *missingRoleCapability(const std::vector<ReplicaRole> &roles);
+
 /** Pool shape: replica count and the per-replica build options. */
 struct PoolOptions
 {

@@ -42,6 +42,21 @@ deadlineMs(double arrival_ms, const workloads::InferenceRequest &req,
            slo_ms_per_token * static_cast<double>(req.outputTokens);
 }
 
+/** The checks every request entering a drain passes, submitted before
+ *  it or injected during it. */
+void
+validateRequest(const workloads::InferenceRequest &req, double arrival_ms)
+{
+    if (req.inputTokens == 0)
+        IANUS_FATAL("inference request needs at least one input token");
+    if (req.outputTokens == 0)
+        IANUS_FATAL("inference request needs at least one output token");
+    if (!std::isfinite(arrival_ms) || arrival_ms < 0.0)
+        IANUS_FATAL("request arrival must be a finite non-negative time "
+                    "in ms, got ",
+                    arrival_ms);
+}
+
 /** Queue indices ordered by ascending @p key (stable: arrival order). */
 template <typename KeyFn>
 std::vector<std::size_t>
@@ -907,19 +922,14 @@ ServingEngine::validateOptions() const
         if (opts_.roles.size() != replicas_.size())
             IANUS_FATAL("roles list has ", opts_.roles.size(),
                         " entries for ", replicas_.size(), " replicas");
-        bool typed = false, prefill_capable = false,
-             decode_capable = false;
-        for (ReplicaRole r : opts_.roles) {
-            typed |= r != ReplicaRole::Unified;
-            prefill_capable |= r != ReplicaRole::Decode;
-            decode_capable |= r != ReplicaRole::Prefill;
-        }
-        if (typed && !prefill_capable)
-            IANUS_FATAL("a disaggregated pool needs at least one "
-                        "prefill-capable (prefill or unified) replica");
-        if (typed && !decode_capable)
-            IANUS_FATAL("a disaggregated pool needs at least one "
-                        "decode-capable (decode or unified) replica");
+        if (const char *lack = missingRoleCapability(opts_.roles))
+            IANUS_FATAL("a disaggregated pool needs at least one ", lack,
+                        "-capable (", lack, " or unified) replica");
+        const bool typed =
+            std::any_of(opts_.roles.begin(), opts_.roles.end(),
+                        [](ReplicaRole r) {
+                            return r != ReplicaRole::Unified;
+                        });
         if (typed && opts_.batching == BatchingMode::Static)
             IANUS_FATAL("disaggregated pools cannot use static "
                         "batching: a KV handoff joins a running decode "
@@ -957,14 +967,7 @@ ServingEngine::submit(const workloads::InferenceRequest &request,
                       std::uint64_t turn_index, std::uint64_t prefix_tokens,
                       std::uint32_t source)
 {
-    if (request.inputTokens == 0)
-        IANUS_FATAL("inference request needs at least one input token");
-    if (request.outputTokens == 0)
-        IANUS_FATAL("inference request needs at least one output token");
-    if (!std::isfinite(arrival_ms) || arrival_ms < 0.0)
-        IANUS_FATAL("request arrival must be a finite non-negative time "
-                    "in ms, got ",
-                    arrival_ms);
+    validateRequest(request, arrival_ms);
     if (arrival_ms < lastArrivalMs_)
         IANUS_FATAL("request arrivals must be non-decreasing (got ",
                     arrival_ms, " ms after ", lastArrivalMs_, " ms)");
@@ -1058,20 +1061,18 @@ ServingEngine::drain()
     report.results.reserve(std::max(queue_.size(), resultCapacity_));
     resultCapacity_ = 0;
 
-    // The waiting queue lives in a structure matched to the policy's
-    // declared QueueOrder (see serving_engine.hh): a plain vector that
-    // selectBatch reorders at every admission round (Dynamic — the
-    // always-correct legacy path), a FIFO that never consults
-    // selectBatch (Arrival: FCFS), or an index ordered by (static
-    // urgency key, insertion sequence) (StaticUrgency: SJF/EDF) — the
-    // incremental replacement for the per-boundary full stable_sort.
-    // All three dispatch identical batches in identical order; the
-    // fast paths just skip recomputing an order that cannot change.
+    // The waiting queue is one index ordered by (key, insertion
+    // sequence), walked as the policy's declared QueueOrder says (see
+    // serving_engine.hh). StaticUrgency (SJF/EDF) keys it by urgency —
+    // the incremental replacement for the per-boundary full
+    // stable_sort. Every other order keys it 0, leaving arrival order:
+    // FCFS walks it from the head (Arrival), and Dynamic — the
+    // always-correct legacy path — hands selectBatch a view of it at
+    // every admission round. All three dispatch identical batches in
+    // identical order; the fast paths just skip recomputing an order
+    // that cannot change.
     const QueueOrder order = policy_->queueOrder();
-    std::vector<QueuedRequest> ready;    // Dynamic: arrival order
-    std::deque<QueuedRequest> readyFifo; // Arrival
-    std::map<std::pair<double, std::uint64_t>, QueuedRequest>
-        readyOrdered;                    // StaticUrgency
+    std::map<std::pair<double, std::uint64_t>, QueuedRequest> ready;
     std::uint64_t readySeq = 0;
     // A StaticUrgency key is static per request (the urgency contract),
     // so it is computed once at enqueue, against a context carrying
@@ -1089,23 +1090,10 @@ ServingEngine::drain()
     auto readyPush = [&](const QueuedRequest &q) {
         if (q.resumed)
             parked[q.boundReplica] += 1;
-        switch (order) {
-          case QueueOrder::Dynamic:
-            ready.push_back(q);
-            break;
-          case QueueOrder::Arrival:
-            readyFifo.push_back(q);
-            break;
-          case QueueOrder::StaticUrgency:
-            readyOrdered.emplace(
-                std::make_pair(policy_->urgency(q, staticCtx),
-                               readySeq++),
-                q);
-            break;
-        }
-    };
-    auto readyEmpty = [&] {
-        return ready.empty() && readyFifo.empty() && readyOrdered.empty();
+        const double key = order == QueueOrder::StaticUrgency
+                               ? policy_->urgency(q, staticCtx)
+                               : 0.0;
+        ready.emplace(std::make_pair(key, readySeq++), q);
     };
     std::vector<double> freeAt(n, 0.0);
     std::vector<bool> busy(n, false);
@@ -1228,6 +1216,27 @@ ServingEngine::drain()
         if (kvOn)
             kvm[st.replica].release(st.reqId);
         st.cached = false;
+    };
+    // Pinned prefixes are a cache, not a promise: the one reclaim rule,
+    // shared by a resuming evictee, fresh admission and a KV handoff.
+    // Drop replica d's pins oldest-first while blocked() holds,
+    // skipping pins an in-flight handoff has claimed (they fund its
+    // target's admission) and session keep's own (dropping it would
+    // forfeit the caller's hit). Returns whether any pin was dropped.
+    auto reclaimPins = [&](std::size_t d, std::uint64_t keep,
+                           const auto &blocked) {
+        bool freed = false;
+        std::size_t pi = 0;
+        while (pi < pins[d].size() && blocked()) {
+            const std::uint64_t sid = pins[d][pi];
+            if (sid == keep || claimedPins.count(sid)) {
+                ++pi;
+                continue;
+            }
+            unpin(sid);
+            freed = true;
+        }
+        return freed;
     };
 
     // Worst-case KV a request can reach on replica d: a decoder's
@@ -1418,63 +1427,85 @@ ServingEngine::drain()
     // disaggregated prefix hit must land on its pin's replica (the
     // pin's returned blocks fund the admission); anything else ranks
     // decode-capable replicas by (decode role first, load, fewest free
-    // blocks kept free, index). A target that cannot reserve yet parks
-    // the transfer in pendingHandoff for the next pump.
+    // blocks kept free, index). A target that cannot reserve reclaims
+    // pins first, like any other admission; only a transfer still
+    // blocked then parks in pendingHandoff for the next pump.
     auto startHandoff = [&](Member m, std::size_t from, double now) {
         const std::uint64_t sid = m.res.sessionId;
         const bool claimed = sid != 0 && claimedPins.count(sid) != 0;
+        const QueuedRequest mq = asQueued(m);
         std::size_t to = QueuedRequest::noReplica;
         if (claimed) {
             SessionState &st = sessions[sid];
             to = st.replica;
-            if (kvOn &&
-                !kvm[to].releaseWouldAdmit(
-                    st.reqId, maxKvTokens(to, asQueued(m)))) {
+            auto blocked = [&] {
+                return kvOn && !kvm[to].releaseWouldAdmit(
+                                   st.reqId, maxKvTokens(to, mq));
+            };
+            reclaimPins(to, sid, blocked);
+            if (blocked()) {
                 pendingHandoff.push_back({std::move(m), from});
                 return;
             }
             unpin(sid);
             claimedPins.erase(sid);
             if (kvOn) {
-                kvm[to].admit(m.res.id, maxKvTokens(to, asQueued(m)));
+                kvm[to].admit(m.res.id, maxKvTokens(to, mq));
                 kvm[to].setUsed(m.res.id, m.kvBase);
             }
         } else {
-            bool found = false;
-            std::tuple<int, std::size_t, std::int64_t, std::size_t>
-                best_key{};
-            for (std::size_t d = 0; d < n; ++d) {
-                if (roles[d] == ReplicaRole::Prefill)
-                    continue;
-                if (kvOn &&
-                    !kvm[d].canAdmit(maxKvTokens(d, asQueued(m))))
-                    continue;
+            auto canReserve = [&](std::size_t d) {
+                return !kvOn || kvm[d].canAdmit(maxKvTokens(d, mq));
+            };
+            auto rank = [&] {
+                std::size_t best = QueuedRequest::noReplica;
                 std::tuple<int, std::size_t, std::int64_t, std::size_t>
-                    key{roles[d] == ReplicaRole::Decode ? 0 : 1,
-                        rt[d].prefill.size() + rt[d].gen.size() +
-                            inbound[d].size(),
-                        kvOn ? -static_cast<std::int64_t>(
-                                   kvm[d].freeBlocks())
-                             : 0,
-                        d};
-                if (!found || key < best_key) {
-                    found = true;
-                    best_key = key;
-                    to = d;
+                    best_key{};
+                for (std::size_t d = 0; d < n; ++d) {
+                    if (roles[d] == ReplicaRole::Prefill || !canReserve(d))
+                        continue;
+                    std::tuple<int, std::size_t, std::int64_t, std::size_t>
+                        key{roles[d] == ReplicaRole::Decode ? 0 : 1,
+                            rt[d].prefill.size() + rt[d].gen.size() +
+                                inbound[d].size(),
+                            kvOn ? -static_cast<std::int64_t>(
+                                       kvm[d].freeBlocks())
+                                 : 0,
+                            d};
+                    if (best == QueuedRequest::noReplica || key < best_key) {
+                        best = d;
+                        best_key = key;
+                    }
                 }
+                return best;
+            };
+            to = rank();
+            if (to == QueuedRequest::noReplica) {
+                // Reclaim pins on decode-capable replicas, lowest index
+                // first, until one can reserve; then rank again.
+                bool freed = false;
+                for (std::size_t d = 0; d < n; ++d) {
+                    if (roles[d] == ReplicaRole::Prefill)
+                        continue;
+                    auto blocked = [&] { return !canReserve(d); };
+                    freed = reclaimPins(d, sid, blocked) || freed;
+                    if (!blocked())
+                        break;
+                }
+                if (freed)
+                    to = rank();
             }
-            if (!found) {
+            if (to == QueuedRequest::noReplica) {
                 // Fatal if no decode-capable replica could hold this
                 // member even empty — its handoff would wait forever.
                 bool ever = false;
                 for (std::size_t d = 0; d < n; ++d)
                     if (roles[d] != ReplicaRole::Prefill)
-                        ever = ever || !kvOn ||
-                               kvm[d].canEverAdmit(
-                                   maxKvTokens(d, asQueued(m)));
+                        ever = ever || kvm[d].canEverAdmit(
+                                           maxKvTokens(d, mq));
                 if (!ever)
                     IANUS_FATAL("request ", m.res.id, " needs ",
-                                maxKvTokens(from, asQueued(m)),
+                                maxKvTokens(from, mq),
                                 " KV tokens on a decode-capable "
                                 "replica, more than any can ever "
                                 "hold; its handoff can never "
@@ -1483,7 +1514,7 @@ ServingEngine::drain()
                 return;
             }
             if (kvOn)
-                kvm[to].admit(m.res.id, maxKvTokens(to, asQueued(m)));
+                kvm[to].admit(m.res.id, maxKvTokens(to, mq));
         }
         const std::uint64_t xfer = m.kvLen - m.kvBase;
         const std::uint64_t bytes =
@@ -1757,21 +1788,11 @@ ServingEngine::drain()
             // headroom fits the pool again (queue/shed modes;
             // `none` overcommits and spills instead). An evictee's
             // return outranks cached prefixes: reclaim this replica's
-            // pins oldest-first until it fits.
-            if (kvOn && !kvm[dev].canResume(q.id)) {
-                // Oldest-first, skipping pins an in-flight handoff has
-                // claimed (identical to a plain front-first scan when
-                // no pin is claimed — the non-disaggregated case).
-                std::size_t pi = 0;
-                while (prefixOn && pi < pins[dev].size() &&
-                       !kvm[dev].canResume(q.id)) {
-                    if (claimedPins.count(pins[dev][pi])) {
-                        ++pi;
-                        continue;
-                    }
-                    unpin(pins[dev][pi]);
-                }
-                if (!kvm[dev].canResume(q.id))
+            // pins until it fits.
+            if (kvOn) {
+                auto blocked = [&] { return !kvm[dev].canResume(q.id); };
+                reclaimPins(dev, q.sessionId, blocked);
+                if (blocked())
                     return Attempt::Blocked;
             }
         } else {
@@ -1855,33 +1876,19 @@ ServingEngine::drain()
                     };
                     fillStatuses();
                     if (!any_accepting && prefixOn && kvOn) {
-                        // Pinned prefixes are a cache, not a promise:
-                        // with every replica KV-blocked for this
-                        // candidate, reclaim pins oldest-first (lowest
-                        // replica index first) until one replica can
-                        // take it. The candidate's own pin is never
-                        // dropped here — its replica already prices
-                        // that release via releaseWouldAdmit, and
-                        // dropping it would forfeit the hit.
-                        auto reclaimOne = [&](std::size_t d) {
-                            for (std::uint64_t sid : pins[d]) {
-                                if (sid == q.sessionId ||
-                                    claimedPins.count(sid))
-                                    continue;
-                                unpin(sid);
-                                return true;
-                            }
-                            return false;
-                        };
+                        // Every replica is KV-blocked for this
+                        // candidate: reclaim pins, lowest replica index
+                        // first, until one replica can take it.
                         bool freed = false;
                         for (std::size_t d = 0; d < n; ++d) {
                             if (capacity(d) == 0 ||
                                 (disaggOn &&
                                  roles[d] == ReplicaRole::Decode))
                                 continue;
-                            while (kvBlocked(q, d) && reclaimOne(d))
-                                freed = true;
-                            if (!kvBlocked(q, d))
+                            auto blocked = [&] { return kvBlocked(q, d); };
+                            freed = reclaimPins(d, q.sessionId, blocked) ||
+                                    freed;
+                            if (!blocked())
                                 break; // one accepting replica suffices
                         }
                         if (freed)
@@ -2109,64 +2116,54 @@ ServingEngine::drain()
     // Dynamic path's dispatch sequence exactly; see
     // docs/PERFORMANCE.md for the equivalence argument.
     auto admit = [&](double now) {
-        if (order == QueueOrder::Arrival) {
-            // FCFS: strictly in arrival order, head-of-line blocking.
-            // A blocked head stops admission (later arrivals must not
-            // overtake it); a shed head ends this pass like the
-            // Dynamic path's one-batch-per-round exit does.
-            if (readyFifo.empty())
-                return;
-            std::size_t slots = totalSlots();
-            while (slots > 0 && !readyFifo.empty()) {
-                Attempt a = dispatchOne(readyFifo.front(), now);
-                if (a == Attempt::Blocked)
-                    break;
-                readyFifo.pop_front();
-                if (a == Attempt::Consumed)
-                    break;
-                --slots;
-            }
+        if (ready.empty())
             return;
-        }
-        if (order == QueueOrder::StaticUrgency) {
-            // SJF/EDF: one pass over the urgency-ordered index —
-            // exactly the prefix-dispatch the legacy path ran over the
-            // freshly stable_sorted queue, without the sort. Blocked
-            // candidates stay; consumed ones leave the index.
-            if (readyOrdered.empty())
-                return;
-            std::size_t slots = totalSlots();
-            if (slots == 0)
-                return;
+        if (order != QueueOrder::Dynamic) {
+            // One pass over the index. For SJF/EDF it is exactly the
+            // prefix-dispatch the legacy path ran over the freshly
+            // stable_sorted queue, without the sort: blocked
+            // candidates stay, consumed ones leave the index. FCFS
+            // dispatches strictly in arrival order, head-of-line
+            // blocking included: a blocked head stops the pass (later
+            // arrivals must not overtake it), and a shed head ends it
+            // like the Dynamic path's one-batch-per-round exit does.
+            const std::size_t slots = totalSlots();
             std::size_t launched = 0;
-            auto it = readyOrdered.begin();
-            while (it != readyOrdered.end() && launched < slots) {
-                Attempt a = dispatchOne(it->second, now);
-                if (a == Attempt::Blocked) {
-                    ++it;
-                    continue;
-                }
-                it = readyOrdered.erase(it);
+            for (auto it = ready.begin();
+                 it != ready.end() && launched < slots;) {
+                const Attempt a = dispatchOne(it->second, now);
+                it = a == Attempt::Blocked ? std::next(it)
+                                           : ready.erase(it);
                 if (a == Attempt::Launched)
                     ++launched;
+                else if (order == QueueOrder::Arrival)
+                    break;
             }
             return;
         }
 
         // Dynamic: the always-correct legacy path — re-consult
-        // selectBatch every round and dispatch the returned prefix
-        // that fits.
+        // selectBatch over a view of the index every round and
+        // dispatch the returned prefix that fits.
+        std::vector<QueuedRequest> view;
+        std::vector<decltype(ready)::iterator> at;
         while (!ready.empty()) {
             std::size_t slots = totalSlots();
             if (slots == 0)
                 break;
+            view.clear();
+            at.clear();
+            for (auto it = ready.begin(); it != ready.end(); ++it) {
+                view.push_back(it->second);
+                at.push_back(it);
+            }
 
             SchedulerContext ctx;
             ctx.nowMs = now;
             ctx.sloMsPerToken = opts_.sloMsPerToken;
             ctx.replicaFreeAtMs = freeAt;
             std::vector<std::size_t> batch =
-                policy_->selectBatch(ready, ctx);
+                policy_->selectBatch(view, ctx);
 
             // The selectBatch contract, enforced: a policy must return
             // at least one index for a non-empty queue, every index in
@@ -2177,13 +2174,13 @@ ServingEngine::drain()
                 IANUS_FATAL("scheduling policy '", policy_->name(),
                             "' returned an empty batch for a non-empty "
                             "queue of ",
-                            ready.size());
-            std::vector<char> taken(ready.size(), 0);
+                            view.size());
+            std::vector<char> taken(view.size(), 0);
             for (std::size_t idx : batch) {
-                if (idx >= ready.size())
+                if (idx >= view.size())
                     IANUS_FATAL("scheduling policy '", policy_->name(),
                                 "' returned out-of-range queue index ",
-                                idx, " (queue has ", ready.size(), ")");
+                                idx, " (queue has ", view.size(), ")");
                 if (taken[idx])
                     IANUS_FATAL("scheduling policy '", policy_->name(),
                                 "' returned duplicate queue index ", idx);
@@ -2191,25 +2188,16 @@ ServingEngine::drain()
             }
 
             std::size_t launched = 0;
-            std::vector<char> consumed(ready.size(), 0);
             for (std::size_t idx : batch) {
                 if (launched == slots)
                     break; // rest of the batch waits for a boundary
-                Attempt a = dispatchOne(ready[idx], now);
+                Attempt a = dispatchOne(view[idx], now);
                 if (a == Attempt::Blocked)
                     continue;
-                consumed[idx] = 1;
+                ready.erase(at[idx]);
                 if (a == Attempt::Launched)
                     ++launched;
             }
-
-            std::vector<QueuedRequest> rest;
-            rest.reserve(ready.size() - launched);
-            for (std::size_t i = 0; i < ready.size(); ++i)
-                if (!consumed[i])
-                    rest.push_back(std::move(ready[i]));
-            ready = std::move(rest);
-
             if (launched < batch.size())
                 break; // open slots exhausted mid-batch
         }
@@ -2260,33 +2248,24 @@ ServingEngine::drain()
                     return false;
                 return slot_full || kvBlocked(q, d);
             };
-            if (order == QueueOrder::StaticUrgency) {
-                // Ascending (static key, insertion seq): the first
-                // eligible entry is the most urgent one, ties resolved
-                // to the earliest queued — the same winner the legacy
-                // strict-min scan over the arrival-ordered vector
-                // found.
-                for (const auto &e : readyOrdered) {
-                    if (eligible(e.second)) {
-                        cand = &e.second;
-                        cand_key = e.first.first;
-                        break;
-                    }
+            // StaticUrgency walks ascending (static key, insertion
+            // seq): the first eligible entry is the most urgent one,
+            // ties resolved to the earliest queued — the same winner
+            // the strict-min scan in arrival order finds for the other
+            // orders.
+            for (const auto &[key, q] : ready) {
+                if (!eligible(q))
+                    continue;
+                if (order == QueueOrder::StaticUrgency) {
+                    cand = &q;
+                    cand_key = key.first;
+                    break;
                 }
-            } else {
-                auto scan = [&](const QueuedRequest &q) {
-                    if (!eligible(q))
-                        return;
-                    double key = policy_->urgency(q, ctx);
-                    if (!cand || key < cand_key) {
-                        cand = &q;
-                        cand_key = key;
-                    }
-                };
-                for (const QueuedRequest &q : ready)
-                    scan(q);
-                for (const QueuedRequest &q : readyFifo)
-                    scan(q);
+                const double u = policy_->urgency(q, ctx);
+                if (!cand || u < cand_key) {
+                    cand = &q;
+                    cand_key = u;
+                }
             }
             if (!cand)
                 continue;
@@ -2365,7 +2344,7 @@ ServingEngine::drain()
             std::size_t evict_budget = 0;
             for (std::size_t d = 0; d < n; ++d)
                 evict_budget += rt[d].gen.size();
-            while (evict_budget > 0 && !readyEmpty() && tryEvict(now)) {
+            while (evict_budget > 0 && !ready.empty() && tryEvict(now)) {
                 --evict_budget;
                 admit(now);
             }
@@ -2401,16 +2380,7 @@ ServingEngine::drain()
     injector_ = [&](const workloads::InferenceRequest &request,
                     double arrival_ms,
                     std::uint32_t source) -> std::uint64_t {
-        if (request.inputTokens == 0)
-            IANUS_FATAL("inference request needs at least one input "
-                        "token");
-        if (request.outputTokens == 0)
-            IANUS_FATAL("inference request needs at least one output "
-                        "token");
-        if (!std::isfinite(arrival_ms) || arrival_ms < 0.0)
-            IANUS_FATAL("injected arrival must be a finite non-negative "
-                        "time in ms, got ",
-                        arrival_ms);
+        validateRequest(request, arrival_ms);
         Tick when = msToTicks(arrival_ms);
         if (when < events.now())
             IANUS_FATAL("injected arrival at ", arrival_ms,
@@ -2543,12 +2513,8 @@ ServingEngine::drain()
                 where = place;
             }
         };
-        for (const QueuedRequest &q : ready)
-            note(q.id, "a ready queue");
-        for (const QueuedRequest &q : readyFifo)
-            note(q.id, "a ready queue");
-        for (const auto &entry : readyOrdered)
-            note(entry.second.id, "a ready queue");
+        for (const auto &entry : ready)
+            note(entry.second.id, "the ready queue");
         for (const Handoff &h : pendingHandoff)
             note(h.m.res.id, "pendingHandoff");
         for (std::size_t d = 0; d < n; ++d) {

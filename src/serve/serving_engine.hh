@@ -149,8 +149,8 @@ enum class QueueOrder : std::uint8_t
      *  (the always-correct path; custom policies get it by default). */
     Dynamic,
     /** selectBatch always returns {0}: dispatch strictly in arrival
-     *  order with head-of-line blocking (FCFS). The engine keeps a
-     *  FIFO and never calls selectBatch during a drain. */
+     *  order with head-of-line blocking (FCFS). The engine walks its
+     *  ready index from the head and never calls selectBatch. */
     Arrival,
     /** selectBatch returns the whole queue stable-sorted by the
      *  policy's *static* urgency() key (the urgency contract below):

@@ -68,18 +68,10 @@ drainSharded(const DevicePool &pool, const ServingOptions &opts,
         runs[s].globalIndex.reserve(trace.requests.size() / S + 1);
         if (!roles.empty()) {
             runs[s].roles.assign(roles.begin() + lo, roles.begin() + hi);
-            bool typed = false, prefill_capable = false,
-                 decode_capable = false;
-            for (ReplicaRole role : runs[s].roles) {
-                typed |= role != ReplicaRole::Unified;
-                prefill_capable |= role != ReplicaRole::Decode;
-                decode_capable |= role != ReplicaRole::Prefill;
-            }
-            if (typed && (!prefill_capable || !decode_capable))
+            if (const char *lack = missingRoleCapability(runs[s].roles))
                 IANUS_FATAL(
                     "shard ", s, " owns replicas [", lo, ", ", hi,
-                    ") with no ",
-                    prefill_capable ? "decode" : "prefill",
+                    ") with no ", lack,
                     "-capable member: roles must partition cleanly "
                     "across shards (a handoff never crosses a shard)");
         }

@@ -893,11 +893,23 @@ submitAll(const ArrivalTrace &trace, ServingEngine &engine)
 
 // --- Closed-loop clients ----------------------------------------------------
 
-ClosedLoopResult
-runClosedLoop(ServingEngine &engine, const ClosedLoopOptions &opts)
+namespace
+{
+
+/**
+ * The client loop runClosedLoop and runMixedDrain share: drains
+ * @p engine with opts.clients closed-loop clients tagged @p source
+ * over the open-loop @p background rows (tagged kBatchSource), and
+ * returns the report. The clients' arrivals land in @p realized,
+ * sorted by arrival time.
+ */
+ServingReport
+runClients(ServingEngine &engine, const ClosedLoopOptions &opts,
+           const ArrivalTrace &background, std::uint32_t source,
+           ArrivalTrace &realized)
 {
     if (opts.clients == 0)
-        IANUS_FATAL("a closed-loop session needs at least one client");
+        IANUS_FATAL("a closed-loop drain needs at least one client");
     if (opts.requestsPerClient == 0)
         IANUS_FATAL("closed-loop clients must send at least one request "
                     "each");
@@ -909,14 +921,15 @@ runClosedLoop(ServingEngine &engine, const ClosedLoopOptions &opts)
         IANUS_FATAL("closed-loop generation needs non-empty input and "
                     "output token choice lists");
     if (engine.pending() != 0)
-        IANUS_FATAL("a closed-loop session needs an engine with no "
+        IANUS_FATAL("a closed-loop drain needs an engine with no "
                     "pending requests (",
                     engine.pending(), " queued)");
 
     // One RNG stream per client, derived from (seed, client index):
     // every client's shape and think draws are fixed by the seed alone,
-    // independent of the completion order the pool produces — which is
-    // what makes the session seed-deterministic end to end.
+    // independent of the completion order the pool produces and of the
+    // background traffic — which is what makes the run
+    // seed-deterministic end to end.
     struct Client
     {
         std::mt19937 rng;
@@ -943,13 +956,20 @@ runClosedLoop(ServingEngine &engine, const ClosedLoopOptions &opts)
         double u = canonical53(c.rng);
         return opts.meanThinkMs * -std::log1p(-u);
     };
+    auto record = [&](const workloads::InferenceRequest &req,
+                      double arrival_ms) {
+        TimedRequest t;
+        t.request = req;
+        t.arrivalMs = arrival_ms;
+        t.source = source;
+        realized.requests.push_back(t);
+    };
 
-    ClosedLoopResult result;
-    std::map<std::uint64_t, std::size_t> owner; // request id -> client
+    std::map<std::uint64_t, std::size_t> owner; // client ids only
 
-    // First arrivals: one think draw past time zero, per client —
-    // submitted in arrival order (submit() requires it), ties broken by
-    // client index.
+    // First arrivals: one think draw past time zero, per client, in
+    // arrival order (submit() requires it), ties broken by client
+    // index.
     struct FirstArrival
     {
         double arrivalMs;
@@ -959,124 +979,6 @@ runClosedLoop(ServingEngine &engine, const ClosedLoopOptions &opts)
     std::vector<FirstArrival> first;
     first.reserve(opts.clients);
     for (std::size_t c = 0; c < opts.clients; ++c) {
-        workloads::InferenceRequest req = drawShape(clients[c]);
-        first.push_back({drawThinkMs(clients[c]), c, req});
-    }
-    std::sort(first.begin(), first.end(),
-              [](const FirstArrival &a, const FirstArrival &b) {
-                  return a.arrivalMs != b.arrivalMs
-                             ? a.arrivalMs < b.arrivalMs
-                             : a.client < b.client;
-              });
-    for (const FirstArrival &f : first) {
-        std::uint64_t id = engine.submit(f.request, f.arrivalMs);
-        owner.emplace(id, f.client);
-        clients[f.client].sent = 1;
-        result.realized.requests.push_back({f.request, f.arrivalMs});
-    }
-
-    // The feedback edge: each completion wakes its client, which thinks
-    // and injects its next request into the running drain. The guard
-    // clears the hook on every exit — it captures this function's
-    // locals, and a throwing drain must not leave the engine holding a
-    // dangling hook.
-    struct HookGuard
-    {
-        ServingEngine *engine;
-        ~HookGuard() { engine->setCompletionHook(nullptr); }
-    } hook_guard{&engine};
-    engine.setCompletionHook([&](const RequestResult &r,
-                                 const InferenceReport &) {
-        auto it = owner.find(r.id);
-        if (it == owner.end())
-            return; // not ours (engine shared with other traffic)
-        Client &c = clients[it->second];
-        if (c.sent >= opts.requestsPerClient)
-            return;
-        workloads::InferenceRequest req = drawShape(c);
-        double arrival = r.finishMs + drawThinkMs(c);
-        std::uint64_t id = engine.inject(req, arrival);
-        owner.emplace(id, it->second);
-        c.sent += 1;
-        result.realized.requests.push_back({req, arrival});
-    });
-    result.report = engine.drain();
-
-    // Injection order is completion order; the realized trace is the
-    // open-loop view of the same arrivals, so sort it into arrival
-    // order (stable: simultaneous arrivals keep completion order).
-    std::stable_sort(result.realized.requests.begin(),
-                     result.realized.requests.end(),
-                     [](const TimedRequest &a, const TimedRequest &b) {
-                         return a.arrivalMs < b.arrivalMs;
-                     });
-    return result;
-}
-
-// --- Mixed drains -----------------------------------------------------------
-
-MixedResult
-runMixedDrain(ServingEngine &engine, const ClosedLoopOptions &interactive,
-              const ArrivalTrace &background)
-{
-    if (interactive.clients == 0)
-        IANUS_FATAL("a mixed drain needs at least one interactive "
-                    "client");
-    if (interactive.requestsPerClient == 0)
-        IANUS_FATAL("mixed-drain clients must send at least one request "
-                    "each");
-    if (!(interactive.meanThinkMs >= 0.0))
-        IANUS_FATAL("mean think time must be a non-negative number of "
-                    "ms, got ",
-                    interactive.meanThinkMs);
-    if (interactive.inputTokenChoices.empty() ||
-        interactive.outputTokenChoices.empty())
-        IANUS_FATAL("mixed-drain generation needs non-empty input and "
-                    "output token choice lists");
-    if (engine.pending() != 0)
-        IANUS_FATAL("a mixed drain needs an engine with no pending "
-                    "requests (",
-                    engine.pending(), " queued)");
-
-    // The interactive side is runClosedLoop verbatim: per-client
-    // (seed, index) streams, so shape and think draws are independent
-    // of both completion order and the background traffic.
-    struct Client
-    {
-        std::mt19937 rng;
-        std::size_t sent = 0;
-    };
-    std::vector<Client> clients(interactive.clients);
-    for (std::size_t c = 0; c < interactive.clients; ++c) {
-        std::seed_seq seq{static_cast<std::uint32_t>(interactive.seed),
-                          static_cast<std::uint32_t>(
-                              interactive.seed >> 32),
-                          static_cast<std::uint32_t>(c)};
-        clients[c].rng.seed(seq);
-    }
-    auto drawShape = [&](Client &c) {
-        workloads::InferenceRequest req;
-        req.inputTokens = pick(c.rng, interactive.inputTokenChoices);
-        req.outputTokens = pick(c.rng, interactive.outputTokenChoices);
-        return req;
-    };
-    auto drawThinkMs = [&](Client &c) {
-        double u = canonical53(c.rng);
-        return interactive.meanThinkMs * -std::log1p(-u);
-    };
-
-    MixedResult result;
-    std::map<std::uint64_t, std::size_t> owner; // interactive ids only
-
-    struct FirstArrival
-    {
-        double arrivalMs;
-        std::size_t client;
-        workloads::InferenceRequest request;
-    };
-    std::vector<FirstArrival> first;
-    first.reserve(interactive.clients);
-    for (std::size_t c = 0; c < interactive.clients; ++c) {
         workloads::InferenceRequest req = drawShape(clients[c]);
         first.push_back({drawThinkMs(clients[c]), c, req});
     }
@@ -1105,20 +1007,18 @@ runMixedDrain(ServingEngine &engine, const ClosedLoopOptions &interactive,
         } else {
             const FirstArrival &f = first[fi++];
             std::uint64_t id =
-                engine.submit(f.request, f.arrivalMs, 0, 0, 0,
-                              kInteractiveSource);
+                engine.submit(f.request, f.arrivalMs, 0, 0, 0, source);
             owner.emplace(id, f.client);
             clients[f.client].sent = 1;
-            TimedRequest t;
-            t.request = f.request;
-            t.arrivalMs = f.arrivalMs;
-            t.source = kInteractiveSource;
-            result.realizedInteractive.requests.push_back(t);
+            record(f.request, f.arrivalMs);
         }
     }
 
-    // The interactive feedback edge, as runClosedLoop: background
-    // completions wake no one (owner holds interactive ids only).
+    // The feedback edge: each completion wakes its client, which thinks
+    // and injects its next request into the running drain; background
+    // completions wake no one. The guard clears the hook on every exit
+    // — it captures this function's locals, and a throwing drain must
+    // not leave the engine holding a dangling hook.
     struct HookGuard
     {
         ServingEngine *engine;
@@ -1130,27 +1030,48 @@ runMixedDrain(ServingEngine &engine, const ClosedLoopOptions &interactive,
         if (it == owner.end())
             return; // background (or foreign) traffic
         Client &c = clients[it->second];
-        if (c.sent >= interactive.requestsPerClient)
+        if (c.sent >= opts.requestsPerClient)
             return;
         workloads::InferenceRequest req = drawShape(c);
         double arrival = r.finishMs + drawThinkMs(c);
-        std::uint64_t id =
-            engine.inject(req, arrival, kInteractiveSource);
+        std::uint64_t id = engine.inject(req, arrival, source);
         owner.emplace(id, it->second);
         c.sent += 1;
-        TimedRequest t;
-        t.request = req;
-        t.arrivalMs = arrival;
-        t.source = kInteractiveSource;
-        result.realizedInteractive.requests.push_back(t);
+        record(req, arrival);
     });
-    result.report = engine.drain();
+    ServingReport report = engine.drain();
 
-    std::stable_sort(result.realizedInteractive.requests.begin(),
-                     result.realizedInteractive.requests.end(),
+    // Injection order is completion order; the realized trace is the
+    // open-loop view of the same arrivals, so sort it into arrival
+    // order (stable: simultaneous arrivals keep completion order).
+    std::stable_sort(realized.requests.begin(), realized.requests.end(),
                      [](const TimedRequest &a, const TimedRequest &b) {
                          return a.arrivalMs < b.arrivalMs;
                      });
+    return report;
+}
+
+} // namespace
+
+ClosedLoopResult
+runClosedLoop(ServingEngine &engine, const ClosedLoopOptions &opts)
+{
+    ClosedLoopResult result;
+    result.report = runClients(engine, opts, ArrivalTrace{}, 0,
+                               result.realized);
+    return result;
+}
+
+// --- Mixed drains -----------------------------------------------------------
+
+MixedResult
+runMixedDrain(ServingEngine &engine, const ClosedLoopOptions &interactive,
+              const ArrivalTrace &background)
+{
+    MixedResult result;
+    result.report = runClients(engine, interactive, background,
+                               kInteractiveSource,
+                               result.realizedInteractive);
     return result;
 }
 

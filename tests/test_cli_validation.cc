@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <sys/wait.h>
 
@@ -169,25 +170,83 @@ TEST(CliValidation, FatalErrorsExitOneWithTheirMessage)
     EXPECT_NE(out.find("rate profile"), std::string::npos) << out;
 }
 
-// A drain that strands requests fails instead of reporting the rest.
-// This session drain parks handoffs that never land (ROADMAP item 1);
-// once that loss is fixed, it becomes a test that every turn is served.
-TEST(CliValidation, DrainThatLosesRequestsExitsOne)
+// --- Session drains that once lost turns ------------------------------------
+
+/** The count printed right after @p needle in @p out, or -1. */
+long long
+countAfter(const std::string &out, const std::string &needle)
+{
+    const std::size_t at = out.find(needle);
+    return at == std::string::npos
+               ? -1
+               : std::atoll(out.c_str() + at + needle.size());
+}
+
+/** `llm_serving <args>` exits 0 having offered @p turns session turns
+ *  and completed or shed every one of them; returns its output. */
+std::string
+expectEveryTurnAccounted(const std::string &args, long long turns)
 {
     std::string out;
-    EXPECT_EQ(runCli("m 30 10 --replicas 3 --seed 518 "
-                     "--roles prefill,unified,prefill --policy sjf "
-                     "--router slo-budget --kv-capacity 4000 "
-                     "--kv-admission queue --sessions 60 "
-                     "--prefix-cache on --rate 5",
-                     out),
-              1)
+    EXPECT_EQ(runCli(args, out), 0) << args << "\n" << out;
+    EXPECT_EQ(countAfter(out, "-> "), turns) << out;
+    EXPECT_EQ(countAfter(out, "\nfleet    ") + countAfter(out, "| shed "),
+              turns)
         << out;
-    EXPECT_NE(out.find("drain lost requests: 181 offered, 164 completed, "
-                       "0 shed; the first stranded request"),
-              std::string::npos)
-        << out;
-    EXPECT_EQ(out.find("terminate called"), std::string::npos) << out;
+    return out;
+}
+
+// Session drains with typed roles, the prefix cache and a KV capacity
+// used to park KV handoffs behind session pins that no reclaim could
+// drop, and lost turns (a lossy drain is fatal, exit 1). A handoff now
+// reclaims pins by the same rule as any admission before it parks.
+// Here the decode side is a unified replica.
+TEST(CliValidation, UnifiedDecodeSessionDrainServesEveryTurn)
+{
+    const std::string out = expectEveryTurnAccounted(
+        "m 30 10 --replicas 3 --seed 518 "
+        "--roles prefill,unified,prefill --policy sjf "
+        "--router slo-budget --kv-capacity 4000 --kv-admission queue "
+        "--sessions 60 --prefix-cache on --rate 5",
+        181);
+    EXPECT_EQ(countAfter(out, "\nfleet    "), 181) << out;
+    EXPECT_NE(out.find("sessions: 60 served"), std::string::npos) << out;
+}
+
+// Shed admission drops turns on purpose; no other turn may vanish.
+TEST(CliValidation, ShedSessionDrainAccountsForEveryTurn)
+{
+    const std::string out = expectEveryTurnAccounted(
+        "m 60 10 --replicas 2 --seed 368 --roles unified,prefill "
+        "--policy fcfs --router round-robin --prefill-chunk 32 "
+        "--kv-capacity 2000 --kv-admission shed --sessions 60 "
+        "--prefix-cache on --rate 200",
+        187);
+    EXPECT_GT(countAfter(out, "| shed "), 0) << out;
+}
+
+// Two prefill and two decode replicas at 1x the derived KV capacity.
+TEST(CliValidation, DecodeRoleSessionDrainServesEveryTurn)
+{
+    const std::string out = expectEveryTurnAccounted(
+        "m 1 10 --replicas 4 --roles prefill,prefill,decode,decode "
+        "--sessions 2000 --rate 20 --kv-capacity auto "
+        "--kv-admission queue --router kv-affinity",
+        5868);
+    EXPECT_EQ(countAfter(out, "\nfleet    "), 5868) << out;
+}
+
+// Prefix hits hand off to the decode replica holding their session's
+// pin; with the KV full there, the handoff must reclaim other pins.
+TEST(CliValidation, ClaimedPinHandoffSessionDrainServesEveryTurn)
+{
+    const std::string out = expectEveryTurnAccounted(
+        "m 30 10 --replicas 3 --seed 554 --roles prefill,decode,decode "
+        "--policy sjf --router kv-affinity --kv-capacity 1500 "
+        "--kv-admission queue --sessions 60 --prefix-cache on --rate 5 "
+        "--batching continuous --max-batch 4",
+        156);
+    EXPECT_EQ(countAfter(out, "\nfleet    "), 156) << out;
 }
 
 // --- The other examples ---------------------------------------------------

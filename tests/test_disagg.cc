@@ -513,6 +513,50 @@ TEST(DisaggSessions, PrefixHitsTransferOnlyTheDelta)
     }
 }
 
+/** NPU-MEM prefill and IANUS decode replicas, interleaved P,D,P,D, at
+ *  1x the derived KV capacity. Session pins fill the decode side until
+ *  a handoff can reserve only by reclaiming them; a drain that parked
+ *  such handoffs for good lost turns. With seed 7 at 20 sessions/s,
+ *  850 sessions is about the shortest trace that reached that state. */
+TEST(DisaggSessions, PinnedDecodePoolServesEveryTurn)
+{
+    DevicePool pool;
+    for (std::size_t i = 0; i < 4; ++i) {
+        const bool prefill = i % 2 == 0;
+        pool.addReplica(std::make_unique<CompiledModel>(
+                            prefill ? SystemConfig::npuMem()
+                                    : SystemConfig::ianusDefault(),
+                            model),
+                        prefill ? ReplicaRole::Prefill
+                                : ReplicaRole::Decode);
+    }
+    ServingOptions opts;
+    opts.tokenStride = 8;
+    opts.prefillChunk = 128;
+    opts.preempt = true;
+    opts.prefixCache = true;
+    opts.kv.capacityTokens =
+        deriveKvCapacityTokens(SystemConfig::ianusDefault(), model);
+    opts.kv.admission = KvAdmission::Queue;
+    ServingEngine engine(pool, opts, makePolicy("edf"),
+                         makeRouter("kv-affinity"));
+
+    SessionOptions sopts;
+    sopts.seed = 7;
+    sopts.sessions = 850;
+    sopts.sessionsPerSec = 20.0;
+    ArrivalTrace trace = generateSessionTrace(sopts);
+
+    submitAll(trace, engine);
+    ServingReport rep = engine.drain();
+    EXPECT_EQ(rep.results.size() + rep.kvShed, trace.size());
+    EXPECT_GT(rep.prefixHits, 0u);
+    for (const auto &u : rep.replicas) {
+        EXPECT_EQ(u.kvTokensEnd, 0u);
+        EXPECT_EQ(u.kvBlocksLeaked, 0u);
+    }
+}
+
 // --- Determinism and sharding -----------------------------------------------
 
 TEST(DisaggSharding, DeterministicAcrossReplaysAndThreads)

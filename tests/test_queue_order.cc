@@ -3,9 +3,9 @@
  * policy back onto the generic Dynamic path (full selectBatch over the
  * whole ready queue at every boundary) must reproduce the fast path's
  * drain bit for bit. That is the hot-path refactor's correctness
- * contract — the Arrival deque and the StaticUrgency ordered index may
- * only change *how fast* the scheduler reaches its decisions, never
- * which decisions it reaches.
+ * contract — walking the one ready index in Arrival or StaticUrgency
+ * order may only change *how fast* the scheduler reaches its
+ * decisions, never which decisions it reaches.
  */
 
 #include <gtest/gtest.h>
@@ -121,11 +121,25 @@ cells()
         o.kv.admission = KvAdmission::Queue;
         return o;
     };
+    // Shed admission: a KV-blocked candidate leaves the queue
+    // unserved, which ends an FCFS pass and which SJF/EDF walk past,
+    // as on the Dynamic path.
+    auto kvShed = [] {
+        ServingOptions o;
+        o.batching = BatchingMode::Continuous;
+        o.maxBatch = 4;
+        o.tokenStride = 4;
+        o.kv.capacityTokens = 384;
+        o.kv.blockTokens = 16;
+        o.kv.admission = KvAdmission::Shed;
+        return o;
+    };
     return {{"plain", plain},
             {"continuous4", continuous},
             {"preempt+chunk", preemptChunk},
             {"kv-queue", kvQueue},
-            {"kv-queue+preempt", kvQueuePreempt}};
+            {"kv-queue+preempt", kvQueuePreempt},
+            {"kv-shed", kvShed}};
 }
 
 class QueueOrderEquivalence
@@ -181,6 +195,9 @@ TEST_P(QueueOrderEquivalence, FastPathMatchesDynamicReference)
 
         expectDrainsIdentical(fast, ref,
                               policyName + std::string("/") + cell.name);
+        if (opts.kv.admission == KvAdmission::Shed) {
+            EXPECT_GT(fast.kvShed, 0u) << policyName;
+        }
     }
 }
 
