@@ -12,12 +12,12 @@
 #include <algorithm>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
 
 #include "compiler/workload_builder.hh"
+#include "drain_audit.hh"
 #include "ianus/execution_engine.hh"
 #include "ianus/ianus_system.hh"
 #include "serve/serving_engine.hh"
@@ -205,18 +205,12 @@ INSTANTIATE_TEST_SUITE_P(Models, MemoryModeSweep,
 /**
  * Serving conservation sweep: for every
  * {router x policy x batching x preempt x chunk} combination on one
- * small heterogeneous trace, the bookkeeping must balance —
- *
- *  - every submitted id completes exactly once;
- *  - per-replica dispatch counts sum to total dispatches (each request
- *    once, plus one re-dispatch per eviction);
- *  - fleet stat aggregates stay additive (the report's merged RunStats
- *    equals the per-request merge, generated tokens equal the sum of
- *    output tokens);
- *  - serviceMs excludes suspension (finish - start - suspended,
- *    exactly);
- *  - per-replica busy + idle partitions the makespan, and the makespan
- *    is the last completion minus the first arrival.
+ * small heterogeneous trace, the drain passes the audit
+ * (drain_audit.hh: every id once, dispatch, token and KV conservation,
+ * consistent times, busy + idle = makespan) with nothing shed and no
+ * handoff, and fleet stat aggregates stay additive: the report's
+ * merged RunStats equals the per-request merge the completion hook
+ * sees.
  */
 TEST(ServingInvariantSweep, ConservationAcrossAllCombinations)
 {
@@ -290,58 +284,20 @@ TEST(ServingInvariantSweep, ConservationAcrossAllCombinations)
                                            (preempt ? "/preempt" : "") +
                                            (chunk ? "/chunk" : "");
 
-                        // Every submitted id completes exactly once.
+                        // Every submitted id completes; none is shed
+                        // and, on a role-less pool, none hands off.
                         ASSERT_EQ(rep.requests(), trace.size()) << cell;
-                        std::set<std::uint64_t> ids;
-                        for (const auto &r : rep.results)
-                            ids.insert(r.id);
-                        EXPECT_EQ(ids.size(), trace.size()) << cell;
-                        EXPECT_EQ(*ids.begin(), 0u) << cell;
-                        EXPECT_EQ(*ids.rbegin(), trace.size() - 1)
-                            << cell;
-
-                        // Dispatch conservation: one admission per
-                        // request plus one re-dispatch per eviction.
-                        std::uint64_t dispatched = 0;
-                        for (const auto &u : rep.replicas)
-                            dispatched += u.dispatched;
-                        EXPECT_EQ(dispatched,
-                                  trace.size() + rep.preemptions())
-                            << cell;
-
-                        // KV conservation: every drain returns the
-                        // resident token count to zero and leaks no
-                        // blocks, kv manager enabled or not.
-                        for (const auto &u : rep.replicas) {
-                            EXPECT_EQ(u.kvTokensEnd, 0u) << cell;
-                            EXPECT_EQ(u.kvBlocksLeaked, 0u) << cell;
-                        }
-
-                        // Fleet aggregates stay additive.
-                        std::uint64_t tokens = 0;
-                        double last_finish = 0.0;
-                        double first_arrival =
-                            trace.requests.front().arrivalMs;
-                        for (const auto &r : rep.results) {
-                            tokens += r.request.outputTokens;
-                            last_finish =
-                                std::max(last_finish, r.finishMs);
-                            // serviceMs excludes suspension, exactly.
-                            EXPECT_DOUBLE_EQ(r.serviceMs,
-                                             r.finishMs - r.startMs -
-                                                 r.suspendedMs)
-                                << cell << " id " << r.id;
-                            EXPECT_GE(r.startMs, r.arrivalMs) << cell;
-                            EXPECT_GE(r.finishMs, r.startMs) << cell;
-                            if (r.preemptions == 0) {
-                                EXPECT_EQ(r.suspendedMs, 0.0) << cell;
-                            }
-                            if (!preempt) {
+                        EXPECT_EQ(rep.kvTransfers, 0u) << cell;
+                        test::expectCleanDrain(
+                            rep, trace.size(),
+                            trace.requests.front().arrivalMs, cell);
+                        if (!preempt)
+                            for (const auto &r : rep.results) {
                                 EXPECT_EQ(r.preemptions, 0u) << cell;
                                 EXPECT_EQ(r.suspendedMs, 0.0) << cell;
                             }
-                        }
-                        EXPECT_EQ(rep.generatedTokens, tokens) << cell;
+
+                        // Fleet aggregates stay additive.
                         EXPECT_DOUBLE_EQ(rep.aggregate.commands,
                                          merged.commands)
                             << cell;
@@ -351,19 +307,6 @@ TEST(ServingInvariantSweep, ConservationAcrossAllCombinations)
                         EXPECT_DOUBLE_EQ(rep.aggregate.dramReadBytes,
                                          merged.dramReadBytes)
                             << cell;
-
-                        // Makespan accounting.
-                        EXPECT_DOUBLE_EQ(rep.makespanMs,
-                                         last_finish - first_arrival)
-                            << cell;
-                        for (const auto &u : rep.replicas) {
-                            EXPECT_DOUBLE_EQ(u.busyMs + u.idleMs,
-                                             rep.makespanMs)
-                                << cell;
-                            EXPECT_GE(u.utilization, 0.0) << cell;
-                            EXPECT_LE(u.utilization, 1.0 + 1e-12)
-                                << cell;
-                        }
                     }
 }
 
@@ -420,14 +363,10 @@ TEST(ServingInvariantSweep, KvCapacityPreservesConservation)
                                    toString(layout);
                 ASSERT_EQ(rep.requests(), trace.size()) << cell;
                 EXPECT_EQ(rep.kvShed, 0u) << cell;
-                std::uint64_t dispatched = 0;
-                for (const auto &u : rep.replicas) {
-                    dispatched += u.dispatched;
-                    EXPECT_EQ(u.kvTokensEnd, 0u) << cell;
-                    EXPECT_EQ(u.kvBlocksLeaked, 0u) << cell;
-                }
-                EXPECT_EQ(dispatched, trace.size() + rep.preemptions())
-                    << cell;
+                EXPECT_EQ(rep.kvTransfers, 0u) << cell;
+                test::expectCleanDrain(rep, trace.size(),
+                                       trace.requests.front().arrivalMs,
+                                       cell);
                 EXPECT_GT(rep.kvPeakPressure, 0.0) << cell;
                 if (admission == KvAdmission::Queue) {
                     EXPECT_EQ(rep.kvSpilledSegments, 0u) << cell;
@@ -436,11 +375,11 @@ TEST(ServingInvariantSweep, KvCapacityPreservesConservation)
 }
 
 // Session conservation: for every (router x batching x kv) cell on one
-// multi-turn trace, every turn completes exactly once and echoes its
+// multi-turn trace, the drain passes the audit (pinned session KV
+// never leaks blocks across park/evict/resume), every turn echoes its
 // trace tags; a prefix hit prefills exactly the delta (input - prefix)
 // while a miss honestly re-prefills the full input; prefillTokensSaved
-// is the exact sum of hit prefixes; pinned session KV never leaks
-// blocks across park/evict/resume; and per-session aggregates sum back
+// is the exact sum of hit prefixes; and per-session aggregates sum back
 // to the fleet totals.
 TEST(ServingInvariantSweep, SessionConservationAcrossCells)
 {
@@ -492,13 +431,14 @@ TEST(ServingInvariantSweep, SessionConservationAcrossCells)
 
                 // Every turn completes exactly once and keeps its tags.
                 ASSERT_EQ(rep.requests(), trace.size()) << cell;
-                std::set<std::uint64_t> ids;
+                test::expectCleanDrain(rep, trace.size(),
+                                       trace.requests.front().arrivalMs,
+                                       cell);
                 std::uint64_t resumable = 0, hits = 0, saved = 0;
                 std::map<std::uint64_t, std::uint64_t> turnsBySession,
                     tokensBySession;
                 std::map<std::uint64_t, std::pair<double, double>> span;
                 for (const auto &r : rep.results) {
-                    ids.insert(r.id);
                     const auto &row =
                         trace.requests[static_cast<std::size_t>(r.id)];
                     EXPECT_EQ(r.sessionId, row.sessionId) << cell;
@@ -532,21 +472,12 @@ TEST(ServingInvariantSweep, SessionConservationAcrossCells)
                             std::max(it->second.second, r.finishMs);
                     }
                 }
-                EXPECT_EQ(ids.size(), trace.size()) << cell;
-
                 // Hit/miss bookkeeping is exact.
                 EXPECT_EQ(rep.prefixHits, hits) << cell;
                 EXPECT_EQ(rep.prefixHits + rep.prefixMisses, resumable)
                     << cell;
                 EXPECT_EQ(rep.prefillTokensSaved, saved) << cell;
 
-                // Session KV pins never leak: every drain returns the
-                // resident count to zero even with turns parked,
-                // evicted, and resumed in between.
-                for (const auto &u : rep.replicas) {
-                    EXPECT_EQ(u.kvTokensEnd, 0u) << cell;
-                    EXPECT_EQ(u.kvBlocksLeaked, 0u) << cell;
-                }
                 EXPECT_EQ(rep.kvShed, 0u) << cell;
 
                 // Per-session aggregates sum to the fleet totals.
@@ -567,16 +498,14 @@ TEST(ServingInvariantSweep, SessionConservationAcrossCells)
             }
 }
 
-// Disaggregated conservation: the same laws on a role-typed
-// 2-prefill + 2-decode pool across (router x policy x kv x preempt)
-// cells, extended with the handoff ledger — every request completes
-// exactly once; dispatches sum to admissions + re-dispatches +
-// handoff arrivals (a transfer lands its member on the decode replica
-// as one extra dispatch); every multi-token request prefills on a
-// prefill replica and decodes on a decode replica with a non-empty
-// transfer; and both roles drain back to zero resident KV with no
-// leaked blocks — the decode side reserved exactly what the prefill
-// side released.
+// Disaggregated conservation: the audit on a role-typed 2-prefill +
+// 2-decode pool across (router x policy x kv x preempt) cells — there
+// dispatches count the handoff arrival (a transfer lands its member on
+// the decode replica as one extra dispatch), and both roles drain back
+// to zero resident KV with no leaked blocks, so the decode side
+// reserved exactly what the prefill side released — extended with the
+// handoff ledger: every multi-token request prefills on a prefill
+// replica and decodes on a decode replica with a non-empty transfer.
 TEST(ServingInvariantSweep, DisaggregatedConservationAcrossCells)
 {
     using namespace serve;
@@ -636,10 +565,9 @@ TEST(ServingInvariantSweep, DisaggregatedConservationAcrossCells)
 
                     // Every submitted id completes exactly once.
                     ASSERT_EQ(rep.requests(), trace.size()) << cell;
-                    std::set<std::uint64_t> ids;
-                    for (const auto &r : rep.results)
-                        ids.insert(r.id);
-                    EXPECT_EQ(ids.size(), trace.size()) << cell;
+                    test::expectCleanDrain(
+                        rep, trace.size(),
+                        trace.requests.front().arrivalMs, cell);
 
                     // Handoff ledger: every output here is > 1, so
                     // every request ships its KV exactly once —
@@ -658,32 +586,11 @@ TEST(ServingInvariantSweep, DisaggregatedConservationAcrossCells)
                         if (!preempt) {
                             EXPECT_EQ(r.preemptions, 0u) << cell;
                         }
-                        EXPECT_DOUBLE_EQ(r.serviceMs,
-                                         r.finishMs - r.startMs -
-                                             r.suspendedMs)
-                            << cell << " id " << r.id;
                     }
                     EXPECT_EQ(rep.kvTransfers, trace.size()) << cell;
                     EXPECT_EQ(transfers, rep.kvTransfers) << cell;
                     EXPECT_GT(rep.kvTransferMs, 0.0) << cell;
                     EXPECT_GT(rep.kvTransferGB, 0.0) << cell;
-
-                    // Dispatch conservation now counts the handoff
-                    // arrival on the decode side.
-                    std::uint64_t dispatched = 0;
-                    for (const auto &u : rep.replicas)
-                        dispatched += u.dispatched;
-                    EXPECT_EQ(dispatched, trace.size() +
-                                              rep.preemptions() +
-                                              rep.kvTransfers)
-                        << cell;
-
-                    // Zero-leak on both roles: the decode side
-                    // reserved exactly what the prefill side released.
-                    for (const auto &u : rep.replicas) {
-                        EXPECT_EQ(u.kvTokensEnd, 0u) << cell;
-                        EXPECT_EQ(u.kvBlocksLeaked, 0u) << cell;
-                    }
                     EXPECT_EQ(rep.kvShed, 0u) << cell;
                 }
 }
@@ -693,13 +600,14 @@ TEST(ServingInvariantSweep, DisaggregatedConservationAcrossCells)
  * an open-loop batch background trace, for every
  * {router x batching x preempt x kv} cell —
  *
- *  - both populations complete in full, every id exactly once, and
- *    every result carries the source tag its injection used;
+ *  - the drain passes the audit, submitted and injected requests
+ *    alike;
+ *  - both populations complete in full, and every result carries the
+ *    source tag its injection used;
  *  - the per-source slices partition the fleet totals (requests,
  *    generated tokens) with nothing dropped or double-counted;
  *  - slice goodputs share the fleet makespan base, so they sum to the
- *    fleet's own SLO-goodput;
- *  - KV drains back to zero on every replica.
+ *    fleet's own SLO-goodput.
  */
 TEST(ServingInvariantSweep, MixedDrainConservationAcrossCells)
 {
@@ -770,11 +678,14 @@ TEST(ServingInvariantSweep, MixedDrainConservationAcrossCells)
                     ASSERT_EQ(rep.requests(),
                               interactive + background.size())
                         << cell;
-                    std::set<std::uint64_t> ids;
+                    test::expectCleanDrain(
+                        rep, interactive + background.size(),
+                        std::min(background.requests.front().arrivalMs,
+                                 res.realizedInteractive.requests.front()
+                                     .arrivalMs),
+                        cell);
                     std::size_t n_interactive = 0, n_batch = 0;
                     for (const auto &r : rep.results) {
-                        EXPECT_TRUE(ids.insert(r.id).second)
-                            << cell << " id " << r.id;
                         if (r.source == kInteractiveSource)
                             n_interactive += 1;
                         else if (r.source == kBatchSource)
@@ -805,12 +716,6 @@ TEST(ServingInvariantSweep, MixedDrainConservationAcrossCells)
                                 rep.sloGoodputTokensPerSec(),
                                 1e-6 * (1.0 + slice_goodput))
                         << cell;
-
-                    // KV hygiene on every replica, manager on or off.
-                    for (const auto &u : rep.replicas) {
-                        EXPECT_EQ(u.kvTokensEnd, 0u) << cell;
-                        EXPECT_EQ(u.kvBlocksLeaked, 0u) << cell;
-                    }
                 }
 }
 
