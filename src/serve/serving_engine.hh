@@ -112,9 +112,9 @@ struct QueuedRequest
 
     /** Filled by the engine right before routing: the replica whose
      *  prefix cache still holds this session's prior-turn KV, or
-     *  npos when no hit is possible (cold turn, evicted prefix, or
-     *  prefix cache off). Session-sticky routers read it; others are
-     *  free to ignore it. */
+     *  noReplica when no hit is possible (cold turn, evicted prefix,
+     *  or prefix cache off). Session-sticky routers read it; others
+     *  are free to ignore it. */
     static constexpr std::size_t noReplica = static_cast<std::size_t>(-1);
     std::size_t sessionHitReplica = noReplica;
 };
@@ -139,8 +139,8 @@ struct SchedulerContext
  * How a policy's selectBatch ordering relates to the waiting queue —
  * declared by the policy so the engine can keep the queue in an
  * incremental structure that makes re-running selectBatch at every
- * token boundary unnecessary (see ServingEngine::drain's ready-queue
- * fast paths and docs/PERFORMANCE.md).
+ * token boundary unnecessary (see Drain::admit's ready-queue fast
+ * paths in drain.cc and docs/PERFORMANCE.md).
  */
 enum class QueueOrder : std::uint8_t
 {
@@ -172,8 +172,8 @@ enum class QueueOrder : std::uint8_t
  * arrival or boundary.
  *
  * Contract (enforced with IANUS_FATAL where drain() consumes the batch,
- * see serving_engine.cc): the batch must be non-empty and every index
- * must be in range and distinct.
+ * see Drain::admit in drain.cc): the batch must be non-empty and every
+ * index must be in range and distinct.
  */
 class SchedulingPolicy
 {

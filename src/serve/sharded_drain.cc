@@ -9,6 +9,7 @@
 
 #include "common/logging.hh"
 #include "common/types.hh"
+#include "serve/drain.hh"
 
 namespace ianus::serve
 {
@@ -213,15 +214,7 @@ drainSharded(const DevicePool &pool, const ServingOptions &opts,
         last_finish = std::max(last_finish, merged[i].finishMs);
 
     ServingReport out;
-    const ServingReport &echo = runs[0].report;
-    out.policy = echo.policy;
-    out.router = echo.router;
-    out.batching = echo.batching;
-    out.maxBatch = echo.maxBatch;
-    out.prefillChunk = echo.prefillChunk;
-    out.preempt = echo.preempt;
-    out.kv = echo.kv;
-    out.sloMsPerToken = echo.sloMsPerToken;
+    echoOptions(out, runs[0].report.policy, runs[0].report.router, opts);
     out.roles = roles;
     out.shards = S;
     out.replicas.assign(R, ReplicaUtilization{});
@@ -252,16 +245,7 @@ drainSharded(const DevicePool &pool, const ServingOptions &opts,
         out.aggregate.merge(rep.aggregate);
     }
     out.makespanMs = last_finish - first_arrival;
-    out.kvMeanFragmentation =
-        out.kvFragGrossTokens > 0
-            ? static_cast<double>(out.kvFragWasteTokens) /
-                  static_cast<double>(out.kvFragGrossTokens)
-            : 0.0;
-    for (ReplicaUtilization &u : out.replicas) {
-        u.idleMs = std::max(0.0, out.makespanMs - u.busyMs);
-        u.utilization =
-            out.makespanMs > 0.0 ? u.busyMs / out.makespanMs : 0.0;
-    }
+    closeReport(out);
     return out;
 }
 
