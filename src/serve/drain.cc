@@ -1746,7 +1746,12 @@ closeReport(ServingReport &report)
                   static_cast<double>(report.kvFragGrossTokens)
             : 0.0;
     for (ReplicaUtilization &r : report.replicas) {
-        r.idleMs = std::max(0.0, report.makespanMs - r.busyMs);
+        // Busy time sums segment durations; the makespan subtracts two
+        // absolute times. A replica busy from the first arrival to the
+        // last finish can therefore read one rounding above the
+        // makespan: it was busy for the whole makespan, no longer.
+        r.busyMs = std::min(r.busyMs, report.makespanMs);
+        r.idleMs = report.makespanMs - r.busyMs;
         r.utilization =
             report.makespanMs > 0.0 ? r.busyMs / report.makespanMs : 0.0;
     }

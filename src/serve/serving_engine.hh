@@ -629,7 +629,7 @@ struct RequestResult
 struct ReplicaUtilization
 {
     std::uint64_t dispatched = 0;
-    double busyMs = 0.0;
+    double busyMs = 0.0;      ///< service time, at most the makespan
     double idleMs = 0.0;      ///< makespan - busy
     double utilization = 0.0; ///< busy / makespan (0 if empty drain)
 

@@ -2,7 +2,8 @@
  * @file The one audit every drain test holds a ServingReport to: the
  * conservation and accounting laws that must hold for any pool,
  * options and trace. It returns its violations as text, so a gtest
- * check and the drain fuzzer's shrinker use the same predicate.
+ * check and the drain fuzzer's shrinker use the same predicate. Next
+ * to it, the one field-by-field comparison of two drains' reports.
  */
 
 #ifndef IANUS_TESTS_DRAIN_AUDIT_HH
@@ -10,11 +11,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "serve/serving_engine.hh"
@@ -47,6 +52,17 @@ notAfter(double a, double b)
     return a <= b || almostEqual(a, b);
 }
 
+/** The scale the audit holds serviceMs = finish - start - suspended
+ *  to. The whole-request path sets finish = start + serviceMs, so
+ *  finish - start carries the rounding of an addition at finish's
+ *  scale; 4 ULPs of serviceMs cover it only while the start is small
+ *  next to serviceMs (arrivals before ~50 ms). */
+enum class ServiceScale : std::uint8_t
+{
+    Service, ///< within 4 ULPs of serviceMs (EXPECT_DOUBLE_EQ)
+    Finish,  ///< within 4 ULPs of finishMs, for traces that run late
+};
+
 /**
  * Audit a drain of @p offered requests (submitted plus injected), the
  * earliest submitted at @p first_arrival_ms. Returns one line per
@@ -58,18 +74,21 @@ notAfter(double a, double b)
  *  - no replica ends with resident KV tokens or leaked KV blocks;
  *  - dispatches equal completed + preemptions + KV transfers;
  *  - every time is finite, arrival <= start <= arrival + TTFT <=
- *    finish, serviceMs = finish - start - suspended, and a request
- *    never evicted was never suspended;
- *  - per replica, busy + idle = makespan, utilization lies in [0, 1],
- *    and the makespan is the last finish minus the first arrival.
+ *    finish, serviceMs = finish - start - suspended (at @p scale), and
+ *    a request never evicted was never suspended;
+ *  - per replica, busy + idle = makespan to 4 ULPs and utilization
+ *    lies in [0, 1], and the makespan is the last finish minus the
+ *    first arrival.
  */
 inline std::vector<std::string>
 auditDrain(const serve::ServingReport &rep, std::uint64_t offered,
-           double first_arrival_ms)
+           double first_arrival_ms,
+           ServiceScale scale = ServiceScale::Service)
 {
     std::vector<std::string> bad;
     auto fail = [&bad](const auto &...parts) {
         std::ostringstream os;
+        os.precision(17); // violations can be one rounding wide
         (os << ... << parts);
         bad.push_back(os.str());
     };
@@ -109,16 +128,18 @@ auditDrain(const serve::ServingReport &rep, std::uint64_t offered,
             fail("id ", r.id, " emits its first token at ", first_token,
                  " outside [start ", r.startMs, ", finish ", r.finishMs,
                  "]");
-        // The whole-request path defines finish = start + serviceMs, so
-        // finish - start rounds at finish's scale, not serviceMs's:
-        // that path must meet its definition exactly instead.
-        const bool whole_request =
-            r.suspendedMs == 0.0 && r.startMs + r.serviceMs == r.finishMs;
-        if (!whole_request &&
-            !almostEqual(r.serviceMs,
-                         r.finishMs - r.startMs - r.suspendedMs))
+        const double resident = r.finishMs - r.startMs - r.suspendedMs;
+        const double finish_ulp =
+            std::nextafter(r.finishMs,
+                           std::numeric_limits<double>::infinity()) -
+            r.finishMs;
+        const bool service_ok =
+            scale == ServiceScale::Service
+                ? almostEqual(r.serviceMs, resident)
+                : std::abs(r.serviceMs - resident) <= 4 * finish_ulp;
+        if (!service_ok)
             fail("id ", r.id, " serviceMs ", r.serviceMs,
-                 " != finish - start - suspended");
+                 " != finish - start - suspended ", resident);
         if (r.preemptions == 0 && r.suspendedMs != 0.0)
             fail("id ", r.id, " was suspended but never evicted");
     }
@@ -133,16 +154,10 @@ auditDrain(const serve::ServingReport &rep, std::uint64_t offered,
         if (u.kvTokensEnd != 0 || u.kvBlocksLeaked != 0)
             fail("replica ", d, " ends with ", u.kvTokensEnd,
                  " KV tokens and ", u.kvBlocksLeaked, " leaked blocks");
-        // idle = makespan - busy clamped at 0: a replica busy from the
-        // first arrival to the last finish may pass the makespan by
-        // the rounding of the makespan's own subtraction, which the
-        // utilization bound below still limits.
-        const bool clamped =
-            u.idleMs == 0.0 && u.busyMs > rep.makespanMs;
-        if (!clamped && !almostEqual(u.busyMs + u.idleMs, rep.makespanMs))
+        if (!almostEqual(u.busyMs + u.idleMs, rep.makespanMs))
             fail("replica ", d, " busy ", u.busyMs, " + idle ", u.idleMs,
                  " != makespan ", rep.makespanMs);
-        if (!(u.utilization >= 0.0 && u.utilization <= 1.0 + 1e-12))
+        if (!(u.utilization >= 0.0 && u.utilization <= 1.0))
             fail("replica ", d, " utilization ", u.utilization);
     }
     const std::uint64_t want =
@@ -161,10 +176,118 @@ auditDrain(const serve::ServingReport &rep, std::uint64_t offered,
  *  with @p cell. */
 inline void
 expectCleanDrain(const serve::ServingReport &rep, std::uint64_t offered,
-                 double first_arrival_ms, const std::string &cell)
+                 double first_arrival_ms, const std::string &cell,
+                 ServiceScale scale = ServiceScale::Service)
 {
-    for (const std::string &v : auditDrain(rep, offered, first_arrival_ms))
+    for (const std::string &v :
+         auditDrain(rep, offered, first_arrival_ms, scale))
         ADD_FAILURE() << cell << ": " << v;
+}
+
+/**
+ * The first measured field where @p a and @p b differ, named, or ""
+ * when the two drains agree bit for bit: every result, every replica's
+ * counters and the report's scalars and aggregate cost. Doubles must
+ * hold the same bits and no NaN. The echoed options are not compared.
+ */
+inline std::string
+reportDifference(const serve::ServingReport &a,
+                 const serve::ServingReport &b)
+{
+    using Fields = std::initializer_list<std::pair<const char *, bool>>;
+    auto same = [](double x, double y) {
+        return x == y && std::signbit(x) == std::signbit(y);
+    };
+    auto first = [](Fields fields) -> std::string {
+        for (const auto &[name, equal] : fields)
+            if (!equal)
+                return name;
+        return "";
+    };
+    if (a.results.size() != b.results.size())
+        return "result count " + std::to_string(a.results.size()) +
+               " vs " + std::to_string(b.results.size());
+    for (std::size_t i = 0; i < a.results.size(); ++i) {
+        const serve::RequestResult &x = a.results[i], &y = b.results[i];
+        const std::string field = first({
+            {"id", x.id == y.id},
+            {"inputTokens", x.request.inputTokens == y.request.inputTokens},
+            {"outputTokens",
+             x.request.outputTokens == y.request.outputTokens},
+            {"arrivalMs", same(x.arrivalMs, y.arrivalMs)},
+            {"startMs", same(x.startMs, y.startMs)},
+            {"finishMs", same(x.finishMs, y.finishMs)},
+            {"serviceMs", same(x.serviceMs, y.serviceMs)},
+            {"firstTokenMs", same(x.firstTokenMs, y.firstTokenMs)},
+            {"msPerToken", same(x.msPerToken, y.msPerToken)},
+            {"sloMiss", x.sloMiss == y.sloMiss},
+            {"deadlineMiss", x.deadlineMiss == y.deadlineMiss},
+            {"prefixHit", x.prefixHit == y.prefixHit},
+            {"source", x.source == y.source},
+            {"deviceIndex", x.deviceIndex == y.deviceIndex},
+            {"prefillIndex", x.prefillIndex == y.prefillIndex},
+            {"kvTransferMs", same(x.kvTransferMs, y.kvTransferMs)},
+            {"kvTransferTokens", x.kvTransferTokens == y.kvTransferTokens},
+            {"meanBatchSize", same(x.meanBatchSize, y.meanBatchSize)},
+            {"preemptions", x.preemptions == y.preemptions},
+            {"suspendedMs", same(x.suspendedMs, y.suspendedMs)},
+            {"prefillChunks", x.prefillChunks == y.prefillChunks},
+            {"sessionId", x.sessionId == y.sessionId},
+            {"turnIndex", x.turnIndex == y.turnIndex},
+            {"prefixTokens", x.prefixTokens == y.prefixTokens},
+            {"prefilledTokens", x.prefilledTokens == y.prefilledTokens},
+            {"generationSteps", x.generationSteps == y.generationSteps},
+        });
+        if (!field.empty())
+            return "result " + std::to_string(i) + " (id " +
+                   std::to_string(x.id) + ") " + field;
+    }
+    if (a.replicas.size() != b.replicas.size())
+        return "replica count";
+    for (std::size_t d = 0; d < a.replicas.size(); ++d) {
+        const serve::ReplicaUtilization &x = a.replicas[d],
+                                        &y = b.replicas[d];
+        const std::string field = first({
+            {"dispatched", x.dispatched == y.dispatched},
+            {"busyMs", same(x.busyMs, y.busyMs)},
+            {"idleMs", same(x.idleMs, y.idleMs)},
+            {"utilization", same(x.utilization, y.utilization)},
+            {"kvTokensEnd", x.kvTokensEnd == y.kvTokensEnd},
+            {"kvBlocksLeaked", x.kvBlocksLeaked == y.kvBlocksLeaked},
+        });
+        if (!field.empty())
+            return "replica " + std::to_string(d) + " " + field;
+    }
+    const RunStats &s = a.aggregate, &t = b.aggregate;
+    return first({
+        {"makespanMs", same(a.makespanMs, b.makespanMs)},
+        {"generatedTokens", a.generatedTokens == b.generatedTokens},
+        {"simEvents", a.simEvents == b.simEvents},
+        {"kvShed", a.kvShed == b.kvShed},
+        {"kvPeakPressure", same(a.kvPeakPressure, b.kvPeakPressure)},
+        {"kvMeanFragmentation",
+         same(a.kvMeanFragmentation, b.kvMeanFragmentation)},
+        {"kvFragWasteTokens", a.kvFragWasteTokens == b.kvFragWasteTokens},
+        {"kvFragGrossTokens", a.kvFragGrossTokens == b.kvFragGrossTokens},
+        {"kvSpilledSegments", a.kvSpilledSegments == b.kvSpilledSegments},
+        {"kvMaxDilation", same(a.kvMaxDilation, b.kvMaxDilation)},
+        {"kvTransfers", a.kvTransfers == b.kvTransfers},
+        {"kvTransferMs", same(a.kvTransferMs, b.kvTransferMs)},
+        {"kvTransferGB", same(a.kvTransferGB, b.kvTransferGB)},
+        {"prefixHits", a.prefixHits == b.prefixHits},
+        {"prefixMisses", a.prefixMisses == b.prefixMisses},
+        {"prefillTokensSaved", a.prefillTokensSaved == b.prefillTokensSaved},
+        {"aggregate.wallTicks", s.wallTicks == t.wallTicks},
+        {"aggregate.commands", same(s.commands, t.commands)},
+        {"aggregate.muFlops", same(s.muFlops, t.muFlops)},
+        {"aggregate.vuElems", same(s.vuElems, t.vuElems)},
+        {"aggregate.dramReadBytes", same(s.dramReadBytes, t.dramReadBytes)},
+        {"aggregate.dramWriteBytes",
+         same(s.dramWriteBytes, t.dramWriteBytes)},
+        {"aggregate.pimWeightBytes",
+         same(s.pimWeightBytes, t.pimWeightBytes)},
+        {"aggregate.pimMacros", same(s.pimMacros, t.pimMacros)},
+    });
 }
 
 } // namespace ianus::test

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "drain_audit.hh"
 #include "serve/device_pool.hh"
 #include "serve/kv_manager.hh"
 #include "serve/serving_engine.hh"
@@ -46,54 +47,13 @@ makePool(const std::vector<ReplicaRole> &roles)
     return pool;
 }
 
-/** Field-by-field report equality: the bit-identity anchor. Exact
- *  double comparison throughout — "close" is a regression here. */
+/** Report equality, the bit-identity anchor: every measured field,
+ *  doubles compared bit for bit — "close" is a regression here. */
 void
 expectSameReport(const ServingReport &a, const ServingReport &b,
                  const std::string &cell)
 {
-    ASSERT_EQ(a.results.size(), b.results.size()) << cell;
-    for (std::size_t i = 0; i < a.results.size(); ++i) {
-        const RequestResult &x = a.results[i];
-        const RequestResult &y = b.results[i];
-        EXPECT_EQ(x.id, y.id) << cell << " result " << i;
-        EXPECT_EQ(x.deviceIndex, y.deviceIndex) << cell << " r" << i;
-        EXPECT_EQ(x.prefillIndex, y.prefillIndex) << cell << " r" << i;
-        EXPECT_EQ(x.arrivalMs, y.arrivalMs) << cell << " r" << i;
-        EXPECT_EQ(x.startMs, y.startMs) << cell << " r" << i;
-        EXPECT_EQ(x.firstTokenMs, y.firstTokenMs) << cell << " r" << i;
-        EXPECT_EQ(x.finishMs, y.finishMs) << cell << " r" << i;
-        EXPECT_EQ(x.serviceMs, y.serviceMs) << cell << " r" << i;
-        EXPECT_EQ(x.msPerToken, y.msPerToken) << cell << " r" << i;
-        EXPECT_EQ(x.suspendedMs, y.suspendedMs) << cell << " r" << i;
-        EXPECT_EQ(x.preemptions, y.preemptions) << cell << " r" << i;
-        EXPECT_EQ(x.prefixHit, y.prefixHit) << cell << " r" << i;
-        EXPECT_EQ(x.kvTransferMs, y.kvTransferMs) << cell << " r" << i;
-        EXPECT_EQ(x.kvTransferTokens, y.kvTransferTokens)
-            << cell << " r" << i;
-    }
-    EXPECT_EQ(a.makespanMs, b.makespanMs) << cell;
-    EXPECT_EQ(a.generatedTokens, b.generatedTokens) << cell;
-    EXPECT_EQ(a.aggregate.commands, b.aggregate.commands) << cell;
-    EXPECT_EQ(a.aggregate.muFlops, b.aggregate.muFlops) << cell;
-    EXPECT_EQ(a.kvTransfers, b.kvTransfers) << cell;
-    EXPECT_EQ(a.kvTransferMs, b.kvTransferMs) << cell;
-    EXPECT_EQ(a.kvTransferGB, b.kvTransferGB) << cell;
-    EXPECT_EQ(a.prefixHits, b.prefixHits) << cell;
-    EXPECT_EQ(a.prefixMisses, b.prefixMisses) << cell;
-    EXPECT_EQ(a.preemptions(), b.preemptions()) << cell;
-    ASSERT_EQ(a.replicas.size(), b.replicas.size()) << cell;
-    for (std::size_t d = 0; d < a.replicas.size(); ++d) {
-        EXPECT_EQ(a.replicas[d].dispatched, b.replicas[d].dispatched)
-            << cell << " replica " << d;
-        EXPECT_EQ(a.replicas[d].busyMs, b.replicas[d].busyMs)
-            << cell << " replica " << d;
-        EXPECT_EQ(a.replicas[d].kvTokensEnd, b.replicas[d].kvTokensEnd)
-            << cell << " replica " << d;
-        EXPECT_EQ(a.replicas[d].kvBlocksLeaked,
-                  b.replicas[d].kvBlocksLeaked)
-            << cell << " replica " << d;
-    }
+    EXPECT_EQ(test::reportDifference(a, b), "") << cell;
 }
 
 // --- Replica roles ----------------------------------------------------------

@@ -4,7 +4,8 @@
  * ServingOptions (policy, router, batching, max batch, chunk, preempt,
  * stride, KV capacity, admission, layout, block size, prefix cache,
  * link) and a Poisson, session, bursty, closed-loop or mixed trace,
- * then drains it and holds the report to drain_audit.hh. The same case
+ * then drains it and holds the report to drain_audit.hh, with serviceMs
+ * checked at finish's scale (the traces run late). The same case
  * drained again on a fresh engine must give the same report, bit for
  * bit; a sharded case must give the same report on one worker thread
  * and on two.
@@ -23,7 +24,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -345,95 +345,6 @@ describe(const Case &c)
     return os.str();
 }
 
-bool
-sameBits(double a, double b)
-{
-    return std::memcmp(&a, &b, sizeof a) == 0;
-}
-
-/** The first field where @p a and @p b differ, or "" when they are
- *  identical (doubles compared bit for bit). */
-std::string
-firstDifference(const ServingReport &a, const ServingReport &b)
-{
-    if (a.results.size() != b.results.size())
-        return "result count " + std::to_string(a.results.size()) +
-               " vs " + std::to_string(b.results.size());
-    for (std::size_t i = 0; i < a.results.size(); ++i) {
-        const RequestResult &x = a.results[i], &y = b.results[i];
-        const bool same =
-            x.id == y.id &&
-            x.request.inputTokens == y.request.inputTokens &&
-            x.request.outputTokens == y.request.outputTokens &&
-            sameBits(x.arrivalMs, y.arrivalMs) &&
-            sameBits(x.startMs, y.startMs) &&
-            sameBits(x.finishMs, y.finishMs) &&
-            sameBits(x.serviceMs, y.serviceMs) &&
-            sameBits(x.firstTokenMs, y.firstTokenMs) &&
-            sameBits(x.msPerToken, y.msPerToken) &&
-            x.sloMiss == y.sloMiss && x.deadlineMiss == y.deadlineMiss &&
-            x.prefixHit == y.prefixHit && x.source == y.source &&
-            x.deviceIndex == y.deviceIndex &&
-            x.prefillIndex == y.prefillIndex &&
-            sameBits(x.kvTransferMs, y.kvTransferMs) &&
-            x.kvTransferTokens == y.kvTransferTokens &&
-            sameBits(x.meanBatchSize, y.meanBatchSize) &&
-            x.preemptions == y.preemptions &&
-            sameBits(x.suspendedMs, y.suspendedMs) &&
-            x.prefillChunks == y.prefillChunks &&
-            x.sessionId == y.sessionId && x.turnIndex == y.turnIndex &&
-            x.prefixTokens == y.prefixTokens &&
-            x.prefilledTokens == y.prefilledTokens &&
-            x.generationSteps == y.generationSteps;
-        if (!same)
-            return "result " + std::to_string(i) + " (id " +
-                   std::to_string(x.id) + ")";
-    }
-    if (a.replicas.size() != b.replicas.size())
-        return "replica count";
-    for (std::size_t d = 0; d < a.replicas.size(); ++d) {
-        const ReplicaUtilization &x = a.replicas[d], &y = b.replicas[d];
-        if (x.dispatched != y.dispatched || !sameBits(x.busyMs, y.busyMs) ||
-            !sameBits(x.idleMs, y.idleMs) ||
-            !sameBits(x.utilization, y.utilization) ||
-            x.kvTokensEnd != y.kvTokensEnd ||
-            x.kvBlocksLeaked != y.kvBlocksLeaked)
-            return "replica " + std::to_string(d);
-    }
-    const RunStats &s = a.aggregate, &t = b.aggregate;
-    const std::pair<const char *, bool> scalars[] = {
-        {"makespanMs", sameBits(a.makespanMs, b.makespanMs)},
-        {"generatedTokens", a.generatedTokens == b.generatedTokens},
-        {"simEvents", a.simEvents == b.simEvents},
-        {"kvShed", a.kvShed == b.kvShed},
-        {"kvPeakPressure", sameBits(a.kvPeakPressure, b.kvPeakPressure)},
-        {"kvMeanFragmentation",
-         sameBits(a.kvMeanFragmentation, b.kvMeanFragmentation)},
-        {"kvFragWasteTokens", a.kvFragWasteTokens == b.kvFragWasteTokens},
-        {"kvFragGrossTokens", a.kvFragGrossTokens == b.kvFragGrossTokens},
-        {"kvSpilledSegments", a.kvSpilledSegments == b.kvSpilledSegments},
-        {"kvMaxDilation", sameBits(a.kvMaxDilation, b.kvMaxDilation)},
-        {"kvTransfers", a.kvTransfers == b.kvTransfers},
-        {"kvTransferMs", sameBits(a.kvTransferMs, b.kvTransferMs)},
-        {"kvTransferGB", sameBits(a.kvTransferGB, b.kvTransferGB)},
-        {"prefixHits", a.prefixHits == b.prefixHits},
-        {"prefixMisses", a.prefixMisses == b.prefixMisses},
-        {"prefillTokensSaved", a.prefillTokensSaved == b.prefillTokensSaved},
-        {"aggregate",
-         s.wallTicks == t.wallTicks && sameBits(s.commands, t.commands) &&
-             sameBits(s.muFlops, t.muFlops) &&
-             sameBits(s.vuElems, t.vuElems) &&
-             sameBits(s.dramReadBytes, t.dramReadBytes) &&
-             sameBits(s.dramWriteBytes, t.dramWriteBytes) &&
-             sameBits(s.pimWeightBytes, t.pimWeightBytes) &&
-             sameBits(s.pimMacros, t.pimMacros)},
-    };
-    for (const auto &[name, same] : scalars)
-        if (!same)
-            return name;
-    return "";
-}
-
 /** One drain of a case and what its audit needs. */
 struct Drained
 {
@@ -531,8 +442,10 @@ check(const Case &c, bool &ran)
             bad = test::auditDrain(one, c.trace.size(),
                                    c.trace.requests.empty()
                                        ? 0.0
-                                       : c.trace.requests.front().arrivalMs);
-            const std::string diff = firstDifference(one, drainShards(c, 2));
+                                       : c.trace.requests.front().arrivalMs,
+                                   test::ServiceScale::Finish);
+            const std::string diff =
+                test::reportDifference(one, drainShards(c, 2));
             if (!diff.empty())
                 bad.push_back("threads 1 and threads 2 differ at " + diff);
             return bad;
@@ -542,9 +455,10 @@ check(const Case &c, bool &ran)
             return bad;
         ran = true;
         bad = test::auditDrain(first->report, first->offered,
-                               first->firstArrivalMs);
+                               first->firstArrivalMs,
+                               test::ServiceScale::Finish);
         const std::string diff =
-            firstDifference(first->report, drainView(c)->report);
+            test::reportDifference(first->report, drainView(c)->report);
         if (!diff.empty())
             bad.push_back("a second drain differs at " + diff);
     } catch (const std::exception &e) {

@@ -601,7 +601,8 @@ TEST(ServingInvariantSweep, DisaggregatedConservationAcrossCells)
  * {router x batching x preempt x kv} cell —
  *
  *  - the drain passes the audit, submitted and injected requests
- *    alike;
+ *    alike, serviceMs at finish's scale (the clients keep injecting
+ *    well past 50 ms);
  *  - both populations complete in full, and every result carries the
  *    source tag its injection used;
  *  - the per-source slices partition the fleet totals (requests,
@@ -683,7 +684,7 @@ TEST(ServingInvariantSweep, MixedDrainConservationAcrossCells)
                         std::min(background.requests.front().arrivalMs,
                                  res.realizedInteractive.requests.front()
                                      .arrivalMs),
-                        cell);
+                        cell, test::ServiceScale::Finish);
                     std::size_t n_interactive = 0, n_batch = 0;
                     for (const auto &r : rep.results) {
                         if (r.source == kInteractiveSource)
