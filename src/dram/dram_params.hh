@@ -29,9 +29,6 @@ struct DramTiming
     Tick tRCDRD = 36000;   ///< activate to read
     Tick tRCDWR = 24000;   ///< activate to write
 
-    /** Minimum activate-to-activate within one bank (row cycle). */
-    Tick rowCycle() const { return tRAS + tRP; }
-
     bool operator==(const DramTiming &) const = default;
 };
 
@@ -68,9 +65,6 @@ struct Gddr6Config
     {
         return channelPeakBytesPerTick() * channels * 1000.0;
     }
-
-    /** Column bursts that make up one row. */
-    std::uint64_t burstsPerRow() const { return rowBytes / burstBytes; }
 
     /** Number of physical AiM chips in the system. */
     unsigned chips() const { return channels / channelsPerChip; }

@@ -94,15 +94,6 @@ struct RunStats
     static RunStats blockPeriodic(const RunStats &two, const RunStats &end0,
                                   const RunStats &end1, std::uint64_t blocks);
 
-    /** The same from whole runs of the 1-block prefix @p one and the
-     *  2-block prefix @p two, whose difference is also one block. */
-    static RunStats
-    blockPeriodic(const RunStats &one, const RunStats &two,
-                  std::uint64_t blocks)
-    {
-        return blockPeriodic(two, one, two, blocks);
-    }
-
     double wallMs() const { return ticksToMs(wallTicks); }
 };
 

@@ -17,9 +17,25 @@
 #include "noc/noc.hh"
 #include "npu/command_scheduler.hh"
 #include "npu/matrix_unit.hh"
-#include "npu/npu_core.hh"
 #include "npu/vector_unit.hh"
 #include "pim/pim_channel.hh"
+
+namespace ianus::npu
+{
+
+/** Per-core scratchpad sizes (Table 1). */
+struct CoreMemoryParams
+{
+    std::uint64_t actScratchpadBytes = 12 * MiB;
+    std::uint64_t weightScratchpadBytes = 4 * MiB;
+    /** WM entry feeds one systolic column set; AM entries are 2x (4.1). */
+    std::uint64_t weightEntryBytes = 128;
+    std::uint64_t actEntryBytes = 256;
+
+    bool operator==(const CoreMemoryParams &) const = default;
+};
+
+} // namespace ianus::npu
 
 namespace ianus
 {

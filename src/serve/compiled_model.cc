@@ -203,14 +203,6 @@ CompiledModel::generationStepStats(
 }
 
 double
-CompiledModel::estimatedStepMs() const
-{
-    if (!model_.decoder())
-        return 0.0;
-    return generation(routingProbeKv).wallMs();
-}
-
-double
 CompiledModel::estimatePrefillMs(std::uint64_t input_tokens) const
 {
     return summarizationStats(input_tokens).wallMs();
@@ -238,14 +230,6 @@ CompiledModel::estimateGenerationMs(
         return 0.0;
     std::uint64_t mid_kv = request.inputTokens + 1 + steps / 2;
     return static_cast<double>(steps) * generation(mid_kv).wallMs();
-}
-
-double
-CompiledModel::estimateServiceMs(
-    const workloads::InferenceRequest &request) const
-{
-    return estimatePrefillMs(request.inputTokens) +
-           estimateGenerationMs(request);
 }
 
 InferenceReport

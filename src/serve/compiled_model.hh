@@ -265,26 +265,15 @@ class CompiledModel
     // --- Routing estimates --------------------------------------------------
     //
     // Heterogeneity-aware routers need to know how fast *this* replica
-    // is, not how busy it has been. These estimates are derived from the
-    // same cached program stats run() uses — every term is executed on
-    // this replica's own device model, so an NPU-MEM replica or a
-    // different tensor-parallel degree honestly reports different
-    // numbers. They are pure functions of the replica configuration and
-    // the request shape (never of cache history), so routing decisions
-    // do not depend on what a replica happened to serve earlier.
-
-    /** KV length of the canonical probe step behind estimatedStepMs()
-     *  (the default trace's median 256-token prompt plus its first
-     *  output token). */
-    static constexpr std::uint64_t routingProbeKv = 257;
-
-    /**
-     * Per-token service-time estimate of this replica: the wall ms of
-     * one generation step at routingProbeKv, from the scalar
-     * generation-step cache (built on first use, a hit afterwards).
-     * 0 for encoder models, which have no generation stage.
-     */
-    double estimatedStepMs() const;
+    // serves the candidate request, not how busy it has been: the drain
+    // fills ReplicaStatus::estPrefillMs and estGenMs from the accessors
+    // below. They are derived from the same cached program stats run()
+    // uses — every term is executed on this replica's own device model,
+    // so an NPU-MEM replica or a different tensor-parallel degree
+    // honestly reports different numbers. They are pure functions of the
+    // replica configuration and the request shape (never of cache
+    // history), so routing decisions do not depend on what a replica
+    // happened to serve earlier.
 
     /**
      * Estimated wall ms of @p request's prefill on this replica: the
@@ -314,10 +303,6 @@ class CompiledModel
      */
     double
     estimateGenerationMs(const workloads::InferenceRequest &request) const;
-
-    /** Prefill + generation estimate of the whole request served alone. */
-    double
-    estimateServiceMs(const workloads::InferenceRequest &request) const;
 
     const SystemConfig &config() const { return cfg_; }
     const workloads::ModelConfig &model() const { return model_; }

@@ -1167,14 +1167,12 @@ class Drain
                 s.backlogTokens += m.remaining;
             }
             s.suspendedKv = parked_[d];
-            s.pinnedSessions = prefix_ ? prefix_->pins[d].size() : 0;
             if (kv_) {
                 s.kvFreeBlocks = kv_->pools[d].freeBlocks();
                 s.kvPressure = kv_->pools[d].pressure();
             }
             if (est) {
                 const CompiledModel &r = *replicas_[d];
-                s.estStepMs = r.estimatedStepMs();
                 // The hit replica re-prefills only the delta; pricing that
                 // into its estimate is the re-prefill penalty every
                 // predicted-finish router weighs. A disaggregated hit
@@ -1617,8 +1615,6 @@ class Drain
             QueuedRequest rq = asQueued(m);
             rq.resumed = true;
             rq.boundReplica = d;
-            rq.kvTokens = m.kvLen;
-            rq.remainingTokens = m.remaining;
             suspended_.emplace(rq.id, std::move(m));
             readyPush(rq);
             return true;

@@ -80,18 +80,15 @@ struct QueuedRequest
     double arrivalMs = 0.0; ///< arrival time on the serving clock
 
     // --- Preemption resume state (engine-managed) -----------------------
-    /** True for a request re-queued by an eviction: its KV cache
-     *  (kvTokens tokens) is retained on replica boundReplica, so a
-     *  re-dispatch skips the prefill and must land on that replica
-     *  (affinity overrides the router). kvTokens/remainingTokens are
-     *  informational — a policy MUST NOT fold them (or any other
-     *  progress) into its urgency key, which the urgency contract
-     *  requires to be static; progress-dependent keys reopen the
-     *  evict/resume ping-pong the static-key argument rules out. */
+    /** True for a request re-queued by an eviction: its KV cache is
+     *  retained on replica boundReplica, so a re-dispatch skips the
+     *  prefill and must land on that replica (affinity overrides the
+     *  router). A policy MUST NOT fold progress into its urgency key,
+     *  which the urgency contract requires to be static;
+     *  progress-dependent keys reopen the evict/resume ping-pong the
+     *  static-key argument rules out. */
     bool resumed = false;
     std::size_t boundReplica = 0;
-    std::uint64_t kvTokens = 0;        ///< KV length reached at eviction
-    std::uint64_t remainingTokens = 0; ///< generation steps still owed
 
     // --- Multi-turn session tags (engine-managed) -----------------------
     /** Session this request is one turn of; 0 = single-turn (the
@@ -318,11 +315,6 @@ struct ReplicaStatus
     /** Evicted requests whose KV cache is parked on this replica,
      *  waiting to resume (their slot is spoken for). */
     std::size_t suspendedKv = 0;
-    /** Completed turns whose session KV is pinned on this replica,
-     *  awaiting the session's next turn (prefix cache). Unlike
-     *  suspendedKv these hold no batch slot — only KV blocks — so
-     *  fresh work need not steer away from them. */
-    std::size_t pinnedSessions = 0;
 
     // --- KV capacity signals (ServingOptions::kv enabled only) ---------
     /** Unreserved KV blocks on this replica; negative when the `none`
@@ -339,13 +331,9 @@ struct ReplicaStatus
     // Filled by the engine only when the router declares
     // needsEstimates() — deriving them executes (and caches) probe
     // programs on the replica, which estimate-blind routers should not
-    // pay for. All three come from the replica's own CompiledModel
-    // cached stats, so heterogeneous replicas report honestly different
+    // pay for. Both come from the replica's own CompiledModel cached
+    // stats, so heterogeneous replicas report honestly different
     // numbers (see CompiledModel's routing-estimate accessors).
-    /** Per-token estimate of this replica (candidate-independent — a
-     *  shape-free speed rank for custom routers; the shipped routers
-     *  score the candidate's own estimates below). */
-    double estStepMs = 0.0;
     double estPrefillMs = 0.0; ///< the candidate's prefill, served here
     double estGenMs = 0.0;     ///< the candidate's generation, alone here
 };

@@ -373,13 +373,14 @@ TEST(BlockPeriodic, SpilledFfn2BlocksRunTheFullProgram)
               3);
 
     // And the fallback is needed: extrapolating the spilled first
-    // blocks over the whole model misses.
+    // blocks over the whole model misses. The whole 1- and 2-block runs
+    // stand in for the two barrier snapshots; they differ by one block.
     ExecutionEngine engine(sys);
     RunStats one = engine.run(builder.buildGenerationBatch({257}, 1));
     RunStats two = engine.run(builder.buildGenerationBatch({257}, 2));
     RunStats full = engine.run(builder.buildGenerationToken(257));
     EXPECT_FALSE(bitIdentical(
-        RunStats::blockPeriodic(one, two, model.nBlocks), full));
+        RunStats::blockPeriodic(two, one, two, model.nBlocks), full));
 }
 
 TEST(BlockPeriodic, TruncationAddsTheSameCommandsPerBlock)

@@ -20,7 +20,6 @@ TEST(DramParams, Table1Defaults)
     EXPECT_EQ(cfg.timing.tRCDRD, 36000u);    // 36 ns
     EXPECT_EQ(cfg.timing.tRP, 30000u);       // 30 ns
     EXPECT_EQ(cfg.timing.tRAS, 21000u);      // 21 ns
-    EXPECT_EQ(cfg.timing.rowCycle(), 51000u);
 }
 
 TEST(DramParams, BandwidthMatchesTable1)
@@ -34,7 +33,6 @@ TEST(DramParams, BandwidthMatchesTable1)
 TEST(DramParams, GeometryDerivations)
 {
     Gddr6Config cfg;
-    EXPECT_EQ(cfg.burstsPerRow(), 64u);
     EXPECT_EQ(cfg.chips(), 4u); // 2 channels per GDDR6-AiM package
 }
 

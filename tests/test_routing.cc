@@ -317,18 +317,18 @@ TEST(Routing, EstimatesAreHonestAcrossHeterogeneousReplicas)
     serve::CompiledModel fast(SystemConfig::ianusDefault(), m);
     serve::CompiledModel slow(SystemConfig::npuMem(), m);
     InferenceRequest req{256, 16};
-    // The IANUS replica must honestly report being faster, per stage.
-    EXPECT_LT(fast.estimatedStepMs(), slow.estimatedStepMs());
+    // The IANUS replica must honestly report being faster, per stage
+    // and per token (a 2-token output is one step, at KV 257).
+    EXPECT_LT(fast.estimateGenerationMs({256, 2}),
+              slow.estimateGenerationMs({256, 2}));
     EXPECT_LT(fast.estimatePrefillMs(256), slow.estimatePrefillMs(256));
     EXPECT_LT(fast.estimateGenerationMs(req),
               slow.estimateGenerationMs(req));
-    EXPECT_LT(fast.estimateServiceMs(req), slow.estimateServiceMs(req));
     // Estimates are pure functions of the configuration: asking twice
-    // gives the same number, and the estimate decomposes additively.
-    EXPECT_EQ(fast.estimateServiceMs(req), fast.estimateServiceMs(req));
-    EXPECT_DOUBLE_EQ(fast.estimateServiceMs(req),
-                     fast.estimatePrefillMs(req.inputTokens) +
-                         fast.estimateGenerationMs(req));
+    // gives the same number.
+    EXPECT_EQ(fast.estimatePrefillMs(256), fast.estimatePrefillMs(256));
+    EXPECT_EQ(fast.estimateGenerationMs(req),
+              fast.estimateGenerationMs(req));
 }
 
 TEST(Routing, EstimateAccessorsRejectInvalidRequests)
@@ -337,7 +337,7 @@ TEST(Routing, EstimateAccessorsRejectInvalidRequests)
     EXPECT_THROW((void)model.estimatePrefillMs(0), std::runtime_error);
     EXPECT_THROW((void)model.estimateGenerationMs({0, 4}),
                  std::runtime_error);
-    EXPECT_THROW((void)model.estimateServiceMs({64, 0}),
+    EXPECT_THROW((void)model.estimateGenerationMs({64, 0}),
                  std::runtime_error);
 }
 
@@ -385,7 +385,6 @@ TEST(Routing, EngineFillsLoadSignalsAndGatesEstimates)
     bool saw_resident = false;
     for (const auto &rs : run(false))
         for (const ReplicaStatus &r : rs) {
-            EXPECT_EQ(r.estStepMs, 0.0);
             EXPECT_EQ(r.estPrefillMs, 0.0);
             EXPECT_EQ(r.estGenMs, 0.0);
             if (r.resident > 0) {
@@ -402,7 +401,6 @@ TEST(Routing, EngineFillsLoadSignalsAndGatesEstimates)
     ASSERT_FALSE(seen.empty());
     for (const auto &rs : seen)
         for (const ReplicaStatus &r : rs) {
-            EXPECT_GT(r.estStepMs, 0.0);
             EXPECT_GT(r.estPrefillMs, 0.0);
             EXPECT_GT(r.estGenMs, 0.0);
         }

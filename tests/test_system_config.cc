@@ -21,6 +21,17 @@ TEST(SystemConfig, Table2DerivedSpecs)
     EXPECT_EQ(cfg.tdpWatts, 120.0);
 }
 
+TEST(SystemConfig, Table1CoreGeometry)
+{
+    // AM 12 MB / WM 4 MB per core; AM entries are 2x WM entries (4.1) —
+    // the mismatch the transpose streaming buffer reconciles.
+    const ianus::npu::CoreMemoryParams mem =
+        SystemConfig::ianusDefault().coreMem;
+    EXPECT_EQ(mem.actScratchpadBytes, 12u * 1024 * 1024);
+    EXPECT_EQ(mem.weightScratchpadBytes, 4u * 1024 * 1024);
+    EXPECT_EQ(mem.actEntryBytes, 2 * mem.weightEntryBytes);
+}
+
 TEST(SystemConfig, UnifiedChannelPools)
 {
     SystemConfig cfg = SystemConfig::ianusDefault();

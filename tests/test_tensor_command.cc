@@ -1,22 +1,13 @@
-/** @file Tensor descriptors and command IR basics. */
+/** @file Command IR basics. */
 
 #include <gtest/gtest.h>
 
 #include "isa/command.hh"
-#include "isa/tensor.hh"
 
 namespace
 {
 
 using namespace ianus::isa;
-
-TEST(Tensor, BytesAndDescribe)
-{
-    TensorDesc t{128, 1536, MemSpace::ActScratchpad};
-    EXPECT_EQ(t.elems(), 128u * 1536u);
-    EXPECT_EQ(t.bytes(), 128u * 1536u * 2u);
-    EXPECT_EQ(t.describe(), "128x1536@am");
-}
 
 TEST(Command, DescribeMuGemm)
 {
@@ -74,7 +65,6 @@ TEST(Command, EnumNames)
     EXPECT_STREQ(toString(UnitKind::Pim), "pim");
     EXPECT_STREQ(toString(OpClass::FfnAdd), "ffn_add");
     EXPECT_STREQ(toString(VuOpKind::MaskedSoftmax), "masked_softmax");
-    EXPECT_STREQ(toString(MemSpace::WeightScratchpad), "wm");
 }
 
 } // namespace
