@@ -1,12 +1,15 @@
-# Golden-output check for one paper-figure binary.
+# Golden-output check for one bench binary.
 #
-#   cmake -DBIN=<binary> -DGOLDEN=<bench/golden/name.txt> -DOUT=<file> \
-#         -P cmake/golden_diff.cmake
+#   cmake -DBIN=<binary> [-DARGS=<arg;...>] -DGOLDEN=<bench/golden/name.txt> \
+#         -DOUT=<file> -P cmake/golden_diff.cmake
 #
-# Runs BIN without arguments, writes its standard output to OUT, and
-# fails unless the binary exits 0 and OUT matches GOLDEN byte for byte.
-# After an intended change to a figure, regenerate its golden file with
-# `./build/<name> > bench/golden/<name>.txt` and review the diff.
+# Runs BIN with the optional argument list ARGS (none by default),
+# writes its standard output to OUT, and fails unless the binary exits 0
+# and OUT matches GOLDEN byte for byte. After an intended change to a
+# figure, regenerate its golden file with
+# `./build/<name> > bench/golden/<name>.txt` (a serving bench:
+# `./build/<name> --fast > bench/golden/fast/<name>.txt`) and review the
+# diff.
 
 foreach(var BIN GOLDEN OUT)
   if(NOT DEFINED ${var})
@@ -14,7 +17,7 @@ foreach(var BIN GOLDEN OUT)
   endif()
 endforeach()
 
-execute_process(COMMAND ${BIN}
+execute_process(COMMAND ${BIN} ${ARGS}
                 OUTPUT_FILE ${OUT}
                 RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)

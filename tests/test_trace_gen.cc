@@ -4,7 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <map>
+#include <memory>
+#include <string>
 
+#include "serve/device_pool.hh"
 #include "serve/serving_engine.hh"
 #include "serve/trace_gen.hh"
 
@@ -222,6 +227,120 @@ TEST(TraceGen, RejectsBadLongFractionOptions)
     unused.longOutputTokenChoices.clear();
     unused.requests = 4;
     EXPECT_EQ(serve::generatePoissonTrace(unused).size(), 4u);
+}
+
+// --- Pinned generator streams -----------------------------------------------
+
+/** FNV-1a over @p text: a fixed 64-bit digest of a formatted trace. */
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : text)
+        h = (h ^ c) * 0x100000001b3ull;
+    return h;
+}
+
+// Every generator's formatTrace text at two fixed seeds, against
+// recorded digests. A seed compared only with itself passes whatever
+// stream the generator draws; this fails when any RNG draw, its order,
+// or a double expression behind an arrival or shape moves. The second
+// seed sets the high 32 bits, which the seed fold must carry. The
+// closed-loop and mixed cases pin the realized traces, whose
+// follow-up arrivals are completion times plus think draws.
+TEST(TraceGen, GeneratorStreamsMatchRecordedDigests)
+{
+    const std::map<std::string, std::uint64_t> want = {
+        {"bursty@11400714819323198485", 0x8761743286730b0full},
+        {"bursty@7", 0x495e7aeaa615e9a6ull},
+        {"closed-loop@11400714819323198485", 0xffb0eda69ce2b4faull},
+        {"closed-loop@7", 0x4748e46d2bcbb95cull},
+        {"diurnal-sin@11400714819323198485", 0xc204750096ac7177ull},
+        {"diurnal-sin@7", 0x3ef8fb96b056fcacull},
+        {"diurnal-steps@11400714819323198485", 0xa3246d88c890b420ull},
+        {"diurnal-steps@7", 0x0d7e31a520c066c8ull},
+        {"mixed@11400714819323198485", 0x416040d1b474a2e1ull},
+        {"mixed@7", 0x4dced8decc253841ull},
+        {"poisson-long@11400714819323198485", 0x3cfef820bc8ad78full},
+        {"poisson-long@7", 0x077274d83ab207f2ull},
+        {"poisson@11400714819323198485", 0xb286c835f992e73cull},
+        {"poisson@7", 0xba6730657459f4ffull},
+        {"sessions@11400714819323198485", 0x2d36e38d973f5f9bull},
+        {"sessions@7", 0xdf83dda89f1bd213ull},
+    };
+
+    std::map<std::string, std::uint64_t> got;
+    const std::uint64_t seeds[] = {7, 0x9E3779B97F4A7C15ull};
+    for (std::uint64_t seed : seeds) {
+        const std::string tag = "@" + std::to_string(seed);
+        TraceOptions poisson;
+        poisson.seed = seed;
+        poisson.requests = 64;
+        got["poisson" + tag] =
+            fnv1a(serve::formatTrace(serve::generatePoissonTrace(poisson)));
+        poisson.longFraction = 0.3;
+        got["poisson-long" + tag] =
+            fnv1a(serve::formatTrace(serve::generatePoissonTrace(poisson)));
+
+        serve::DiurnalOptions diurnal;
+        diurnal.seed = seed;
+        diurnal.startMs = 25.0;
+        diurnal.profile = serve::parseRateProfile("sin:40:30:2000:5000");
+        got["diurnal-sin" + tag] =
+            fnv1a(serve::formatTrace(serve::generateDiurnalTrace(diurnal)));
+        diurnal.profile = serve::parseRateProfile("steps:4000:10,60,0,30");
+        got["diurnal-steps" + tag] =
+            fnv1a(serve::formatTrace(serve::generateDiurnalTrace(diurnal)));
+
+        serve::BurstyOptions bursty;
+        bursty.seed = seed;
+        bursty.durationMs = 5'000.0;
+        bursty.meanBurstMs = 500.0;
+        bursty.meanGapMs = 1'000.0;
+        got["bursty" + tag] =
+            fnv1a(serve::formatTrace(serve::generateBurstyTrace(bursty)));
+
+        serve::SessionOptions sessions;
+        sessions.seed = seed;
+        sessions.sessions = 12;
+        got["sessions" + tag] =
+            fnv1a(serve::formatTrace(serve::generateSessionTrace(sessions)));
+
+        serve::DevicePool pool(SystemConfig::ianusDefault(),
+                               workloads::gpt2("m"),
+                               serve::PoolOptions{2, {}});
+        serve::ClosedLoopOptions clients;
+        clients.seed = seed;
+        clients.clients = 3;
+        clients.requestsPerClient = 4;
+        clients.meanThinkMs = 20.0;
+        {
+            serve::ServingEngine engine(pool);
+            got["closed-loop" + tag] = fnv1a(serve::formatTrace(
+                serve::runClosedLoop(engine, clients).realized));
+        }
+        {
+            TraceOptions background;
+            background.seed = seed;
+            background.requests = 12;
+            background.arrivalsPerSec = 120.0;
+            serve::ServingEngine engine(pool);
+            got["mixed" + tag] = fnv1a(serve::formatTrace(
+                serve::runMixedDrain(engine, clients,
+                                     serve::generatePoissonTrace(background))
+                    .realizedInteractive));
+        }
+    }
+
+    for (const auto &[name, digest] : got) {
+        char hex[32];
+        std::snprintf(hex, sizeof(hex), "0x%016llxull",
+                      (unsigned long long)digest);
+        auto it = want.find(name);
+        EXPECT_TRUE(it != want.end() && it->second == digest)
+            << name << " digests to " << hex;
+    }
+    EXPECT_EQ(got.size(), want.size());
 }
 
 } // namespace
