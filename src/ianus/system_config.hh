@@ -28,9 +28,6 @@ struct CoreMemoryParams
 {
     std::uint64_t actScratchpadBytes = 12 * MiB;
     std::uint64_t weightScratchpadBytes = 4 * MiB;
-    /** WM entry feeds one systolic column set; AM entries are 2x (4.1). */
-    std::uint64_t weightEntryBytes = 128;
-    std::uint64_t actEntryBytes = 256;
 
     bool operator==(const CoreMemoryParams &) const = default;
 };

@@ -75,24 +75,6 @@ DevicePool::addReplica(std::unique_ptr<CompiledModel> replica,
     roles_.push_back(role);
 }
 
-ReplicaRole
-DevicePool::role(std::size_t i) const
-{
-    if (i >= roles_.size())
-        IANUS_FATAL("replica index ", i, " out of range (pool has ",
-                    roles_.size(), ")");
-    return roles_[i];
-}
-
-void
-DevicePool::setRole(std::size_t i, ReplicaRole role)
-{
-    if (i >= roles_.size())
-        IANUS_FATAL("replica index ", i, " out of range (pool has ",
-                    roles_.size(), ")");
-    roles_[i] = role;
-}
-
 bool
 DevicePool::disaggregated() const
 {
@@ -109,15 +91,6 @@ DevicePool::replica(std::size_t i) const
         IANUS_FATAL("replica index ", i, " out of range (pool has ",
                     replicas_.size(), ")");
     return *replicas_[i];
-}
-
-unsigned
-DevicePool::totalDevices() const
-{
-    unsigned total = 0;
-    for (const auto &r : replicas_)
-        total += r->options().devices;
-    return total;
 }
 
 } // namespace ianus::serve

@@ -97,20 +97,11 @@ class DevicePool
 
     const CompiledModel &replica(std::size_t i) const;
 
-    /** Replica @p i's lifecycle role (fatal on a bad index). */
-    ReplicaRole role(std::size_t i) const;
-
-    /** Re-type replica @p i (fatal on a bad index). */
-    void setRole(std::size_t i, ReplicaRole role);
-
     /** All roles, in replica order (ServingOptions::roles shape). */
     const std::vector<ReplicaRole> &roles() const { return roles_; }
 
     /** True iff any replica is role-typed (non-Unified). */
     bool disaggregated() const;
-
-    /** Devices per replica summed over the pool (TDP/cost accounting). */
-    unsigned totalDevices() const;
 
   private:
     std::vector<std::unique_ptr<CompiledModel>> replicas_;

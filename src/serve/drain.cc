@@ -127,7 +127,6 @@ class Drain
         report_.roles = opts.roles;
         report_.replicas.assign(n_, ReplicaUtilization{});
         report_.results.reserve(std::max(queue.size(), result_capacity));
-        staticCtx_.sloMsPerToken = opts.sloMsPerToken;
 
         if (opts.kv.enabled())
             kv_ = std::make_unique<KvGate>(*this);
@@ -827,16 +826,6 @@ class Drain
         return kv_ && kv_->blocks(*this, q, d);
     }
 
-    SchedulerContext
-    context(double now) const
-    {
-        SchedulerContext ctx;
-        ctx.nowMs = now;
-        ctx.sloMsPerToken = opts_.sloMsPerToken;
-        ctx.replicaFreeAtMs = freeAt_;
-        return ctx;
-    }
-
     /** Every request still in flight — batches, suspended evictees and
      *  handoff limbo — with the replica its KV charges, the KV tokens it
      *  holds there, and where it sits: what the close-out's KV tally and
@@ -875,7 +864,7 @@ class Drain
         if (q.resumed)
             parked_[q.boundReplica] += 1;
         const double key = order_ == QueueOrder::StaticUrgency
-                               ? policy_.urgency(q, staticCtx_)
+                               ? policy_.urgency(q, ctx_)
                                : 0.0;
         ready_.emplace(std::make_pair(key, readySeq_++), q);
     }
@@ -990,7 +979,7 @@ class Drain
                 at.push_back(it);
             }
             std::vector<std::size_t> batch =
-                policy_.selectBatch(view, context(now));
+                policy_.selectBatch(view, ctx_);
 
             // The selectBatch contract, enforced: a policy must return at
             // least one index for a non-empty queue, every index in range
@@ -1331,10 +1320,9 @@ class Drain
         // order.
         std::size_t pi = 0;
         if (opts_.prefillChunk > 0 && r.prefill.size() > 1) {
-            const SchedulerContext ctx = context(now);
             double best = 0.0;
             for (std::size_t i = 0; i < r.prefill.size(); ++i) {
-                double key = policy_.urgency(asQueued(r.prefill[i]), ctx);
+                double key = policy_.urgency(asQueued(r.prefill[i]), ctx_);
                 if (i == 0 || key < best) {
                     best = key;
                     pi = i;
@@ -1536,7 +1524,6 @@ class Drain
     bool
     tryEvict(double now)
     {
-        const SchedulerContext ctx = context(now);
         for (std::size_t d = 0; d < n_; ++d) {
             if (busy_[d])
                 continue; // mid-segment: no token boundary to evict at
@@ -1570,7 +1557,7 @@ class Drain
                     cand_key = key.first;
                     break;
                 }
-                const double u = policy_.urgency(q, ctx);
+                const double u = policy_.urgency(q, ctx_);
                 if (!cand || u < cand_key) {
                     cand = &q;
                     cand_key = u;
@@ -1584,7 +1571,7 @@ class Drain
             for (auto it = gen.begin(); it != gen.end(); ++it) {
                 if (it->remaining == 0)
                     continue;
-                double key = policy_.urgency(asQueued(*it), ctx);
+                double key = policy_.urgency(asQueued(*it), ctx_);
                 if (victim == gen.end() || key > victim_key) {
                     victim = it;
                     victim_key = key;
@@ -1654,11 +1641,10 @@ class Drain
     const QueueOrder order_;
     std::map<std::pair<double, std::uint64_t>, QueuedRequest> ready_;
     std::uint64_t readySeq_ = 0;
-    /** A StaticUrgency key is static per request (the urgency
-     *  contract), so it is computed once at enqueue, against a context
-     *  carrying only the engine SLO — the same value every live-context
-     *  call would produce for the shipped policies. */
-    SchedulerContext staticCtx_;
+    /** The policy's one context for the whole drain: the engine SLO.
+     *  A StaticUrgency key is static per request (the urgency
+     *  contract), so it is computed once at enqueue, against it. */
+    const SchedulerContext ctx_{opts_.sloMsPerToken};
     /** Parked evictees per replica — evictees still waiting to resume.
      *  Maintained incrementally: counted in on requeue (the only path
      *  that enqueues a resumed request) and out as resumes dispatch, so

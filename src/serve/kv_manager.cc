@@ -8,6 +8,31 @@
 namespace ianus::serve
 {
 
+namespace
+{
+
+/** What a KV operation requires of a request's parked state. */
+enum class Parked : std::uint8_t { Any, No, Yes };
+
+/** Request @p id's reservation in @p requests; fatal, naming @p op, when
+ *  it holds no KV blocks or its parked state is not what @p want asks. */
+template <typename Requests>
+auto &
+residentIn(Requests &requests, std::uint64_t id, const char *op,
+           Parked want = Parked::Any)
+{
+    auto it = requests.find(id);
+    if (it == requests.end())
+        IANUS_FATAL(op, " on request ", id, " with no KV blocks");
+    if (want != Parked::Any && it->second.parked != (want == Parked::Yes))
+        IANUS_FATAL(op, " on request ", id,
+                    want == Parked::Yes ? " which is not parked"
+                                        : " which is parked");
+    return it->second;
+}
+
+} // namespace
+
 const char *
 toString(KvAdmission admission)
 {
@@ -181,14 +206,19 @@ KvBlockManager::notePressure()
 }
 
 bool
-KvBlockManager::canAdmit(std::uint64_t max_tokens) const
+KvBlockManager::fits(std::uint64_t max_tokens, std::size_t region,
+                     std::uint64_t freed) const
 {
     if (opts_.admission == KvAdmission::None)
         return true;
     const auto need = static_cast<std::int64_t>(blocksFor(max_tokens));
-    for (const auto &r : regions_)
-        if (r.freeBlocks >= need)
+    for (std::size_t i = 0; i < regions_.size(); ++i) {
+        std::int64_t free = regions_[i].freeBlocks;
+        if (i == region)
+            free += static_cast<std::int64_t>(freed);
+        if (free >= need)
             return true;
+    }
     return false;
 }
 
@@ -228,13 +258,8 @@ KvBlockManager::admit(std::uint64_t id, std::uint64_t max_tokens)
 void
 KvBlockManager::setUsed(std::uint64_t id, std::uint64_t tokens)
 {
-    auto it = requests_.find(id);
-    if (it == requests_.end())
-        IANUS_FATAL("setUsed on request ", id, " with no KV blocks");
-    Resident &res = it->second;
-    if (res.parked)
-        IANUS_FATAL("setUsed on parked request ", id,
-                    " (parked KV cannot grow)");
+    // Parked KV cannot grow.
+    Resident &res = residentIn(requests_, id, "setUsed", Parked::No);
     // An encoder summarization or the post-prefill bootstrap token can
     // nudge one past the worst case; the reservation already covers it.
     tokens = std::min(tokens, res.maxTokens);
@@ -247,12 +272,7 @@ KvBlockManager::setUsed(std::uint64_t id, std::uint64_t tokens)
 void
 KvBlockManager::park(std::uint64_t id)
 {
-    auto it = requests_.find(id);
-    if (it == requests_.end())
-        IANUS_FATAL("park on request ", id, " with no KV blocks");
-    Resident &res = it->second;
-    if (res.parked)
-        IANUS_FATAL("request ", id, " is already parked");
+    Resident &res = residentIn(requests_, id, "park", Parked::No);
     const std::uint64_t keep = blocksFor(res.usedTokens);
     regions_[res.region].freeBlocks +=
         static_cast<std::int64_t>(res.reservedBlocks - keep);
@@ -263,12 +283,8 @@ KvBlockManager::park(std::uint64_t id)
 bool
 KvBlockManager::canResume(std::uint64_t id) const
 {
-    auto it = requests_.find(id);
-    if (it == requests_.end())
-        IANUS_FATAL("canResume on request ", id, " with no KV blocks");
-    const Resident &res = it->second;
-    if (!res.parked)
-        IANUS_FATAL("canResume on request ", id, " which is not parked");
+    const Resident &res =
+        residentIn(requests_, id, "canResume", Parked::Yes);
     if (opts_.admission == KvAdmission::None)
         return true;
     const std::uint64_t grow =
@@ -283,22 +299,10 @@ KvBlockManager::parkWouldAdmit(std::uint64_t victim,
 {
     if (opts_.admission == KvAdmission::None)
         return true;
-    auto it = requests_.find(victim);
-    if (it == requests_.end() || it->second.parked)
-        IANUS_FATAL("parkWouldAdmit needs a running resident, got ",
-                    victim);
-    const Resident &v = it->second;
-    const std::uint64_t freed =
-        v.reservedBlocks - blocksFor(v.usedTokens);
-    const auto need = static_cast<std::int64_t>(blocksFor(max_tokens));
-    for (std::size_t i = 0; i < regions_.size(); ++i) {
-        std::int64_t free = regions_[i].freeBlocks;
-        if (i == v.region)
-            free += static_cast<std::int64_t>(freed);
-        if (free >= need)
-            return true;
-    }
-    return false;
+    const Resident &v =
+        residentIn(requests_, victim, "parkWouldAdmit", Parked::No);
+    return fits(max_tokens, v.region,
+                v.reservedBlocks - blocksFor(v.usedTokens));
 }
 
 bool
@@ -307,16 +311,10 @@ KvBlockManager::parkWouldResume(std::uint64_t victim,
 {
     if (opts_.admission == KvAdmission::None)
         return true;
-    auto vit = requests_.find(victim);
-    if (vit == requests_.end() || vit->second.parked)
-        IANUS_FATAL("parkWouldResume needs a running resident, got ",
-                    victim);
-    auto cit = requests_.find(cand);
-    if (cit == requests_.end() || !cit->second.parked)
-        IANUS_FATAL("parkWouldResume needs a parked candidate, got ",
-                    cand);
-    const Resident &v = vit->second;
-    const Resident &c = cit->second;
+    const Resident &v =
+        residentIn(requests_, victim, "parkWouldResume", Parked::No);
+    const Resident &c =
+        residentIn(requests_, cand, "parkWouldResume", Parked::Yes);
     const std::uint64_t freed =
         v.reservedBlocks - blocksFor(v.usedTokens);
     std::int64_t free = regions_[c.region].freeBlocks;
@@ -333,30 +331,14 @@ KvBlockManager::releaseWouldAdmit(std::uint64_t old_id,
 {
     if (opts_.admission == KvAdmission::None)
         return true;
-    auto it = requests_.find(old_id);
-    if (it == requests_.end())
-        IANUS_FATAL("releaseWouldAdmit needs a resident, got ", old_id);
-    const Resident &old = it->second;
-    const auto need = static_cast<std::int64_t>(blocksFor(max_tokens));
-    for (std::size_t i = 0; i < regions_.size(); ++i) {
-        std::int64_t free = regions_[i].freeBlocks;
-        if (i == old.region)
-            free += static_cast<std::int64_t>(old.reservedBlocks);
-        if (free >= need)
-            return true;
-    }
-    return false;
+    const Resident &old = residentIn(requests_, old_id, "releaseWouldAdmit");
+    return fits(max_tokens, old.region, old.reservedBlocks);
 }
 
 void
 KvBlockManager::resume(std::uint64_t id)
 {
-    auto it = requests_.find(id);
-    if (it == requests_.end())
-        IANUS_FATAL("resume on request ", id, " with no KV blocks");
-    Resident &res = it->second;
-    if (!res.parked)
-        IANUS_FATAL("resume on request ", id, " which is not parked");
+    Resident &res = residentIn(requests_, id, "resume", Parked::Yes);
     const std::uint64_t full = blocksFor(res.maxTokens);
     const auto grow =
         static_cast<std::int64_t>(full - res.reservedBlocks);
@@ -375,17 +357,14 @@ KvBlockManager::resume(std::uint64_t id)
 void
 KvBlockManager::release(std::uint64_t id)
 {
-    auto it = requests_.find(id);
-    if (it == requests_.end())
-        IANUS_FATAL("release on request ", id, " with no KV blocks");
-    const Resident &res = it->second;
+    const Resident &res = residentIn(requests_, id, "release");
     const std::uint64_t gross = res.reservedBlocks * opts_.blockTokens;
     fragGross_ += gross;
     fragWaste_ += gross - std::min(gross, res.usedTokens);
     regions_[res.region].freeBlocks +=
         static_cast<std::int64_t>(res.reservedBlocks);
     regions_[res.region].usedTokens -= res.usedTokens;
-    requests_.erase(it);
+    requests_.erase(id);
 }
 
 std::uint64_t
@@ -412,15 +391,6 @@ KvBlockManager::dilation() const
     const double f =
         static_cast<double>(spilled) / static_cast<double>(used);
     return 1.0 + f * (spillFactor_ - 1.0);
-}
-
-double
-KvBlockManager::meanFragmentation() const
-{
-    if (fragGross_ == 0)
-        return 0.0;
-    return static_cast<double>(fragWaste_) /
-           static_cast<double>(fragGross_);
 }
 
 double

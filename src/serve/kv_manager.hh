@@ -19,8 +19,8 @@
  *  - **Paged allocation** (vLLM-style): KV occupies fixed-size blocks
  *    of `blockTokens` tokens; a request's reservation is
  *    ceil(tokens / block) blocks, so internal fragmentation is modeled
- *    rather than assumed away (`meanFragmentation()` reports the waste
- *    at release). Admission reserves the request's *worst-case* KV
+ *    rather than assumed away (`fragWasteTokens()` counts the waste at
+ *    release). Admission reserves the request's *worst-case* KV
  *    (prompt + all output tokens): under the PR-4 eviction contract a
  *    parked evictee's KV stays on-replica — eviction can never free a
  *    resident's cache — so worst-case reservation is what guarantees
@@ -168,8 +168,6 @@ class KvBlockManager
      *  bandwidth ratio the spill model charges. */
     KvBlockManager(const KvOptions &opts, const SystemConfig &sys);
 
-    std::uint64_t blockTokens() const { return opts_.blockTokens; }
-
     /** Blocks a @p tokens-token KV occupies (ceil — the internal
      *  fragmentation paging models). */
     std::uint64_t blocksFor(std::uint64_t tokens) const;
@@ -191,7 +189,7 @@ class KvBlockManager
      *  now? Some single region must fit it (a partitioned request
      *  cannot straddle regions). Always true under `none` admission
      *  (overcommit is the policy). */
-    bool canAdmit(std::uint64_t max_tokens) const;
+    bool canAdmit(std::uint64_t max_tokens) const { return fits(max_tokens); }
 
     /** Whether @p max_tokens can fit an *empty* pool — the admissible
      *  ceiling (region size under partitioned). A request beyond it
@@ -254,16 +252,9 @@ class KvBlockManager
      *  bandwidth. 1.0 exactly when nothing spills. */
     double dilation() const;
 
-    /** Token-weighted mean internal fragmentation over released
-     *  requests: wasted block tokens / reserved block tokens. */
-    double meanFragmentation() const;
-
     /** Fragmentation numerator/denominator for fleet-level merging. */
     std::uint64_t fragWasteTokens() const { return fragWaste_; }
     std::uint64_t fragGrossTokens() const { return fragGross_; }
-
-    /** Resident request count (including parked). */
-    std::size_t residents() const { return requests_.size(); }
 
     /**
      * Effective KV *read* bandwidth of @p layout on @p sys in GB/s:
@@ -293,6 +284,12 @@ class KvBlockManager
     };
 
     void notePressure();
+
+    /** Could a fresh @p max_tokens reservation fit some single region
+     *  once @p freed blocks return to region @p region? Always true
+     *  under `none` admission. */
+    bool fits(std::uint64_t max_tokens, std::size_t region = 0,
+              std::uint64_t freed = 0) const;
 
     KvOptions opts_;
     double spillFactor_ = 1.0; ///< DRAM / PCIe bandwidth ratio

@@ -44,22 +44,26 @@ validateRequest(const workloads::InferenceRequest &req, double arrival_ms)
                     arrival_ms);
 }
 
-/** Queue indices ordered by ascending @p key (stable: arrival order). */
-template <typename KeyFn>
+} // namespace
+
 std::vector<std::size_t>
-orderBy(const std::vector<QueuedRequest> &queue, KeyFn key)
+SchedulingPolicy::selectBatch(const std::vector<QueuedRequest> &queue,
+                              const SchedulerContext &ctx)
 {
+    // Dispatch order and preemption urgency share one key, so an
+    // eviction always makes room for the request the next admission
+    // round would pick anyway. Queue indices ascend by urgency, stable:
+    // ties keep arrival order.
     std::vector<std::size_t> order(queue.size());
     for (std::size_t i = 0; i < order.size(); ++i)
         order[i] = i;
     std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t a, std::size_t b) {
-                         return key(queue[a]) < key(queue[b]);
+                         return urgency(queue[a], ctx) <
+                                urgency(queue[b], ctx);
                      });
     return order;
 }
-
-} // namespace
 
 double
 SchedulingPolicy::urgency(const QueuedRequest &q,
@@ -85,32 +89,11 @@ SjfPolicy::urgency(const QueuedRequest &q,
            outputWeight_ * static_cast<double>(q.request.outputTokens);
 }
 
-std::vector<std::size_t>
-SjfPolicy::selectBatch(const std::vector<QueuedRequest> &queue,
-                       const SchedulerContext &ctx)
-{
-    // Dispatch order and preemption urgency share one key, so an
-    // eviction always makes room for the request the next admission
-    // round would pick anyway.
-    return orderBy(queue, [&](const QueuedRequest &q) {
-        return urgency(q, ctx);
-    });
-}
-
 double
 EdfPolicy::urgency(const QueuedRequest &q,
                    const SchedulerContext &ctx) const
 {
     return deadlineMs(q.arrivalMs, q.request, ctx.sloMsPerToken);
-}
-
-std::vector<std::size_t>
-EdfPolicy::selectBatch(const std::vector<QueuedRequest> &queue,
-                       const SchedulerContext &ctx)
-{
-    return orderBy(queue, [&](const QueuedRequest &q) {
-        return urgency(q, ctx);
-    });
 }
 
 std::unique_ptr<SchedulingPolicy>
@@ -516,20 +499,15 @@ ServingReport::ttftPercentile(double p) const
     return ttftPercentiles({p}).front();
 }
 
-std::vector<double>
-ServingReport::serviceTimePercentiles(const std::vector<double> &ps) const
+double
+ServingReport::serviceTimePercentile(double p) const
 {
     return percentilesInPlace(gather(results,
                                      [](const RequestResult &r) {
                                          return r.serviceMs;
                                      }),
-                              ps);
-}
-
-double
-ServingReport::serviceTimePercentile(double p) const
-{
-    return serviceTimePercentiles({p}).front();
+                              {p})
+        .front();
 }
 
 double

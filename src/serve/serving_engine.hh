@@ -117,19 +117,14 @@ struct QueuedRequest
 };
 
 /**
- * What a SchedulingPolicy sees besides the waiting queue: the cluster
- * clock and the per-replica availability times it generalizes over
- * (PR-1's policy saw one implicit device clock).
+ * What a SchedulingPolicy sees besides the waiting queue: the engine's
+ * per-token SLO, nothing else. Urgency keys are static (the urgency
+ * contract below), so one context serves a whole drain.
  */
 struct SchedulerContext
 {
-    double nowMs = 0.0;
-
     /** The engine's per-token SLO (EDF derives deadlines from it). */
     double sloMsPerToken = 0.0;
-
-    /** Per-replica busy-until time; <= nowMs means idle. */
-    std::vector<double> replicaFreeAtMs;
 };
 
 /**
@@ -161,12 +156,12 @@ enum class QueueOrder : std::uint8_t
  * Dispatch-order policy. Whenever at least one replica can accept a
  * request (it is at a token boundary with a free batch slot) and the
  * queue is non-empty, the engine hands the policy the waiting queue
- * (arrival order) and the cluster state; the policy returns the queue
- * indices to dispatch next, in order. FCFS returns {0}; SJF/EDF return
- * the full queue ordered by their key. The engine dispatches the
- * returned prefix that fits into open batch slots (one request per
- * slot, routed individually) and re-consults the policy at the next
- * arrival or boundary.
+ * (arrival order) and the SLO context; the policy returns the queue
+ * indices to dispatch next, in order. FCFS returns {0}; the default,
+ * kept by SJF/EDF, returns the queue ordered by urgency(). The engine
+ * dispatches the returned prefix that fits into open batch slots (one
+ * request per slot, routed individually) and re-consults the policy at
+ * the next arrival or boundary.
  *
  * Contract (enforced with IANUS_FATAL where drain() consumes the batch,
  * see Drain::admit in drain.cc): the batch must be non-empty and every
@@ -190,10 +185,12 @@ class SchedulingPolicy
      */
     virtual QueueOrder queueOrder() const { return QueueOrder::Dynamic; }
 
-    /** Called with a non-empty queue; must return >= 1 valid index. */
+    /** Called with a non-empty queue; must return >= 1 valid index.
+     *  The default is the StaticUrgency form: the whole queue
+     *  stable-sorted by urgency(). */
     virtual std::vector<std::size_t>
     selectBatch(const std::vector<QueuedRequest> &queue,
-                const SchedulerContext &ctx) = 0;
+                const SchedulerContext &ctx);
 
     /**
      * Preemption key: lower = more urgent. With ServingOptions::preempt
@@ -246,10 +243,6 @@ class SjfPolicy : public SchedulingPolicy
         return QueueOrder::StaticUrgency;
     }
 
-    std::vector<std::size_t>
-    selectBatch(const std::vector<QueuedRequest> &queue,
-                const SchedulerContext &ctx) override;
-
     /** The SJF cost estimate of the whole request (static — see the
      *  urgency contract). */
     double urgency(const QueuedRequest &q,
@@ -277,10 +270,6 @@ class EdfPolicy : public SchedulingPolicy
     {
         return QueueOrder::StaticUrgency;
     }
-
-    std::vector<std::size_t>
-    selectBatch(const std::vector<QueuedRequest> &queue,
-                const SchedulerContext &ctx) override;
 
     /** The request's deadline (static — see the urgency contract). */
     double urgency(const QueuedRequest &q,
@@ -767,8 +756,6 @@ struct ServingReport
 
     /** Percentile of device service time (queueing excluded). */
     double serviceTimePercentile(double p) const;
-    std::vector<double>
-    serviceTimePercentiles(const std::vector<double> &ps) const;
 
     /** Generated tokens per second of makespan. */
     double tokensPerSecond() const;
@@ -1059,14 +1046,6 @@ class ServingEngine
 
     /** Serve everything queued; returns the fleet report. */
     ServingReport drain();
-
-    /** First replica (the only one for a single-model engine). */
-    const CompiledModel &model() const { return *replicas_.front(); }
-
-    std::size_t replicas() const { return replicas_.size(); }
-    const ServingOptions &options() const { return opts_; }
-    const SchedulingPolicy &policy() const { return *policy_; }
-    const Router &router() const { return *router_; }
 
   private:
     std::vector<const CompiledModel *> replicas_;

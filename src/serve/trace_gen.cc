@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string_view>
 #include <system_error>
@@ -47,6 +48,53 @@ std::uint64_t
 pick(std::mt19937 &rng, const std::vector<std::uint64_t> &choices)
 {
     return choices[rng() % choices.size()];
+}
+
+/** An mt19937 seeded with the whole 64-bit @p seed, then @p stream when
+ *  given (one independent stream per session or client). Plain
+ *  mt19937(seed) would silently truncate to 32 bits. seed_seq is fully
+ *  specified by the standard, so this stays cross-platform
+ *  deterministic. */
+std::mt19937
+seededRng(std::uint64_t seed, std::optional<std::size_t> stream = {})
+{
+    std::vector<std::uint32_t> words{static_cast<std::uint32_t>(seed),
+                                     static_cast<std::uint32_t>(seed >> 32)};
+    if (stream)
+        words.push_back(static_cast<std::uint32_t>(*stream));
+    std::seed_seq seq(words.begin(), words.end());
+    return std::mt19937(seq);
+}
+
+/** Fatal unless both shape choice lists are non-empty and the clock
+ *  origin @p start_ms is non-negative: what every generator needs. */
+void
+checkShapesAndStart(const std::vector<std::uint64_t> &inputs,
+                    const std::vector<std::uint64_t> &outputs,
+                    double start_ms = 0.0)
+{
+    if (inputs.empty() || outputs.empty())
+        IANUS_FATAL("trace generation needs non-empty input and output "
+                    "token choice lists");
+    if (start_ms < 0.0)
+        IANUS_FATAL("trace start must be non-negative, got ", start_ms,
+                    " ms");
+}
+
+/** The fields of @p text between @p sep characters, in order (a text
+ *  without one is a single field). */
+std::vector<std::string>
+splitFields(std::string_view text, char sep)
+{
+    std::vector<std::string> fields;
+    std::size_t pos = 0;
+    for (;;) {
+        const std::size_t next = text.find(sep, pos);
+        fields.emplace_back(text.substr(pos, next - pos));
+        if (next == std::string_view::npos)
+            return fields;
+        pos = next + 1;
+    }
 }
 
 /** The first of [p, end) that is not a space or a tab, the blanks
@@ -164,12 +212,8 @@ generatePoissonTrace(const TraceOptions &opts)
     if (opts.arrivalsPerSec <= 0.0)
         IANUS_FATAL("Poisson arrival rate must be positive, got ",
                     opts.arrivalsPerSec, " req/s");
-    if (opts.inputTokenChoices.empty() || opts.outputTokenChoices.empty())
-        IANUS_FATAL("trace generation needs non-empty input and output "
-                    "token choice lists");
-    if (opts.startMs < 0.0)
-        IANUS_FATAL("trace start must be non-negative, got ",
-                    opts.startMs, " ms");
+    checkShapesAndStart(opts.inputTokenChoices, opts.outputTokenChoices,
+                        opts.startMs);
     if (!(opts.longFraction >= 0.0 && opts.longFraction <= 1.0))
         IANUS_FATAL("long-request fraction must be in [0, 1], got ",
                     opts.longFraction);
@@ -178,12 +222,7 @@ generatePoissonTrace(const TraceOptions &opts)
         IANUS_FATAL("a non-zero long-request fraction needs non-empty "
                     "long input and output token choice lists");
 
-    // Fold the whole 64-bit seed in; plain mt19937(seed) would silently
-    // truncate to 32 bits. seed_seq is fully specified by the standard,
-    // so this stays cross-platform deterministic.
-    std::seed_seq seq{static_cast<std::uint32_t>(opts.seed),
-                      static_cast<std::uint32_t>(opts.seed >> 32)};
-    std::mt19937 rng(seq);
+    std::mt19937 rng = seededRng(opts.seed);
     ArrivalTrace trace;
     trace.requests.reserve(opts.requests);
     double clock = opts.startMs;
@@ -228,28 +267,6 @@ normalizeColumn(const std::string &name)
             c >= 'A' && c <= 'Z' ? c - 'A' + 'a' : c));
     }
     return out;
-}
-
-/** Split one CSV line on commas (the schema has no quoted fields);
- *  a trailing '\r' (CRLF logs) is stripped from the last field. */
-std::vector<std::string>
-splitCsvRow(std::string_view line)
-{
-    std::vector<std::string> fields;
-    std::size_t pos = 0;
-    for (;;) {
-        std::size_t comma = line.find(',', pos);
-        if (comma == std::string_view::npos) {
-            fields.emplace_back(line.substr(pos));
-            break;
-        }
-        fields.emplace_back(line.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    if (!fields.empty() && !fields.back().empty() &&
-        fields.back().back() == '\r')
-        fields.back().pop_back();
-    return fields;
 }
 
 /** Days since 1970-01-01 of civil date y-m-d (proleptic Gregorian) —
@@ -317,7 +334,9 @@ importRequestLog(const std::string &csv)
 
     // Header: locate the required and optional columns by normalized
     // name; unknown columns ride along ignored.
-    std::vector<std::string> header = splitCsvRow(line);
+    // CSV fields split on commas (the schema has no quoted fields). A
+    // header's trailing '\r' (CRLF logs) goes with normalizeColumn.
+    std::vector<std::string> header = splitFields(line, ',');
     constexpr std::size_t npos = static_cast<std::size_t>(-1);
     std::size_t tsCol = npos, inCol = npos, outCol = npos, sessCol = npos;
     for (std::size_t c = 0; c < header.size(); ++c) {
@@ -365,7 +384,10 @@ importRequestLog(const std::string &csv)
         ++rowNo;
         if (line.empty() || line == "\r")
             continue; // blank (often a trailing newline)
-        std::vector<std::string> fields = splitCsvRow(line);
+        // A trailing '\r' (CRLF logs) is stripped from the last field.
+        std::vector<std::string> fields = splitFields(line, ',');
+        if (!fields.back().empty() && fields.back().back() == '\r')
+            fields.back().pop_back();
         const std::size_t need =
             std::max(std::max(tsCol, inCol),
                      std::max(outCol, sessCol == npos ? 0 : sessCol));
@@ -473,54 +495,42 @@ loadRequestLog(const std::string &path)
     return importRequestLog(readFile(path, "request log"));
 }
 
-ArrivalTrace
-resampleTrace(const ArrivalTrace &log, std::size_t n, std::uint64_t seed)
-{
-    if (log.requests.empty())
-        IANUS_FATAL("cannot resample an empty request log");
-    if (n == 0)
-        IANUS_FATAL("resampleTrace needs a positive request count");
-
-    // The empirical distributions: observed inter-arrival gaps (a
-    // one-row log contributes the single gap 0), and whole (input,
-    // output) rows — joint draws preserve the log's prompt/output
-    // correlation, which independent marginals would destroy.
-    std::vector<double> gaps;
-    if (log.requests.size() == 1) {
-        gaps.push_back(0.0);
-    } else {
-        gaps.reserve(log.requests.size() - 1);
-        for (std::size_t i = 1; i < log.requests.size(); ++i)
-            gaps.push_back(log.requests[i].arrivalMs -
-                           log.requests[i - 1].arrivalMs);
-    }
-
-    std::seed_seq seq{static_cast<std::uint32_t>(seed),
-                      static_cast<std::uint32_t>(seed >> 32)};
-    std::mt19937 rng(seq);
-    ArrivalTrace trace;
-    trace.requests.reserve(n);
-    double clock = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        clock += gaps[rng() % gaps.size()];
-        const TimedRequest &row =
-            log.requests[rng() % log.requests.size()];
-        TimedRequest t;
-        t.arrivalMs = clock;
-        // Shapes only: session tags are dropped (resampled rows are
-        // independent draws — see the header contract).
-        t.request = row.request;
-        trace.requests.push_back(t);
-    }
-    return trace;
-}
-
 // --- Non-stationary open-loop generators ------------------------------------
 
 namespace
 {
 
 constexpr double kTwoPi = 6.283185307179586;
+
+/** Lewis–Shedler thinning, the loop the diurnal and bursty generators
+ *  share: candidates at the @p peak rate over [0, @p duration_ms), each
+ *  kept with probability rate(t)/peak. The draw order is fixed — gap,
+ *  coin, then shapes only on acceptance — so the trace is a pure
+ *  function of the stream. @p rate sees the candidates' times in
+ *  increasing order; each kept one arrives at opts.startMs + t. */
+template <typename Options, typename RateFn>
+ArrivalTrace
+thin(const Options &opts, std::mt19937 &rng, double peak,
+     double duration_ms, RateFn rate)
+{
+    ArrivalTrace trace;
+    double t = 0.0; // profile-relative clock
+    for (;;) {
+        t += expGapMs(rng, peak);
+        if (t >= duration_ms)
+            break;
+        const double u = canonical53(rng);
+        if (u * peak < rate(t)) {
+            TimedRequest req;
+            req.request.inputTokens = pick(rng, opts.inputTokenChoices);
+            req.request.outputTokens =
+                pick(rng, opts.outputTokenChoices);
+            req.arrivalMs = opts.startMs + t;
+            trace.requests.push_back(req);
+        }
+    }
+    return trace;
+}
 
 /** Strict full-field double parse for the rate-profile grammar. */
 double
@@ -582,18 +592,7 @@ RateProfile::peakRate() const
 RateProfile
 parseRateProfile(const std::string &spec)
 {
-    std::vector<std::string> fields;
-    std::size_t pos = 0;
-    for (;;) {
-        std::size_t colon = spec.find(':', pos);
-        if (colon == std::string::npos) {
-            fields.push_back(spec.substr(pos));
-            break;
-        }
-        fields.push_back(spec.substr(pos, colon - pos));
-        pos = colon + 1;
-    }
-
+    const std::vector<std::string> fields = splitFields(spec, ':');
     RateProfile p;
     if (fields[0] == "const") {
         if (fields.size() != 3)
@@ -632,23 +631,13 @@ parseRateProfile(const std::string &spec)
                         "' must be steps:DURATION_MS:R0,R1,...");
         p.kind = RateProfile::Kind::Steps;
         p.durationMs = parseProfileField(spec, fields[1], "duration");
-        std::size_t rp = 0;
-        const std::string &list = fields[2];
-        for (;;) {
-            std::size_t comma = list.find(',', rp);
-            const std::string field =
-                comma == std::string::npos
-                    ? list.substr(rp)
-                    : list.substr(rp, comma - rp);
+        for (const std::string &field : splitFields(fields[2], ',')) {
             double r = parseProfileField(spec, field, "step rate");
             if (r < 0.0)
                 IANUS_FATAL("rate profile '", spec,
                             "' step rates must be non-negative, got ",
                             r);
             p.stepRates.push_back(r);
-            if (comma == std::string::npos)
-                break;
-            rp = comma + 1;
         }
         if (p.peakRate() <= 0.0)
             IANUS_FATAL("rate profile '", spec,
@@ -675,38 +664,11 @@ generateDiurnalTrace(const DiurnalOptions &opts)
         IANUS_FATAL("diurnal generation needs a profile with a positive "
                     "peak rate, got ",
                     peak, " req/s");
-    if (opts.inputTokenChoices.empty() || opts.outputTokenChoices.empty())
-        IANUS_FATAL("trace generation needs non-empty input and output "
-                    "token choice lists");
-    if (opts.startMs < 0.0)
-        IANUS_FATAL("trace start must be non-negative, got ",
-                    opts.startMs, " ms");
-
-    std::seed_seq seq{static_cast<std::uint32_t>(opts.seed),
-                      static_cast<std::uint32_t>(opts.seed >> 32)};
-    std::mt19937 rng(seq);
-
-    // Lewis–Shedler thinning: candidates at the peak rate, each kept
-    // with probability rate(t)/peak. The draw order is fixed — gap,
-    // coin, then shapes only on acceptance — so the trace is a pure
-    // function of (seed, profile).
-    ArrivalTrace trace;
-    double t = 0.0; // profile-relative clock
-    for (;;) {
-        t += expGapMs(rng, peak);
-        if (t >= opts.profile.durationMs)
-            break;
-        const double u = canonical53(rng);
-        if (u * peak < opts.profile.rateAt(t)) {
-            TimedRequest req;
-            req.request.inputTokens = pick(rng, opts.inputTokenChoices);
-            req.request.outputTokens =
-                pick(rng, opts.outputTokenChoices);
-            req.arrivalMs = opts.startMs + t;
-            trace.requests.push_back(req);
-        }
-    }
-    return trace;
+    checkShapesAndStart(opts.inputTokenChoices, opts.outputTokenChoices,
+                        opts.startMs);
+    std::mt19937 rng = seededRng(opts.seed);
+    return thin(opts, rng, peak, opts.profile.durationMs,
+                [&](double t) { return opts.profile.rateAt(t); });
 }
 
 ArrivalTrace
@@ -726,16 +688,9 @@ generateBurstyTrace(const BurstyOptions &opts)
         IANUS_FATAL("bursty generation needs positive mean burst and "
                     "gap dwell times, got ",
                     opts.meanBurstMs, " / ", opts.meanGapMs, " ms");
-    if (opts.inputTokenChoices.empty() || opts.outputTokenChoices.empty())
-        IANUS_FATAL("trace generation needs non-empty input and output "
-                    "token choice lists");
-    if (opts.startMs < 0.0)
-        IANUS_FATAL("trace start must be non-negative, got ",
-                    opts.startMs, " ms");
-
-    std::seed_seq seq{static_cast<std::uint32_t>(opts.seed),
-                      static_cast<std::uint32_t>(opts.seed >> 32)};
-    std::mt19937 rng(seq);
+    checkShapesAndStart(opts.inputTokenChoices, opts.outputTokenChoices,
+                        opts.startMs);
+    std::mt19937 rng = seededRng(opts.seed);
 
     // The modulating chain first: alternating exponential dwells
     // (starting calm), recorded as switch instants. Drawing the whole
@@ -760,28 +715,13 @@ generateBurstyTrace(const BurstyOptions &opts)
     // walking switch index keeps the state lookup O(1) amortized
     // (candidates are increasing).
     const double maxRate = opts.baseRate * opts.burstRateRatio;
-    ArrivalTrace trace;
-    double t = 0.0;
     std::size_t sw = 0;
-    for (;;) {
-        t += expGapMs(rng, maxRate);
-        if (t >= opts.durationMs)
-            break;
+    return thin(opts, rng, maxRate, opts.durationMs, [&](double t) {
         while (sw < switches.size() && switches[sw] <= t)
             ++sw;
         const bool burst = (sw % 2) == 1; // odd switch count = burst
-        const double rate = burst ? maxRate : opts.baseRate;
-        const double u = canonical53(rng);
-        if (u * maxRate < rate) {
-            TimedRequest req;
-            req.request.inputTokens = pick(rng, opts.inputTokenChoices);
-            req.request.outputTokens =
-                pick(rng, opts.outputTokenChoices);
-            req.arrivalMs = opts.startMs + t;
-            trace.requests.push_back(req);
-        }
-    }
-    return trace;
+        return burst ? maxRate : opts.baseRate;
+    });
 }
 
 ArrivalTrace
@@ -817,18 +757,13 @@ generateSessionTrace(const SessionOptions &opts)
     // Session starts are one Poisson stream; everything inside a
     // session comes from its own (seed, index) stream, so adding
     // sessions never perturbs the earlier ones' draws.
-    std::seed_seq start_seq{static_cast<std::uint32_t>(opts.seed),
-                            static_cast<std::uint32_t>(opts.seed >> 32)};
-    std::mt19937 start_rng(start_seq);
+    std::mt19937 start_rng = seededRng(opts.seed);
 
     ArrivalTrace trace;
     double start_clock = 0.0;
     for (std::size_t s = 0; s < opts.sessions; ++s) {
         start_clock += expGapMs(start_rng, opts.sessionsPerSec);
-        std::seed_seq seq{static_cast<std::uint32_t>(opts.seed),
-                          static_cast<std::uint32_t>(opts.seed >> 32),
-                          static_cast<std::uint32_t>(s)};
-        std::mt19937 rng(seq);
+        std::mt19937 rng = seededRng(opts.seed, s);
 
         // Geometric turn count with the requested mean (inverse CDF
         // over success probability 1/mean), clamped to [1, maxTurns].
@@ -917,9 +852,7 @@ runClients(ServingEngine &engine, const ClosedLoopOptions &opts,
         IANUS_FATAL("mean think time must be a non-negative number of "
                     "ms, got ",
                     opts.meanThinkMs);
-    if (opts.inputTokenChoices.empty() || opts.outputTokenChoices.empty())
-        IANUS_FATAL("closed-loop generation needs non-empty input and "
-                    "output token choice lists");
+    checkShapesAndStart(opts.inputTokenChoices, opts.outputTokenChoices);
     if (engine.pending() != 0)
         IANUS_FATAL("a closed-loop drain needs an engine with no "
                     "pending requests (",
@@ -936,12 +869,8 @@ runClients(ServingEngine &engine, const ClosedLoopOptions &opts,
         std::size_t sent = 0;
     };
     std::vector<Client> clients(opts.clients);
-    for (std::size_t c = 0; c < opts.clients; ++c) {
-        std::seed_seq seq{static_cast<std::uint32_t>(opts.seed),
-                          static_cast<std::uint32_t>(opts.seed >> 32),
-                          static_cast<std::uint32_t>(c)};
-        clients[c].rng.seed(seq);
-    }
+    for (std::size_t c = 0; c < opts.clients; ++c)
+        clients[c].rng = seededRng(opts.seed, c);
 
     auto drawShape = [&](Client &c) {
         workloads::InferenceRequest req;

@@ -160,20 +160,6 @@ ArrivalTrace importRequestLog(const std::string &csv);
 /** importRequestLog() from a file; fatal if the file cannot be read. */
 ArrivalTrace loadRequestLog(const std::string &path);
 
-/**
- * Stretch a short request log into an @p n -request trace by
- * empirical-distribution resampling (the bootstrap): inter-arrival
- * gaps are drawn uniformly from the log's observed gaps (a one-row
- * log has the single gap 0), and request shapes are drawn as whole
- * (input, output) rows — jointly, preserving the log's prompt/output
- * correlation. Deterministic in @p seed on any platform. Session tags
- * are dropped: resampled rows are independent draws, and a bootstrap
- * of turns would fabricate conversations the log never recorded.
- * Fatal on an empty @p log or n == 0.
- */
-ArrivalTrace resampleTrace(const ArrivalTrace &log, std::size_t n,
-                           std::uint64_t seed);
-
 // --- Non-stationary open-loop generators ------------------------------------
 
 /**

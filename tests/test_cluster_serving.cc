@@ -352,7 +352,10 @@ TEST(ClusterServing, TensorParallelReplicasCountTotalDevices)
     serve::DevicePool pool(SystemConfig::ianusDefault(),
                            workloads::gptLarge("6.7b"), opts);
     EXPECT_EQ(pool.size(), 3u);
-    EXPECT_EQ(pool.totalDevices(), 6u);
+    unsigned devices = 0;
+    for (std::size_t i = 0; i < pool.size(); ++i)
+        devices += pool.replica(i).options().devices;
+    EXPECT_EQ(devices, 6u);
 }
 
 TEST(ClusterServing, HeterogeneousPoolServesAcrossSystems)

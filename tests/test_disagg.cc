@@ -69,17 +69,13 @@ TEST(ReplicaRoles, NamesRoundTrip)
 
 TEST(ReplicaRoles, PoolStoresAndReportsRoles)
 {
-    DevicePool pool =
-        makePool({ReplicaRole::Prefill, ReplicaRole::Decode});
-    EXPECT_EQ(pool.role(0), ReplicaRole::Prefill);
-    EXPECT_EQ(pool.role(1), ReplicaRole::Decode);
+    const std::vector<ReplicaRole> typed = {ReplicaRole::Prefill,
+                                            ReplicaRole::Decode};
+    DevicePool pool = makePool(typed);
+    EXPECT_EQ(pool.roles(), typed);
     EXPECT_TRUE(pool.disaggregated());
-    pool.setRole(0, ReplicaRole::Unified);
-    pool.setRole(1, ReplicaRole::Unified);
-    EXPECT_FALSE(pool.disaggregated());
-    EXPECT_THROW(pool.role(2), std::runtime_error);
-    EXPECT_THROW(pool.setRole(2, ReplicaRole::Decode),
-                 std::runtime_error);
+    EXPECT_FALSE(makePool({ReplicaRole::Unified, ReplicaRole::Unified})
+                     .disaggregated());
 }
 
 TEST(ReplicaRoles, SizedCtorDefaultsToUnified)
@@ -88,8 +84,8 @@ TEST(ReplicaRoles, SizedCtorDefaultsToUnified)
     popts.replicas = 3;
     DevicePool pool(SystemConfig::ianusDefault(), model, popts);
     EXPECT_FALSE(pool.disaggregated());
-    for (std::size_t d = 0; d < 3; ++d)
-        EXPECT_EQ(pool.role(d), ReplicaRole::Unified);
+    EXPECT_EQ(pool.roles(),
+              std::vector<ReplicaRole>(3, ReplicaRole::Unified));
 }
 
 // --- Transfer cost model ----------------------------------------------------

@@ -73,7 +73,8 @@ TEST(KvBlocks, CeilAllocationModelsInternalFragmentation)
     kv.release(1);
     EXPECT_EQ(kv.freeBlocks(), 20);
     // Fragmentation at release: 48 reserved slots, 33 used.
-    EXPECT_DOUBLE_EQ(kv.meanFragmentation(), 15.0 / 48.0);
+    EXPECT_EQ(kv.fragWasteTokens(), 15u);
+    EXPECT_EQ(kv.fragGrossTokens(), 48u);
 }
 
 TEST(KvBlocks, AdmissionReservesWorstCaseUpFront)

@@ -204,7 +204,7 @@ TEST(PoolStore, EqualityCoversNestedParameters)
     std::vector<SystemConfig> tweaked(8, base);
     tweaked[0].mu.freqGhz += 0.1;
     tweaked[1].vu.launchOverhead += 1;
-    tweaked[2].coreMem.actEntryBytes *= 2;
+    tweaked[2].coreMem.actScratchpadBytes *= 2;
     tweaked[3].sched.pendingSlots += 1;
     tweaked[4].mem.timing.tRP += 1;
     tweaked[5].pimUnit.actafTicks += 1;

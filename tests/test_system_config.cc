@@ -23,13 +23,11 @@ TEST(SystemConfig, Table2DerivedSpecs)
 
 TEST(SystemConfig, Table1CoreGeometry)
 {
-    // AM 12 MB / WM 4 MB per core; AM entries are 2x WM entries (4.1) —
-    // the mismatch the transpose streaming buffer reconciles.
+    // AM 12 MB / WM 4 MB per core.
     const ianus::npu::CoreMemoryParams mem =
         SystemConfig::ianusDefault().coreMem;
     EXPECT_EQ(mem.actScratchpadBytes, 12u * 1024 * 1024);
     EXPECT_EQ(mem.weightScratchpadBytes, 4u * 1024 * 1024);
-    EXPECT_EQ(mem.actEntryBytes, 2 * mem.weightEntryBytes);
 }
 
 TEST(SystemConfig, UnifiedChannelPools)

@@ -1,7 +1,7 @@
 /** @file Production request-log import: CSV schema handling, timestamp
- *  styles, session reconstruction, empirical bootstrap resampling, and
- *  the non-stationary diurnal/bursty generators built on the same
- *  deterministic draw discipline. */
+ *  styles, session reconstruction, and the non-stationary
+ *  diurnal/bursty generators built on the same deterministic draw
+ *  discipline. */
 
 #include <gtest/gtest.h>
 
@@ -312,65 +312,6 @@ TEST(TraceImport, ImportedLogDrainsDeterministically)
         EXPECT_EQ(a.results[i].finishMs, b.results[i].finishMs);
         EXPECT_EQ(a.results[i].deviceIndex, b.results[i].deviceIndex);
     }
-}
-
-// --- Bootstrap resampling -------------------------------------------------
-
-TEST(TraceImport, ResampleDrawsShapesFromTheLog)
-{
-    ArrivalTrace log = serve::importRequestLog(
-        "arrival_ms,prompt_tokens,output_tokens\n"
-        "0,64,8\n"
-        "100,128,16\n"
-        "150,256,32\n");
-    ArrivalTrace boot = serve::resampleTrace(log, 64, 3);
-    ASSERT_EQ(boot.size(), 64u);
-    // Joint rows only: every resampled (input, output) pair is one of
-    // the log's pairs, never a cross product.
-    std::set<std::pair<std::uint64_t, std::uint64_t>> seen = {
-        {64, 8}, {128, 16}, {256, 32}};
-    double prev = 0.0;
-    for (const serve::TimedRequest &r : boot.requests) {
-        EXPECT_TRUE(seen.count({r.request.inputTokens,
-                                r.request.outputTokens}))
-            << r.request.inputTokens << ":" << r.request.outputTokens;
-        EXPECT_GE(r.arrivalMs, prev);
-        prev = r.arrivalMs;
-        EXPECT_EQ(r.sessionId, 0u); // tags are dropped
-    }
-}
-
-TEST(TraceImport, ResampleIsSeedDeterministic)
-{
-    ArrivalTrace log = serve::importRequestLog(
-        "arrival_ms,prompt_tokens,output_tokens\n"
-        "0,64,8\n"
-        "100,128,16\n");
-    EXPECT_EQ(serve::formatTrace(serve::resampleTrace(log, 32, 7)),
-              serve::formatTrace(serve::resampleTrace(log, 32, 7)));
-    EXPECT_NE(serve::formatTrace(serve::resampleTrace(log, 32, 7)),
-              serve::formatTrace(serve::resampleTrace(log, 32, 8)));
-}
-
-TEST(TraceImport, ResampleSingleRowLogPinsGapToZero)
-{
-    ArrivalTrace log = serve::importRequestLog(
-        "arrival_ms,prompt_tokens,output_tokens\n"
-        "0,64,8\n");
-    ArrivalTrace boot = serve::resampleTrace(log, 5, 1);
-    ASSERT_EQ(boot.size(), 5u);
-    for (const serve::TimedRequest &r : boot.requests)
-        EXPECT_EQ(r.arrivalMs, 0.0);
-}
-
-TEST(TraceImport, ResampleValidatesItsInputs)
-{
-    ArrivalTrace empty;
-    EXPECT_THROW(serve::resampleTrace(empty, 4, 1), std::runtime_error);
-    ArrivalTrace log = serve::importRequestLog(
-        "arrival_ms,prompt_tokens,output_tokens\n"
-        "0,64,8\n");
-    EXPECT_THROW(serve::resampleTrace(log, 0, 1), std::runtime_error);
 }
 
 // --- Rate profiles --------------------------------------------------------
