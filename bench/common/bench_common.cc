@@ -5,14 +5,38 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <sstream>
 
 namespace bench
 {
 
+namespace
+{
+
+/** The terminate handler parseArgs installs: an uncaught exception's
+ *  message goes to stderr and the bench exits 1. Anything else that
+ *  terminates still aborts. */
+[[noreturn]] void
+exitOnFatal()
+{
+    try {
+        if (std::exception_ptr e = std::current_exception())
+            std::rethrow_exception(e);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        std::exit(1);
+    } catch (...) {
+    }
+    std::abort();
+}
+
+} // namespace
+
 Options
 parseArgs(int argc, char **argv, const char *floor_value)
 {
+    std::set_terminate(exitOnFatal);
     const char *slash = std::strrchr(argv[0], '/');
     std::string usage = std::string("usage: ") +
                         (slash ? slash + 1 : argv[0]) + " [--fast] [--csv]";

@@ -29,7 +29,9 @@ struct Options
  * `--floor VALUE`. `-h` and `--help` print the usage to stdout and
  * exit 0. Any other argument, or a floor that is missing, not a number
  * or not positive, prints the usage to stderr and exits 2, so a typo
- * can never skip a CI gate.
+ * can never skip a CI gate. From here on, an exception the bench does
+ * not catch (an IANUS_FATAL) prints its message to stderr and exits 1,
+ * as the examples do, instead of aborting.
  */
 Options parseArgs(int argc, char **argv, const char *floor_value = nullptr);
 
