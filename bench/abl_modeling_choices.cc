@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "common/bench_common.hh"
-#include "ianus/ianus_system.hh"
+#include "serve/compiled_model.hh"
 
 namespace
 {
@@ -25,9 +25,9 @@ speedup(ianus::SystemConfig ianus_cfg, ianus::SystemConfig npu_cfg,
     using namespace ianus;
     workloads::ModelConfig xl = workloads::gpt2("xl");
     workloads::InferenceRequest req{128, 17};
-    IanusSystem a(ianus_cfg), b(npu_cfg);
-    return b.run(xl, req, {}, stride).msPerGeneratedToken() /
-           a.run(xl, req, {}, stride).msPerGeneratedToken();
+    serve::CompiledModel a(ianus_cfg, xl), b(npu_cfg, xl);
+    return b.run(req, stride).msPerGeneratedToken() /
+           a.run(req, stride).msPerGeneratedToken();
 }
 
 } // namespace

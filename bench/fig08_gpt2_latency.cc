@@ -13,7 +13,7 @@
 
 #include "baselines/gpu_model.hh"
 #include "common/bench_common.hh"
-#include "ianus/ianus_system.hh"
+#include "serve/compiled_model.hh"
 
 namespace
 {
@@ -58,7 +58,6 @@ main(int argc, char **argv)
                   "4.3x (2.5B)");
 
     baselines::GpuModel gpu;
-    IanusSystem sys(SystemConfig::ianusDefault());
 
     struct ModelCase
     {
@@ -73,6 +72,7 @@ main(int argc, char **argv)
 
     for (const ModelCase &mc : cases) {
         workloads::ModelConfig model = workloads::gpt2(mc.size);
+        serve::CompiledModel sys(SystemConfig::ianusDefault(), model);
         bench::Table table({"(in,out)", "gpu_ms", "ianus_ms", "speedup",
                             "paper_gpu", "paper_ianus", "paper_speedup",
                             "shape"});
@@ -81,8 +81,7 @@ main(int argc, char **argv)
             workloads::InferenceRequest req{row.in, row.out};
             double g = gpu.latencyMs(model, req);
             double i =
-                sys.run(model, req, {}, bench::strideFor(row.out, opts))
-                    .totalMs();
+                sys.run(req, bench::strideFor(row.out, opts)).totalMs();
             gpu_ms_all.push_back(g);
             ianus_ms_all.push_back(i);
             double speedup = g / i;

@@ -12,7 +12,7 @@
 
 #include "baselines/dfx_model.hh"
 #include "common/bench_common.hh"
-#include "ianus/ianus_system.hh"
+#include "serve/compiled_model.hh"
 
 namespace
 {
@@ -43,8 +43,8 @@ main(int argc, char **argv)
 
     workloads::ModelConfig xl = workloads::gpt2("xl");
     baselines::DfxModel dfx;
-    IanusSystem ianus_sys(SystemConfig::ianusDefault());
-    IanusSystem npu_mem(SystemConfig::npuMem());
+    serve::CompiledModel ianus_sys(SystemConfig::ianusDefault(), xl);
+    serve::CompiledModel npu_mem(SystemConfig::npuMem(), xl);
 
     bench::Table table({"(in,out)", "dfx_ms", "npumem_ms", "ianus_ms",
                         "ianus_vs_dfx", "paper_dfx", "paper_npumem",
@@ -56,8 +56,8 @@ main(int argc, char **argv)
         workloads::InferenceRequest req{row.in, row.out};
         unsigned stride = bench::strideFor(row.out, opts);
         double d = dfx.latencyMs(xl, req);
-        InferenceReport ir = ianus_sys.run(xl, req, {}, stride);
-        InferenceReport nr = npu_mem.run(xl, req, {}, stride);
+        InferenceReport ir = ianus_sys.run(req, stride);
+        InferenceReport nr = npu_mem.run(req, stride);
         double i = ir.totalMs();
         double n = nr.totalMs();
         dfx_all.push_back(d);

@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "common/bench_common.hh"
-#include "ianus/ianus_system.hh"
+#include "serve/compiled_model.hh"
 
 namespace
 {
@@ -40,15 +40,15 @@ main(int argc, char **argv)
         "XL: two FCs 890->215 ms (4.1x), FFN 5.1x, self-attention "
         "4.3x, overall 4.0x (XL) / 3.6x (L)");
 
-    IanusSystem ianus_sys(SystemConfig::ianusDefault());
-    IanusSystem npu_mem(SystemConfig::npuMem());
     workloads::InferenceRequest req{128, 256};
     unsigned stride = bench::strideFor(req.outputTokens, opts);
 
     for (const char *size : {"l", "xl"}) {
         workloads::ModelConfig model = workloads::gpt2(size);
-        RunStats i = ianus_sys.run(model, req, {}, stride).generation;
-        RunStats n = npu_mem.run(model, req, {}, stride).generation;
+        serve::CompiledModel ianus_sys(SystemConfig::ianusDefault(), model);
+        serve::CompiledModel npu_mem(SystemConfig::npuMem(), model);
+        RunStats i = ianus_sys.run(req, stride).generation;
+        RunStats n = npu_mem.run(req, stride).generation;
 
         bench::Table table({"class", "npumem_ms", "ianus_ms", "speedup"});
         struct Row

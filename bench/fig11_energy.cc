@@ -13,7 +13,7 @@
 
 #include "common/bench_common.hh"
 #include "energy/energy_model.hh"
-#include "ianus/ianus_system.hh"
+#include "serve/compiled_model.hh"
 
 int
 main(int argc, char **argv)
@@ -25,8 +25,6 @@ main(int argc, char **argv)
                   "efficiency gains 3.7/3.6/3.9/4.4x; normal-op energy "
                   "/10.5-13.4; core energy /6.3-10.2");
 
-    IanusSystem ianus_sys(SystemConfig::ianusDefault());
-    IanusSystem npu_mem(SystemConfig::npuMem());
     energy::EnergyModel em;
     workloads::InferenceRequest req{256, 512};
     unsigned stride = bench::strideFor(req.outputTokens, opts);
@@ -44,10 +42,10 @@ main(int argc, char **argv)
     for (const auto &model : workloads::allGpt2()) {
         Entry e;
         e.name = model.name;
-        e.ianus_e =
-            em.evaluate(ianus_sys.run(model, req, {}, stride).combined());
-        e.npu_e =
-            em.evaluate(npu_mem.run(model, req, {}, stride).combined());
+        serve::CompiledModel ianus_sys(SystemConfig::ianusDefault(), model);
+        serve::CompiledModel npu_mem(SystemConfig::npuMem(), model);
+        e.ianus_e = em.evaluate(ianus_sys.run(req, stride).combined());
+        e.npu_e = em.evaluate(npu_mem.run(req, stride).combined());
         entries.push_back(e);
     }
 

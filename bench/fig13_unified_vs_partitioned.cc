@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "common/bench_common.hh"
-#include "ianus/ianus_system.hh"
+#include "serve/compiled_model.hh"
 
 int
 main(int argc, char **argv)
@@ -67,12 +67,13 @@ main(int argc, char **argv)
         SystemConfig cfg = designs[d].unified
                                ? SystemConfig::ianusDefault()
                                : SystemConfig::partitioned();
-        IanusSystem sys(cfg);
         BuildOptions b;
         b.attnMapping = designs[d].attn;
         b.policy = designs[d].policy;
         for (std::size_t m = 0; m < models.size(); ++m)
-            ms[d][m] = sys.run(models[m], req, b, stride).totalMs();
+            ms[d][m] = serve::CompiledModel(cfg, models[m], b)
+                           .run(req, stride)
+                           .totalMs();
     }
 
     bench::Table table({"design", "gpt2-m", "gpt2-l", "gpt2-xl",

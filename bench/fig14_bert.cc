@@ -14,7 +14,7 @@
 
 #include "baselines/gpu_model.hh"
 #include "common/bench_common.hh"
-#include "ianus/ianus_system.hh"
+#include "serve/compiled_model.hh"
 
 int
 main(int argc, char **argv)
@@ -27,7 +27,6 @@ main(int argc, char **argv)
 
     baselines::GpuModel gpu;
     SystemConfig cfg = SystemConfig::ianusDefault();
-    IanusSystem sys(cfg);
     const double paper_thr[] = {3.1, 2.0, 0.8, 0.6};
     const double paper_util[] = {5.2, 3.3, 1.3, 1.0};
 
@@ -36,10 +35,11 @@ main(int argc, char **argv)
     auto models = workloads::allBert();
     std::vector<double> thr_ratio(models.size()), util_ratio(models.size());
     for (std::size_t m = 0; m < models.size(); ++m) {
+        serve::CompiledModel sys(cfg, models[m]);
         std::vector<double> g_thr, i_thr;
         for (std::uint64_t in : {128u, 256u, 512u}) {
             double gthr = gpu.throughputTflops(models[m], in);
-            InferenceReport r = sys.run(models[m], {in, 1});
+            InferenceReport r = sys.run({in, 1});
             double ithr = models[m].forwardFlops(in) /
                           (r.totalMs() / 1000.0) / 1e12;
             g_thr.push_back(gthr);

@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "common/bench_common.hh"
-#include "ianus/ianus_system.hh"
+#include "serve/compiled_model.hh"
 
 int
 main(int argc, char **argv)
@@ -33,8 +33,7 @@ main(int argc, char **argv)
         SystemConfig cfg = SystemConfig::ianusDefault();
         cfg.cores = cores;
         cfg.pimChips = pims;
-        IanusSystem sys(cfg);
-        return sys.run(model, req, {}, stride).totalMs();
+        return serve::CompiledModel(cfg, model).run(req, stride).totalMs();
     };
 
     double base_sum = run(4, 4, sum_req);

@@ -13,7 +13,7 @@
 
 #include "baselines/gpu_model.hh"
 #include "common/bench_common.hh"
-#include "ianus/ianus_system.hh"
+#include "serve/compiled_model.hh"
 
 namespace
 {
@@ -55,7 +55,8 @@ main(int argc, char **argv)
     baselines::GpuModel gpu;
     for (const ModelCase &mc : cases) {
         workloads::ModelConfig model = workloads::gptLarge(mc.size);
-        MultiDeviceSystem sys(SystemConfig::ianusDefault(), mc.devices);
+        serve::CompiledModel sys(SystemConfig::ianusDefault(), model,
+                                 {.devices = mc.devices});
 
         bench::Table table({"(in,out)", "gpu_ms", "ianus_ms", "speedup",
                             "paper_gpu", "paper_ianus", "shape"});
@@ -64,8 +65,7 @@ main(int argc, char **argv)
             workloads::InferenceRequest req{256, row.out};
             double g = gpu.latencyMs(model, req);
             double i =
-                sys.run(model, req, {}, bench::strideFor(row.out, opts))
-                    .totalMs();
+                sys.run(req, bench::strideFor(row.out, opts)).totalMs();
             g_all.push_back(g);
             i_all.push_back(i);
             table.addRow({"(256," + std::to_string(row.out) + ")",

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "common/bench_common.hh"
-#include "ianus/ianus_system.hh"
+#include "serve/compiled_model.hh"
 
 int
 main(int argc, char **argv)
@@ -32,9 +32,9 @@ main(int argc, char **argv)
                         "paper_scaling", "shape"});
     double prev = 0.0, paper_prev = 0.0;
     for (int i = 0; i < 3; ++i) {
-        MultiDeviceSystem sys(SystemConfig::ianusDefault(), devices[i]);
-        InferenceReport r = sys.run(model, req, {}, stride);
-        double tps = MultiDeviceSystem::tokensPerSecond(r);
+        serve::CompiledModel sys(SystemConfig::ianusDefault(), model,
+                                 {.devices = devices[i]});
+        double tps = sys.run(req, stride).generationTokensPerSec();
         table.addRow(
             {std::to_string(devices[i]), bench::Table::num(tps, 1),
              prev > 0 ? bench::Table::ratio(tps / prev) : "-",

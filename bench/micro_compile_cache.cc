@@ -5,8 +5,8 @@
  * Replays a 100-request synthetic serving mix (the llm_serving shapes)
  * two ways:
  *
- *  - uncached: a fresh CompiledModel per request, i.e. the one-shot
- *    IanusSystem::run path — every request recompiles and re-simulates
+ *  - uncached: a fresh CompiledModel per request, i.e. a one-shot
+ *    CompiledModel::run — every request recompiles and re-simulates
  *    its summarization program and every sampled generation step;
  *  - cached: one CompiledModel serving the whole mix, so each distinct
  *    program (input length / KV length) is compiled and simulated once.
@@ -124,7 +124,7 @@ main(int argc, char **argv)
         mix.push_back({ins[rng() % ins.size()],
                        outs[rng() % outs.size()]});
 
-    // Uncached: fresh CompiledModel (= IanusSystem::run) per request.
+    // Uncached: fresh CompiledModel (one-shot run()) per request.
     Clock::time_point t0 = Clock::now();
     std::vector<InferenceReport> uncached;
     std::uint64_t uncached_builds = 0;

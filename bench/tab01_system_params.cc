@@ -10,7 +10,8 @@
 #include "baselines/dfx_model.hh"
 #include "baselines/gpu_model.hh"
 #include "common/bench_common.hh"
-#include "ianus/ianus_system.hh"
+#include "ianus/system_config.hh"
+#include "workloads/model_config.hh"
 
 int
 main(int argc, char **argv)

@@ -11,7 +11,7 @@
 
 #include "baselines/gpu_model.hh"
 #include "common/bench_common.hh"
-#include "ianus/ianus_system.hh"
+#include "serve/compiled_model.hh"
 
 int
 main(int argc, char **argv)
@@ -22,6 +22,7 @@ main(int argc, char **argv)
                   "3.9x / 2.7x / 2.1x vs A100 for 6.7B / 13B / 30B");
 
     baselines::GpuModel gpu;
+    const SystemConfig cfg = SystemConfig::ianusDefault();
     workloads::InferenceRequest req{256, 64};
     unsigned stride = bench::strideFor(req.outputTokens, opts);
 
@@ -39,16 +40,16 @@ main(int argc, char **argv)
                         "paper", "shape"});
     for (const Case &c : cases) {
         workloads::ModelConfig model = workloads::gptLarge(c.size);
-        MultiDeviceSystem sys(SystemConfig::ianusDefault(), c.devices);
-        double i = sys.run(model, req, {}, stride).totalMs();
+        serve::CompiledModel sys(cfg, model, {.devices = c.devices});
+        double i = sys.run(req, stride).totalMs();
         double g = gpu.latencyMs(model, req);
         double speedup = g / i;
-        double tdp_gain =
-            speedup * gpu.params().tdpWatts / sys.totalTdpWatts();
+        double tdp = c.devices * cfg.tdpWatts;
+        double tdp_gain = speedup * gpu.params().tdpWatts / tdp;
         table.addRow({model.name, std::to_string(c.devices),
                       bench::Table::num(i), bench::Table::num(g),
                       bench::Table::ratio(speedup),
-                      bench::Table::num(sys.totalTdpWatts(), 0),
+                      bench::Table::num(tdp, 0),
                       bench::Table::ratio(tdp_gain),
                       bench::Table::ratio(c.paper),
                       bench::shapeCheck(tdp_gain, c.paper)});

@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "example_cli.hh"
-#include "ianus/ianus_system.hh"
+#include "serve/compiled_model.hh"
 
 namespace
 {
@@ -59,14 +59,13 @@ run(int argc, char **argv)
                     cfg.cores = cores;
                     cfg.pimChips = pims;
                     cfg.dmaEfficiency = eff;
-                    IanusSystem sys(cfg);
                     BuildOptions opts;
                     opts.policy = policy;
-                    double ms = sys.run(model, req, opts, 4).totalMs();
+                    serve::CompiledModel sys(cfg, model, opts);
+                    double ms = sys.run(req, 4).totalMs();
                     double per_token =
                         req.outputTokens > 1
-                            ? sys.run(model, req, opts, 4)
-                                  .msPerGeneratedToken()
+                            ? sys.run(req, 4).msPerGeneratedToken()
                             : 0.0;
                     if (baseline == 0.0)
                         baseline = ms;

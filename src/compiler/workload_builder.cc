@@ -238,12 +238,6 @@ WorkloadBuilder::kvMask(std::uint16_t core) const
 }
 
 void
-WorkloadBuilder::checkCapacity(std::uint64_t tokens) const
-{
-    checkCapacity(0, tokens);
-}
-
-void
 WorkloadBuilder::checkCapacity(std::uint64_t prior,
                                std::uint64_t tokens) const
 {
@@ -279,6 +273,97 @@ WorkloadBuilder::checkCapacity(std::uint64_t prior,
     if (wm_need > sys_.coreMem.weightScratchpadBytes)
         IANUS_FATAL("weight working set (", wm_need,
                     " B) exceeds the weight scratchpad");
+}
+
+// ---------------------------------------------------------------------
+// Pieces every stage shares
+// ---------------------------------------------------------------------
+
+void
+WorkloadBuilder::embed(Ctx &ctx, std::uint64_t tokens) const
+{
+    for (std::uint16_t c = 0; c < sys_.cores; ++c) {
+        isa::DmaArgs emb;
+        emb.bytes = tokens * model_.embDim * pim::elemBytes;
+        emb.channels = sys_.dramChannelMask();
+        emit(ctx, c, UnitKind::DmaIn, OpClass::Embedding, emb, {});
+    }
+}
+
+std::vector<std::uint32_t>
+WorkloadBuilder::layerNorm1(Ctx &ctx, std::uint64_t tokens) const
+{
+    std::vector<std::uint32_t> ln(sys_.cores);
+    for (std::uint16_t c = 0; c < sys_.cores; ++c) {
+        isa::VuArgs args{VuOpKind::LayerNorm, tokens * model_.embDim};
+        ln[c] = emit(ctx, c, UnitKind::VectorUnit, OpClass::LayerNorm,
+                     args, {});
+    }
+    return ln;
+}
+
+void
+WorkloadBuilder::blockTail(Ctx &ctx, std::uint64_t n) const
+{
+    const std::uint64_t e = model_.embDim;
+    const std::uint64_t ffn = model_.ffnDim();
+
+    barrier(ctx, OpClass::SelfAttention, n * e * pim::elemBytes); // sync 1
+
+    // Attention output FC (column-split) + residual add. From here on
+    // the n tokens (a generation batch or a prefill chunk) are one
+    // multi-token activation matrix: a matrix-unit FC streams its
+    // weights once for all n tokens, a PIM FC repeats its GEMV n times
+    // — the trade-off the adaptive mapper re-evaluates at this token
+    // count.
+    FcMappingDecision attn_dec = decideFc(n, e, colSlice(e), false, {});
+    for (std::uint16_t c = 0; c < sys_.cores; ++c) {
+        std::uint32_t g = emitGather(ctx, c, n * e * pim::elemBytes,
+                                     OpClass::FcAttnAdd);
+        std::uint32_t fc = emitFc(ctx, c, OpClass::FcAttnAdd, attn_dec, n,
+                                  e, colSlice(e), false, false, {g});
+        isa::VuArgs add{VuOpKind::Add, n * colSlice(e)};
+        emit(ctx, c, UnitKind::VectorUnit, OpClass::FcAttnAdd, add, {fc});
+    }
+    barrier(ctx, OpClass::FcAttnAdd, n * e * pim::elemBytes); // sync 2
+
+    // LN2 + FFN1 (+GELU).
+    FcMappingDecision ffn1_dec = decideFc(n, e, colSlice(ffn), true,
+                                          n * e);
+    for (std::uint16_t c = 0; c < sys_.cores; ++c) {
+        std::uint32_t g = emitGather(ctx, c, n * e * pim::elemBytes,
+                                     OpClass::LayerNorm);
+        isa::VuArgs lnv{VuOpKind::LayerNorm, n * e};
+        std::uint32_t ln2 = emit(ctx, c, UnitKind::VectorUnit,
+                                 OpClass::LayerNorm, lnv, {g});
+        emitFc(ctx, c, OpClass::FfnAdd, ffn1_dec, n, e, colSlice(ffn),
+               true, false, {ln2});
+    }
+    barrier(ctx, OpClass::FfnAdd, n * ffn * pim::elemBytes); // sync 3
+
+    // FFN2 + residual add.
+    bool non_dup = ffn2NonDuplicated(ctx.blockIndex);
+    FcMappingDecision ffn2_dec;
+    if (non_dup) {
+        // Non-duplicated weights exist only on the PIM half; the matrix
+        // unit computes them, streaming from the PIM channels where the
+        // stream collides with PIM compute (Section 6.2).
+        ffn2_dec.unit = FcUnit::MatrixUnit;
+    } else {
+        ffn2_dec = decideFc(n, ffn, colSlice(e), false, {});
+    }
+    for (std::uint16_t c = 0; c < sys_.cores; ++c) {
+        std::uint32_t g = emitGather(ctx, c, n * ffn * pim::elemBytes,
+                                     OpClass::FfnAdd);
+        std::uint32_t fc = emitFc(ctx, c, OpClass::FfnAdd, ffn2_dec, n,
+                                  ffn, colSlice(e), false, non_dup, {g});
+        isa::VuArgs add{VuOpKind::Add, n * colSlice(e)};
+        emit(ctx, c, UnitKind::VectorUnit, OpClass::FfnAdd, add, {fc});
+    }
+    barrier(ctx, OpClass::FfnAdd, n * e * pim::elemBytes); // sync 4
+    ctx.prog.markBlockEnd(*ctx.gate);
+
+    ++ctx.blockIndex;
 }
 
 // ---------------------------------------------------------------------
@@ -470,19 +555,10 @@ void
 WorkloadBuilder::blockGeneration(
     Ctx &ctx, const std::vector<std::uint64_t> &kv_lens) const
 {
-    const std::uint64_t e = model_.embDim;
-    const std::uint64_t ffn = model_.ffnDim();
-    const std::uint64_t b = kv_lens.size();
-
     // LN1 over the batch + multi-head attention (head-parallel across
     // cores, per request within each core: every request owns its KV
     // cache, so QKV GEMVs and QKᵀ/SV never batch across requests).
-    std::vector<std::uint32_t> ln(sys_.cores);
-    for (std::uint16_t c = 0; c < sys_.cores; ++c) {
-        isa::VuArgs args{VuOpKind::LayerNorm, b * e};
-        ln[c] = emit(ctx, c, UnitKind::VectorUnit, OpClass::LayerNorm,
-                     args, {});
-    }
+    const std::vector<std::uint32_t> ln = layerNorm1(ctx, kv_lens.size());
     for (std::uint16_t c = 0; c < sys_.cores; ++c) {
         for (std::uint64_t kv_len : kv_lens) {
             if (opts_.attnMapping == AttnMapping::MatrixUnit)
@@ -491,61 +567,7 @@ WorkloadBuilder::blockGeneration(
                 attentionGenerationPim(ctx, c, kv_len, ln[c]);
         }
     }
-    barrier(ctx, OpClass::SelfAttention, b * e * pim::elemBytes); // sync 1
-
-    // Attention output FC (column-split) + residual add. From here on
-    // the batch is one multi-token activation matrix: a matrix-unit FC
-    // streams its weights once for all b tokens, a PIM FC repeats its
-    // GEMV b times — the trade-off the adaptive mapper re-evaluates at
-    // this token count.
-    FcMappingDecision attn_dec = decideFc(b, e, colSlice(e), false, {});
-    for (std::uint16_t c = 0; c < sys_.cores; ++c) {
-        std::uint32_t g = emitGather(ctx, c, b * e * pim::elemBytes,
-                                     OpClass::FcAttnAdd);
-        std::uint32_t fc = emitFc(ctx, c, OpClass::FcAttnAdd, attn_dec, b,
-                                  e, colSlice(e), false, false, {g});
-        isa::VuArgs add{VuOpKind::Add, b * colSlice(e)};
-        emit(ctx, c, UnitKind::VectorUnit, OpClass::FcAttnAdd, add, {fc});
-    }
-    barrier(ctx, OpClass::FcAttnAdd, b * e * pim::elemBytes); // sync 2
-
-    // LN2 + FFN1 (+GELU).
-    FcMappingDecision ffn1_dec = decideFc(b, e, colSlice(ffn), true,
-                                          b * e);
-    for (std::uint16_t c = 0; c < sys_.cores; ++c) {
-        std::uint32_t g = emitGather(ctx, c, b * e * pim::elemBytes,
-                                     OpClass::LayerNorm);
-        isa::VuArgs lnv{VuOpKind::LayerNorm, b * e};
-        std::uint32_t ln2 = emit(ctx, c, UnitKind::VectorUnit,
-                                 OpClass::LayerNorm, lnv, {g});
-        emitFc(ctx, c, OpClass::FfnAdd, ffn1_dec, b, e, colSlice(ffn),
-               true, false, {ln2});
-    }
-    barrier(ctx, OpClass::FfnAdd, b * ffn * pim::elemBytes); // sync 3
-
-    // FFN2 + residual add.
-    bool non_dup = ffn2NonDuplicated(ctx.blockIndex);
-    FcMappingDecision ffn2_dec;
-    if (non_dup) {
-        // Non-duplicated weights exist only on the PIM half; the matrix
-        // unit computes them, streaming from the PIM channels where the
-        // stream collides with PIM compute (Section 6.2).
-        ffn2_dec.unit = FcUnit::MatrixUnit;
-    } else {
-        ffn2_dec = decideFc(b, ffn, colSlice(e), false, {});
-    }
-    for (std::uint16_t c = 0; c < sys_.cores; ++c) {
-        std::uint32_t g = emitGather(ctx, c, b * ffn * pim::elemBytes,
-                                     OpClass::FfnAdd);
-        std::uint32_t fc = emitFc(ctx, c, OpClass::FfnAdd, ffn2_dec, b,
-                                  ffn, colSlice(e), false, non_dup, {g});
-        isa::VuArgs add{VuOpKind::Add, b * colSlice(e)};
-        emit(ctx, c, UnitKind::VectorUnit, OpClass::FfnAdd, add, {fc});
-    }
-    barrier(ctx, OpClass::FfnAdd, b * e * pim::elemBytes); // sync 4
-    ctx.prog.markBlockEnd(*ctx.gate);
-
-    ++ctx.blockIndex;
+    blockTail(ctx, kv_lens.size());
 }
 
 // ---------------------------------------------------------------------
@@ -570,18 +592,11 @@ WorkloadBuilder::blockSummarization(Ctx &ctx, std::uint64_t prior,
     // program — the chunked-prefill fallback anchor.
     const std::uint64_t e = model_.embDim;
     const std::uint64_t hd = model_.headDim;
-    const std::uint64_t ffn = model_.ffnDim();
     const std::uint64_t heads = headsPerCore();
     const std::uint64_t w_head_bytes = hd * e * pim::elemBytes;
     const bool decoder = model_.decoder();
 
-    std::vector<std::uint32_t> ln(sys_.cores);
-    for (std::uint16_t c = 0; c < sys_.cores; ++c) {
-        isa::VuArgs args{VuOpKind::LayerNorm, n * e};
-        ln[c] = emit(ctx, c, UnitKind::VectorUnit, OpClass::LayerNorm,
-                     args, {});
-    }
-
+    const std::vector<std::uint32_t> ln = layerNorm1(ctx, n);
     for (std::uint16_t c = 0; c < sys_.cores; ++c) {
         for (std::uint64_t h = 0; h < heads; ++h) {
             // Head-wise QKV weights live on the core's memory chip in
@@ -674,52 +689,7 @@ WorkloadBuilder::blockSummarization(Ctx &ctx, std::uint64_t prior,
                  sv_args, isa::Deps(sv_deps, prior > 0 ? 3 : 2));
         }
     }
-    barrier(ctx, OpClass::SelfAttention, n * e * pim::elemBytes);
-
-    // Attention output FC + residual.
-    FcMappingDecision attn_dec = decideFc(n, e, colSlice(e), false, {});
-    for (std::uint16_t c = 0; c < sys_.cores; ++c) {
-        std::uint32_t g = emitGather(ctx, c, n * e * pim::elemBytes,
-                                     OpClass::FcAttnAdd);
-        std::uint32_t fc = emitFc(ctx, c, OpClass::FcAttnAdd, attn_dec, n,
-                                  e, colSlice(e), false, false, {g});
-        isa::VuArgs add{VuOpKind::Add, n * colSlice(e)};
-        emit(ctx, c, UnitKind::VectorUnit, OpClass::FcAttnAdd, add, {fc});
-    }
-    barrier(ctx, OpClass::FcAttnAdd, n * e * pim::elemBytes);
-
-    // LN2 + FFN.
-    FcMappingDecision ffn1_dec = decideFc(n, e, colSlice(ffn), true,
-                                          n * e);
-    for (std::uint16_t c = 0; c < sys_.cores; ++c) {
-        std::uint32_t g = emitGather(ctx, c, n * e * pim::elemBytes,
-                                     OpClass::LayerNorm);
-        isa::VuArgs lnv{VuOpKind::LayerNorm, n * e};
-        std::uint32_t ln2 = emit(ctx, c, UnitKind::VectorUnit,
-                                 OpClass::LayerNorm, lnv, {g});
-        emitFc(ctx, c, OpClass::FfnAdd, ffn1_dec, n, e, colSlice(ffn),
-               true, false, {ln2});
-    }
-    barrier(ctx, OpClass::FfnAdd, n * ffn * pim::elemBytes);
-
-    bool non_dup = ffn2NonDuplicated(ctx.blockIndex);
-    FcMappingDecision ffn2_dec;
-    if (non_dup)
-        ffn2_dec.unit = FcUnit::MatrixUnit;
-    else
-        ffn2_dec = decideFc(n, ffn, colSlice(e), false, {});
-    for (std::uint16_t c = 0; c < sys_.cores; ++c) {
-        std::uint32_t g = emitGather(ctx, c, n * ffn * pim::elemBytes,
-                                     OpClass::FfnAdd);
-        std::uint32_t fc = emitFc(ctx, c, OpClass::FfnAdd, ffn2_dec, n,
-                                  ffn, colSlice(e), false, non_dup, {g});
-        isa::VuArgs add{VuOpKind::Add, n * colSlice(e)};
-        emit(ctx, c, UnitKind::VectorUnit, OpClass::FfnAdd, add, {fc});
-    }
-    barrier(ctx, OpClass::FfnAdd, n * e * pim::elemBytes);
-    ctx.prog.markBlockEnd(*ctx.gate);
-
-    ++ctx.blockIndex;
+    blockTail(ctx, n);
 }
 
 // ---------------------------------------------------------------------
@@ -775,13 +745,7 @@ WorkloadBuilder::buildSummarizationChunk(
     checkCapacity(prior_tokens, chunk_tokens);
     const std::uint64_t n_blocks = blockCount(blocks);
     Ctx ctx(sys_.cores, std::move(storage));
-
-    for (std::uint16_t c = 0; c < sys_.cores; ++c) {
-        isa::DmaArgs emb;
-        emb.bytes = chunk_tokens * model_.embDim * pim::elemBytes;
-        emb.channels = sys_.dramChannelMask();
-        emit(ctx, c, UnitKind::DmaIn, OpClass::Embedding, emb, {});
-    }
+    embed(ctx, chunk_tokens);
     for (std::uint64_t b = 0; b < n_blocks; ++b)
         blockSummarization(ctx, prior_tokens, chunk_tokens);
 
@@ -824,16 +788,10 @@ WorkloadBuilder::buildGenerationBatch(
     for (std::uint64_t kv_len : kv_lens)
         IANUS_ASSERT(kv_len > 0, "generation with empty KV cache");
     const std::uint64_t b = kv_lens.size();
-    checkCapacity(b);
+    checkCapacity(0, b);
     const std::uint64_t n_blocks = blockCount(blocks);
     Ctx ctx(sys_.cores, std::move(storage));
-
-    for (std::uint16_t c = 0; c < sys_.cores; ++c) {
-        isa::DmaArgs emb;
-        emb.bytes = b * model_.embDim * pim::elemBytes;
-        emb.channels = sys_.dramChannelMask();
-        emit(ctx, c, UnitKind::DmaIn, OpClass::Embedding, emb, {});
-    }
+    embed(ctx, b);
     for (std::uint64_t blk = 0; blk < n_blocks; ++blk)
         blockGeneration(ctx, kv_lens);
     lmHead(ctx, b);

@@ -237,6 +237,16 @@ class WorkloadBuilder
     }
 
     // Stage pieces ------------------------------------------------------
+    /** The embedding loads of @p tokens tokens, one per core. */
+    void embed(Ctx &ctx, std::uint64_t tokens) const;
+    /** A block's first LayerNorm over @p tokens tokens on every core;
+     *  returns each core's command. */
+    std::vector<std::uint32_t> layerNorm1(Ctx &ctx,
+                                          std::uint64_t tokens) const;
+    /** A block after its attention, over @p n tokens: sync 1, the
+     *  attention-output FC and residual, sync 2, LN2 and FFN1, sync 3,
+     *  FFN2 and residual, and sync 4, which closes the block. */
+    void blockTail(Ctx &ctx, std::uint64_t n) const;
     void blockGeneration(Ctx &ctx,
                          const std::vector<std::uint64_t> &kv_lens) const;
     void blockSummarization(Ctx &ctx, std::uint64_t prior,
@@ -257,7 +267,6 @@ class WorkloadBuilder
     bool ffn2NonDuplicated(std::uint64_t block) const;
     dram::ChannelSet weightMask(bool on_pim_side) const;
     dram::ChannelSet kvMask(std::uint16_t core) const;
-    void checkCapacity(std::uint64_t tokens) const;
     void checkCapacity(std::uint64_t prior, std::uint64_t tokens) const;
 };
 

@@ -350,12 +350,9 @@ class RunContext
             return;
         }
         if (const auto *s = std::get_if<isa::SyncArgs>(&cmd.payload)) {
-            Tick dur = ov;
-            if (!s->phaseMarker) {
-                dur += noc_.barrier();
-                if (devices_ > 1 && s->interDeviceBytes > 0)
-                    dur += allReduceTicks(s->interDeviceBytes);
-            }
+            Tick dur = ov + noc_.barrier();
+            if (devices_ > 1 && s->interDeviceBytes > 0)
+                dur += allReduceTicks(s->interDeviceBytes);
             eq_.scheduleIn(dur, [this, id] { finish(id); });
             return;
         }

@@ -110,6 +110,15 @@ RunStats::blockPeriodic(const RunStats &two, const RunStats &end0,
     return s;
 }
 
+double
+InferenceReport::generationTokensPerSec() const
+{
+    if (generationSteps == 0)
+        return 0.0;
+    double sec = ticksToSec(generation.wallTicks);
+    return sec > 0.0 ? static_cast<double>(generationSteps) / sec : 0.0;
+}
+
 RunStats
 InferenceReport::combined() const
 {

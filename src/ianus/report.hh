@@ -126,6 +126,9 @@ struct InferenceReport
                    : 0.0;
     }
 
+    /** Generation throughput, tokens per second (Fig 18). */
+    double generationTokensPerSec() const;
+
     RunStats combined() const;
 
     /** Achieved FLOPS over the whole request, in TFLOPS. */

@@ -44,7 +44,6 @@ toString(VuOpKind op)
       case VuOpKind::Gelu: return "gelu";
       case VuOpKind::Add: return "add";
       case VuOpKind::Concat: return "concat";
-      case VuOpKind::Scale: return "scale";
       case VuOpKind::Accumulate: return "accumulate";
     }
     return "?";
@@ -79,11 +78,7 @@ struct DescribeVisitor
     void
     operator()(const PimArgs &a) const { os << a.macro.describe(); }
     void
-    operator()(const SyncArgs &a) const
-    {
-        os << (a.phaseMarker ? (a.phaseBegin ? "phase_begin" : "phase_end")
-                             : "barrier");
-    }
+    operator()(const SyncArgs &) const { os << "barrier"; }
 };
 
 } // namespace

@@ -62,7 +62,6 @@ enum class VuOpKind : std::uint8_t
     Gelu,           ///< LUT approximation
     Add,            ///< residual addition
     Concat,         ///< key/value concatenation (generation stage)
-    Scale,          ///< score scaling (omitted on MU thanks to out-scaling)
     Accumulate      ///< partial-sum reduction (multi-slice PIM outputs)
 };
 
@@ -112,11 +111,9 @@ struct PimArgs
     std::uint64_t repeats = 1;
 };
 
-/** Barrier across cores, or a zero-cost phase marker. */
+/** Barrier across cores. */
 struct SyncArgs
 {
-    bool phaseMarker = false; ///< marker: record timestamp, no barrier
-    bool phaseBegin = false;  ///< marker opens (true) or closes a span
     /**
      * Bytes of activations exchanged between devices at this barrier
      * (multi-IANUS allgather over PCIe, Section 7.1); zero for

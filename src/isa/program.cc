@@ -34,8 +34,7 @@ Program::add(std::uint16_t core, UnitKind unit, OpClass cls,
 void
 Program::markBlockEnd(std::uint32_t id)
 {
-    const auto *sync = std::get_if<SyncArgs>(&at(id).payload);
-    IANUS_ASSERT(sync && !sync->phaseMarker,
+    IANUS_ASSERT(std::holds_alternative<SyncArgs>(at(id).payload),
                  "block end ", id, " is not a barrier");
     IANUS_ASSERT(blockEnds_.empty() || blockEnds_.back() < id,
                  "block ends out of program order");

@@ -25,7 +25,6 @@ VectorUnit::passes(isa::VuOpKind op)
       case isa::VuOpKind::Gelu: return 1;
       case isa::VuOpKind::Add: return 1;
       case isa::VuOpKind::Concat: return 1;
-      case isa::VuOpKind::Scale: return 1;
       case isa::VuOpKind::Accumulate: return 1;
     }
     return 1;

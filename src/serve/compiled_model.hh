@@ -22,10 +22,10 @@
  * with two kinds of block, run the full program. The build callables
  * are template parameters, so a lookup that hits constructs nothing.
  *
- * IanusSystem::run is a thin wrapper over run(), which combines the
- * cached samples by trapezoidal stride integration. Every cached entry
- * equals, bit for bit, the engine run of the full program the builder
- * emits for its key (tests/test_block_periodic.cc).
+ * run(), the one inference front end, combines the cached samples by
+ * trapezoidal stride integration. Every cached entry equals, bit for
+ * bit, the engine run of the full program the builder emits for its
+ * key (tests/test_block_periodic.cc).
  *
  * Serving traces draw their requests from a small grid of shapes, so
  * run() also memoizes whole requests: the InferenceReport of each
@@ -197,8 +197,8 @@ class CompiledModel
 
     /**
      * Simulate one inference request end to end, reusing any cached
-     * programs. Identical semantics (and identical numbers) to
-     * IanusSystem::run, which is a thin wrapper over this.
+     * programs. Identical numbers to a fresh CompiledModel's run():
+     * the caches only skip work that would repeat.
      *
      * The report is memoized per (input, output, stride) in a FIFO of
      * maxRequestEntries; an entry is added only once its computation

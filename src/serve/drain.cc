@@ -59,7 +59,6 @@ struct Member
     std::uint64_t kvLen = 0;     ///< KV length the next step sees
     std::uint64_t remaining = 0; ///< generation steps left
     double weightedBatch = 0.0;  ///< sum of batch size over steps
-    std::uint64_t doneSteps = 0;
     double evictedAtMs = 0.0;    ///< valid while suspended
     /** KV tokens living elsewhere (a disaggregated prefix hit):
      *  the prefill replica writes only [kvBase, kvLen). */
@@ -1426,7 +1425,6 @@ class Drain
             m.kvLen += g;
             m.remaining -= g;
             m.weightedBatch += static_cast<double>(g * r.gen.size());
-            m.doneSteps += g;
             if (kv_)
                 kv_->pools[d].setUsed(m.res.id, m.kvLen);
         }
@@ -1481,8 +1479,7 @@ class Drain
                         static_cast<double>(steps)
                   : 0.0;
         res.meanBatchSize =
-            m.doneSteps ? m.weightedBatch / static_cast<double>(m.doneSteps)
-                        : 1.0;
+            steps ? m.weightedBatch / static_cast<double>(steps) : 1.0;
         record(std::move(res), m.stats);
     }
 

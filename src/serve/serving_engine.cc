@@ -73,20 +73,13 @@ SchedulingPolicy::urgency(const QueuedRequest &q,
     return q.arrivalMs;
 }
 
-SjfPolicy::SjfPolicy(double output_weight) : outputWeight_(output_weight)
-{
-    if (output_weight < 0.0)
-        IANUS_FATAL("SJF output weight must be non-negative, got ",
-                    output_weight);
-}
-
 double
 SjfPolicy::urgency(const QueuedRequest &q,
                    const SchedulerContext &ctx) const
 {
     (void)ctx;
     return static_cast<double>(q.request.inputTokens) +
-           outputWeight_ * static_cast<double>(q.request.outputTokens);
+           8.0 * static_cast<double>(q.request.outputTokens);
 }
 
 double

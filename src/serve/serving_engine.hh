@@ -225,16 +225,13 @@ class FcfsPolicy : public SchedulingPolicy
 
 /**
  * Shortest job first, on an estimated service cost: input tokens plus
- * outputWeight x output tokens (summarization scales roughly linearly
- * with input length while each generated token costs a fixed multiple of
- * one input token's summarization share). Ties fall back to arrival
- * order.
+ * 8 x output tokens (summarization scales roughly linearly with input
+ * length while each generated token costs a fixed multiple of one input
+ * token's summarization share). Ties fall back to arrival order.
  */
 class SjfPolicy : public SchedulingPolicy
 {
   public:
-    explicit SjfPolicy(double output_weight = 8.0);
-
     const char *name() const override { return "sjf"; }
 
     QueueOrder
@@ -247,12 +244,6 @@ class SjfPolicy : public SchedulingPolicy
      *  urgency contract). */
     double urgency(const QueuedRequest &q,
                    const SchedulerContext &ctx) const override;
-
-    /** The per-output-token cost multiplier of the estimate. */
-    double outputWeight() const { return outputWeight_; }
-
-  private:
-    double outputWeight_;
 };
 
 /**

@@ -328,14 +328,22 @@ importRequestLog(const std::string &csv)
 {
     std::size_t pos = 0;
     std::string_view line;
-    if (!nextLine(csv, pos, line))
+    // The next line, less one trailing '\r' (CRLF logs), before anything
+    // reads it: a field or a fatal message.
+    auto nextRow = [&] {
+        if (!nextLine(csv, pos, line))
+            return false;
+        if (!line.empty() && line.back() == '\r')
+            line.remove_suffix(1);
+        return true;
+    };
+    if (!nextRow())
         IANUS_FATAL("request log is empty (a CSV log needs a header "
                     "row)");
 
     // Header: locate the required and optional columns by normalized
     // name; unknown columns ride along ignored.
-    // CSV fields split on commas (the schema has no quoted fields). A
-    // header's trailing '\r' (CRLF logs) goes with normalizeColumn.
+    // CSV fields split on commas (the schema has no quoted fields).
     std::vector<std::string> header = splitFields(line, ',');
     constexpr std::size_t npos = static_cast<std::size_t>(-1);
     std::size_t tsCol = npos, inCol = npos, outCol = npos, sessCol = npos;
@@ -380,14 +388,11 @@ importRequestLog(const std::string &csv)
     Style style = Style::Unknown;
 
     std::size_t rowNo = 1; // header was row 1
-    while (nextLine(csv, pos, line)) {
+    while (nextRow()) {
         ++rowNo;
-        if (line.empty() || line == "\r")
+        if (line.empty())
             continue; // blank (often a trailing newline)
-        // A trailing '\r' (CRLF logs) is stripped from the last field.
         std::vector<std::string> fields = splitFields(line, ',');
-        if (!fields.back().empty() && fields.back().back() == '\r')
-            fields.back().pop_back();
         const std::size_t need =
             std::max(std::max(tsCol, inCol),
                      std::max(outCol, sessCol == npos ? 0 : sessCol));

@@ -6,7 +6,7 @@
  * tests hold every served statistic to the full program, bit for bit,
  * over the model zoo × memory systems × build options × program
  * shapes. The reference is always ExecutionEngine::run on the full
- * WorkloadBuilder program — never IanusSystem::run, which shares the
+ * WorkloadBuilder program — never CompiledModel::run, which shares the
  * block-periodic path.
  */
 
@@ -432,8 +432,8 @@ closesEveryBlock(const isa::Program &prog, std::uint64_t blocks)
                << ends.size() << " block ends for " << blocks << " blocks";
     for (std::size_t k = 0; k < ends.size(); ++k) {
         const isa::Command &end = prog.at(ends[k]);
-        const auto *sync = std::get_if<isa::SyncArgs>(&end.payload);
-        if (end.unit != isa::UnitKind::Sync || !sync || sync->phaseMarker)
+        if (end.unit != isa::UnitKind::Sync ||
+            !std::holds_alternative<isa::SyncArgs>(end.payload))
             return testing::AssertionFailure()
                    << "block end " << k << " is not a barrier";
         if (k > 0 && ends[k] <= ends[k - 1])

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "ianus/ianus_system.hh"
 #include "serve/compiled_model.hh"
 
 namespace
@@ -41,25 +40,31 @@ expectIdentical(const InferenceReport &a, const InferenceReport &b)
     }
 }
 
+/** @p req on a fresh CompiledModel: compiled, served once, discarded. */
+InferenceReport
+direct(const InferenceRequest &req, unsigned token_stride = 1)
+{
+    return serve::CompiledModel(SystemConfig::ianusDefault(), m)
+        .run(req, token_stride);
+}
+
 TEST(CompiledModel, MatchesDirectRunBitForBit)
 {
-    IanusSystem direct(SystemConfig::ianusDefault());
     serve::CompiledModel compiled(SystemConfig::ianusDefault(), m);
     for (const InferenceRequest req :
          {InferenceRequest{64, 1}, InferenceRequest{64, 8},
           InferenceRequest{128, 8}}) {
-        expectIdentical(compiled.run(req), direct.run(m, req));
+        expectIdentical(compiled.run(req), direct(req));
         // And again from a warm cache.
-        expectIdentical(compiled.run(req), direct.run(m, req));
+        expectIdentical(compiled.run(req), direct(req));
     }
 }
 
 TEST(CompiledModel, StridedMatchesDirectRun)
 {
-    IanusSystem direct(SystemConfig::ianusDefault());
     serve::CompiledModel compiled(SystemConfig::ianusDefault(), m);
     InferenceRequest req{64, 33};
-    expectIdentical(compiled.run(req, 8), direct.run(m, req, {}, 8));
+    expectIdentical(compiled.run(req, 8), direct(req, 8));
 }
 
 TEST(CompiledModel, RepeatRequestsHitTheCache)
@@ -118,14 +123,6 @@ TEST(CompiledModel, RejectsInvalidRequests)
     EXPECT_THROW(compiled.run({0, 8}), std::runtime_error);
     EXPECT_THROW(compiled.run({128, 0}), std::runtime_error);
     EXPECT_THROW(compiled.run({128, 8}, 0), std::runtime_error);
-}
-
-TEST(CompiledModel, WrapperRejectsInvalidRequests)
-{
-    IanusSystem sys(SystemConfig::ianusDefault());
-    EXPECT_THROW(sys.run(m, {0, 8}), std::runtime_error);
-    EXPECT_THROW(sys.run(m, {128, 0}), std::runtime_error);
-    EXPECT_THROW(sys.run(m, {128, 8}, {}, 0), std::runtime_error);
 }
 
 // RunStats is a Tick followed by doubles, with no padding, so equal

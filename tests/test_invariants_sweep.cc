@@ -19,7 +19,7 @@
 #include "compiler/workload_builder.hh"
 #include "drain_audit.hh"
 #include "ianus/execution_engine.hh"
-#include "ianus/ianus_system.hh"
+#include "serve/compiled_model.hh"
 #include "serve/serving_engine.hh"
 #include "serve/trace_gen.hh"
 
@@ -170,12 +170,11 @@ TEST_P(PolicySweep, PasNeverWorseThanNaive)
     SystemConfig cfg = unified ? SystemConfig::ianusDefault()
                                : SystemConfig::partitioned();
     workloads::ModelConfig model = workloads::gpt2(model_size);
-    IanusSystem sys(cfg);
     workloads::InferenceRequest req{64, 5};
     BuildOptions naive;
     naive.policy = SchedulingPolicy::Naive;
-    double n = sys.run(model, req, naive).totalMs();
-    double p = sys.run(model, req).totalMs();
+    double n = serve::CompiledModel(cfg, model, naive).run(req).totalMs();
+    double p = serve::CompiledModel(cfg, model).run(req).totalMs();
     EXPECT_LE(p, n * 1.001);
 }
 
@@ -192,11 +191,11 @@ class MemoryModeSweep : public ::testing::TestWithParam<const char *>
 TEST_P(MemoryModeSweep, UnifiedWinsGeneration)
 {
     workloads::ModelConfig model = workloads::gpt2(GetParam());
-    IanusSystem unified(SystemConfig::ianusDefault());
-    IanusSystem partitioned(SystemConfig::partitioned());
+    serve::CompiledModel unified(SystemConfig::ianusDefault(), model);
+    serve::CompiledModel partitioned(SystemConfig::partitioned(), model);
     workloads::InferenceRequest req{64, 5};
-    EXPECT_LE(unified.run(model, req).totalMs(),
-              partitioned.run(model, req).totalMs() * 1.001);
+    EXPECT_LE(unified.run(req).totalMs(),
+              partitioned.run(req).totalMs() * 1.001);
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, MemoryModeSweep,

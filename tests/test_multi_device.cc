@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "ianus/ianus_system.hh"
 #include "serve/compiled_model.hh"
 
 namespace
@@ -14,10 +13,12 @@ using workloads::InferenceRequest;
 TEST(MultiDevice, LargeModelNeedsEnoughDevices)
 {
     workloads::ModelConfig m13 = workloads::gptLarge("13b");
-    MultiDeviceSystem two(SystemConfig::ianusDefault(), 2);
-    EXPECT_THROW((void)two.run(m13, {256, 1}), std::runtime_error);
-    MultiDeviceSystem four(SystemConfig::ianusDefault(), 4);
-    EXPECT_NO_THROW((void)four.run(m13, {256, 1}));
+    serve::CompiledModel two(SystemConfig::ianusDefault(), m13,
+                             {.devices = 2});
+    EXPECT_THROW((void)two.run({256, 1}), std::runtime_error);
+    serve::CompiledModel four(SystemConfig::ianusDefault(), m13,
+                              {.devices = 4});
+    EXPECT_NO_THROW((void)four.run({256, 1}));
 }
 
 TEST(MultiDevice, StrongScalingIsPositiveButSublinear)
@@ -27,9 +28,9 @@ TEST(MultiDevice, StrongScalingIsPositiveButSublinear)
     InferenceRequest req{256, 17};
     double prev_tps = 0.0;
     for (unsigned d : {2u, 4u, 8u}) {
-        MultiDeviceSystem sys(SystemConfig::ianusDefault(), d);
-        InferenceReport r = sys.run(m67, req, {}, 4);
-        double tps = MultiDeviceSystem::tokensPerSecond(r);
+        serve::CompiledModel sys(SystemConfig::ianusDefault(), m67,
+                                 {.devices = d});
+        double tps = sys.run(req, 4).generationTokensPerSec();
         EXPECT_GT(tps, prev_tps) << d << " devices";
         if (prev_tps > 0.0) {
             EXPECT_LT(tps / prev_tps, 2.0) << "superlinear scaling";
@@ -38,45 +39,14 @@ TEST(MultiDevice, StrongScalingIsPositiveButSublinear)
     }
 }
 
-TEST(MultiDevice, TdpScalesWithDevices)
-{
-    MultiDeviceSystem sys(SystemConfig::ianusDefault(), 4);
-    EXPECT_DOUBLE_EQ(sys.totalTdpWatts(), 480.0);
-    EXPECT_EQ(sys.devices(), 4u);
-}
-
 TEST(MultiDevice, TokensPerSecondDefinition)
 {
     InferenceReport r;
     r.generationSteps = 10;
     r.generation.wallTicks = tickPerSec; // one second
-    EXPECT_DOUBLE_EQ(MultiDeviceSystem::tokensPerSecond(r), 10.0);
+    EXPECT_DOUBLE_EQ(r.generationTokensPerSec(), 10.0);
     InferenceReport empty;
-    EXPECT_DOUBLE_EQ(MultiDeviceSystem::tokensPerSecond(empty), 0.0);
-}
-
-TEST(MultiDevice, CompileMemoizesAcrossRuns)
-{
-    workloads::ModelConfig m67 = workloads::gptLarge("6.7b");
-    MultiDeviceSystem sys(SystemConfig::ianusDefault(), 2);
-
-    const serve::CompiledModel &c1 = sys.compile(m67);
-    const serve::CompiledModel &c2 = sys.compile(m67);
-    EXPECT_EQ(&c1, &c2); // same cached instance
-
-    // A different build option compiles separately.
-    compiler::BuildOptions naive;
-    naive.policy = compiler::SchedulingPolicy::Naive;
-    EXPECT_NE(&sys.compile(m67, naive), &c1);
-
-    // Repeated run() calls hit the shared program cache instead of
-    // rebuilding: the second identical request adds no builds.
-    InferenceReport a = sys.run(m67, {128, 3}, {}, 1);
-    std::uint64_t builds = c1.cacheStats().builds();
-    InferenceReport b = sys.run(m67, {128, 3}, {}, 1);
-    EXPECT_EQ(c1.cacheStats().builds(), builds);
-    EXPECT_GT(c1.cacheStats().hits(), 0u);
-    EXPECT_EQ(a.totalTicks(), b.totalTicks());
+    EXPECT_DOUBLE_EQ(empty.generationTokensPerSec(), 0.0);
 }
 
 TEST(MultiDevice, MoreDevicesCostMorePcieTime)
@@ -84,10 +54,12 @@ TEST(MultiDevice, MoreDevicesCostMorePcieTime)
     // Same per-device slice count comparison: generation latency with 8
     // devices must not be 4x better than 2 devices (comm overhead).
     workloads::ModelConfig m67 = workloads::gptLarge("6.7b");
-    MultiDeviceSystem two(SystemConfig::ianusDefault(), 2);
-    MultiDeviceSystem eight(SystemConfig::ianusDefault(), 8);
-    double t2 = two.run(m67, {256, 9}, {}, 2).msPerGeneratedToken();
-    double t8 = eight.run(m67, {256, 9}, {}, 2).msPerGeneratedToken();
+    serve::CompiledModel two(SystemConfig::ianusDefault(), m67,
+                             {.devices = 2});
+    serve::CompiledModel eight(SystemConfig::ianusDefault(), m67,
+                               {.devices = 8});
+    double t2 = two.run({256, 9}, 2).msPerGeneratedToken();
+    double t8 = eight.run({256, 9}, 2).msPerGeneratedToken();
     EXPECT_LT(t8, t2);            // faster...
     EXPECT_GT(t8, t2 / 4.0);      // ...but far from linear
 }

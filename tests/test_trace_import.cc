@@ -204,6 +204,30 @@ TEST(TraceImport, MalformedLogsAreFatalWithRowNumbers)
                  std::runtime_error);
 }
 
+TEST(TraceImport, CrlfLogFatalsQuoteLinesWithoutTheCarriageReturn)
+{
+    // A fatal quotes the offending line as the log holds it, less its
+    // CRLF line end: a header with no output column, and a short row.
+    struct Case
+    {
+        const char *csv;
+        const char *quoted;
+    };
+    for (const Case &c :
+         {Case{"time,prompt_tokens\r\n0,64\r\n", "'time,prompt_tokens'"},
+          Case{"time,prompt_tokens,output_tokens\r\n0,64\r\n",
+               "'0,64'"}}) {
+        try {
+            serve::importRequestLog(c.csv);
+            ADD_FAILURE() << "no fatal for " << c.quoted;
+        } catch (const std::runtime_error &e) {
+            const std::string what = e.what();
+            EXPECT_EQ(what.find('\r'), std::string::npos) << what;
+            EXPECT_NE(what.find(c.quoted), std::string::npos) << what;
+        }
+    }
+}
+
 TEST(TraceImport, TokenCountsRejectSignsHexAndOtherWhitespace)
 {
     auto log = [](const std::string &rows) {
