@@ -109,23 +109,27 @@ asQueued(const Member &m)
 class Drain
 {
   public:
+    /** A drain of @p rows. Results go to @p sink when there is one,
+     *  otherwise into the report, which then reserves room for
+     *  @p result_capacity of them (at least one per row). */
     Drain(const std::vector<const CompiledModel *> &replicas,
           const ServingOptions &opts, SchedulingPolicy &policy,
-          Router &router, const std::vector<QueuedRequest> &queue,
+          Router &router, const RequestRows &rows,
           std::size_t result_capacity,
           const ServingEngine::CompletionHook &on_complete,
-          std::uint64_t &next_id)
+          std::uint64_t &next_id, ResultSink *sink)
         : replicas_(replicas), opts_(opts), policy_(policy), router_(router),
-          queue_(queue), onComplete_(on_complete), nextId_(next_id),
-          n_(replicas.size()),
-          firstArrival_(queue.empty() ? 0.0 : queue.front().arrivalMs),
+          rows_(rows), onComplete_(on_complete), nextId_(next_id),
+          sink_(sink), n_(replicas.size()),
+          firstArrival_(rows.size == 0 ? 0.0 : rows[0].arrivalMs),
           order_(policy.queueOrder()), parked_(n_, 0), freeAt_(n_, 0.0),
           busy_(n_, false), inFlight_(n_), rt_(n_)
     {
         echoOptions(report_, policy.name(), router.name(), opts);
         report_.roles = opts.roles;
         report_.replicas.assign(n_, ReplicaUtilization{});
-        report_.results.reserve(std::max(queue.size(), result_capacity));
+        if (!sink)
+            report_.results.reserve(std::max(rows.size, result_capacity));
 
         if (opts.kv.enabled())
             kv_ = std::make_unique<KvGate>(*this);
@@ -133,11 +137,12 @@ class Drain
         // tagless drain (or prefixCache off) builds none of it, keeping the
         // cold path structurally bit-identical.
         std::map<std::uint64_t, std::uint64_t> last_turn;
-        for (const QueuedRequest &q : queue)
-            if (opts.prefixCache && q.sessionId != 0) {
-                auto [it, fresh] = last_turn.emplace(q.sessionId, q.turnIndex);
+        for (std::size_t k = 0; k < rows.size; ++k)
+            if (opts.prefixCache && rows[k].sessionId != 0) {
+                auto [it, fresh] =
+                    last_turn.emplace(rows[k].sessionId, rows[k].turnIndex);
                 if (!fresh)
-                    it->second = std::max(it->second, q.turnIndex);
+                    it->second = std::max(it->second, rows[k].turnIndex);
             }
         if (!last_turn.empty())
             prefix_ =
@@ -164,7 +169,6 @@ class Drain
         scheduleNextBurst();
         events_.run();
         report_.simEvents = events_.executed();
-        submitted_ = queue_.size();
     }
 
     /** Mid-drain arrivals (closed-loop feedback): a completion hook's
@@ -226,9 +230,8 @@ class Drain
         // Conservation: every offered request completed or was shed. A
         // clean drain pays this one comparison; only a loss searches the
         // drain's queues for the first stranded request.
-        const std::uint64_t offered = submitted_ + injected_;
-        const std::uint64_t completed = report_.results.size();
-        if (completed + report_.kvShed == offered)
+        const std::uint64_t offered = rows_.size + injected_;
+        if (completed_ + report_.kvShed == offered)
             return std::move(report_);
         std::uint64_t first = std::numeric_limits<std::uint64_t>::max();
         std::string where;
@@ -244,7 +247,7 @@ class Drain
                 where = std::string(place) + " on replica " + std::to_string(d);
             }
         });
-        IANUS_FATAL("drain lost requests: ", offered, " offered, ", completed,
+        IANUS_FATAL("drain lost requests: ", offered, " offered, ", completed_,
                     " completed, ", report_.kvShed, " shed; ",
                     where.empty()
                         ? std::string("no queue holds a stranded request")
@@ -881,20 +884,36 @@ class Drain
     void
     scheduleNextBurst()
     {
-        if (nextArrival_ >= queue_.size())
+        if (nextArrival_ >= rows_.size)
             return;
         const std::size_t i = nextArrival_;
-        const Tick when = msToTicks(queue_[i].arrivalMs);
+        const Tick when = msToTicks(rows_[i].arrivalMs);
         std::size_t j = i + 1;
-        while (j < queue_.size() && msToTicks(queue_[j].arrivalMs) == when)
+        while (j < rows_.size && msToTicks(rows_[j].arrivalMs) == when)
             ++j;
         nextArrival_ = j;
         events_.scheduleEarly(when, [this, i, j]() {
             for (std::size_t k = i; k < j; ++k)
-                readyPush(queue_[k]);
+                readyPush(queued(k));
             scheduleNextBurst();
-            pump(queue_[i].arrivalMs);
+            pump(rows_[i].arrivalMs);
         });
+    }
+
+    /** Row @p k as the policy and router see it. */
+    QueuedRequest
+    queued(std::size_t k) const
+    {
+        const TimedRequest &row = rows_[k];
+        QueuedRequest q;
+        q.id = rows_.firstId + k;
+        q.request = row.request;
+        q.arrivalMs = row.arrivalMs;
+        q.sessionId = row.sessionId;
+        q.turnIndex = row.turnIndex;
+        q.prefixTokens = row.prefixTokens;
+        q.source = row.source;
+        return q;
     }
 
     // --- Admit and route -----------------------------------------------------
@@ -1497,6 +1516,11 @@ class Drain
         report_.aggregate.merge(stats.combined());
         report_.makespanMs =
             std::max(report_.makespanMs, res.finishMs - firstArrival_);
+        ++completed_;
+        if (sink_) {
+            sink_->put(std::move(res));
+            return;
+        }
         report_.results.push_back(std::move(res));
         if (onComplete_)
             onComplete_(report_.results.back(), stats);
@@ -1612,18 +1636,19 @@ class Drain
     const ServingOptions &opts_;
     SchedulingPolicy &policy_;
     Router &router_;
-    const std::vector<QueuedRequest> &queue_;
+    const RequestRows rows_;
     const ServingEngine::CompletionHook &onComplete_;
     std::uint64_t &nextId_;
+    ResultSink *const sink_; ///< null: results go into report_
     const std::size_t n_;
 
     ServingReport report_;
     double firstArrival_;
     bool segmented_;
     sim::EventQueue events_;
-    std::uint64_t submitted_ = 0;
     std::uint64_t injected_ = 0;
-    std::size_t nextArrival_ = 0; ///< first queue row not yet scheduled
+    std::uint64_t completed_ = 0;
+    std::size_t nextArrival_ = 0; ///< first row not yet scheduled
 
     /** The waiting queue is one index ordered by (key, insertion
      *  sequence), walked as the policy's declared QueueOrder says (see
@@ -1707,8 +1732,10 @@ closeReport(ServingReport &report)
 ServingReport
 ServingEngine::drain()
 {
-    Drain drain(replicas_, opts_, *policy_, *router_, queue_,
-                resultCapacity_, onComplete_, nextId_);
+    const RequestRows rows{queue_.data(), nullptr, queue_.size(),
+                           firstQueuedId_};
+    Drain drain(replicas_, opts_, *policy_, *router_, rows, resultCapacity_,
+                onComplete_, nextId_, nullptr);
     resultCapacity_ = 0;
     // The guard clears the injector on *every* exit: it points at this
     // drain, and a throwing drain (say, a malformed policy batch) must
@@ -1726,6 +1753,17 @@ ServingEngine::drain()
     // The queue is empty: the next submit cycle starts a fresh clock.
     queue_.clear();
     lastArrivalMs_ = 0.0;
+    return drain.closeOut();
+}
+
+ServingReport
+drainRows(ServingEngine &engine, const RequestRows &rows, ResultSink &sink)
+{
+    const ServingEngine::CompletionHook no_hook;
+    std::uint64_t next_id = rows.firstId + rows.size;
+    Drain drain(engine.replicas_, engine.opts_, *engine.policy_,
+                *engine.router_, rows, 0, no_hook, next_id, &sink);
+    drain.run();
     return drain.closeOut();
 }
 

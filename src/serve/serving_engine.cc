@@ -916,39 +916,41 @@ ServingEngine::reserve(std::size_t requests)
     resultCapacity_ = requests;
 }
 
+void
+checkSubmit(const TimedRequest &row, double last_arrival_ms)
+{
+    validateRequest(row.request, row.arrivalMs);
+    if (row.arrivalMs < last_arrival_ms)
+        IANUS_FATAL("request arrivals must be non-decreasing (got ",
+                    row.arrivalMs, " ms after ", last_arrival_ms, " ms)");
+    if (row.sessionId == 0 && (row.turnIndex != 0 || row.prefixTokens != 0))
+        IANUS_FATAL("a single-turn submit (session 0) cannot carry turn ",
+                    row.turnIndex, " / prefix ", row.prefixTokens);
+    if (row.turnIndex == 0 && row.prefixTokens != 0)
+        IANUS_FATAL("session ", row.sessionId,
+                    " turn 0 cannot carry a prefix of ", row.prefixTokens,
+                    " tokens (nothing precedes it)");
+    if (row.prefixTokens >= row.request.inputTokens)
+        IANUS_FATAL("session ", row.sessionId, " turn ", row.turnIndex,
+                    " has prefix ", row.prefixTokens, " >= input ",
+                    row.request.inputTokens,
+                    " (each turn must add new prompt tokens)");
+}
+
 std::uint64_t
 ServingEngine::submit(const workloads::InferenceRequest &request,
                       double arrival_ms, std::uint64_t session_id,
                       std::uint64_t turn_index, std::uint64_t prefix_tokens,
                       std::uint32_t source)
 {
-    validateRequest(request, arrival_ms);
-    if (arrival_ms < lastArrivalMs_)
-        IANUS_FATAL("request arrivals must be non-decreasing (got ",
-                    arrival_ms, " ms after ", lastArrivalMs_, " ms)");
-    if (session_id == 0 && (turn_index != 0 || prefix_tokens != 0))
-        IANUS_FATAL("a single-turn submit (session 0) cannot carry turn ",
-                    turn_index, " / prefix ", prefix_tokens);
-    if (turn_index == 0 && prefix_tokens != 0)
-        IANUS_FATAL("session ", session_id,
-                    " turn 0 cannot carry a prefix of ", prefix_tokens,
-                    " tokens (nothing precedes it)");
-    if (prefix_tokens >= request.inputTokens)
-        IANUS_FATAL("session ", session_id, " turn ", turn_index,
-                    " has prefix ", prefix_tokens, " >= input ",
-                    request.inputTokens,
-                    " (each turn must add new prompt tokens)");
+    const TimedRequest row{request, arrival_ms, session_id, turn_index,
+                           prefix_tokens, source};
+    checkSubmit(row, lastArrivalMs_);
     lastArrivalMs_ = arrival_ms;
-    QueuedRequest q;
-    q.id = nextId_++;
-    q.request = request;
-    q.arrivalMs = arrival_ms;
-    q.sessionId = session_id;
-    q.turnIndex = turn_index;
-    q.prefixTokens = prefix_tokens;
-    q.source = source;
-    queue_.push_back(q);
-    return q.id;
+    if (queue_.empty())
+        firstQueuedId_ = nextId_;
+    queue_.push_back(row);
+    return nextId_++;
 }
 
 } // namespace ianus::serve

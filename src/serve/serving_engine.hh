@@ -72,7 +72,32 @@
 namespace ianus::serve
 {
 
-/** One request waiting in the serving queue. */
+/** One request with its arrival time: a row of an ArrivalTrace, and of
+ *  ServingEngine's submit queue.
+ *
+ *  Session fields tag the request as one turn of a multi-turn
+ *  conversation: sessionId 0 is the single-turn sentinel (generated
+ *  session ids start at 1), turnIndex counts turns from 0 within a
+ *  session, and prefixTokens is how many of the request's input tokens
+ *  are the shared conversation prefix (prior prompt + prior output) a
+ *  prefix cache could reuse. Single-turn requests leave all three 0. */
+struct TimedRequest
+{
+    workloads::InferenceRequest request{};
+    double arrivalMs = 0.0;
+    std::uint64_t sessionId = 0;
+    std::uint64_t turnIndex = 0;
+    std::uint64_t prefixTokens = 0;
+
+    /** Traffic source tag (0 = untagged), threaded through submit into
+     *  the RequestResult so mixed drains can slice the report per
+     *  source. An injection-layer concept: the on-disk trace format
+     *  does not carry it (saving a tagged trace drops the tags). */
+    std::uint32_t source = 0;
+};
+
+/** One request waiting to dispatch in a drain, as the scheduling
+ *  policy and the router see it. */
 struct QueuedRequest
 {
     std::uint64_t id = 0;
@@ -928,6 +953,9 @@ struct ServingOptions
     bool prefixCache = true;
 };
 
+struct RequestRows;
+class ResultSink;
+
 /** Replays queued requests on a pool of replicas, event-driven. */
 class ServingEngine
 {
@@ -971,7 +999,7 @@ class ServingEngine
      * Arrival times must be non-decreasing across submits.
      *
      * The trailing session tags mark the request as one turn of a
-     * multi-turn conversation (see TimedRequest in trace_gen.hh):
+     * multi-turn conversation (see TimedRequest):
      * @p session_id 0 is the single-turn sentinel, @p turn_index
      * counts turns from 0, and @p prefix_tokens of the input are the
      * shared conversation prefix (must be < input tokens; 0 for turn
@@ -997,11 +1025,9 @@ class ServingEngine
      * Size storage for @p requests in total: the submit queue, and the
      * results the next drain() keeps. Calling it before the submits
      * allocates each once, at final size, instead of growing them by
-     * doubling. Capacity beyond what the drain fills is never touched,
-     * so it costs address space, not resident memory. drainSharded
-     * sizes shard 0's results for the whole trace this way, because
-     * the merged report's results live in that storage. Changes no
-     * result.
+     * doubling (submitAll does). Capacity beyond what the drain fills
+     * is never touched, so it costs address space, not resident
+     * memory. Changes no result.
      */
     void reserve(std::size_t requests);
 
@@ -1043,7 +1069,9 @@ class ServingEngine
     ServingOptions opts_;
     std::unique_ptr<SchedulingPolicy> policy_;
     std::unique_ptr<Router> router_;
-    std::vector<QueuedRequest> queue_;
+    /** Submitted rows; row k has id firstQueuedId_ + k. */
+    std::vector<TimedRequest> queue_;
+    std::uint64_t firstQueuedId_ = 0;
     /** Results the next drain() reserves room for, beyond the queue
      *  (see reserve()). */
     std::size_t resultCapacity_ = 0;
@@ -1057,6 +1085,11 @@ class ServingEngine
         injector_;
 
     void validateOptions() const;
+
+    /** A shard's drain over the caller's trace rows (drain.hh). */
+    friend ServingReport drainRows(ServingEngine &engine,
+                                   const RequestRows &rows,
+                                   ResultSink &sink);
 };
 
 } // namespace ianus::serve

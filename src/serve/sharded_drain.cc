@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <exception>
 #include <map>
+#include <mutex>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/types.hh"
@@ -21,12 +24,261 @@ struct ShardRun
 {
     std::vector<const CompiledModel *> replicas;
     std::size_t replicaBase = 0;
-    /** Global trace position of the shard's j-th submitted request
-     *  (== the shard-local request id j the engine assigns); freed
-     *  once the worker has remapped its results. */
+    /** Global trace position of the shard's j-th row (== the
+     *  shard-local request id j); freed once the shard has handed over
+     *  its last result. */
     std::vector<std::size_t> globalIndex;
     std::vector<ReplicaRole> roles; ///< this shard's slice (may be empty)
-    ServingReport report;
+    ServingReport report;           ///< everything but the results
+    double lastFinish = 0.0;        ///< latest finish among its results
+};
+
+using Chunk = std::vector<RequestResult>;
+
+/**
+ * The shards' results on their way into the merged storage. Each shard
+ * publishes its results, already mapped back to the trace and the
+ * pool, in fixed-size chunks, in its completion order. Whichever
+ * worker wins the merge lock after publishing moves every result
+ * whose place is known into the merged storage, front to back, and
+ * recycles the chunks it empties; a worker that loses the lock goes
+ * back to its drain, so no worker ever waits on another.
+ *
+ * The merged order is (completion tick, shard, position). Each shard's
+ * ticks never decrease, so the earliest unplaced result (t, s) has its
+ * place once every other shard with nothing unplaced has finished or
+ * has published a result ordered after (t, s): nothing that shard
+ * publishes later can come before it.
+ *
+ * The shard furthest behind leaves the merging to the others: the
+ * backlog waits on its results, and merging there would slow the very
+ * shard it waits for. (When every publisher merges, the one behind
+ * wins the lock nearly every time, places ~all the results, and falls
+ * further behind: on million_sharded the backlog reached 90k-218k
+ * results, 16-38 MiB.)
+ */
+class MergeStream
+{
+  public:
+    /** Results per chunk: a 1024th of the trace, at least 1 and at most
+     *  1024 (188 KB). A small drain streams result by result; a
+     *  million-request one publishes about a thousand chunks. */
+    const std::size_t chunkResults;
+
+    MergeStream(std::size_t shards, std::size_t requests)
+        : chunkResults(std::clamp<std::size_t>(requests / 1024, 1, 1024)),
+          shared_(shards), lanes_(shards)
+    {
+        merged_.reserve(requests);
+    }
+
+    /** Shard @p s hands over @p chunk, its last results when @p last,
+     *  and gets an empty one back; then merges what it can, unless it
+     *  trails or another worker is merging. That worker looks again
+     *  once it is done, so a publish is merged by the next one or, at
+     *  the latest, by finish(). */
+    void
+    publish(std::size_t s, Chunk &chunk, bool last)
+    {
+        Chunk next;
+        bool behind;
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            Shared &sh = shared_[s];
+            if (!chunk.empty()) {
+                sh.progress.mark = msToTicks(chunk.back().finishMs);
+                sh.progress.any = true;
+                sh.published.push_back(std::move(chunk));
+            }
+            sh.progress.done = last;
+            behind = trails(s);
+            if (!free_.empty()) {
+                next = std::move(free_.back());
+                free_.pop_back();
+            }
+        }
+        if (next.capacity() < chunkResults)
+            next.reserve(chunkResults);
+        chunk = std::move(next);
+
+        pending_.store(true);
+        if (behind)
+            return;
+        while (pending_.load()) {
+            std::unique_lock<std::mutex> merging(mergeMu_, std::try_to_lock);
+            if (!merging.owns_lock())
+                return;
+            pending_.store(false);
+            mergeReady();
+        }
+    }
+
+    /** After every shard has published its last chunk: place the rest
+     *  and hand over the merged results. */
+    std::vector<RequestResult>
+    finish()
+    {
+        mergeReady();
+        return std::move(merged_);
+    }
+
+  private:
+    /** How far a shard has published. */
+    struct Progress
+    {
+        Tick mark = 0;     ///< tick of the last result published
+        bool any = false;  ///< published a result yet
+        bool done = false; ///< published its last chunk
+    };
+
+    /** Has shard @p o, at @p p, finished or published a result ordered
+     *  after (@p t, @p s)? Then nothing it publishes later comes
+     *  before (t, s). */
+    static bool
+    past(const Progress &p, std::size_t o, Tick t, std::size_t s)
+    {
+        return p.done || (p.any && (p.mark > t || (p.mark == t && o > s)));
+    }
+
+    /** What a shard has published; guarded by mu_. */
+    struct Shared
+    {
+        std::deque<Chunk> published;
+        Progress progress;
+    };
+
+    /** A shard's unplaced results, and its progress when they were
+     *  taken; guarded by mergeMu_. */
+    struct Lane
+    {
+        std::deque<Chunk> chunks; ///< unplaced from chunks.front()[head]
+        std::size_t head = 0;
+        Tick tick = 0; ///< of the head result, while chunks is non-empty
+        Progress progress;
+    };
+
+    /** Is shard @p s unfinished, with another shard unfinished and
+     *  every such shard past its last result? Needs mu_. */
+    bool
+    trails(std::size_t s) const
+    {
+        const Progress &me = shared_[s].progress;
+        bool others = false;
+        for (std::size_t o = 0; o < shared_.size(); ++o) {
+            const Progress &p = shared_[o].progress;
+            if (o == s || p.done)
+                continue;
+            if (!past(p, o, me.mark, s))
+                return false;
+            others = true;
+        }
+        return others && !me.done;
+    }
+
+    /** Take what the shards published, then place results while the
+     *  earliest unplaced one has its place. Needs mergeMu_, or every
+     *  worker joined. */
+    void
+    mergeReady()
+    {
+        const std::size_t S = lanes_.size();
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            for (Chunk &c : spent_)
+                free_.push_back(std::move(c));
+            spent_.clear();
+            for (std::size_t s = 0; s < S; ++s) {
+                Shared &sh = shared_[s];
+                Lane &l = lanes_[s];
+                if (l.chunks.empty() && !sh.published.empty())
+                    l.tick = msToTicks(sh.published.front().front().finishMs);
+                for (Chunk &c : sh.published)
+                    l.chunks.push_back(std::move(c));
+                sh.published.clear();
+                l.progress = sh.progress;
+            }
+        }
+        for (;;) {
+            std::size_t pick = S;
+            for (std::size_t s = 0; s < S; ++s)
+                if (!lanes_[s].chunks.empty() &&
+                    (pick == S || lanes_[s].tick < lanes_[pick].tick))
+                    pick = s;
+            if (pick == S)
+                return;
+            const Tick t = lanes_[pick].tick;
+            for (std::size_t s = 0; s < S; ++s)
+                if (s != pick && lanes_[s].chunks.empty() &&
+                    !past(lanes_[s].progress, s, t, pick))
+                    return;
+            place(lanes_[pick]);
+        }
+    }
+
+    void
+    place(Lane &l)
+    {
+        Chunk &from = l.chunks.front();
+        merged_.push_back(from[l.head]);
+        if (++l.head == from.size()) {
+            from.clear();
+            spent_.push_back(std::move(from));
+            l.chunks.pop_front();
+            l.head = 0;
+        }
+        if (!l.chunks.empty())
+            l.tick = msToTicks(l.chunks.front()[l.head].finishMs);
+    }
+
+    std::mutex mu_;
+    std::vector<Shared> shared_;
+    std::vector<Chunk> free_; ///< emptied chunks, to publish again
+
+    std::atomic<bool> pending_{false}; ///< a publish not yet merged
+    std::mutex mergeMu_;
+    std::vector<Lane> lanes_;
+    std::vector<Chunk> spent_; ///< emptied since the last take
+    std::vector<RequestResult> merged_;
+};
+
+/** A shard drain's sink: maps each result back to the trace and the
+ *  pool and publishes them a chunk at a time. */
+class ShardWriter final : public ResultSink
+{
+  public:
+    ShardWriter(MergeStream &stream, std::size_t shard, ShardRun &run)
+        : stream_(stream), shard_(shard), run_(run)
+    {
+        chunk_.reserve(stream.chunkResults);
+    }
+    // The drain holds this writer's address.
+    ShardWriter(const ShardWriter &) = delete;
+    ShardWriter &operator=(const ShardWriter &) = delete;
+
+    void
+    put(RequestResult &&res) override
+    {
+        if (res.id >= run_.globalIndex.size())
+            IANUS_FATAL("shard ", shard_, " produced request id ", res.id,
+                        " beyond its ", run_.globalIndex.size(),
+                        "-request slice");
+        res.id = run_.globalIndex[static_cast<std::size_t>(res.id)];
+        res.deviceIndex += run_.replicaBase;
+        res.prefillIndex += run_.replicaBase;
+        run_.lastFinish = std::max(run_.lastFinish, res.finishMs);
+        chunk_.push_back(std::move(res));
+        if (chunk_.size() == stream_.chunkResults)
+            stream_.publish(shard_, chunk_, false);
+    }
+
+    /** Publish the last results: the shard is done. */
+    void close() { stream_.publish(shard_, chunk_, true); }
+
+  private:
+    MergeStream &stream_;
+    const std::size_t shard_;
+    ShardRun &run_;
+    Chunk chunk_;
 };
 
 } // namespace
@@ -81,32 +333,35 @@ drainSharded(const DevicePool &pool, const ServingOptions &opts,
     // hit its prefix cache): a session's shard is fixed by the
     // round-robin counter at its first trace row, and single-turn rows
     // spend counter positions the same way — so a tagless trace
-    // reduces exactly to the original `i % S` assignment.
+    // reduces exactly to the original `i % S` assignment. Every row
+    // passes submit()'s checks against its shard's previous row here,
+    // before any shard runs, since no shard submits.
     std::map<std::uint64_t, std::size_t> sessionShard;
+    std::vector<double> lastArrival(S, 0.0);
     std::size_t rr = 0;
     for (std::size_t i = 0; i < trace.requests.size(); ++i) {
-        const std::uint64_t sid = trace.requests[i].sessionId;
+        const TimedRequest &row = trace.requests[i];
         std::size_t s;
-        if (sid == 0) {
+        if (row.sessionId == 0) {
             s = rr++ % S;
         } else {
-            auto [it, fresh] = sessionShard.emplace(sid, rr % S);
+            auto [it, fresh] = sessionShard.emplace(row.sessionId, rr % S);
             if (fresh)
                 ++rr;
             s = it->second;
         }
+        checkSubmit(row, lastArrival[s]);
+        lastArrival[s] = row.arrivalMs;
         runs[s].globalIndex.push_back(i);
     }
 
     // Run every shard: an ordinary single-threaded drain over its own
-    // replicas and trace slice. The only state shards share is the
-    // pool's program stores, which lock and hold pure functions of
-    // their keys, so the thread count is pure wall-clock policy —
-    // results cannot depend on it. Each engine sizes its queue and
-    // results once, for its slice; shard 0 sizes its results for the
-    // whole trace, because the merge below fills them in place. A
-    // worker maps its own results back to global ids and devices, so
-    // the merge only moves them.
+    // replicas, reading its trace rows in place through its slice
+    // index. Shards share the pool's program stores, which lock and
+    // hold pure functions of their keys, and the merge stream, whose
+    // order is fixed by the results alone; so the thread count is pure
+    // wall-clock policy — results cannot depend on it.
+    MergeStream stream(S, trace.requests.size());
     auto runShard = [&](std::size_t s) {
         ShardRun &r = runs[s];
         ServingOptions sopts = opts;
@@ -114,26 +369,12 @@ drainSharded(const DevicePool &pool, const ServingOptions &opts,
         ServingEngine engine(r.replicas, sopts,
                              policy ? policy() : nullptr,
                              router ? router() : nullptr);
-        engine.reserve(s == 0 ? trace.requests.size()
-                              : r.globalIndex.size());
-        for (std::size_t g : r.globalIndex)
-            engine.submit(trace.requests[g].request,
-                          trace.requests[g].arrivalMs,
-                          trace.requests[g].sessionId,
-                          trace.requests[g].turnIndex,
-                          trace.requests[g].prefixTokens,
-                          trace.requests[g].source);
-        r.report = engine.drain();
-        // Shard-local id j is the j-th submit.
-        for (RequestResult &res : r.report.results) {
-            if (res.id >= r.globalIndex.size())
-                IANUS_FATAL("shard ", s, " produced request id ", res.id,
-                            " beyond its ", r.globalIndex.size(),
-                            "-request slice");
-            res.id = r.globalIndex[static_cast<std::size_t>(res.id)];
-            res.deviceIndex += r.replicaBase;
-            res.prefillIndex += r.replicaBase;
-        }
+        ShardWriter out(stream, s, r);
+        r.report = drainRows(engine,
+                             {trace.requests.data(), r.globalIndex.data(),
+                              r.globalIndex.size(), 0},
+                             out);
+        out.close();
         std::vector<std::size_t>().swap(r.globalIndex);
     };
 
@@ -168,62 +409,27 @@ drainSharded(const DevicePool &pool, const ServingOptions &opts,
         if (failure)
             std::rethrow_exception(failure);
 
-    // --- Deterministic merge, in place ---------------------------------
     // Results interleave by (completion tick, shard index), keeping each
-    // shard's internal completion order. Per-shard completion ticks are
-    // non-decreasing, so the merged order is a sort by (tick, shard,
-    // position) and can be filled from the back: each step moves the
-    // latest (tick, shard) among the shards' last unplaced results into
-    // the last free slot of shard 0's storage. That slot never lies
-    // before shard 0's unplaced results while another shard still has
-    // some, so nothing unread is overwritten, and once the other shards
-    // run out shard 0's rest is already in place. With S == 1 nothing
-    // moves, and the whole report matches a plain drain bit for bit.
-    // (A global re-sort by the double finishMs would not: within one
-    // tick the engine's completion order is authoritative.)
-    const double first_arrival =
-        trace.requests.empty() ? 0.0 : trace.requests.front().arrivalMs;
-    double last_finish = first_arrival;
-    std::vector<RequestResult> &merged = runs[0].report.results;
-    std::vector<std::size_t> left(S); // unplaced results per shard
-    std::vector<Tick> tail(S);        // tick of each one's last unplaced
-    std::size_t free_end = 0;         // merged[free_end..) is placed
-    for (std::size_t s = 0; s < S; ++s) {
-        const std::vector<RequestResult> &rs = runs[s].report.results;
-        left[s] = rs.size();
-        free_end += rs.size();
-        if (!rs.empty())
-            tail[s] = msToTicks(rs.back().finishMs);
-    }
-    merged.resize(free_end);
-    while (free_end > left[0]) {
-        std::size_t pick = S;
-        for (std::size_t s = 0; s < S; ++s)
-            if (left[s] > 0 && (pick == S || tail[s] >= tail[pick]))
-                pick = s;
-        std::vector<RequestResult> &from = runs[pick].report.results;
-        const RequestResult &res = from[--left[pick]];
-        last_finish = std::max(last_finish, res.finishMs);
-        merged[--free_end] = res;
-        if (left[pick] > 0)
-            tail[pick] = msToTicks(from[left[pick] - 1].finishMs);
-        else if (pick != 0)
-            std::vector<RequestResult>().swap(from);
-    }
-    for (std::size_t i = 0; i < left[0]; ++i)
-        last_finish = std::max(last_finish, merged[i].finishMs);
-
+    // shard's own completion order; the workers have placed all but the
+    // last few. With S == 1 the order is the drain's own, and the whole
+    // report matches a plain drain bit for bit. (A global re-sort by the
+    // double finishMs would not: within one tick the engine's
+    // completion order is authoritative.)
     ServingReport out;
     echoOptions(out, runs[0].report.policy, runs[0].report.router, opts);
     out.roles = roles;
     out.shards = S;
     out.replicas.assign(R, ReplicaUtilization{});
-    out.results = std::move(merged);
+    out.results = stream.finish();
 
     // Scalars merge additively (sums of exact counters, maxima of
     // peaks); the makespan re-anchors the last completion of any shard
     // to the *global* first arrival.
+    const double first_arrival =
+        trace.requests.empty() ? 0.0 : trace.requests.front().arrivalMs;
+    double last_finish = first_arrival;
     for (const ShardRun &r : runs) {
+        last_finish = std::max(last_finish, r.lastFinish);
         const ServingReport &rep = r.report;
         for (std::size_t d = 0; d < rep.replicas.size(); ++d)
             out.replicas[r.replicaBase + d] = rep.replicas[d];

@@ -13,10 +13,11 @@
  * assign *whole sessions* instead: a session's shard is fixed by the
  * same round-robin counter at its first row (a cross-shard turn could
  * never hit its prefix cache), and a tagless trace reduces exactly to
- * the per-request assignment. Each shard then runs an
- * ordinary ServingEngine::drain on its own event loop over its own
- * replicas' CompiledModels, so shards execute concurrently. The one
- * thing they share is the pool's program stores (equal replicas in
+ * the per-request assignment. Every row passes ServingEngine::submit's
+ * checks, with its messages, before any shard runs. Each shard then
+ * runs an ordinary drain on its own event loop over its own replicas'
+ * CompiledModels, so shards execute concurrently. Besides the merge
+ * below, they share only the pool's program stores (equal replicas in
  * different shards use one): a store is mutex-guarded, and its entries
  * are pure functions of their keys, so sharing changes no result.
  * A shard that fails does not take the process down: after every
@@ -37,13 +38,19 @@
  *
  * Merged results keep completion order *within* each shard and
  * interleave shards by completion tick (ties: lowest shard first), so
- * a single-shard merge is the identity. Each worker remaps its own
- * results' request ids and device indices back to the global trace
- * position and pool index. The merged results live in shard 0's own
- * result storage, which its engine sizes for the whole trace
- * (ServingEngine::reserve): the merge fills it from the back, in
- * place, and frees every other shard's results as soon as they are
- * all placed. No second copy of the results is ever made.
+ * a single-shard merge is the identity. Each request is held once on
+ * the way in and once on the way out. A shard's drain reads its rows
+ * of the caller's trace in place, through the shard's slice index,
+ * instead of copying them into a submit queue. It keeps no results
+ * either: it maps each one back to its trace position and pool index
+ * and publishes them in fixed-size chunks. After a publish, a worker
+ * takes the merge lock if it is free (the shard furthest behind leaves
+ * it to the others) and moves every result whose place is known into
+ * the merged results, reserved once for the trace and filled front to
+ * back: result (t, s) is placed once every other unfinished shard has
+ * published a result ordered after it. No worker waits for another;
+ * the caller places what is left after the join. Emptied chunks are
+ * recycled.
  *
  * Closed-loop clients (completion hooks / inject) are inherently
  * cross-shard feedback and are not supported here — use

@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/serving_engine.hh"
@@ -35,29 +36,6 @@
 
 namespace ianus::serve
 {
-
-/** One request with its open-loop arrival time.
- *
- *  Session fields tag the request as one turn of a multi-turn
- *  conversation: sessionId 0 is the single-turn sentinel (generated
- *  session ids start at 1), turnIndex counts turns from 0 within a
- *  session, and prefixTokens is how many of the request's input tokens
- *  are the shared conversation prefix (prior prompt + prior output) a
- *  prefix cache could reuse. Single-turn requests leave all three 0. */
-struct TimedRequest
-{
-    workloads::InferenceRequest request{};
-    double arrivalMs = 0.0;
-    std::uint64_t sessionId = 0;
-    std::uint64_t turnIndex = 0;
-    std::uint64_t prefixTokens = 0;
-
-    /** Traffic source tag (0 = untagged), threaded through submit into
-     *  the RequestResult so mixed drains can slice the report per
-     *  source. An injection-layer concept: the on-disk trace format
-     *  does not carry it (saving a tagged trace drops the tags). */
-    std::uint32_t source = 0;
-};
 
 /** Source tags runMixedDrain assigns (see ServingReport::sourceSlices):
  *  the closed-loop interactive clients and the open-loop batch
@@ -155,7 +133,7 @@ ArrivalTrace generatePoissonTrace(const TraceOptions &opts);
  * an unparsable timestamp or token count, zero tokens, or an empty
  * log (no data rows).
  */
-ArrivalTrace importRequestLog(const std::string &csv);
+ArrivalTrace importRequestLog(std::string_view csv);
 
 /** importRequestLog() from a file; fatal if the file cannot be read. */
 ArrivalTrace loadRequestLog(const std::string &path);
@@ -471,7 +449,7 @@ std::string formatTrace(const ArrivalTrace &trace);
  *  a non-zero turn/prefix, turn 0 with a non-zero prefix, prefix >=
  *  input, or a session's turn indices not counting 0,1,2,... in row
  *  order). */
-ArrivalTrace parseTrace(const std::string &text);
+ArrivalTrace parseTrace(std::string_view text);
 
 /** formatTrace() to a file; fatal if the file cannot be written. */
 void saveTrace(const ArrivalTrace &trace, const std::string &path);

@@ -10,18 +10,23 @@
  *    parallel one must match field for field, over shards 1/2/4/8;
  *  - with shards > 1 the merge conserves requests, ids, tokens, and
  *    device attribution even though the partition changes placement;
- *  - the in-place merge equals an independent forward merge by
- *    (completion tick, shard), every result field, ties included.
+ *  - the streamed merge equals an independent forward merge by
+ *    (completion tick, shard), every result field, ties included,
+ *    also when one shard lags far behind the others in wall-clock
+ *    time, and a shard failing mid-stream reaches the caller.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "serve/sharded_drain.hh"
@@ -706,6 +711,122 @@ TEST(ShardedDrain, WorkerFailureReachesTheCaller)
                                "has 1)"),
               std::string::npos)
         << messages[0];
+}
+
+/** Round-robin routing that sleeps ~20 us per call, so its shard lags
+ *  the others in wall-clock time (never in simulated time). */
+struct SlowRouter : RoundRobinRouter
+{
+    std::size_t route(const QueuedRequest &request,
+                      const std::vector<ReplicaStatus> &replicas,
+                      double now_ms) override
+    {
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+        return RoundRobinRouter::route(request, replicas, now_ms);
+    }
+};
+
+// One slow shard: the other shards' results wait in the merge stream
+// behind its watermark instead of being placed as they come. (A drain
+// publishes a chunk per 1024th of its trace, so these small traces
+// stream result by result.) The merged results must not change: every
+// field and the makespan equal the forward merge, for S = 2, 3 and 4,
+// serially and one thread per shard. Besides the merge cases, a burst
+// served in continuous batches of 4 finishes several results of one
+// shard on one tick, which other shards' results tie with: a shard
+// that has published some of them must still hold back the rest.
+TEST(ShardedDrain, LaggingShardLeavesTheMergeUnchanged)
+{
+    DevicePool pool = makePool(workloads::gpt2("m"), 4);
+    std::vector<MergeCase> cases = mergeCases();
+    MergeCase batched = cases[1];
+    batched.name = "batched ties";
+    batched.opts.batching = BatchingMode::Continuous;
+    batched.opts.maxBatch = 4;
+    cases.push_back(batched);
+    for (const MergeCase &c : cases) {
+        for (std::size_t shards : {2u, 3u, 4u}) {
+            double makespan = 0.0;
+            const std::vector<RequestResult> ref = forwardMergedResults(
+                pool, c.opts, c.trace, shards, "fcfs", "round-robin",
+                makespan);
+            for (std::size_t threads : {std::size_t{1}, shards}) {
+                ShardOptions sh;
+                sh.shards = shards;
+                sh.threads = threads;
+                std::atomic<std::size_t> made{0};
+                const ServingReport rep = drainSharded(
+                    pool, c.opts, c.trace, sh, PolicyFactory{},
+                    [&made]() -> std::unique_ptr<Router> {
+                        if (made.fetch_add(1) == 0)
+                            return std::make_unique<SlowRouter>();
+                        return std::make_unique<RoundRobinRouter>();
+                    });
+                const std::string cell = c.name + "/S=" +
+                                         std::to_string(shards) + "/T=" +
+                                         std::to_string(threads);
+                expectEveryResultFieldEqual(ref, rep.results, cell);
+                EXPECT_EQ(rep.makespanMs, makespan) << cell;
+            }
+        }
+    }
+}
+
+/** Round-robin routing that throws once it has routed @p limit
+ *  requests. */
+struct GivingUpRouter : RoundRobinRouter
+{
+    explicit GivingUpRouter(std::size_t limit) : left(limit) {}
+
+    std::size_t route(const QueuedRequest &request,
+                      const std::vector<ReplicaStatus> &replicas,
+                      double now_ms) override
+    {
+        if (left-- == 0)
+            throw std::runtime_error("router gave up mid-stream");
+        return RoundRobinRouter::route(request, replicas, now_ms);
+    }
+
+    std::size_t left;
+};
+
+// A shard that fails after its first results are in the merge stream
+// (48 requests publish result by result, and the router gives up after
+// 8 of its at least 12): the other shards keep publishing into a merge
+// that can no longer complete, and the caller still gets the failure,
+// for one thread and one per shard, without waiting on the dead shard.
+// The sanitizer builds check that no chunk leaks.
+TEST(ShardedDrain, MidStreamFailureReachesTheCaller)
+{
+    DevicePool pool = makePool(workloads::gpt2("m"), 4);
+    ArrivalTrace trace = makeTrace(48);
+    ServingOptions opts;
+    opts.tokenStride = 4;
+    for (std::size_t shards : {2u, 3u, 4u}) {
+        std::vector<std::string> messages;
+        for (std::size_t threads : {std::size_t{1}, shards}) {
+            ShardOptions sh;
+            sh.shards = shards;
+            sh.threads = threads;
+            std::atomic<std::size_t> made{0};
+            try {
+                (void)drainSharded(
+                    pool, opts, trace, sh, PolicyFactory{},
+                    [&made]() -> std::unique_ptr<Router> {
+                        if (made.fetch_add(1) == 0)
+                            return std::make_unique<GivingUpRouter>(8);
+                        return std::make_unique<RoundRobinRouter>();
+                    });
+                ADD_FAILURE() << "S=" << shards << " threads " << threads
+                              << ": no exception";
+            } catch (const std::runtime_error &e) {
+                messages.push_back(e.what());
+            }
+        }
+        ASSERT_EQ(messages.size(), 2u) << "S=" << shards;
+        EXPECT_EQ(messages[0], "router gave up mid-stream");
+        EXPECT_EQ(messages[1], messages[0]);
+    }
 }
 
 } // namespace

@@ -228,6 +228,31 @@ TEST(TraceImport, CrlfLogFatalsQuoteLinesWithoutTheCarriageReturn)
     }
 }
 
+TEST(TraceImport, StrayCarriageReturnIsFatalInAHeaderAsInARow)
+{
+    // Only a stray mid-line '\r' reaches a header name (the CRLF line
+    // end is stripped first). It no longer names a column, so a header
+    // holding one is as fatal as a row holding one.
+    try {
+        serve::importRequestLog("ti\rme,prompt_tokens,output_tokens\n"
+                                "0,64,8\n");
+        ADD_FAILURE() << "no fatal for a '\\r' inside a header name";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("names no timestamp column"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(serve::importRequestLog("time,prompt_tokens,output_tokens\n"
+                                         "0,\r64,8\n"),
+                 std::runtime_error);
+    // A CRLF log still imports.
+    const ArrivalTrace ok = serve::importRequestLog(
+        "time,prompt_tokens,output_tokens\r\n0,64,8\r\n");
+    ASSERT_EQ(ok.size(), 1u);
+    EXPECT_EQ(ok.requests[0].request.inputTokens, 64u);
+    EXPECT_EQ(ok.requests[0].request.outputTokens, 8u);
+}
+
 TEST(TraceImport, TokenCountsRejectSignsHexAndOtherWhitespace)
 {
     auto log = [](const std::string &rows) {

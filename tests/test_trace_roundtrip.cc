@@ -171,6 +171,24 @@ TEST(TraceRoundtrip, ParseRejectsSignsHexAndOtherWhitespace)
                  std::runtime_error);
     // A directory has no size to read.
     EXPECT_THROW(serve::loadTrace(::testing::TempDir()), std::runtime_error);
+    // The loader reads a file where it lies, with nothing after its last
+    // byte: an empty file is no trace, and a last row without its
+    // newline still parses.
+    const std::string path = tempPath("unterminated.trace");
+    auto write = [&path](const char *text) {
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fputs(text, f);
+        std::fclose(f);
+    };
+    write("");
+    EXPECT_THROW(serve::loadTrace(path), std::runtime_error);
+    write("ianus-arrival-trace v1\n1\n1.5 64 8");
+    const ArrivalTrace last = serve::loadTrace(path);
+    std::remove(path.c_str());
+    ASSERT_EQ(last.size(), 1u);
+    EXPECT_EQ(last.requests[0].arrivalMs, 1.5);
+    EXPECT_EQ(last.requests[0].request.outputTokens, 8u);
 
     // Spaces and tabs still separate fields, and every value up to
     // 2^64 - 1 parses.
