@@ -6,6 +6,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "baselines/dfx_model.hh"
 #include "baselines/gpu_model.hh"
@@ -52,9 +53,26 @@ main(int argc, char **argv)
                "2048"});
     t1.addRow({"external bandwidth (GB/s)",
                bench::Table::num(cfg.mem.systemPeakGBs(), 0), "256"});
-    t1.addRow({"tCK/tCCD/tRAS/tWR (ns)", "0.5/1/21/36", "same"});
-    t1.addRow({"tRP/tRCDRD/tRCDWR (ns)", "30/36/24", "same"});
-    t1.addRow({"PIM PU", "1 GHz, 1/bank, 32 GFLOPS", "same"});
+    // Shortest form of a number ("0.5", "1", "21"); DRAM timing ticks
+    // are picoseconds, and tCCD is tCCDL, the burst cadence.
+    auto g = [](double v) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%g", v);
+        return std::string(buf);
+    };
+    const dram::DramTiming &tm = cfg.mem.timing;
+    auto ns = [&](Tick t) { return g(static_cast<double>(t) / 1000.0); };
+    t1.addRow({"tCK/tCCD/tRAS/tWR (ns)",
+               ns(tm.tCK) + "/" + ns(tm.tCCDL) + "/" + ns(tm.tRAS) + "/" +
+                   ns(tm.tWR),
+               "same"});
+    t1.addRow({"tRP/tRCDRD/tRCDWR (ns)",
+               ns(tm.tRP) + "/" + ns(tm.tRCDRD) + "/" + ns(tm.tRCDWR),
+               "same"});
+    t1.addRow({"PIM PU",
+               g(cfg.pimUnit.puFreqGhz) + " GHz, 1/bank, " +
+                   g(cfg.pimUnit.puGflops) + " GFLOPS",
+               "same"});
     t1.addRow({"global buffer", "2 KB per channel", "same"});
     t1.print(opts);
 

@@ -702,9 +702,15 @@ clusterMode(const Args &args)
         if (args.shards > 1) {
             serve::ShardOptions sh;
             sh.shards = args.shards;
-            std::printf("sharded drain: %u sub-clusters of %u replicas, "
+            // Shard s owns replicas [s*R/S, (s+1)*R/S).
+            std::string sizes;
+            for (unsigned s = 0; s < args.shards; ++s)
+                sizes += (s ? ", " : "") +
+                         std::to_string((s + 1) * args.replicas / args.shards -
+                                        s * args.replicas / args.shards);
+            std::printf("sharded drain: %u sub-clusters (%s replicas), "
                         "one worker thread each\n\n",
-                        args.shards, args.replicas / args.shards);
+                        args.shards, sizes.c_str());
             rep = serve::drainSharded(
                 pool, opts, trace, sh,
                 [&] { return serve::makePolicy(args.policy); },

@@ -219,10 +219,8 @@ double
 CompiledModel::estimateGenerationMs(
     const workloads::InferenceRequest &request) const
 {
-    if (request.inputTokens == 0)
-        IANUS_FATAL("inference request needs at least one input token");
-    if (request.outputTokens == 0)
-        IANUS_FATAL("inference request needs at least one output token");
+    if (const char *why = shapeError(request))
+        IANUS_FATAL(why);
     if (!model_.decoder())
         return 0.0;
     std::uint64_t steps = request.outputTokens - 1;
@@ -236,11 +234,8 @@ InferenceReport
 CompiledModel::run(const workloads::InferenceRequest &request,
                    unsigned token_stride) const
 {
-    if (request.inputTokens == 0)
-        IANUS_FATAL("inference request needs at least one input token");
-    if (request.outputTokens == 0)
-        IANUS_FATAL("inference request needs at least one output token "
-                    "(encoders emit their single result as token 1)");
+    if (const char *why = shapeError(request))
+        IANUS_FATAL(why);
     if (token_stride == 0)
         IANUS_FATAL("token stride must be positive (1 = exact)");
 

@@ -185,6 +185,20 @@ template <class Key, class Value> class FifoMap
     std::uint64_t evictions_ = 0;
 };
 
+/** Why no model can serve @p request, or null when it can: the one
+ *  shape rule of CompiledModel::run, its generation estimate, and every
+ *  request that enters a drain. */
+inline const char *
+shapeError(const workloads::InferenceRequest &request)
+{
+    if (request.inputTokens == 0)
+        return "inference request needs at least one input token";
+    if (request.outputTokens == 0)
+        return "inference request needs at least one output token "
+               "(encoders emit their single result as token 1)";
+    return nullptr;
+}
+
 /** One model compiled onto one device configuration, ready to serve. */
 class CompiledModel
 {
@@ -204,8 +218,8 @@ class CompiledModel
      * maxRequestEntries; an entry is added only once its computation
      * returns, so a fatal error leaves none behind.
      *
-     * Rejects invalid requests (zero input or output tokens) and a zero
-     * @p token_stride with a fatal error.
+     * Rejects a request shapeError() names, and a zero @p token_stride,
+     * with a fatal error.
      */
     InferenceReport run(const workloads::InferenceRequest &request,
                         unsigned token_stride = 1) const;

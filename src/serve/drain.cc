@@ -1169,15 +1169,11 @@ class Drain
             s.dispatched = report_.replicas[d].dispatched;
             s.resident = rt_[d].resident();
             s.pendingPrefill = rt_[d].prefill.size();
-            for (const Member &m : rt_[d].gen) {
-                s.kvTokens += m.kvLen;
+            for (const Member &m : rt_[d].gen)
                 s.backlogTokens += m.remaining;
-            }
             s.suspendedKv = parked_[d];
-            if (kv_) {
-                s.kvFreeBlocks = kv_->pools[d].freeBlocks();
+            if (kv_)
                 s.kvPressure = kv_->pools[d].pressure();
-            }
             if (est) {
                 const CompiledModel &r = *replicas_[d];
                 // The hit replica re-prefills only the delta; pricing that
@@ -1757,12 +1753,14 @@ ServingEngine::drain()
 }
 
 ServingReport
-drainRows(ServingEngine &engine, const RequestRows &rows, ResultSink &sink)
+drainRows(const std::vector<const CompiledModel *> &replicas,
+          const ServingOptions &opts, SchedulingPolicy &policy,
+          Router &router, const RequestRows &rows, ResultSink &sink)
 {
     const ServingEngine::CompletionHook no_hook;
     std::uint64_t next_id = rows.firstId + rows.size;
-    Drain drain(engine.replicas_, engine.opts_, *engine.policy_,
-                *engine.router_, rows, 0, no_hook, next_id, &sink);
+    Drain drain(replicas, opts, policy, router, rows, 0, no_hook, next_id,
+                &sink);
     drain.run();
     return drain.closeOut();
 }

@@ -134,27 +134,41 @@ kvTransferMs(std::uint64_t bytes, double link_gbs)
     return static_cast<double>(bytes) / (link_gbs * 1e6);
 }
 
+void
+KvOptions::check() const
+{
+    if (blockTokens == 0)
+        IANUS_FATAL("KV block size must be a positive token count");
+    if (!enabled()) {
+        if (admission != KvAdmission::None)
+            IANUS_FATAL("KV admission '", toString(admission),
+                        "' needs a positive KV capacity (capacityTokens is "
+                        "0, so nothing bounds admission)");
+        return;
+    }
+    const std::uint64_t blocks = capacityTokens / blockTokens;
+    if (blocks == 0)
+        IANUS_FATAL("KV capacity ", capacityTokens,
+                    " tokens is smaller than one ", blockTokens,
+                    "-token block");
+    if (layout == KvLayout::Partitioned && blocks < 2)
+        IANUS_FATAL("partitioned KV layout needs at least two blocks of "
+                    "capacity (got ", blocks, ")");
+}
+
 KvBlockManager::KvBlockManager(const KvOptions &opts,
                                const SystemConfig &sys)
     : opts_(opts)
 {
     if (!opts.enabled())
         IANUS_FATAL("KvBlockManager needs a positive KV capacity");
-    if (opts.blockTokens == 0)
-        IANUS_FATAL("KV block size must be positive");
+    opts.check();
     const std::uint64_t blocks = opts.capacityTokens / opts.blockTokens;
-    if (blocks == 0)
-        IANUS_FATAL("KV capacity ", opts.capacityTokens,
-                    " tokens is smaller than one ", opts.blockTokens,
-                    "-token block");
     if (opts.layout == KvLayout::Partitioned) {
         // NPU-DRAM region first, PIM region second (Fig 13 halves).
         regions_.resize(2);
         regions_[0].capBlocks = blocks / 2;
         regions_[1].capBlocks = blocks - blocks / 2;
-        if (regions_[0].capBlocks == 0)
-            IANUS_FATAL("partitioned KV layout needs at least two "
-                        "blocks of capacity (got ", blocks, ")");
     } else {
         regions_.resize(1);
         regions_[0].capBlocks = blocks;

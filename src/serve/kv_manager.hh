@@ -2,12 +2,12 @@
  * @file
  * KV-cache memory as a first-class serving resource.
  *
- * Until this layer, `ReplicaStatus::kvTokens` was reported but nothing
- * bounded it — replicas admitted by batch-slot count alone, so a
- * long-context burst cost nothing. KvBlockManager turns the DRAM
- * geometry the simulator already owns (`SystemConfig::mem`: channels x
- * banks x rows x row bytes) into a per-replica KV *block* budget and
- * charges every resident — and every parked evictee — against it:
+ * Without this layer nothing bounds a replica's resident KV: replicas
+ * admit by batch-slot count alone, so a long-context burst costs
+ * nothing. KvBlockManager turns the DRAM geometry the simulator
+ * already owns (`SystemConfig::mem`: channels x banks x rows x row
+ * bytes) into a per-replica KV *block* budget and charges every
+ * resident — and every parked evictee — against it:
  *
  *  - **Capacity** derives from the channel geometry: the device's DRAM
  *    bytes minus one copy of the model weights, divided by the model's
@@ -114,6 +114,11 @@ struct KvOptions
     KvLayout layout = KvLayout::Unified;
 
     bool enabled() const { return capacityTokens > 0; }
+
+    /** Fatal unless these knobs make sense together: a positive block
+     *  size, an admission mode other than none only with a capacity, and
+     *  a capacity of at least one block (two, partitioned). */
+    void check() const;
 };
 
 /** Bytes of KV cache one token occupies for @p model (K and V across
@@ -164,8 +169,8 @@ double kvTransferMs(std::uint64_t bytes, double link_gbs);
 class KvBlockManager
 {
   public:
-    /** @p opts must be enabled; @p sys supplies the DRAM-vs-PCIe
-     *  bandwidth ratio the spill model charges. */
+    /** @p opts must be enabled and pass check(); @p sys supplies the
+     *  DRAM-vs-PCIe bandwidth ratio the spill model charges. */
     KvBlockManager(const KvOptions &opts, const SystemConfig &sys);
 
     /** Blocks a @p tokens-token KV occupies (ceil — the internal

@@ -26,26 +26,6 @@ FcfsPolicy::selectBatch(const std::vector<QueuedRequest> &queue,
     return {0};
 }
 
-namespace
-{
-
-/** The checks every request entering a drain passes, submitted before
- *  it or injected during it. */
-void
-validateRequest(const workloads::InferenceRequest &req, double arrival_ms)
-{
-    if (req.inputTokens == 0)
-        IANUS_FATAL("inference request needs at least one input token");
-    if (req.outputTokens == 0)
-        IANUS_FATAL("inference request needs at least one output token");
-    if (!std::isfinite(arrival_ms) || arrival_ms < 0.0)
-        IANUS_FATAL("request arrival must be a finite non-negative time "
-                    "in ms, got ",
-                    arrival_ms);
-}
-
-} // namespace
-
 std::vector<std::size_t>
 SchedulingPolicy::selectBatch(const std::vector<QueuedRequest> &queue,
                               const SchedulerContext &ctx)
@@ -803,88 +783,68 @@ ServingEngine::ServingEngine(const CompiledModel &model,
 ServingEngine::ServingEngine(const DevicePool &pool, ServingOptions opts,
                              std::unique_ptr<SchedulingPolicy> policy,
                              std::unique_ptr<Router> router)
-    : opts_(opts), policy_(std::move(policy)), router_(std::move(router))
+    : opts_(withPoolRoles(pool, std::move(opts))),
+      policy_(orDefault(std::move(policy))),
+      router_(orDefault(std::move(router)))
 {
     if (pool.empty())
         IANUS_FATAL("serving engine needs a non-empty device pool");
     replicas_.reserve(pool.size());
     for (std::size_t i = 0; i < pool.size(); ++i)
         replicas_.push_back(&pool.replica(i));
-    // The pool's own role typing carries over unless the options
-    // already chose one; an all-unified pool stays the (bit-identical)
-    // empty default.
-    if (opts_.roles.empty() && pool.disaggregated())
-        opts_.roles = pool.roles();
-    if (!policy_)
-        policy_ = std::make_unique<FcfsPolicy>();
-    if (!router_)
-        router_ = std::make_unique<RoundRobinRouter>();
-    validateOptions();
+    checkOptions(opts_, replicas_.size());
 }
 
 ServingEngine::ServingEngine(std::vector<const CompiledModel *> replicas,
                              ServingOptions opts,
                              std::unique_ptr<SchedulingPolicy> policy,
                              std::unique_ptr<Router> router)
-    : replicas_(std::move(replicas)), opts_(opts),
-      policy_(std::move(policy)), router_(std::move(router))
+    : replicas_(std::move(replicas)), opts_(std::move(opts)),
+      policy_(orDefault(std::move(policy))),
+      router_(orDefault(std::move(router)))
 {
     if (replicas_.empty())
         IANUS_FATAL("serving engine needs a non-empty replica view");
     for (const CompiledModel *m : replicas_)
         if (!m)
             IANUS_FATAL("serving engine replica view holds a null model");
-    if (!policy_)
-        policy_ = std::make_unique<FcfsPolicy>();
-    if (!router_)
-        router_ = std::make_unique<RoundRobinRouter>();
-    validateOptions();
+    checkOptions(opts_, replicas_.size());
 }
 
 void
-ServingEngine::validateOptions() const
+checkOptions(const ServingOptions &opts, std::size_t replicas)
 {
-    if (opts_.tokenStride == 0)
+    if (opts.tokenStride == 0)
         IANUS_FATAL("token stride must be positive (1 = exact)");
-    if (opts_.sloMsPerToken <= 0.0)
+    if (opts.sloMsPerToken <= 0.0)
         IANUS_FATAL("SLO must be a positive per-token latency in ms");
-    if (opts_.maxBatch == 0)
+    if (opts.maxBatch == 0)
         IANUS_FATAL("max batch must be at least 1");
-    if (opts_.maxBatch > 1 && opts_.batching == BatchingMode::None)
-        IANUS_FATAL("max batch ", opts_.maxBatch,
+    if (opts.maxBatch > 1 && opts.batching == BatchingMode::None)
+        IANUS_FATAL("max batch ", opts.maxBatch,
                     " needs a batching mode (static or continuous)");
-    if (opts_.preempt && opts_.batching == BatchingMode::Static)
+    if (opts.preempt && opts.batching == BatchingMode::Static)
         IANUS_FATAL("preemption cannot evict from a sealed static "
                     "batch; use batching none or continuous");
-    if (opts_.kv.blockTokens == 0)
-        IANUS_FATAL("KV block size must be a positive token count");
-    if (!opts_.kv.enabled() && opts_.kv.admission != KvAdmission::None)
-        IANUS_FATAL("KV admission '", toString(opts_.kv.admission),
-                    "' needs a positive KV capacity (capacityTokens is "
-                    "0, so nothing bounds admission)");
-    if (opts_.kv.enabled() &&
-        opts_.kv.capacityTokens < opts_.kv.blockTokens)
-        IANUS_FATAL("KV capacity ", opts_.kv.capacityTokens,
-                    " tokens is smaller than one ", opts_.kv.blockTokens,
-                    "-token block");
-    if (std::isnan(opts_.kvLinkGBs) || opts_.kvLinkGBs < 0.0)
+    opts.kv.check();
+    if (std::isnan(opts.kvLinkGBs) || opts.kvLinkGBs < 0.0)
         IANUS_FATAL("KV link bandwidth must be a non-negative GB/s "
                     "value (0 derives it from the source replica's PCIe "
                     "parameters), got ",
-                    opts_.kvLinkGBs);
-    if (!opts_.roles.empty()) {
-        if (opts_.roles.size() != replicas_.size())
-            IANUS_FATAL("roles list has ", opts_.roles.size(),
-                        " entries for ", replicas_.size(), " replicas");
-        if (const char *lack = missingRoleCapability(opts_.roles))
+                    opts.kvLinkGBs);
+    if (!opts.roles.empty()) {
+        if (opts.roles.size() != replicas)
+            IANUS_FATAL("roles list has ", opts.roles.size(),
+                        " entries for ", replicas, " replicas");
+        if (const char *lack = missingRoleCapability(opts.roles))
             IANUS_FATAL("a disaggregated pool needs at least one ", lack,
                         "-capable (", lack, " or unified) replica");
         const bool typed =
-            std::any_of(opts_.roles.begin(), opts_.roles.end(),
+            std::any_of(opts.roles.begin(), opts.roles.end(),
                         [](ReplicaRole r) {
                             return r != ReplicaRole::Unified;
                         });
-        if (typed && opts_.batching == BatchingMode::Static)
+        if (typed && opts.batching == BatchingMode::Static)
             IANUS_FATAL("disaggregated pools cannot use static "
                         "batching: a KV handoff joins a running decode "
                         "batch at a token boundary, and a sealed batch "
@@ -905,7 +865,7 @@ ServingEngine::inject(const workloads::InferenceRequest &request,
     if (!injector_)
         IANUS_FATAL("inject() is only legal from inside a completion "
                     "hook during drain(); use submit() otherwise");
-    validateRequest(request, arrival_ms);
+    checkRow({request, arrival_ms}, 0.0, [] { return ""; });
     return injector_(request, arrival_ms, source);
 }
 
@@ -916,27 +876,6 @@ ServingEngine::reserve(std::size_t requests)
     resultCapacity_ = requests;
 }
 
-void
-checkSubmit(const TimedRequest &row, double last_arrival_ms)
-{
-    validateRequest(row.request, row.arrivalMs);
-    if (row.arrivalMs < last_arrival_ms)
-        IANUS_FATAL("request arrivals must be non-decreasing (got ",
-                    row.arrivalMs, " ms after ", last_arrival_ms, " ms)");
-    if (row.sessionId == 0 && (row.turnIndex != 0 || row.prefixTokens != 0))
-        IANUS_FATAL("a single-turn submit (session 0) cannot carry turn ",
-                    row.turnIndex, " / prefix ", row.prefixTokens);
-    if (row.turnIndex == 0 && row.prefixTokens != 0)
-        IANUS_FATAL("session ", row.sessionId,
-                    " turn 0 cannot carry a prefix of ", row.prefixTokens,
-                    " tokens (nothing precedes it)");
-    if (row.prefixTokens >= row.request.inputTokens)
-        IANUS_FATAL("session ", row.sessionId, " turn ", row.turnIndex,
-                    " has prefix ", row.prefixTokens, " >= input ",
-                    row.request.inputTokens,
-                    " (each turn must add new prompt tokens)");
-}
-
 std::uint64_t
 ServingEngine::submit(const workloads::InferenceRequest &request,
                       double arrival_ms, std::uint64_t session_id,
@@ -945,7 +884,7 @@ ServingEngine::submit(const workloads::InferenceRequest &request,
 {
     const TimedRequest row{request, arrival_ms, session_id, turn_index,
                            prefix_tokens, source};
-    checkSubmit(row, lastArrivalMs_);
+    checkRow(row, lastArrivalMs_, [] { return ""; });
     lastArrivalMs_ = arrival_ms;
     if (queue_.empty())
         firstQueuedId_ = nextId_;

@@ -312,20 +312,13 @@ struct ReplicaStatus
     /** Residents still awaiting (the rest of) their prefill — the
      *  replica's pending-queue depth. */
     std::size_t pendingPrefill = 0;
-    /** Total KV length resident across the replica's generating batch
-     *  (a memory-pressure signal for custom routers). */
-    std::uint64_t kvTokens = 0;
     /** Generation steps the residents still owe. */
     std::uint64_t backlogTokens = 0;
     /** Evicted requests whose KV cache is parked on this replica,
      *  waiting to resume (their slot is spoken for). */
     std::size_t suspendedKv = 0;
 
-    // --- KV capacity signals (ServingOptions::kv enabled only) ---------
-    /** Unreserved KV blocks on this replica; negative when the `none`
-     *  admission mode has overcommitted (spilling). 0 when the KV
-     *  manager is off. */
-    std::int64_t kvFreeBlocks = 0;
+    // --- KV capacity signal (ServingOptions::kv enabled only) ----------
     /** Reserved / total KV blocks; > 1 means overcommitted. 0.0 when
      *  the KV manager is off — the capacity-blind tuple orderings and
      *  finish estimates are then bit-identical to the pre-KV engine. */
@@ -953,9 +946,6 @@ struct ServingOptions
     bool prefixCache = true;
 };
 
-struct RequestRows;
-class ResultSink;
-
 /** Replays queued requests on a pool of replicas, event-driven. */
 class ServingEngine
 {
@@ -982,10 +972,8 @@ class ServingEngine
     /**
      * Cluster engine over an explicit replica view — a non-owning
      * subset/arrangement of models (all non-null, outliving the
-     * engine). This is how drainSharded builds one engine per replica
-     * partition without copying DevicePools; a view over all of a
-     * pool's replicas in pool order is equivalent to the DevicePool
-     * constructor.
+     * engine). A view over all of a pool's replicas in pool order is
+     * equivalent to the DevicePool constructor.
      */
     explicit ServingEngine(std::vector<const CompiledModel *> replicas,
                            ServingOptions opts = ServingOptions{},
@@ -1083,13 +1071,6 @@ class ServingEngine
     std::function<std::uint64_t(const workloads::InferenceRequest &,
                                 double, std::uint32_t)>
         injector_;
-
-    void validateOptions() const;
-
-    /** A shard's drain over the caller's trace rows (drain.hh). */
-    friend ServingReport drainRows(ServingEngine &engine,
-                                   const RequestRows &rows,
-                                   ResultSink &sink);
 };
 
 } // namespace ianus::serve

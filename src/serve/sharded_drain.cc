@@ -28,7 +28,7 @@ struct ShardRun
      *  shard-local request id j); freed once the shard has handed over
      *  its last result. */
     std::vector<std::size_t> globalIndex;
-    std::vector<ReplicaRole> roles; ///< this shard's slice (may be empty)
+    ServingOptions opts;            ///< the drain's, with this shard's roles
     ServingReport report;           ///< everything but the results
     double lastFinish = 0.0;        ///< latest finish among its results
 };
@@ -295,21 +295,16 @@ drainSharded(const DevicePool &pool, const ServingOptions &opts,
     if (S == 0 || S > R)
         IANUS_FATAL("shard count must be in [1, ", R,
                     " replicas], got ", S);
+    // The options a plain engine over the pool runs, roles included,
+    // checked once on this thread before any row is read.
+    const ServingOptions all = withPoolRoles(pool, opts);
+    checkOptions(all, R);
 
+    // Partition: contiguous replica ranges, round-robin trace pre-pass.
     // Role-typed pools shard by the same contiguous partition: shard s
     // takes its replicas' roles with it, and every shard must stay
     // independently viable — a slice of nothing but prefill (or
-    // decode) replicas has no peer to hand its KV to. Explicit roles
-    // on the options win; a typed pool with no explicit roles
-    // contributes its own, exactly as ServingEngine's pool ctor does.
-    std::vector<ReplicaRole> roles = opts.roles;
-    if (roles.empty() && pool.disaggregated())
-        roles = pool.roles();
-    if (!roles.empty() && roles.size() != R)
-        IANUS_FATAL("roles list has ", roles.size(), " entries for ", R,
-                    " replicas");
-
-    // Partition: contiguous replica ranges, round-robin trace pre-pass.
+    // decode) replicas has no peer to hand its KV to.
     std::vector<ShardRun> runs(S);
     for (std::size_t s = 0; s < S; ++s) {
         const std::size_t lo = s * R / S;
@@ -319,9 +314,11 @@ drainSharded(const DevicePool &pool, const ServingOptions &opts,
         for (std::size_t d = lo; d < hi; ++d)
             runs[s].replicas.push_back(&pool.replica(d));
         runs[s].globalIndex.reserve(trace.requests.size() / S + 1);
-        if (!roles.empty()) {
-            runs[s].roles.assign(roles.begin() + lo, roles.begin() + hi);
-            if (const char *lack = missingRoleCapability(runs[s].roles))
+        runs[s].opts = all;
+        if (!all.roles.empty()) {
+            runs[s].opts.roles.assign(all.roles.begin() + lo,
+                                      all.roles.begin() + hi);
+            if (const char *lack = missingRoleCapability(runs[s].opts.roles))
                 IANUS_FATAL(
                     "shard ", s, " owns replicas [", lo, ", ", hi,
                     ") with no ", lack,
@@ -333,14 +330,17 @@ drainSharded(const DevicePool &pool, const ServingOptions &opts,
     // hit its prefix cache): a session's shard is fixed by the
     // round-robin counter at its first trace row, and single-turn rows
     // spend counter positions the same way — so a tagless trace
-    // reduces exactly to the original `i % S` assignment. Every row
-    // passes submit()'s checks against its shard's previous row here,
-    // before any shard runs, since no shard submits.
+    // reduces exactly to the original `i % S` assignment. No shard
+    // submits, so every row meets the row contract here, against the
+    // trace's previous row, before any shard runs: a plain drain's
+    // checks, with its messages.
     std::map<std::uint64_t, std::size_t> sessionShard;
-    std::vector<double> lastArrival(S, 0.0);
+    double last_arrival = 0.0;
     std::size_t rr = 0;
     for (std::size_t i = 0; i < trace.requests.size(); ++i) {
         const TimedRequest &row = trace.requests[i];
+        checkRow(row, last_arrival, [] { return ""; });
+        last_arrival = row.arrivalMs;
         std::size_t s;
         if (row.sessionId == 0) {
             s = rr++ % S;
@@ -350,8 +350,6 @@ drainSharded(const DevicePool &pool, const ServingOptions &opts,
                 ++rr;
             s = it->second;
         }
-        checkSubmit(row, lastArrival[s]);
-        lastArrival[s] = row.arrivalMs;
         runs[s].globalIndex.push_back(i);
     }
 
@@ -364,13 +362,12 @@ drainSharded(const DevicePool &pool, const ServingOptions &opts,
     MergeStream stream(S, trace.requests.size());
     auto runShard = [&](std::size_t s) {
         ShardRun &r = runs[s];
-        ServingOptions sopts = opts;
-        sopts.roles = r.roles;
-        ServingEngine engine(r.replicas, sopts,
-                             policy ? policy() : nullptr,
-                             router ? router() : nullptr);
+        const std::unique_ptr<SchedulingPolicy> p =
+            orDefault(policy ? policy() : nullptr);
+        const std::unique_ptr<Router> rt =
+            orDefault(router ? router() : nullptr);
         ShardWriter out(stream, s, r);
-        r.report = drainRows(engine,
+        r.report = drainRows(r.replicas, r.opts, *p, *rt,
                              {trace.requests.data(), r.globalIndex.data(),
                               r.globalIndex.size(), 0},
                              out);
@@ -417,7 +414,7 @@ drainSharded(const DevicePool &pool, const ServingOptions &opts,
     // completion order is authoritative.)
     ServingReport out;
     echoOptions(out, runs[0].report.policy, runs[0].report.router, opts);
-    out.roles = roles;
+    out.roles = all.roles;
     out.shards = S;
     out.replicas.assign(R, ReplicaUtilization{});
     out.results = stream.finish();

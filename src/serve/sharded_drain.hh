@@ -13,9 +13,11 @@
  * assign *whole sessions* instead: a session's shard is fixed by the
  * same round-robin counter at its first row (a cross-shard turn could
  * never hit its prefix cache), and a tagless trace reduces exactly to
- * the per-request assignment. Every row passes ServingEngine::submit's
- * checks, with its messages, before any shard runs. Each shard then
- * runs an ordinary drain on its own event loop over its own replicas'
+ * the per-request assignment. The options get a plain engine's one
+ * check, once, on the calling thread; then every row passes
+ * ServingEngine::submit's checks against the trace's previous row, with
+ * its messages, before any shard runs. Each shard then runs an
+ * ordinary drain on its own event loop over its own replicas'
  * CompiledModels, so shards execute concurrently. Besides the merge
  * below, they share only the pool's program stores (equal replicas in
  * different shards use one): a store is mutex-guarded, and its entries
@@ -81,13 +83,19 @@ struct ShardOptions
     /** Worker threads running the shards: 0 = one per shard, 1 = run
      *  the shards serially on the calling thread (the reference
      *  execution the parallel one must match bit for bit), k = at
-     *  most k concurrent shards. Thread count never affects results. */
+     *  most k concurrent shards. Thread count never affects results.
+     *  It does affect memory: with fewer threads than shards, the
+     *  shards that run first hold all their results in the merge
+     *  stream until the later shards publish, since nothing is placed
+     *  before every unfinished shard has published past it. So 1 is
+     *  the reference for tests and traced comparisons, not a way to
+     *  save memory. */
     std::size_t threads = 0;
 };
 
-/** Fresh per-shard policy / router instances (each shard's engine owns
- *  its own — router state like the round-robin cursor is shard-local
- *  by design). A null factory means the engine default (FCFS /
+/** Fresh per-shard policy / router instances (each shard owns its own
+ *  — router state like the round-robin cursor is shard-local by
+ *  design). A null factory means the engine default (FCFS /
  *  round-robin). */
 using PolicyFactory =
     std::function<std::unique_ptr<SchedulingPolicy>()>;

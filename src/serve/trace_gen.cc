@@ -16,7 +16,7 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
-#include "serve/serving_engine.hh"
+#include "serve/drain.hh"
 
 namespace ianus::serve
 {
@@ -1128,67 +1128,37 @@ parseTrace(std::string_view text)
             IANUS_FATAL("arrival trace ends after ", i, " of ", count,
                         " requests");
         TimedRequest t;
-        std::uint64_t input = 0, output = 0;
-        std::uint64_t session = 0, turn = 0, prefix = 0;
         const char *end = line.data() + line.size();
         const char *p = parseDouble(line.data(), end, t.arrivalMs);
-        p = parseUnsigned(p, end, input);
-        p = parseUnsigned(p, end, output);
+        p = parseUnsigned(p, end, t.request.inputTokens);
+        p = parseUnsigned(p, end, t.request.outputTokens);
         if (v2) {
-            p = parseUnsigned(p, end, session);
-            p = parseUnsigned(p, end, turn);
-            p = parseUnsigned(p, end, prefix);
+            p = parseUnsigned(p, end, t.sessionId);
+            p = parseUnsigned(p, end, t.turnIndex);
+            p = parseUnsigned(p, end, t.prefixTokens);
         }
+        // Every row error names the row and quotes it.
+        const auto row = [&] {
+            return detail::fold("arrival trace row ", i, " '", line, "': ");
+        };
         if (p != end)
-            IANUS_FATAL("arrival trace row ", i, " must be 'arrival_ms "
-                        "input output",
+            IANUS_FATAL(row(), "expected 'arrival_ms input output",
                         v2 ? " session_id turn_index prefix_tokens" : "",
-                        "', got '", line, "'");
-        if (!std::isfinite(t.arrivalMs) || t.arrivalMs < 0.0)
-            IANUS_FATAL("arrival trace row ", i,
-                        " has a non-finite or negative arrival: '", line,
                         "'");
-        if (t.arrivalMs < prev)
-            IANUS_FATAL("arrival trace row ", i, " arrives at ",
-                        t.arrivalMs, " ms, before the previous row's ",
-                        prev, " ms (arrivals must be non-decreasing)");
-        if (input == 0 || output == 0)
-            IANUS_FATAL("arrival trace row ", i,
-                        " needs positive input and output token counts: "
-                        "'",
-                        line, "'");
-        if (session == 0 && (turn != 0 || prefix != 0))
-            IANUS_FATAL("arrival trace row ", i, " is single-turn "
-                        "(session 0) but carries turn ",
-                        turn, " / prefix ", prefix, ": '", line, "'");
-        if (turn == 0 && prefix != 0)
-            IANUS_FATAL("arrival trace row ", i, " opens session ",
-                        session, " (turn 0) with a non-zero prefix of ",
-                        prefix, " tokens: '", line, "'");
-        if (prefix >= input)
-            IANUS_FATAL("arrival trace row ", i, " has prefix ", prefix,
-                        " >= input ", input,
-                        " (each turn must add new prompt tokens): '",
-                        line, "'");
-        if (session != 0) {
+        checkRow(t, prev, row);
+        if (t.sessionId != 0) {
             std::uint64_t expected = 0;
-            auto it = next_turn.find(session);
+            auto it = next_turn.find(t.sessionId);
             if (it != next_turn.end())
                 expected = it->second;
-            if (turn != expected)
-                IANUS_FATAL("arrival trace row ", i, " gives session ",
-                            session, " turn ", turn, " but turn ",
-                            expected, " was expected (turns must count "
-                            "0,1,2,... in row order): '",
-                            line, "'");
-            next_turn[session] = turn + 1;
+            if (t.turnIndex != expected)
+                IANUS_FATAL(row(), "session ", t.sessionId, " gives turn ",
+                            t.turnIndex, " but turn ", expected,
+                            " was expected (turns must count 0,1,2,... "
+                            "in row order)");
+            next_turn[t.sessionId] = t.turnIndex + 1;
         }
         prev = t.arrivalMs;
-        t.request.inputTokens = input;
-        t.request.outputTokens = output;
-        t.sessionId = session;
-        t.turnIndex = turn;
-        t.prefixTokens = prefix;
         trace.requests.push_back(t);
     }
     while (nextLine(text, pos, line))

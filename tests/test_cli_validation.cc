@@ -196,6 +196,18 @@ expectEveryTurnAccounted(const std::string &args, long long turns)
     return out;
 }
 
+// The sharded banner names the partition drainSharded runs: shard s
+// owns replicas [s*R/S, (s+1)*R/S), so 4 replicas in 3 shards are 1, 1
+// and 2, not three shards of one.
+TEST(CliValidation, ShardedBannerNamesEachShardsReplicas)
+{
+    std::string out;
+    EXPECT_EQ(runCli("m 40 --replicas 4 --shards 3", out), 0) << out;
+    EXPECT_NE(out.find("sharded drain: 3 sub-clusters (1, 1, 2 replicas)"),
+              std::string::npos)
+        << out;
+}
+
 // Session drains with typed roles, the prefix cache and a KV capacity
 // used to park KV handoffs behind session pins that no reclaim could
 // drop, and lost turns (a lossy drain is fatal, exit 1). A handoff now

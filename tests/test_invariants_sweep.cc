@@ -312,7 +312,7 @@ TEST(ServingInvariantSweep, ConservationAcrossAllCombinations)
 // The same conservation laws with the KV manager on: queue and none
 // admission never lose a request, both layouts drain back to zero
 // resident tokens, and routers stay consistent while consuming the
-// kvFreeBlocks / kvPressure signals.
+// kvPressure signal.
 TEST(ServingInvariantSweep, KvCapacityPreservesConservation)
 {
     using namespace serve;

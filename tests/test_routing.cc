@@ -383,18 +383,21 @@ TEST(Routing, EngineFillsLoadSignalsAndGatesEstimates)
 
     // Estimate-blind probe: load signals filled, estimates zeroed.
     bool saw_resident = false;
+    bool saw_backlog = false;
     for (const auto &rs : run(false))
         for (const ReplicaStatus &r : rs) {
             EXPECT_EQ(r.estPrefillMs, 0.0);
             EXPECT_EQ(r.estGenMs, 0.0);
-            if (r.resident > 0) {
-                saw_resident = true;
-                // A generating resident shows KV and backlog; one
-                // still in prefill shows pending depth instead.
-                EXPECT_TRUE(r.kvTokens > 0 || r.pendingPrefill > 0);
-            }
+            EXPECT_LE(r.pendingPrefill, r.resident);
+            saw_resident |= r.resident > 0;
+            // Generating residents owe steps. Not every such status
+            // shows it: a member's last segment has already taken its
+            // backlog to 0.
+            if (r.resident > r.pendingPrefill)
+                saw_backlog |= r.backlogTokens > 0;
         }
     EXPECT_TRUE(saw_resident);
+    EXPECT_TRUE(saw_backlog);
 
     // Estimate-reading probe: positive estimates on every replica.
     auto seen = run(true);

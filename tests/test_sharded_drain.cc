@@ -13,7 +13,9 @@
  *  - the streamed merge equals an independent forward merge by
  *    (completion tick, shard), every result field, ties included,
  *    also when one shard lags far behind the others in wall-clock
- *    time, and a shard failing mid-stream reaches the caller.
+ *    time, and a shard failing mid-stream reaches the caller;
+ *  - a trace or options a plain drain rejects are fatal with its
+ *    message, before any shard runs.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <set>
@@ -711,6 +714,87 @@ TEST(ShardedDrain, WorkerFailureReachesTheCaller)
                                "has 1)"),
               std::string::npos)
         << messages[0];
+}
+
+/** What a plain engine over @p pool throws for @p opts and @p trace:
+ *  at construction, or at the submit of the first bad row. */
+std::string
+plainFatal(const DevicePool &pool, const ServingOptions &opts,
+           const ArrivalTrace &trace)
+{
+    try {
+        ServingEngine engine(pool, opts);
+        submitAll(trace, engine);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "a plain engine accepted the input";
+    return {};
+}
+
+// Rows sorted within every shard but not across the trace: a plain
+// drain rejects them at the submit, so drainSharded must too, with the
+// same message, for one thread and one per shard. (It once checked
+// each row against its own shard's previous row only, and drained
+// them into a report whose makespan ended before the last finish.) An
+// invalid option fails the same way, on the calling thread, before
+// any shard runs: no shard builds its router.
+TEST(ShardedDrain, UnsortedTraceIsFatalAsInAPlainDrain)
+{
+    DevicePool pool = makePool(workloads::gpt2("m"), 4);
+    auto arriving = [](std::initializer_list<double> arrivals) {
+        ArrivalTrace t;
+        for (double a : arrivals)
+            t.requests.push_back({{64, 8}, a});
+        return t;
+    };
+    ServingOptions plain;
+    plain.tokenStride = 4;
+    ServingOptions zeroStride = plain;
+    zeroStride.tokenStride = 0;
+    struct Case
+    {
+        std::size_t shards;
+        ServingOptions opts;
+        ArrivalTrace trace;
+        std::string rule;
+    };
+    // Three shards take rows 0 and 3, 1 and 4, 2 and 5: each pair is
+    // sorted, but 5 ms follows 20 ms in the trace.
+    const std::vector<Case> cases = {
+        {2, plain, arriving({50.0, 0.0}),
+         "request arrivals must be non-decreasing (got 0 ms after 50 ms)"},
+        {3, plain, arriving({0.0, 10.0, 20.0, 5.0, 15.0, 25.0}),
+         "request arrivals must be non-decreasing (got 5 ms after 20 ms)"},
+        {2, zeroStride, makeTrace(8), "token stride must be positive"},
+        {3, zeroStride, makeTrace(8), "token stride must be positive"},
+    };
+    for (const Case &c : cases) {
+        const std::string want = plainFatal(pool, c.opts, c.trace);
+        EXPECT_NE(want.find(c.rule), std::string::npos) << want;
+        for (std::size_t threads : {std::size_t{1}, c.shards}) {
+            const std::string cell = c.rule + " S=" +
+                                     std::to_string(c.shards) + " T=" +
+                                     std::to_string(threads);
+            ShardOptions sh;
+            sh.shards = c.shards;
+            sh.threads = threads;
+            std::atomic<std::size_t> routers{0};
+            try {
+                (void)drainSharded(pool, c.opts, c.trace, sh,
+                                   PolicyFactory{},
+                                   [&routers]() -> std::unique_ptr<Router> {
+                                       ++routers;
+                                       return std::make_unique<
+                                           RoundRobinRouter>();
+                                   });
+                ADD_FAILURE() << cell << ": no exception";
+            } catch (const std::runtime_error &e) {
+                EXPECT_EQ(e.what(), want) << cell;
+            }
+            EXPECT_EQ(routers.load(), 0u) << cell;
+        }
+    }
 }
 
 /** Round-robin routing that sleeps ~20 us per call, so its shard lags

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <map>
+#include <stdexcept>
 #include <string>
 
 #include "serve/serving_engine.hh"
@@ -295,6 +296,36 @@ TEST(TraceRoundtrip, ParseRejectsMalformedSessionColumns)
     ASSERT_EQ(ok.size(), 2u);
     EXPECT_TRUE(ok.hasSessions());
     EXPECT_EQ(ok.requests[1].prefixTokens, 72u);
+}
+
+// One row per rule of the request-row contract that submit() enforces,
+// each breaking it as the second row of a v2 file: fatal, with the row
+// named and quoted ahead of the rule.
+TEST(TraceRoundtrip, RowContractErrorsNameAndQuoteTheRow)
+{
+    const std::map<std::string, std::string> rule_of_row = {
+        {"2.5 0 8 0 0 0", "at least one input token"},
+        {"2.5 64 0 0 0 0", "at least one output token"},
+        {"nan 64 8 0 0 0", "finite non-negative time"},
+        {"0.5 64 8 0 0 0", "non-decreasing (got 0.5 ms after 1.5 ms)"},
+        {"2.5 64 8 0 1 0", "session 0) cannot carry turn 1"},
+        {"2.5 64 8 2 0 32", "turn 0 cannot carry a prefix of 32"},
+        {"2.5 64 8 1 1 64", "each turn must add new prompt tokens"},
+    };
+    for (const auto &[row, rule] : rule_of_row) {
+        const std::string text =
+            "ianus-arrival-trace v2\n2\n1.5 64 8 1 0 0\n" + row + "\n";
+        try {
+            (void)serve::parseTrace(text);
+            ADD_FAILURE() << "accepted '" << row << "'";
+        } catch (const std::runtime_error &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("arrival trace row 1 '" + row + "': "),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find(rule), std::string::npos) << what;
+        }
+    }
 }
 
 TEST(TraceRoundtrip, SessionGeneratorIsSeedDeterministicAndWellFormed)
