@@ -265,20 +265,29 @@ class ShardWriter final : public ResultSink
         res.id = run_.globalIndex[static_cast<std::size_t>(res.id)];
         res.deviceIndex += run_.replicaBase;
         res.prefillIndex += run_.replicaBase;
-        run_.lastFinish = std::max(run_.lastFinish, res.finishMs);
+        lastFinish_ = std::max(lastFinish_, res.finishMs);
         chunk_.push_back(std::move(res));
         if (chunk_.size() == stream_.chunkResults)
             stream_.publish(shard_, chunk_, false);
     }
 
     /** Publish the last results: the shard is done. */
-    void close() { stream_.publish(shard_, chunk_, true); }
+    void
+    close()
+    {
+        run_.lastFinish = lastFinish_;
+        stream_.publish(shard_, chunk_, true);
+    }
 
   private:
     MergeStream &stream_;
     const std::size_t shard_;
     ShardRun &run_;
     Chunk chunk_;
+    /** Kept here, on the worker's stack, until close(): the shards'
+     *  runs lie side by side, and a write per result there would
+     *  share a cache line with the next shard's drain inputs. */
+    double lastFinish_ = 0.0;
 };
 
 } // namespace
