@@ -1,5 +1,7 @@
 #include "serve/device_pool.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace ianus::serve
@@ -35,15 +37,22 @@ makeReplicaRole(const std::string &name)
 const char *
 missingRoleCapability(const std::vector<ReplicaRole> &roles)
 {
-    bool typed = false, prefill = false, decode = false;
+    if (!typedRoles(roles))
+        return nullptr;
+    bool prefill = false, decode = false;
     for (ReplicaRole r : roles) {
-        typed |= r != ReplicaRole::Unified;
         prefill |= r != ReplicaRole::Decode;
         decode |= r != ReplicaRole::Prefill;
     }
-    if (!typed)
-        return nullptr;
     return !prefill ? "prefill" : !decode ? "decode" : nullptr;
+}
+
+bool
+typedRoles(const std::vector<ReplicaRole> &roles)
+{
+    return std::any_of(roles.begin(), roles.end(), [](ReplicaRole r) {
+        return r != ReplicaRole::Unified;
+    });
 }
 
 DevicePool::DevicePool(const SystemConfig &sys,
@@ -73,15 +82,6 @@ DevicePool::addReplica(std::unique_ptr<CompiledModel> replica,
         }
     replicas_.push_back(std::move(replica));
     roles_.push_back(role);
-}
-
-bool
-DevicePool::disaggregated() const
-{
-    for (ReplicaRole r : roles_)
-        if (r != ReplicaRole::Unified)
-            return true;
-    return false;
 }
 
 const CompiledModel &

@@ -60,6 +60,9 @@ ReplicaRole makeReplicaRole(const std::string &name);
  *  A typed pool, and every shard of one, needs both. */
 const char *missingRoleCapability(const std::vector<ReplicaRole> &roles);
 
+/** True iff any of @p roles is typed (not Unified). */
+bool typedRoles(const std::vector<ReplicaRole> &roles);
+
 /** Pool shape: replica count and the per-replica build options. */
 struct PoolOptions
 {
@@ -101,7 +104,7 @@ class DevicePool
     const std::vector<ReplicaRole> &roles() const { return roles_; }
 
     /** True iff any replica is role-typed (non-Unified). */
-    bool disaggregated() const;
+    bool disaggregated() const { return typedRoles(roles_); }
 
   private:
     std::vector<std::unique_ptr<CompiledModel>> replicas_;

@@ -150,9 +150,7 @@ class Drain
         // Empty roles (the default) leave every replica unified; any typed
         // role runs the two-stage prefill -> KV-transfer -> decode
         // lifecycle.
-        if (std::any_of(
-                opts.roles.begin(), opts.roles.end(),
-                [](ReplicaRole r) { return r != ReplicaRole::Unified; }))
+        if (typedRoles(opts.roles))
             link_ = std::make_unique<HandoffLink>(*this, opts.roles);
         segmented_ = opts.maxBatch > 1 || opts.prefillChunk > 0 ||
                      opts.preempt || kv_ || prefix_ || link_;

@@ -737,10 +737,7 @@ ServingReport::summary() const
             100.0 * kvShedRate(), (unsigned long long)kvSpilledSegments);
         out += buf;
     }
-    bool typed = false;
-    for (ReplicaRole r : roles)
-        typed |= r != ReplicaRole::Unified;
-    if (typed) {
+    if (typedRoles(roles)) {
         std::size_t pre = 0, dec = 0, uni = 0;
         for (ReplicaRole r : roles) {
             if (r == ReplicaRole::Prefill)
@@ -839,12 +836,7 @@ checkOptions(const ServingOptions &opts, std::size_t replicas)
         if (const char *lack = missingRoleCapability(opts.roles))
             IANUS_FATAL("a disaggregated pool needs at least one ", lack,
                         "-capable (", lack, " or unified) replica");
-        const bool typed =
-            std::any_of(opts.roles.begin(), opts.roles.end(),
-                        [](ReplicaRole r) {
-                            return r != ReplicaRole::Unified;
-                        });
-        if (typed && opts.batching == BatchingMode::Static)
+        if (typedRoles(opts.roles) && opts.batching == BatchingMode::Static)
             IANUS_FATAL("disaggregated pools cannot use static "
                         "batching: a KV handoff joins a running decode "
                         "batch at a token boundary, and a sealed batch "
