@@ -8,6 +8,8 @@
 #include <exception>
 #include <sstream>
 
+#include "serve/serving_engine.hh"
+
 namespace bench
 {
 
@@ -190,6 +192,17 @@ shapeCheck(double measured, double paper, double lo, double hi)
         return "n/a";
     double r = measured / paper;
     return (r >= lo && r <= hi) ? "ok" : "DIVERGES";
+}
+
+bool
+identicalResults(const ianus::serve::ServingReport &a,
+                 const ianus::serve::ServingReport &b)
+{
+    return a.results == b.results && a.makespanMs == b.makespanMs &&
+           a.kvShed == b.kvShed && a.kvTransfers == b.kvTransfers &&
+           a.kvTransferMs == b.kvTransferMs &&
+           a.prefixHits == b.prefixHits &&
+           a.prefillTokensSaved == b.prefillTokensSaved;
 }
 
 } // namespace bench

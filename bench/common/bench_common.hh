@@ -12,6 +12,11 @@
 #include <string>
 #include <vector>
 
+namespace ianus::serve
+{
+struct ServingReport;
+}
+
 namespace bench
 {
 
@@ -65,6 +70,12 @@ double mean(const std::vector<double> &values);
 /** "shape check" verdict: measured within [lo, hi] x paper value. */
 std::string shapeCheck(double measured, double paper, double lo = 0.5,
                        double hi = 2.0);
+
+/** A serving bench's replay check: two drains of one trace agree in
+ *  every field of every result, the makespan and the report's KV,
+ *  handoff and prefix counters. */
+bool identicalResults(const ianus::serve::ServingReport &a,
+                      const ianus::serve::ServingReport &b);
 
 } // namespace bench
 

@@ -86,29 +86,6 @@ drainCell(const serve::DevicePool &pool,
 }
 
 bool
-identicalResults(const serve::ServingReport &a,
-                 const serve::ServingReport &b)
-{
-    if (a.requests() != b.requests() || a.makespanMs != b.makespanMs ||
-        a.kvTransfers != b.kvTransfers ||
-        a.kvTransferMs != b.kvTransferMs)
-        return false;
-    for (std::size_t i = 0; i < a.requests(); ++i) {
-        const serve::RequestResult &x = a.results[i];
-        const serve::RequestResult &y = b.results[i];
-        if (x.id != y.id || x.startMs != y.startMs ||
-            x.finishMs != y.finishMs ||
-            x.firstTokenMs != y.firstTokenMs ||
-            x.deviceIndex != y.deviceIndex ||
-            x.prefillIndex != y.prefillIndex ||
-            x.kvTransferMs != y.kvTransferMs ||
-            x.kvTransferTokens != y.kvTransferTokens)
-            return false;
-    }
-    return true;
-}
-
-bool
 noLeaks(const serve::ServingReport &rep, const char *cell)
 {
     for (const serve::ReplicaUtilization &u : rep.replicas)
@@ -283,7 +260,7 @@ main(int argc, char **argv)
     // --- Replay determinism --------------------------------------------
     serve::ServingReport d_again =
         drainCell(pool, disagg, trace, 0.0, "round-robin");
-    if (!identicalResults(d_win, d_again)) {
+    if (!bench::identicalResults(d_win, d_again)) {
         std::printf("FAIL: the disaggregated drain is not "
                     "deterministic across replays\n");
         ok = false;

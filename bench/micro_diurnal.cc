@@ -51,24 +51,6 @@ pct(std::vector<double> v, double p)
     return v[std::min(idx, v.size() - 1)];
 }
 
-bool
-identicalResults(const serve::ServingReport &a,
-                 const serve::ServingReport &b)
-{
-    if (a.requests() != b.requests() || a.makespanMs != b.makespanMs)
-        return false;
-    for (std::size_t i = 0; i < a.requests(); ++i) {
-        const serve::RequestResult &x = a.results[i];
-        const serve::RequestResult &y = b.results[i];
-        if (x.id != y.id || x.startMs != y.startMs ||
-            x.finishMs != y.finishMs ||
-            x.firstTokenMs != y.firstTokenMs ||
-            x.deviceIndex != y.deviceIndex)
-            return false;
-    }
-    return true;
-}
-
 } // namespace
 
 int
@@ -182,7 +164,7 @@ main(int argc, char **argv)
     }
 
     serve::ServingReport again = drainOnce();
-    if (!identicalResults(rep, again)) {
+    if (!bench::identicalResults(rep, again)) {
         std::printf("FAIL: the diurnal drain is not deterministic "
                     "across replays\n");
         ok = false;

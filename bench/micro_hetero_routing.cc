@@ -76,19 +76,6 @@ meanLatencyMs(const ianus::serve::ServingReport &rep)
                : sum / static_cast<double>(rep.results.size());
 }
 
-/** SLO-goodput: tokens/s of makespan from deadline-met requests. */
-double
-goodputTokensPerSec(const ianus::serve::ServingReport &rep)
-{
-    std::uint64_t tokens = 0;
-    for (const auto &r : rep.results)
-        if (!r.deadlineMiss)
-            tokens += r.request.outputTokens;
-    return rep.makespanMs > 0.0
-               ? static_cast<double>(tokens) / (rep.makespanMs / 1000.0)
-               : 0.0;
-}
-
 /** Build one of the three pools by name. */
 ianus::serve::DevicePool
 makePool(const std::string &name, const ianus::workloads::ModelConfig &m)
@@ -198,7 +185,7 @@ main(int argc, char **argv)
                 ok = false;
             }
 
-            double good = goodputTokensPerSec(rep);
+            double good = rep.sloGoodputTokensPerSec();
             double mean = meanLatencyMs(rep);
             std::vector<double> lat = rep.latencyPercentiles({50, 99});
             if (router == "least-loaded") {

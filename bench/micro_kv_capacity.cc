@@ -89,25 +89,6 @@ kvCell(std::uint64_t capacity, serve::KvAdmission admission,
     return kv;
 }
 
-bool
-identicalResults(const serve::ServingReport &a,
-                 const serve::ServingReport &b)
-{
-    if (a.requests() != b.requests() || a.makespanMs != b.makespanMs ||
-        a.kvShed != b.kvShed)
-        return false;
-    for (std::size_t i = 0; i < a.requests(); ++i) {
-        const serve::RequestResult &x = a.results[i];
-        const serve::RequestResult &y = b.results[i];
-        if (x.id != y.id || x.startMs != y.startMs ||
-            x.finishMs != y.finishMs ||
-            x.firstTokenMs != y.firstTokenMs ||
-            x.msPerToken != y.msPerToken || x.serviceMs != y.serviceMs)
-            return false;
-    }
-    return true;
-}
-
 } // namespace
 
 int
@@ -185,7 +166,7 @@ main(int argc, char **argv)
         }
         if (name == "queue") {
             serve::ServingReport rep2 = drainWithKv(trace, cell.kv);
-            if (!identicalResults(rep, rep2)) {
+            if (!bench::identicalResults(rep, rep2)) {
                 std::printf("FAIL: queue-admission drain is not "
                             "deterministic across replays\n");
                 ok = false;

@@ -92,25 +92,6 @@ drainPreempt(const serve::CompiledModel &model,
     return engine.drain();
 }
 
-bool
-identicalResults(const serve::ServingReport &a,
-                 const serve::ServingReport &b)
-{
-    if (a.requests() != b.requests() || a.makespanMs != b.makespanMs)
-        return false;
-    for (std::size_t i = 0; i < a.requests(); ++i) {
-        const serve::RequestResult &x = a.results[i];
-        const serve::RequestResult &y = b.results[i];
-        if (x.id != y.id || x.startMs != y.startMs ||
-            x.finishMs != y.finishMs || x.firstTokenMs != y.firstTokenMs ||
-            x.msPerToken != y.msPerToken || x.serviceMs != y.serviceMs ||
-            x.preemptions != y.preemptions ||
-            x.suspendedMs != y.suspendedMs)
-            return false;
-    }
-    return true;
-}
-
 } // namespace
 
 int
@@ -214,7 +195,7 @@ main(int argc, char **argv)
             serve::CompiledModel m2(cfg, model);
             serve::ServingReport rep2 =
                 drainPreempt(m2, trace, "edf", true, slo);
-            if (!identicalResults(rep, rep2)) {
+            if (!bench::identicalResults(rep, rep2)) {
                 std::printf("FAIL: preemption drain is not "
                             "deterministic across replays\n");
                 ok = false;
@@ -233,7 +214,7 @@ main(int argc, char **argv)
             drainPreempt(a, trace, "fcfs", false, slo);
         serve::ServingReport on =
             drainPreempt(b, trace, "fcfs", true, slo);
-        if (!identicalResults(off, on) || on.preemptions() != 0) {
+        if (!bench::identicalResults(off, on) || on.preemptions() != 0) {
             std::printf("FAIL: FCFS with preempt=true diverged from "
                         "preempt=false (%llu evictions)\n",
                         (unsigned long long)on.preemptions());

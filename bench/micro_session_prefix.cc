@@ -91,27 +91,6 @@ drainCell(const serve::DevicePool &pool,
     return cell;
 }
 
-bool
-identicalResults(const serve::ServingReport &a,
-                 const serve::ServingReport &b)
-{
-    if (a.requests() != b.requests() ||
-        a.makespanMs != b.makespanMs || a.prefixHits != b.prefixHits ||
-        a.prefillTokensSaved != b.prefillTokensSaved)
-        return false;
-    for (std::size_t i = 0; i < a.requests(); ++i) {
-        const serve::RequestResult &x = a.results[i];
-        const serve::RequestResult &y = b.results[i];
-        if (x.id != y.id || x.startMs != y.startMs ||
-            x.finishMs != y.finishMs ||
-            x.firstTokenMs != y.firstTokenMs ||
-            x.prefilledTokens != y.prefilledTokens ||
-            x.prefixHit != y.prefixHit)
-            return false;
-    }
-    return true;
-}
-
 } // namespace
 
 int
@@ -186,7 +165,7 @@ main(int argc, char **argv)
             hits_sticky = rep.prefixHits;
             serve::ServingReport rep2 =
                 drainCell(pool, trace, cell.cache, cell.router).report;
-            if (!identicalResults(rep, rep2)) {
+            if (!bench::identicalResults(rep, rep2)) {
                 std::printf("FAIL: sticky+cache drain is not "
                             "deterministic across replays\n");
                 ok = false;

@@ -23,22 +23,16 @@ CompiledModel::CompiledModel(const SystemConfig &sys,
 std::size_t
 CompiledModel::cachedPrograms() const
 {
-    return front_.summarization.size() + front_.generation.size() +
-           front_.batch.size() + front_.chunk.size();
+    std::lock_guard<std::mutex> lock(store_->mutex);
+    return store_->summarization.size() + store_->generation.size() +
+           store_->batch.size() + store_->chunk.size();
 }
 
-void
-CompiledModel::clearCache() const
+std::vector<std::vector<std::uint64_t>>
+CompiledModel::batchedKeys() const
 {
-    {
-        std::lock_guard<std::mutex> lock(store_->mutex);
-        store_->caches = Caches{};
-    }
-    front_ = Caches{};
-    summarizationIndex_ = FrontIndex{};
-    generationIndex_ = FrontIndex{};
-    requests_.clear();
-    cache_ = CacheStats{};
+    std::lock_guard<std::mutex> lock(store_->mutex);
+    return store_->batch.keys();
 }
 
 void
@@ -77,35 +71,26 @@ CompiledModel::execute(const Build &build) const
 
 template <class Key, class Build>
 const RunStats &
-CompiledModel::cached(Table<Key> Caches::*table, const Key &key,
+CompiledModel::cached(Table<Key> Store::*table, const Key &key,
                       std::uint64_t &hits, std::uint64_t &builds,
                       const Build &build) const
 {
-    Table<Key> &front = front_.*table;
-    if (const RunStats *stats = front.find(key)) {
+    Table<Key> &shared = (*store_).*table;
+    if (const RunStats *entry = shared.find(key)) {
         ++hits;
-        return *stats;
+        return *entry;
     }
-    // Build under the lock, so that a pool builds each key once even
-    // when shards on several threads miss it together.
-    std::lock_guard<std::mutex> lock(store_->mutex);
-    Table<Key> &shared = store_->caches.*table;
-    const RunStats *entry = shared.find(key);
-    if (entry) {
-        ++hits;
-    } else {
-        shared.insert(key, execute(build));
-        entry = shared.find(key);
-        ++builds;
-    }
-    front.insert(key, *entry);
-    return *front.find(key);
+    // Only the batched table is bounded, so only it evicts.
+    if (shared.insert(key, execute(build)))
+        ++cache_.batchEvictions;
+    ++builds;
+    return *shared.find(key);
 }
 
 template <class Build>
 const RunStats &
 CompiledModel::indexed(FrontIndex &index,
-                       Table<std::uint64_t> Caches::*table,
+                       Table<std::uint64_t> Store::*table,
                        std::uint64_t tokens, std::uint64_t &hits,
                        std::uint64_t &builds, const Build &build) const
 {
@@ -113,6 +98,7 @@ CompiledModel::indexed(FrontIndex &index,
         ++hits;
         return *stats;
     }
+    std::lock_guard<std::mutex> lock(store_->mutex);
     const RunStats &stats = cached(table, tokens, hits, builds, build);
     index.add(tokens, stats);
     return stats;
@@ -121,7 +107,7 @@ CompiledModel::indexed(FrontIndex &index,
 const RunStats &
 CompiledModel::summarization(std::uint64_t input_tokens) const
 {
-    return indexed(summarizationIndex_, &Caches::summarization,
+    return indexed(summarizationIndex_, &Store::summarization,
                    input_tokens, cache_.summarizationHits,
                    cache_.summarizationBuilds,
                    [&](std::uint64_t blocks, isa::Program storage) {
@@ -134,7 +120,7 @@ CompiledModel::summarization(std::uint64_t input_tokens) const
 const RunStats &
 CompiledModel::generation(std::uint64_t kv_len) const
 {
-    return indexed(generationIndex_, &Caches::generation, kv_len,
+    return indexed(generationIndex_, &Store::generation, kv_len,
                    cache_.generationHits, cache_.generationBuilds,
                    [&](std::uint64_t blocks, isa::Program storage) {
                        return builder_.buildGenerationBatch(
@@ -162,7 +148,8 @@ CompiledModel::prefillChunkStats(std::uint64_t prior_tokens,
     if (prior_tokens == 0 && last_chunk)
         return summarization(chunk_tokens);
 
-    return cached(&Caches::chunk,
+    std::lock_guard<std::mutex> lock(store_->mutex);
+    return cached(&Store::chunk,
                   ChunkKey(prior_tokens, chunk_tokens, last_chunk),
                   cache_.chunkHits, cache_.chunkBuilds,
                   [&](std::uint64_t blocks, isa::Program storage) {
@@ -188,18 +175,17 @@ CompiledModel::generationStepStats(
         return generation(kv_lens.front());
 
     std::sort(kv_lens.begin(), kv_lens.end());
-    // Copied out at once: the front evicts its oldest entry beyond the
-    // cap. Eviction is deterministic, and a re-miss just recomputes the
-    // same pure function (or finds it in the store).
-    const RunStats stats =
-        cached(&Caches::batch, kv_lens, cache_.batchHits,
-               cache_.batchBuilds,
-               [&](std::uint64_t blocks, isa::Program storage) {
-                   return builder_.buildGenerationBatch(
-                       kv_lens, blocks, std::move(storage));
-               });
-    cache_.batchEvictions = front_.batch.evictions();
-    return stats;
+    // Copied into the return value before the lock is released: the
+    // store evicts its oldest batched entry beyond the cap, on any
+    // replica's insert. An evicted entry is a pure function of its key,
+    // so a re-miss just recomputes the same bits.
+    std::lock_guard<std::mutex> lock(store_->mutex);
+    return cached(&Store::batch, kv_lens, cache_.batchHits,
+                  cache_.batchBuilds,
+                  [&](std::uint64_t blocks, isa::Program storage) {
+                      return builder_.buildGenerationBatch(
+                          kv_lens, blocks, std::move(storage));
+                  });
 }
 
 double

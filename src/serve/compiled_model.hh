@@ -39,9 +39,11 @@
  * Equal triples build equal programs, so a DevicePool lets its equal
  * replicas share one mutex-guarded store of summarization, chunk,
  * generation and batched-step stats, and each key is built once per
- * pool. Every replica keeps its own unlocked copy of the entries it has
- * served in front of that store: only a first lookup on a replica takes
- * the lock. A standalone CompiledModel's store is private. The request
+ * pool. The store holds the pool's only copy of each entry, and a
+ * lookup takes its lock, except a summarization or generation entry
+ * the replica has served before: the token-count index points straight
+ * into the store, whose scalar tables never move, evict or clear an
+ * entry. A standalone CompiledModel's store is private. The request
  * memo stays per replica. Every miss builds and runs under the store's
  * lock, into the storage of the store's previous program, so a miss
  * allocates no program once that storage fits.
@@ -69,9 +71,9 @@ namespace ianus::serve
 
 /**
  * Cache accounting of one replica (bench/test introspection). A lookup
- * that this replica has not served before but its pool's shared store
- * has counts as a hit; only a program actually executed counts as a
- * build, so builds summed over a pool equal its distinct programs. A
+ * that its pool's shared store answers counts as a hit, whichever
+ * replica built the entry; only a program actually executed counts as
+ * a build, so builds summed over a pool equal its distinct programs. A
  * run() answered by the request memo counts one request hit and looks
  * up no program, so the per-program counters count only the lookups
  * actually made.
@@ -84,7 +86,9 @@ struct CacheStats
     std::uint64_t generationHits = 0;
     std::uint64_t batchBuilds = 0; ///< batched steps (>= 2 requests)
     std::uint64_t batchHits = 0;
-    std::uint64_t batchEvictions = 0; ///< FIFO-evicted batched entries
+    /** Batched entries the store's FIFO evicted to make room for this
+     *  replica's inserts. */
+    std::uint64_t batchEvictions = 0;
     std::uint64_t chunkBuilds = 0; ///< resumed prefill chunks (prior > 0)
     std::uint64_t chunkHits = 0;
     std::uint64_t requestHits = 0; ///< run() calls the memo answered
@@ -145,7 +149,6 @@ template <class Key, class Value> class FifoMap
         node.mapped() = value;
         order_[oldest_] = map_.insert(std::move(node)).position;
         oldest_ = (oldest_ + 1) % capacity_;
-        ++evictions_;
         return true;
     }
 
@@ -162,18 +165,6 @@ template <class Key, class Value> class FifoMap
         return out;
     }
 
-    /** Entries evicted since construction or the last clear(). */
-    std::uint64_t evictions() const { return evictions_; }
-
-    void
-    clear()
-    {
-        map_.clear();
-        order_.clear();
-        oldest_ = 0;
-        evictions_ = 0;
-    }
-
   private:
     using Map = std::map<Key, Value>;
 
@@ -182,7 +173,6 @@ template <class Key, class Value> class FifoMap
     /** Entries in insertion order, a ring once full. */
     std::vector<typename Map::iterator> order_;
     std::size_t oldest_ = 0;
-    std::uint64_t evictions_ = 0;
 };
 
 /** Why no model can serve @p request, or null when it can: the one
@@ -230,7 +220,9 @@ class CompiledModel
 
     /**
      * Executed statistics of the summarization (prefill) stage over
-     * @p input_tokens, from the same cache run() uses.
+     * @p input_tokens, from the same cache run() uses. The entry lives
+     * in this replica's store, which DevicePool::addReplica may swap
+     * for an equal replica's.
      */
     const RunStats &summarizationStats(std::uint64_t input_tokens) const;
 
@@ -259,11 +251,12 @@ class CompiledModel
      * of @p kv_lens is one request's current KV length and the step
      * emits one token per request. The entry is memoized under the
      * sorted KV-length multiset — request order never changes the cost
-     * — in bounded FIFO caches, the replica's own in front of the
-     * pool's shared one (a replica's keys rarely recur within a drain,
-     * since every member's KV length advances each step, but equal
-     * replicas serving one batch mix meet the same multisets).
-     * Returned by value: an entry may be evicted at any later call.
+     * — in the pool's store, a FIFO bounded to maxBatchEntries (a
+     * replica's keys rarely recur within a drain, since every member's
+     * KV length advances each step, but equal replicas serving one
+     * batch mix meet the same multisets). Returned by value, copied
+     * under the store's lock: another replica's insert may evict the
+     * entry as soon as that lock is released.
      *
      * A batch of one resolves to the scalar generation-step entry that
      * run() uses, so batch-1 numbers equal the unbatched path bit for
@@ -271,9 +264,9 @@ class CompiledModel
      */
     RunStats generationStepStats(std::vector<std::uint64_t> kv_lens) const;
 
-    /** Most batched-step entries retained, by each replica and by the
-     *  pool's store (FIFO eviction; safe because entries are pure
-     *  recomputable functions of the key). */
+    /** Most batched-step entries the pool's store retains (FIFO
+     *  eviction; safe because entries are pure recomputable functions
+     *  of the key). */
     static constexpr std::size_t maxBatchEntries = 1024;
 
     // --- Routing estimates --------------------------------------------------
@@ -325,25 +318,16 @@ class CompiledModel
 
     const CacheStats &cacheStats() const { return cache_; }
 
-    /** Cached entry count of this replica: one per distinct program it
-     *  has served (summarization, chunk, generation and batched-step
-     *  stats), whether it built the entry or its pool's store did. The
-     *  request memo holds no programs and is not counted. */
+    /** Cached entry count of the store this replica reads: one per
+     *  distinct program that it or an equal replica of its pool has
+     *  served (summarization, chunk, generation and batched-step
+     *  stats). The request memo holds no programs and is not
+     *  counted. */
     std::size_t cachedPrograms() const;
 
-    /** The sorted KV-length multiset of every batched-step entry this
-     *  replica holds (test introspection). */
-    std::vector<std::vector<std::uint64_t>>
-    batchedKeys() const
-    {
-        return front_.batch.keys();
-    }
-
-    /** Drop all memoized statistics, the request memo and this
-     *  replica's accounting. A store shared with a pool's equal
-     *  replicas is emptied too; their own entries and accounting
-     *  stay. */
-    void clearCache() const;
+    /** The sorted KV-length multiset of every batched-step entry in the
+     *  store this replica reads (test introspection). */
+    std::vector<std::vector<std::uint64_t>> batchedKeys() const;
 
   private:
     friend class DevicePool;
@@ -354,10 +338,12 @@ class CompiledModel
 
     template <class Key> using Table = FifoMap<Key, RunStats>;
 
-    // The device model is deterministic, so memoizing a program's stats
-    // makes a replayed request nearly free.
-    struct Caches
+    /** The entries every replica of one triple in a pool shares. The
+     *  device model is deterministic, so memoizing a program's stats
+     *  makes a replayed request nearly free. */
+    struct Store
     {
+        std::mutex mutex; ///< guards the tables and spare
         Table<std::uint64_t> summarization;
         Table<std::uint64_t> generation;
         // Resumed prefill chunks, keyed by (prior, chunk, has LM head).
@@ -373,26 +359,28 @@ class CompiledModel
         // segments share trapezoid endpoints, and equal replicas meet
         // the same multisets — while capping memory.
         Table<std::vector<std::uint64_t>> batch{maxBatchEntries};
-    };
-
-    /** The entries every replica of one triple in a pool shares. */
-    struct Store
-    {
-        std::mutex mutex; ///< guards caches and spare
-        Caches caches;
         /** The last program a miss ran, kept for its storage. */
         isa::Program spare;
     };
 
-    /** Use @p peer's store from now on (DevicePool, equal triples). */
-    void shareStore(const CompiledModel &peer) { store_ = peer.store_; }
+    /** Use @p peer's store from now on (DevicePool, equal triples). The
+     *  indexes pointed into the old store, so they start over. */
+    void
+    shareStore(const CompiledModel &peer)
+    {
+        store_ = peer.store_;
+        summarizationIndex_ = FrontIndex{};
+        generationIndex_ = FrontIndex{};
+    }
 
     /**
-     * A dense index by token count into one front table, so that a
-     * front hit on a summarization or generation entry is one array
-     * read. It points into this replica's own front and never into the
-     * store, which another replica's clearCache() may empty. Token
-     * counts from maxIndexedTokens on stay unindexed.
+     * A dense index by token count into the store's summarization or
+     * generation table, so that a hit on an entry this replica has
+     * served before is one array read, without the lock. Those tables
+     * are unbounded and never cleared, and a map entry never moves, so
+     * a pointer stays valid as long as the store; the entry was written
+     * before this replica found it under the lock, and is never written
+     * again. Token counts from maxIndexedTokens on stay unindexed.
      */
     struct FrontIndex
     {
@@ -409,19 +397,23 @@ class CompiledModel
         void add(std::uint64_t tokens, const RunStats &stats);
     };
 
-    /** The entry of @p key in @p table: from this replica's front, else
-     *  from the store under its lock, executing @p build on a store
-     *  miss; counts a hit or a build in @p hits / @p builds. The entry
-     *  stays valid until the front table evicts it. */
+    /** The entry of @p key in the store's @p table, executing @p build
+     *  on a miss; counts a hit or a build in @p hits / @p builds, and
+     *  in batchEvictions an entry the insert evicted. The caller holds
+     *  the store's lock, so a pool builds each key once even when
+     *  shards on several threads miss it together. An entry of an
+     *  unbounded table stays valid as long as the store; a batched
+     *  entry only while the lock is held. */
     template <class Key, class Build>
-    const RunStats &cached(Table<Key> Caches::*table, const Key &key,
+    const RunStats &cached(Table<Key> Store::*table, const Key &key,
                            std::uint64_t &hits, std::uint64_t &builds,
                            const Build &build) const;
 
-    /** cached() for a table keyed by token count, through @p index. */
+    /** cached() for a table keyed by token count: through @p index,
+     *  else under the store's lock. */
     template <class Build>
     const RunStats &indexed(FrontIndex &index,
-                            Table<std::uint64_t> Caches::*table,
+                            Table<std::uint64_t> Store::*table,
                             std::uint64_t tokens, std::uint64_t &hits,
                             std::uint64_t &builds,
                             const Build &build) const;
@@ -443,14 +435,13 @@ class CompiledModel
     compiler::BuildOptions opts_;
     compiler::WorkloadBuilder builder_;
 
-    // This replica's copies of the store entries it has served: read
-    // without a lock, since a replica is driven by one thread at a time.
-    mutable Caches front_;
+    std::shared_ptr<Store> store_;
+    // This replica's indexes into the store, read without a lock, since
+    // a replica is driven by one thread at a time.
     mutable FrontIndex summarizationIndex_;
     mutable FrontIndex generationIndex_;
-    std::shared_ptr<Store> store_;
     // run()'s whole-request memo, per replica and unlocked like the
-    // front.
+    // indexes.
     mutable FifoMap<RequestKey, InferenceReport> requests_{
         maxRequestEntries};
     mutable CacheStats cache_;

@@ -902,15 +902,8 @@ class Drain
     QueuedRequest
     queued(std::size_t k) const
     {
-        const TimedRequest &row = rows_[k];
-        QueuedRequest q;
+        QueuedRequest q{rows_[k]};
         q.id = rows_.firstId + k;
-        q.request = row.request;
-        q.arrivalMs = row.arrivalMs;
-        q.sessionId = row.sessionId;
-        q.turnIndex = row.turnIndex;
-        q.prefixTokens = row.prefixTokens;
-        q.source = row.source;
         return q;
     }
 

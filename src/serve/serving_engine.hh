@@ -96,41 +96,33 @@ struct TimedRequest
     std::uint32_t source = 0;
 };
 
-/** One request waiting to dispatch in a drain, as the scheduling
- *  policy and the router see it. */
-struct QueuedRequest
+/**
+ * One request waiting to dispatch in a drain, as the scheduling policy
+ * and the router see it: its trace row (request, arrival on the
+ * serving clock, session tags, source tag) plus the fields the engine
+ * manages.
+ *
+ * The session tags, the source tag and the resume fields are
+ * off-limits to policy urgency keys. A policy MUST NOT fold progress
+ * into its urgency key, which the urgency contract requires to be
+ * static; progress-dependent keys reopen the evict/resume ping-pong the
+ * static-key argument rules out. The engine itself treats the source
+ * tag as opaque — scheduling, routing, and batching never read it, so
+ * tagging a drain changes no timing bit; mixed drains tag interactive
+ * vs batch traffic so the report can slice per source (see
+ * ServingReport::sourceSlices).
+ */
+struct QueuedRequest : TimedRequest
 {
     std::uint64_t id = 0;
-    workloads::InferenceRequest request{};
-    double arrivalMs = 0.0; ///< arrival time on the serving clock
 
     // --- Preemption resume state (engine-managed) -----------------------
     /** True for a request re-queued by an eviction: its KV cache is
      *  retained on replica boundReplica, so a re-dispatch skips the
      *  prefill and must land on that replica (affinity overrides the
-     *  router). A policy MUST NOT fold progress into its urgency key,
-     *  which the urgency contract requires to be static;
-     *  progress-dependent keys reopen the evict/resume ping-pong the
-     *  static-key argument rules out. */
+     *  router). */
     bool resumed = false;
     std::size_t boundReplica = 0;
-
-    // --- Multi-turn session tags (engine-managed) -----------------------
-    /** Session this request is one turn of; 0 = single-turn (the
-     *  sentinel every pre-session trace carries). Like the resume
-     *  fields, session tags are off-limits to policy urgency keys. */
-    std::uint64_t sessionId = 0;
-    std::uint64_t turnIndex = 0;    ///< 0-based turn within the session
-    std::uint64_t prefixTokens = 0; ///< shared-prefix tokens of the input
-
-    /** Traffic source this request belongs to (0 = untagged, the
-     *  default every pre-mixed-drain submit carries). Mixed drains tag
-     *  interactive vs batch traffic so the report can slice per source
-     *  (see ServingReport::sourceSlices); the engine itself treats the
-     *  tag as opaque — scheduling, routing, and batching never read it,
-     *  so tagging a drain changes no timing bit. Off-limits to policy
-     *  urgency keys like the session tags above. */
-    std::uint32_t source = 0;
 
     /** Filled by the engine right before routing: the replica whose
      *  prefix cache still holds this session's prior-turn KV, or
@@ -609,6 +601,9 @@ struct RequestResult
 
     /** End-to-end latency as the client sees it (queue + service). */
     double totalMs() const { return finishMs - arrivalMs; }
+
+    /** Every field compares equal (replay checks). */
+    bool operator==(const RequestResult &) const = default;
 };
 
 /** Per-replica accounting over one drain(). */

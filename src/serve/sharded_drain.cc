@@ -469,7 +469,7 @@ drainSharded(const DevicePool &pool, const ServingOptions &opts,
     return drainSharded(
         pool, opts, trace, shard,
         [&policy] { return makePolicy(policy); },
-        [&router] { return makeRouter(router); });
+        [&router, &opts] { return makeRouter(router, opts.sloMsPerToken); });
 }
 
 } // namespace ianus::serve

@@ -113,7 +113,9 @@ ServingReport drainSharded(const DevicePool &pool,
                            const RouterFactory &router = {});
 
 /** Name-based convenience: policies/routers by makePolicy/makeRouter
- *  names, one fresh instance per shard. */
+ *  names, one fresh instance per shard. A "slo-budget" router budgets
+ *  with @p opts.sloMsPerToken, the SLO the report's deadline misses
+ *  use. */
 ServingReport drainSharded(const DevicePool &pool,
                            const ServingOptions &opts,
                            const ArrivalTrace &trace,

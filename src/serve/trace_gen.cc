@@ -466,14 +466,18 @@ importRequestLog(std::string_view csv)
 
         auto count = [](const std::string &field, std::uint64_t &out) {
             const char *end = field.data() + field.size();
-            return parseUnsigned(field.data(), end, out) == end && out > 0;
+            return parseUnsigned(field.data(), end, out) == end;
         };
         if (!count(fields[inCol], r.input))
-            IANUS_FATAL("request log row ", rowNo, " needs a positive "
-                        "prompt token count, got '", fields[inCol], "'");
+            IANUS_FATAL("request log row ", rowNo, " needs an unsigned "
+                        "decimal prompt token count, got '", fields[inCol],
+                        "'");
         if (!count(fields[outCol], r.output))
-            IANUS_FATAL("request log row ", rowNo, " needs a positive "
-                        "output token count, got '", fields[outCol], "'");
+            IANUS_FATAL("request log row ", rowNo, " needs an unsigned "
+                        "decimal output token count, got '", fields[outCol],
+                        "'");
+        if (const char *why = shapeError({r.input, r.output}))
+            IANUS_FATAL("request log row ", rowNo, ": ", why);
 
         if (sessCol != npos && !fields[sessCol].empty()) {
             // Dense ids in first-appearance order: the mapping is a

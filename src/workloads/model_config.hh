@@ -73,6 +73,8 @@ struct InferenceRequest
 {
     std::uint64_t inputTokens = 128;
     std::uint64_t outputTokens = 1;
+
+    bool operator==(const InferenceRequest &) const = default;
 };
 
 /** GPT-2 configs: "m", "l", "xl", "2.5b". */

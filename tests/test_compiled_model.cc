@@ -95,18 +95,6 @@ TEST(CompiledModel, OverlappingRequestsShareGenerationPrograms)
     EXPECT_EQ(compiled.cacheStats().builds(), builds + 4);
 }
 
-TEST(CompiledModel, ClearCacheResetsAccounting)
-{
-    serve::CompiledModel compiled(SystemConfig::ianusDefault(), m);
-    compiled.run({64, 4});
-    EXPECT_GT(compiled.cachedPrograms(), 0u);
-    compiled.clearCache();
-    EXPECT_EQ(compiled.cachedPrograms(), 0u);
-    EXPECT_EQ(compiled.cacheStats().builds(), 0u);
-    compiled.run({64, 4});
-    EXPECT_EQ(compiled.cacheStats().hits(), 0u);
-}
-
 TEST(CompiledModel, EncoderHasNoGenerationPrograms)
 {
     serve::CompiledModel compiled(SystemConfig::ianusDefault(),
@@ -279,12 +267,6 @@ TEST(FifoMap, EvictsTheOldestEntryFirst)
     EXPECT_EQ(fifo.find(3), nullptr);
     EXPECT_EQ(*fifo.find(5), "five");
     EXPECT_EQ(*fifo.find(6), "six");
-
-    fifo.clear();
-    EXPECT_EQ(fifo.size(), 0u);
-    EXPECT_EQ(fifo.find(6), nullptr);
-    EXPECT_FALSE(fifo.insert(6, "again"));
-    EXPECT_EQ(*fifo.find(6), "again");
 }
 
 TEST(CompiledModel, ConstructorValidatesSystemConfig)

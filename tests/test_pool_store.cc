@@ -13,7 +13,6 @@
 
 #include <cstring>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -82,7 +81,9 @@ poolBuilds(const DevicePool &pool)
 
 /** Replica @p i of @p pool serves what a standalone twin of its
  *  triple serves, field for field and bit for bit, with the same
- *  number of lookups and cached entries. */
+ *  number of lookups. Every replica probes the same keys, so its store
+ *  holds each probed program once, as the twin's does, however many
+ *  replicas share it. */
 void
 expectMatchesStandaloneTwin(const DevicePool &pool, std::size_t i,
                             const std::string &cell)
@@ -107,7 +108,8 @@ expectMatchesStandaloneTwin(const DevicePool &pool, std::size_t i,
         << cell;
     EXPECT_EQ(a.batchBuilds + a.batchHits, b.batchBuilds + b.batchHits)
         << cell;
-    EXPECT_EQ(r.cachedPrograms(), twin.cachedPrograms()) << cell;
+    EXPECT_EQ(r.cachedPrograms(), kScalarKeys + 1) << cell;
+    EXPECT_EQ(twin.cachedPrograms(), kScalarKeys + 1) << cell;
 }
 
 TEST(PoolStore, EqualReplicasBuildEachProgramOnce)
@@ -231,58 +233,6 @@ TEST(PoolStore, EqualityCoversNestedParameters)
     EXPECT_EQ(pool.replica(1).cacheStats().summarizationBuilds, 1u);
 }
 
-TEST(PoolStore, ClearCacheDropsTheSharedStore)
-{
-    PoolOptions opts;
-    opts.replicas = 3;
-    DevicePool pool(SystemConfig::ianusDefault(), workloads::gpt2("m"),
-                    opts);
-    const workloads::InferenceRequest req{64, 4};
-    (void)pool.replica(0).run(req);
-    (void)pool.replica(1).run(req);
-    EXPECT_EQ(pool.replica(1).cacheStats().builds(), 0u);
-    const std::uint64_t builds = pool.replica(0).cacheStats().builds();
-    ASSERT_GT(builds, 0u);
-
-    pool.replica(0).clearCache();
-    EXPECT_EQ(pool.replica(0).cachedPrograms(), 0u);
-    EXPECT_EQ(pool.replica(0).cacheStats().builds(), 0u);
-    // Replica 1 keeps its own entries and accounting ...
-    EXPECT_GT(pool.replica(1).cachedPrograms(), 0u);
-    (void)pool.replica(1).run(req);
-    EXPECT_EQ(pool.replica(1).cacheStats().builds(), 0u);
-    // ... but the store is empty: a replica that never served the
-    // request builds it all again.
-    (void)pool.replica(2).run(req);
-    EXPECT_EQ(pool.replica(2).cacheStats().builds(), builds);
-}
-
-TEST(PoolStore, ClearingTheStoreKeepsAnotherReplicasFrontValid)
-{
-    PoolOptions opts;
-    opts.replicas = 2;
-    DevicePool pool(SystemConfig::ianusDefault(), workloads::gpt2("m"),
-                    opts);
-    (void)pool.replica(0).run({64, 8});
-    (void)pool.replica(1).run({64, 8}); // copies the store's entries
-    pool.replica(0).clearCache();       // and empties the store
-    (void)pool.replica(0).run({32, 40}); // which refills freed memory
-
-    // A new shape over the same samples misses replica 1's request
-    // memo and finds every entry in its own front, by token count.
-    const CompiledModel &r = pool.replica(1);
-    const std::uint64_t builds = r.cacheStats().builds();
-    const workloads::InferenceRequest req{64, 5};
-    const InferenceReport got = r.run(req);
-    EXPECT_EQ(r.cacheStats().builds(), builds);
-    EXPECT_EQ(r.cacheStats().summarizationHits, 2u);
-    EXPECT_EQ(r.cacheStats().generationHits, 7u + 4u);
-    CompiledModel twin(r.config(), r.model(), r.options());
-    const InferenceReport want = twin.run(req);
-    EXPECT_TRUE(sameBits(got.summarization, want.summarization));
-    EXPECT_TRUE(sameBits(got.generation, want.generation));
-}
-
 TEST(PoolStore, ThreadedShardedDrainBuildsEachKeyOnce)
 {
     TraceOptions topts;
@@ -381,32 +331,51 @@ TEST(PoolStore, ContinuousBatchingBuildsEachMultisetOncePerPool)
     popts.replicas = 4;
     DevicePool pool(SystemConfig::ianusDefault(), workloads::gpt2("m"),
                     popts);
-    ServingEngine engine(pool, opts, makePolicy("fcfs"),
+    // The same drain over four standalone models, a private store each.
+    std::vector<std::unique_ptr<CompiledModel>> alone;
+    std::vector<const CompiledModel *> view;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+        alone.push_back(std::make_unique<CompiledModel>(
+            SystemConfig::ianusDefault(), workloads::gpt2("m")));
+        view.push_back(alone.back().get());
+    }
+    ServingEngine shared(pool, opts, makePolicy("fcfs"),
                          makeRouter("queue-depth"));
-    submitAll(trace, engine);
-    (void)engine.drain();
+    ServingEngine apart(view, opts, makePolicy("fcfs"),
+                        makeRouter("queue-depth"));
+    submitAll(trace, shared);
+    submitAll(trace, apart);
+    const ServingReport a = shared.drain();
+    const ServingReport b = apart.drain();
+    EXPECT_TRUE(a.results == b.results);
+    EXPECT_TRUE(sameBits(a.aggregate, b.aggregate));
 
-    // No replica evicted a batched entry, so the keys each holds are
-    // the multisets it looked up.
-    std::set<std::vector<std::uint64_t>> distinct;
+    // No insert evicted a batched entry, so the pool's store holds the
+    // multisets the whole drain looked up, and each private store those
+    // its own replica looked up.
+    const std::vector<std::vector<std::uint64_t>> distinct =
+        pool.replica(0).batchedKeys();
     std::uint64_t builds = 0, held = 0;
     for (std::size_t i = 0; i < pool.size(); ++i) {
         const CacheStats &c = pool.replica(i).cacheStats();
+        const CacheStats &own = alone[i]->cacheStats();
         ASSERT_EQ(c.batchEvictions, 0u) << "replica " << i;
+        ASSERT_EQ(own.batchEvictions, 0u) << "replica " << i;
+        EXPECT_EQ(c.batchBuilds + c.batchHits, own.batchBuilds + own.batchHits)
+            << "replica " << i;
         builds += c.batchBuilds;
-        const auto keys = pool.replica(i).batchedKeys();
-        held += keys.size();
-        distinct.insert(keys.begin(), keys.end());
+        held += alone[i]->batchedKeys().size();
     }
     EXPECT_EQ(builds, distinct.size());
     EXPECT_LT(distinct.size(), held) << "no multiset recurred across "
                                         "replicas; the test shares nothing";
 
-    // Every entry a replica served is a standalone twin's, bit for bit.
+    // Every entry the store holds is a standalone twin's, bit for bit,
+    // on every replica that reads it.
     for (std::size_t i = 0; i < pool.size(); ++i) {
         const CompiledModel &r = pool.replica(i);
         CompiledModel twin(r.config(), r.model(), r.options());
-        for (const std::vector<std::uint64_t> &kv : r.batchedKeys())
+        for (const std::vector<std::uint64_t> &kv : distinct)
             EXPECT_TRUE(sameBits(r.generationStepStats(kv),
                                  twin.generationStepStats(kv)))
                 << "replica " << i << " batch of " << kv.size();

@@ -260,6 +260,40 @@ TEST(ShardedDrain, SingleShardMatchesPlainDrainAcrossGrid)
     }
 }
 
+// The name-based overload must build each shard's router with the
+// drain's own SLO: an slo-budget router left at the default 10 ms/token
+// disagrees with a plain drain at 2 ms/token in all 60 of these
+// results, although shards == 1 must reproduce a plain drain.
+TEST(ShardedDrain, NamedSloBudgetRouterUsesTheDrainsSlo)
+{
+    const workloads::ModelConfig model = workloads::gpt2("m");
+    DevicePool pool;
+    pool.addReplica(
+        std::make_unique<CompiledModel>(SystemConfig::ianusDefault(), model));
+    pool.addReplica(
+        std::make_unique<CompiledModel>(SystemConfig::npuMem(), model));
+    TraceOptions topts;
+    topts.seed = 3;
+    topts.requests = 60;
+    topts.arrivalsPerSec = 40.0;
+    const ArrivalTrace trace = generatePoissonTrace(topts);
+    ServingOptions opts;
+    opts.tokenStride = 4;
+    opts.sloMsPerToken = 2.0;
+
+    ServingEngine engine(pool, opts, makePolicy("fcfs"),
+                         makeRouter("slo-budget", opts.sloMsPerToken));
+    submitAll(trace, engine);
+    const ServingReport plain = engine.drain();
+    ShardOptions shard;
+    shard.shards = 1;
+    const ServingReport merged =
+        drainSharded(pool, opts, trace, shard, "fcfs", "slo-budget");
+    expectReportsIdentical(plain, merged, "slo-budget at 2 ms/token");
+    expectEveryResultFieldEqual(plain.results, merged.results,
+                                "slo-budget at 2 ms/token");
+}
+
 // The thread count is pure wall-clock policy: for every shard count in
 // {1, 2, 4, 8}, running the shards serially (threads == 1) and on one
 // thread per shard (threads == 0) must produce field-identical merged

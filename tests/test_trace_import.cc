@@ -202,6 +202,27 @@ TEST(TraceImport, MalformedLogsAreFatalWithRowNumbers)
         std::runtime_error);
     EXPECT_THROW(serve::loadRequestLog(tempPath("missing.csv")),
                  std::runtime_error);
+
+    // A zero token count breaks the one shape rule every request meets,
+    // and says so in its words, after the row number.
+    struct Zero
+    {
+        const char *row;
+        workloads::InferenceRequest shape;
+    };
+    for (const Zero &z : {Zero{"0,0,8\n", {0, 8}}, Zero{"0,64,0\n", {64, 0}}}) {
+        try {
+            serve::importRequestLog(
+                std::string("arrival_ms,prompt_tokens,output_tokens\n") +
+                "0,64,8\n" + z.row);
+            ADD_FAILURE() << "no fatal for " << z.row;
+        } catch (const std::runtime_error &e) {
+            const std::string want =
+                std::string("request log row 3: ") + serve::shapeError(z.shape);
+            EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(TraceImport, CrlfLogFatalsQuoteLinesWithoutTheCarriageReturn)
