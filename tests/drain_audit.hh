@@ -290,6 +290,141 @@ reportDifference(const serve::ServingReport &a,
     });
 }
 
+/**
+ * FNV-1a over simulated results, fed one named field at a time, never
+ * a whole struct, whose padding bytes are unspecified. Integers and
+ * the bits of doubles go in low byte first, so a digest means the same
+ * on every host.
+ */
+struct ResultDigest
+{
+    std::uint64_t value = 0xcbf29ce484222325ull;
+
+    void
+    u(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i, v >>= 8)
+            value = (value ^ (v & 0xff)) * 0x100000001b3ull;
+    }
+
+    void
+    d(double v)
+    {
+        std::uint64_t bits;
+        std::memcpy(&bits, &v, sizeof bits);
+        u(bits);
+    }
+
+    void
+    text(const std::string &s)
+    {
+        u(s.size());
+        for (unsigned char c : s)
+            u(c);
+    }
+
+    void
+    add(const RunStats &s)
+    {
+        u(s.wallTicks);
+        for (const auto *by : {&s.classBusy, &s.classSpan, &s.classExclusive})
+            for (double v : *by)
+                d(v);
+        for (double v : s.unitBusy)
+            d(v);
+        for (double v : {s.commands, s.muFlops, s.vuElems, s.dramReadBytes,
+                         s.dramWriteBytes, s.pimWeightBytes, s.pimMacros,
+                         s.pimActivates, s.pimGbBursts, s.pimRdBursts})
+            d(v);
+    }
+
+    void
+    add(const InferenceReport &r)
+    {
+        u(r.inputTokens);
+        u(r.outputTokens);
+        add(r.summarization);
+        add(r.generation);
+        u(r.generationSteps);
+    }
+
+    void
+    add(const serve::RequestResult &r)
+    {
+        u(r.id);
+        u(r.request.inputTokens);
+        u(r.request.outputTokens);
+        for (double v : {r.arrivalMs, r.startMs, r.finishMs, r.serviceMs,
+                         r.firstTokenMs, r.msPerToken})
+            d(v);
+        u(r.sloMiss);
+        u(r.deadlineMiss);
+        u(r.prefixHit);
+        u(r.source);
+        u(r.deviceIndex);
+        u(r.prefillIndex);
+        d(r.kvTransferMs);
+        u(r.kvTransferTokens);
+        d(r.meanBatchSize);
+        u(r.preemptions);
+        d(r.suspendedMs);
+        u(r.prefillChunks);
+        u(r.sessionId);
+        u(r.turnIndex);
+        u(r.prefixTokens);
+        u(r.prefilledTokens);
+        u(r.generationSteps);
+    }
+
+    /** Every result, the echoed options, each replica's counters, the
+     *  report's scalars and its aggregate cost. simEvents stays out:
+     *  it counts how the simulator got there, not what it simulated. */
+    void
+    add(const serve::ServingReport &rep)
+    {
+        for (const serve::RequestResult &r : rep.results)
+            add(r);
+        text(rep.policy);
+        text(rep.router);
+        text(rep.batching);
+        u(rep.maxBatch);
+        u(rep.prefillChunk);
+        u(rep.preempt);
+        u(rep.kv.capacityTokens);
+        u(rep.kv.blockTokens);
+        u(static_cast<std::uint64_t>(rep.kv.admission));
+        u(static_cast<std::uint64_t>(rep.kv.layout));
+        for (serve::ReplicaRole role : rep.roles)
+            u(static_cast<std::uint64_t>(role));
+        u(rep.shards);
+        for (const serve::ReplicaUtilization &r : rep.replicas) {
+            u(r.dispatched);
+            d(r.busyMs);
+            d(r.idleMs);
+            d(r.utilization);
+            u(r.kvTokensEnd);
+            u(r.kvBlocksLeaked);
+        }
+        d(rep.sloMsPerToken);
+        d(rep.makespanMs);
+        u(rep.generatedTokens);
+        u(rep.kvShed);
+        d(rep.kvPeakPressure);
+        d(rep.kvMeanFragmentation);
+        u(rep.kvFragWasteTokens);
+        u(rep.kvFragGrossTokens);
+        u(rep.kvSpilledSegments);
+        d(rep.kvMaxDilation);
+        u(rep.kvTransfers);
+        d(rep.kvTransferMs);
+        d(rep.kvTransferGB);
+        u(rep.prefixHits);
+        u(rep.prefixMisses);
+        u(rep.prefillTokensSaved);
+        add(rep.aggregate);
+    }
+};
+
 } // namespace ianus::test
 
 #endif // IANUS_TESTS_DRAIN_AUDIT_HH
