@@ -129,14 +129,6 @@ CompiledModel::generation(std::uint64_t kv_len) const
 }
 
 const RunStats &
-CompiledModel::summarizationStats(std::uint64_t input_tokens) const
-{
-    if (input_tokens == 0)
-        IANUS_FATAL("summarization needs at least one input token");
-    return summarization(input_tokens);
-}
-
-const RunStats &
 CompiledModel::prefillChunkStats(std::uint64_t prior_tokens,
                                 std::uint64_t chunk_tokens,
                                 bool last_chunk) const
@@ -160,15 +152,8 @@ CompiledModel::prefillChunkStats(std::uint64_t prior_tokens,
 }
 
 RunStats
-CompiledModel::generationStepStats(
-    std::vector<std::uint64_t> kv_lens) const
+CompiledModel::batchStep(std::vector<std::uint64_t> &kv_lens) const
 {
-    if (kv_lens.empty())
-        IANUS_FATAL("a generation step needs at least one request");
-    for (std::uint64_t kv : kv_lens)
-        if (kv == 0)
-            IANUS_FATAL("a generation step needs a non-empty KV cache "
-                        "for every request");
     // A batch of one is the scalar entry — sharing the cache makes
     // batch-1 equivalence structural rather than numerical.
     if (kv_lens.size() == 1)
@@ -188,17 +173,34 @@ CompiledModel::generationStepStats(
                   });
 }
 
-double
-CompiledModel::estimatePrefillMs(std::uint64_t input_tokens) const
+RunStats
+CompiledModel::generationStepStats(std::vector<std::uint64_t> kv_lens,
+                                   std::uint64_t steps) const
 {
-    return summarizationStats(input_tokens).wallMs();
-}
+    if (kv_lens.empty())
+        IANUS_FATAL("a generation step needs at least one request");
+    for (std::uint64_t kv : kv_lens)
+        if (kv == 0)
+            IANUS_FATAL("a generation step needs a non-empty KV cache "
+                        "for every request");
+    if (steps == 0)
+        IANUS_FATAL("a generation segment needs at least one step");
+    const RunStats entry = batchStep(kv_lens);
+    if (steps == 1)
+        return entry;
 
-double
-CompiledModel::estimateResumePrefillMs(std::uint64_t prior_tokens,
-                                       std::uint64_t chunk_tokens) const
-{
-    return prefillChunkStats(prior_tokens, chunk_tokens, true).wallMs();
+    // Trapezoid over the segment: cost its steps from the entry and exit
+    // samples (KV lengths all advance together, so only those two
+    // entries differ). The exit sample sits at kv + steps — the next
+    // segment's entry — so back-to-back segments with unchanged
+    // membership share cache entries, like run()'s strided samples.
+    for (std::uint64_t &kv : kv_lens)
+        kv += steps;
+    const RunStats exit = batchStep(kv_lens);
+    RunStats segment;
+    segment.scaleAdd(entry, static_cast<double>(steps) / 2.0);
+    segment.scaleAdd(exit, static_cast<double>(steps) / 2.0);
+    return segment;
 }
 
 double

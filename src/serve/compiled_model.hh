@@ -22,10 +22,17 @@
  * with two kinds of block, run the full program. The build callables
  * are template parameters, so a lookup that hits constructs nothing.
  *
- * run(), the one inference front end, combines the cached samples by
- * trapezoidal stride integration. Every cached entry equals, bit for
- * bit, the engine run of the full program the builder emits for its
- * key (tests/test_block_periodic.cc).
+ * It is the one place that prices work, with one call per kind:
+ * prefillChunkStats for any prefill (a whole prompt is the chunk
+ * (0, n, last)), generationStepStats for a run of batched generation
+ * steps, run() for a whole request, and estimateGenerationMs for the
+ * routers' generation estimate. The serving drain schedules and
+ * attributes what these return but integrates nothing itself. Both
+ * strided rules live here, side by side: run()'s trapezoid over step
+ * samples, and generationStepStats's over a segment's entry and exit.
+ * Every cached entry equals, bit for bit, the engine run of the full
+ * program the builder emits for its key
+ * (tests/test_block_periodic.cc).
  *
  * Serving traces draw their requests from a small grid of shapes, so
  * run() also memoizes whole requests: the InferenceReport of each
@@ -219,87 +226,58 @@ class CompiledModel
     static constexpr std::size_t maxRequestEntries = 1024;
 
     /**
-     * Executed statistics of the summarization (prefill) stage over
-     * @p input_tokens, from the same cache run() uses. The entry lives
-     * in this replica's store, which DevicePool::addReplica may swap
-     * for an equal replica's.
-     */
-    const RunStats &summarizationStats(std::uint64_t input_tokens) const;
-
-    /**
-     * Executed statistics of one chunked-prefill segment: resume the
+     * Executed statistics of one prefill segment: resume the
      * summarization with @p prior_tokens already in the KV cache and
      * process the next @p chunk_tokens of the prompt; only the
      * @p last_chunk runs the LM head and emits the first output token
      * (see WorkloadBuilder::buildSummarizationChunk for the program).
+     * A whole prompt is the chunk (0, n, true), and it is the entry
+     * run() costs the summarization stage with. The entry lives in this
+     * replica's store, which DevicePool::addReplica may swap for an
+     * equal replica's.
      *
      * Chunk entries are memoized by (prior, chunk, last): serving
      * traces revisit the same chunk-aligned resume offsets across
      * requests of equal prompt length, so chunk keys recur the way
      * summarization keys do (unlike batched-step keys). A whole-prompt
-     * chunk (prior == 0, last) resolves to the monolithic
-     * summarization entry that run() uses, so `prefillChunk = 0` and
-     * chunk-covers-the-prompt serving produce bit-identical stats —
-     * the chunked-prefill fallback anchor.
+     * chunk resolves to the monolithic summarization entry that run()
+     * uses, so `prefillChunk = 0` and chunk-covers-the-prompt serving
+     * produce bit-identical stats — the chunked-prefill fallback
+     * anchor.
      */
     const RunStats &prefillChunkStats(std::uint64_t prior_tokens,
                                       std::uint64_t chunk_tokens,
                                       bool last_chunk) const;
 
     /**
-     * Executed statistics of one *batched* generation step: each entry
-     * of @p kv_lens is one request's current KV length and the step
-     * emits one token per request. The entry is memoized under the
-     * sorted KV-length multiset — request order never changes the cost
-     * — in the pool's store, a FIFO bounded to maxBatchEntries (a
+     * Executed statistics of @p steps batched generation steps: each
+     * entry of @p kv_lens is one request's KV length at the first step,
+     * and every step emits one token per request.
+     *
+     * One step is the step's entry itself. The entry is memoized under
+     * the sorted KV-length multiset — request order never changes the
+     * cost — in the pool's store, a FIFO bounded to maxBatchEntries (a
      * replica's keys rarely recur within a drain, since every member's
      * KV length advances each step, but equal replicas serving one
      * batch mix meet the same multisets). Returned by value, copied
      * under the store's lock: another replica's insert may evict the
-     * entry as soon as that lock is released.
+     * entry as soon as that lock is released. A batch of one resolves
+     * to the scalar generation-step entry that run() uses, so batch-1
+     * numbers equal the unbatched path bit for bit (the batching cost
+     * model's regression anchor).
      *
-     * A batch of one resolves to the scalar generation-step entry that
-     * run() uses, so batch-1 numbers equal the unbatched path bit for
-     * bit (the batching cost model's regression anchor).
+     * More steps are a trapezoid over the segment: its entry step and
+     * the step at every KV length plus @p steps, each weighted
+     * steps / 2. The exit sample is the next segment's entry, so
+     * back-to-back segments with unchanged membership share entries.
      */
-    RunStats generationStepStats(std::vector<std::uint64_t> kv_lens) const;
+    RunStats generationStepStats(std::vector<std::uint64_t> kv_lens,
+                                 std::uint64_t steps = 1) const;
 
     /** Most batched-step entries the pool's store retains (FIFO
      *  eviction; safe because entries are pure recomputable functions
      *  of the key). */
     static constexpr std::size_t maxBatchEntries = 1024;
-
-    // --- Routing estimates --------------------------------------------------
-    //
-    // Heterogeneity-aware routers need to know how fast *this* replica
-    // serves the candidate request, not how busy it has been: the drain
-    // fills ReplicaStatus::estPrefillMs and estGenMs from the accessors
-    // below. They are derived from the same cached program stats run()
-    // uses — every term is executed on this replica's own device model,
-    // so an NPU-MEM replica or a different tensor-parallel degree
-    // honestly reports different numbers. They are pure functions of the
-    // replica configuration and the request shape (never of cache
-    // history), so routing decisions do not depend on what a replica
-    // happened to serve earlier.
-
-    /**
-     * Estimated wall ms of @p request's prefill on this replica: the
-     * memoized summarization entry itself (exact, and shared with the
-     * entry a dispatch would build anyway).
-     */
-    double estimatePrefillMs(std::uint64_t input_tokens) const;
-
-    /**
-     * Estimated wall ms of resuming @p request's prefill from a warm
-     * prefix cache: process the @p chunk_tokens-token delta with
-     * @p prior_tokens already in the KV cache, LM head included — the
-     * memoized chunk entry a prefix-cache hit would execute anyway.
-     * The session-sticky router's re-prefill penalty: a hit candidate
-     * is priced with this on its bound replica and with the full
-     * estimatePrefillMs() everywhere else.
-     */
-    double estimateResumePrefillMs(std::uint64_t prior_tokens,
-                                   std::uint64_t chunk_tokens) const;
 
     /**
      * Estimated wall ms of @p request's generation stage served alone
@@ -307,6 +285,17 @@ class CompiledModel
      * step cost (token latency is smooth in KV length, so the midpoint
      * sample is the one-point trapezoid). 0 for encoders and
      * single-token outputs.
+     *
+     * Heterogeneity-aware routers need to know how fast *this* replica
+     * serves the candidate request, not how busy it has been: the drain
+     * fills ReplicaStatus::estGenMs from this, and estPrefillMs from
+     * the prefillChunkStats entry the dispatch would run. Both are
+     * executed on this replica's own device model, so an NPU-MEM
+     * replica or a different tensor-parallel degree honestly reports
+     * different numbers, and both are pure functions of the replica
+     * configuration and the request shape (never of cache history), so
+     * routing decisions do not depend on what a replica happened to
+     * serve earlier.
      */
     double
     estimateGenerationMs(const workloads::InferenceRequest &request) const;
@@ -420,6 +409,8 @@ class CompiledModel
 
     const RunStats &summarization(std::uint64_t input_tokens) const;
     const RunStats &generation(std::uint64_t kv_len) const;
+    /** One batched step over @p kv_lens, which it sorts. */
+    RunStats batchStep(std::vector<std::uint64_t> &kv_lens) const;
     /** run() without the memo: the request costed from program stats. */
     InferenceReport cost(const workloads::InferenceRequest &request,
                          unsigned token_stride) const;

@@ -1171,12 +1171,13 @@ class Drain
                 // into its estimate is the re-prefill penalty every
                 // predicted-finish router weighs. A disaggregated hit
                 // prices the delta on the prefill replica the same way.
-                s.estPrefillMs =
+                const std::uint64_t prior =
                     (hit_dev == d || disaggHitPrefix(d, q) > 0)
-                        ? r.estimateResumePrefillMs(
-                              q.prefixTokens,
-                              q.request.inputTokens - q.prefixTokens)
-                        : r.estimatePrefillMs(q.request.inputTokens);
+                        ? q.prefixTokens
+                        : 0;
+                const std::uint64_t input = q.request.inputTokens;
+                s.estPrefillMs =
+                    r.prefillChunkStats(prior, input - prior, true).wallMs();
                 s.estGenMs = r.estimateGenerationMs(q.request);
             }
         }
@@ -1406,23 +1407,7 @@ class Drain
             g = std::min<std::uint64_t>(g, m.remaining);
             kv.push_back(m.kvLen);
         }
-        const RunStats first = replicas_[d]->generationStepStats(kv);
-        RunStats seg;
-        if (g == 1) {
-            seg = first;
-        } else {
-            // Trapezoid over the segment: cost g steps from the entry and
-            // exit samples (KV lengths all advance together, so only those
-            // two entries differ). The exit sample sits at kv + g — the
-            // next segment's entry — so back-to-back segments with
-            // unchanged membership share cache entries, like the legacy
-            // strided run() shares its sample points.
-            for (std::uint64_t &v : kv)
-                v += g;
-            const RunStats exit_ = replicas_[d]->generationStepStats(kv);
-            seg.scaleAdd(first, static_cast<double>(g) / 2.0);
-            seg.scaleAdd(exit_, static_cast<double>(g) / 2.0);
-        }
+        const RunStats seg = replicas_[d]->generationStepStats(kv, g);
         // Each member owes a 1/B share of the shared step work.
         const double share = 1.0 / static_cast<double>(r.gen.size());
         for (Member &m : r.gen) {

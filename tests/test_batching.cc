@@ -111,6 +111,8 @@ TEST(Batching, StepValidation)
                  std::runtime_error);
     EXPECT_THROW((void)model.generationStepStats({64, 0}),
                  std::runtime_error);
+    EXPECT_THROW((void)model.generationStepStats({64}, 0),
+                 std::runtime_error);
 }
 
 // --- Engine: batch-1 equivalence ------------------------------------------

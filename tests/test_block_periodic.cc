@@ -214,7 +214,7 @@ RunStats
 served(const serve::CompiledModel &compiled, const Shape &s)
 {
     switch (s.kind) {
-      case Shape::Prefill: return compiled.summarizationStats(s.a);
+      case Shape::Prefill: return compiled.prefillChunkStats(0, s.a, true);
       case Shape::Chunk:
         return compiled.prefillChunkStats(s.a, s.b, s.last);
       case Shape::Generation: return compiled.generationStepStats({s.a});

@@ -50,9 +50,9 @@ std::vector<RunStats>
 probe(const CompiledModel &m)
 {
     std::vector<RunStats> out;
-    out.push_back(m.summarizationStats(32));
-    out.push_back(m.summarizationStats(64));
-    out.push_back(m.summarizationStats(32));
+    out.push_back(m.prefillChunkStats(0, 32, true));
+    out.push_back(m.prefillChunkStats(0, 64, true));
+    out.push_back(m.prefillChunkStats(0, 32, true));
     out.push_back(m.prefillChunkStats(32, 32, false));
     out.push_back(m.prefillChunkStats(32, 32, true));
     out.push_back(m.prefillChunkStats(0, 64, true)); // the summarization
@@ -228,8 +228,8 @@ TEST(PoolStore, EqualityCoversNestedParameters)
     for (const SystemConfig &sys : {base, tweaked[4]})
         pool.addReplica(
             std::make_unique<CompiledModel>(sys, workloads::gpt2("m")));
-    (void)pool.replica(0).summarizationStats(32);
-    (void)pool.replica(1).summarizationStats(32);
+    (void)pool.replica(0).prefillChunkStats(0, 32, true);
+    (void)pool.replica(1).prefillChunkStats(0, 32, true);
     EXPECT_EQ(pool.replica(1).cacheStats().summarizationBuilds, 1u);
 }
 

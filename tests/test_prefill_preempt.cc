@@ -94,7 +94,7 @@ TEST(PrefillChunk, ResumedChunkCostSitsBetweenFreshAndMonolithic)
     serve::CompiledModel model(SystemConfig::ianusDefault(), m);
     double fresh = model.prefillChunkStats(0, 128, false).wallMs();
     double resumed = model.prefillChunkStats(128, 128, false).wallMs();
-    double mono = model.summarizationStats(256).wallMs();
+    double mono = model.prefillChunkStats(0, 256, true).wallMs();
     EXPECT_GT(resumed, fresh);
     EXPECT_LT(resumed, mono);
 }
@@ -104,9 +104,11 @@ TEST(PrefillChunk, ResumedChunkCostSitsBetweenFreshAndMonolithic)
 TEST(PrefillChunk, ChunkEntriesMemoizeAndShareTheMonolithicEntry)
 {
     serve::CompiledModel model(SystemConfig::ianusDefault(), m);
-    const RunStats &mono = model.summarizationStats(64);
     const RunStats &whole = model.prefillChunkStats(0, 64, true);
-    EXPECT_EQ(&mono, &whole); // the same cache entry, structurally
+    // The summarization entry, structurally: built once, then found.
+    EXPECT_EQ(&model.prefillChunkStats(0, 64, true), &whole);
+    EXPECT_EQ(model.cacheStats().summarizationBuilds, 1u);
+    EXPECT_EQ(model.cacheStats().summarizationHits, 1u);
     EXPECT_EQ(model.cacheStats().chunkBuilds, 0u);
 
     (void)model.prefillChunkStats(64, 64, true);
@@ -233,7 +235,7 @@ TEST(Preempt, EdfEvictsLongGenerationAndResumesIt)
     opts.sloMsPerToken = 5.0;
     serve::ServingEngine engine(model, opts, serve::makePolicy("edf"));
     engine.submit({64, 300}, 0.0);
-    double mid = model.summarizationStats(64).wallMs() + 20.0;
+    double mid = model.prefillChunkStats(0, 64, true).wallMs() + 20.0;
     engine.submit({64, 4}, mid);
     ServingReport rep = engine.drain();
     ASSERT_EQ(rep.requests(), 2u);
@@ -255,7 +257,7 @@ TEST(Preempt, EdfEvictsLongGenerationAndResumesIt)
     EXPECT_TRUE(rep.preempt);
     // TTFT predates the eviction: preemption strikes generation only.
     EXPECT_DOUBLE_EQ(longr.firstTokenMs,
-                     model.summarizationStats(64).wallMs());
+                     model.prefillChunkStats(0, 64, true).wallMs());
 }
 
 // FCFS urgency is arrival order: a waiting request can never be more
@@ -383,7 +385,7 @@ TEST(KvCapacity, EvictParkResumeCycleUnderPressure)
         serve::ServingEngine engine(model, o,
                                     serve::makePolicy("edf"));
         engine.submit({64, 300}, 0.0);
-        double mid = model.summarizationStats(64).wallMs() + 20.0;
+        double mid = model.prefillChunkStats(0, 64, true).wallMs() + 20.0;
         engine.submit({64, 4}, mid);
         return engine.drain();
     };

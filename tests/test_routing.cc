@@ -321,12 +321,14 @@ TEST(Routing, EstimatesAreHonestAcrossHeterogeneousReplicas)
     // and per token (a 2-token output is one step, at KV 257).
     EXPECT_LT(fast.estimateGenerationMs({256, 2}),
               slow.estimateGenerationMs({256, 2}));
-    EXPECT_LT(fast.estimatePrefillMs(256), slow.estimatePrefillMs(256));
+    EXPECT_LT(fast.prefillChunkStats(0, 256, true).wallMs(),
+              slow.prefillChunkStats(0, 256, true).wallMs());
     EXPECT_LT(fast.estimateGenerationMs(req),
               slow.estimateGenerationMs(req));
     // Estimates are pure functions of the configuration: asking twice
     // gives the same number.
-    EXPECT_EQ(fast.estimatePrefillMs(256), fast.estimatePrefillMs(256));
+    EXPECT_EQ(fast.prefillChunkStats(0, 256, true).wallMs(),
+              fast.prefillChunkStats(0, 256, true).wallMs());
     EXPECT_EQ(fast.estimateGenerationMs(req),
               fast.estimateGenerationMs(req));
 }
@@ -334,7 +336,8 @@ TEST(Routing, EstimatesAreHonestAcrossHeterogeneousReplicas)
 TEST(Routing, EstimateAccessorsRejectInvalidRequests)
 {
     serve::CompiledModel model(SystemConfig::ianusDefault(), m);
-    EXPECT_THROW((void)model.estimatePrefillMs(0), std::runtime_error);
+    EXPECT_THROW((void)model.prefillChunkStats(0, 0, true),
+                 std::runtime_error);
     EXPECT_THROW((void)model.estimateGenerationMs({0, 4}),
                  std::runtime_error);
     EXPECT_THROW((void)model.estimateGenerationMs({64, 0}),
