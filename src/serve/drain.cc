@@ -110,12 +110,10 @@ class Drain
 {
   public:
     /** A drain of @p rows. Results go to @p sink when there is one,
-     *  otherwise into the report, which then reserves room for
-     *  @p result_capacity of them (at least one per row). */
+     *  otherwise into the report, which then reserves one per row. */
     Drain(const std::vector<const CompiledModel *> &replicas,
           const ServingOptions &opts, SchedulingPolicy &policy,
           Router &router, const RequestRows &rows,
-          std::size_t result_capacity,
           const ServingEngine::CompletionHook &on_complete,
           std::uint64_t &next_id, ResultSink *sink)
         : replicas_(replicas), opts_(opts), policy_(policy), router_(router),
@@ -129,7 +127,7 @@ class Drain
         report_.roles = opts.roles;
         report_.replicas.assign(n_, ReplicaUtilization{});
         if (!sink)
-            report_.results.reserve(std::max(rows.size, result_capacity));
+            report_.results.reserve(rows.size);
 
         if (opts.kv.enabled())
             kv_ = std::make_unique<KvGate>(*this);
@@ -1191,13 +1189,8 @@ class Drain
     startResult(const QueuedRequest &q, double now, std::size_t dev) const
     {
         RequestResult res;
+        static_cast<TimedRequest &>(res) = q;
         res.id = q.id;
-        res.request = q.request;
-        res.arrivalMs = q.arrivalMs;
-        res.sessionId = q.sessionId;
-        res.turnIndex = q.turnIndex;
-        res.prefixTokens = q.prefixTokens;
-        res.source = q.source;
         res.prefilledTokens = q.request.inputTokens;
         res.startMs = std::max(now, q.arrivalMs);
         res.deviceIndex = dev;
@@ -1706,9 +1699,8 @@ ServingEngine::drain()
 {
     const RequestRows rows{queue_.data(), nullptr, queue_.size(),
                            firstQueuedId_};
-    Drain drain(replicas_, opts_, *policy_, *router_, rows, resultCapacity_,
-                onComplete_, nextId_, nullptr);
-    resultCapacity_ = 0;
+    Drain drain(replicas_, opts_, *policy_, *router_, rows, onComplete_,
+                nextId_, nullptr);
     // The guard clears the injector on *every* exit: it points at this
     // drain, and a throwing drain (say, a malformed policy batch) must
     // not leave a dangling injector that a later inject() would call.
@@ -1735,7 +1727,7 @@ drainRows(const std::vector<const CompiledModel *> &replicas,
 {
     const ServingEngine::CompletionHook no_hook;
     std::uint64_t next_id = rows.firstId + rows.size;
-    Drain drain(replicas, opts, policy, router, rows, 0, no_hook, next_id,
+    Drain drain(replicas, opts, policy, router, rows, no_hook, next_id,
                 &sink);
     drain.run();
     return drain.closeOut();

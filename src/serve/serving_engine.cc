@@ -865,7 +865,6 @@ void
 ServingEngine::reserve(std::size_t requests)
 {
     queue_.reserve(requests);
-    resultCapacity_ = requests;
 }
 
 std::uint64_t

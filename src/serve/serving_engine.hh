@@ -94,6 +94,9 @@ struct TimedRequest
      *  source. An injection-layer concept: the on-disk trace format
      *  does not carry it (saving a tagged trace drops the tags). */
     std::uint32_t source = 0;
+
+    /** Every field compares equal. */
+    bool operator==(const TimedRequest &) const = default;
 };
 
 /**
@@ -506,18 +509,31 @@ std::unique_ptr<Router> makeRouter(const std::string &name,
                                    double slo_ms_per_token = 10.0);
 
 /**
- * Completed request: its latency decomposition and accounting scalars.
- * Device cost (RunStats) is not kept per request: each request's
- * attribution merges into ServingReport::aggregate as it completes and
- * reaches the completion hook (ServingEngine::setCompletionHook), so a
+ * Completed request: its trace row, echoed from the submit, then its
+ * latency decomposition and accounting scalars. The row's source tag
+ * slices mixed drains per source (see ServingReport::sourceSlices),
+ * and its session tags are 0/0/0 for a single-turn request. Device
+ * cost (RunStats) is not kept per request: each request's attribution
+ * merges into ServingReport::aggregate as it completes and reaches the
+ * completion hook (ServingEngine::setCompletionHook), so a
  * million-request report holds scalars only.
  */
-struct RequestResult
+struct RequestResult : TimedRequest
 {
-    std::uint64_t id = 0;
-    workloads::InferenceRequest request{};
+    // Declared first, the three flags fill the row's tail padding.
+    bool sloMiss = false;
+    /** Finished after its EDF deadline (arrival + SLO x output tokens).
+     *  Unlike sloMiss, which judges the generation cadence only, this
+     *  charges queueing and suspension too — the completion-budget view
+     *  EDF schedules against, and the metric preemption moves. */
+    bool deadlineMiss = false;
+    /** True iff the prefix cache served this turn's shared prefix: the
+     *  request prefilled only its delta on the replica still holding
+     *  the prior turn's KV. */
+    bool prefixHit = false;
 
-    double arrivalMs = 0.0;
+    std::uint64_t id = 0;
+
     double startMs = 0.0;  ///< when a replica picked it up
     double finishMs = 0.0; ///< when the last token was emitted
 
@@ -535,22 +551,6 @@ struct RequestResult
      *  step but deflates nothing — throughput gains show up in
      *  tokensPerSecond(), not here. */
     double msPerToken = 0.0;
-
-    // The three flags and the source tag share one 8-byte slot.
-    bool sloMiss = false;
-    /** Finished after its EDF deadline (arrival + SLO x output tokens).
-     *  Unlike sloMiss, which judges the generation cadence only, this
-     *  charges queueing and suspension too — the completion-budget view
-     *  EDF schedules against, and the metric preemption moves. */
-    bool deadlineMiss = false;
-    /** True iff the prefix cache served this turn's shared prefix: the
-     *  request prefilled only its delta on the replica still holding
-     *  the prior turn's KV. */
-    bool prefixHit = false;
-    /** Traffic source echoed from the submit (0 = untagged; mixed
-     *  drains tag interactive vs batch — see
-     *  ServingReport::sourceSlices). */
-    std::uint32_t source = 0;
 
     std::size_t deviceIndex = 0; ///< replica that served the request
                                  ///< (decode side after a handoff)
@@ -583,11 +583,6 @@ struct RequestResult
     /** Prefill segments the summarization ran as (1 = monolithic). */
     std::uint64_t prefillChunks = 1;
 
-    // --- Multi-turn session accounting ---------------------------------
-    /** Session tags echoed from the submit (0/0/0 = single-turn). */
-    std::uint64_t sessionId = 0;
-    std::uint64_t turnIndex = 0;
-    std::uint64_t prefixTokens = 0;
     /** Prompt tokens this request actually prefilled (= input tokens,
      *  minus prefixTokens on a hit). */
     std::uint64_t prefilledTokens = 0;
@@ -1005,12 +1000,10 @@ class ServingEngine
     std::size_t pending() const { return queue_.size(); }
 
     /**
-     * Size storage for @p requests in total: the submit queue, and the
-     * results the next drain() keeps. Calling it before the submits
-     * allocates each once, at final size, instead of growing them by
-     * doubling (submitAll does). Capacity beyond what the drain fills
-     * is never touched, so it costs address space, not resident
-     * memory. Changes no result.
+     * Size the submit queue for @p requests in total. Calling it before
+     * the submits allocates the queue once, at final size, instead of
+     * growing it by doubling (submitAll does); drain() reserves one
+     * result per queued row itself. Changes no result.
      */
     void reserve(std::size_t requests);
 
@@ -1055,9 +1048,6 @@ class ServingEngine
     /** Submitted rows; row k has id firstQueuedId_ + k. */
     std::vector<TimedRequest> queue_;
     std::uint64_t firstQueuedId_ = 0;
-    /** Results the next drain() reserves room for, beyond the queue
-     *  (see reserve()). */
-    std::size_t resultCapacity_ = 0;
     std::uint64_t nextId_ = 0;
     double lastArrivalMs_ = 0.0;
     CompletionHook onComplete_;
