@@ -326,9 +326,12 @@ struct ReplicaStatus
     // programs on the replica, which estimate-blind routers should not
     // pay for. Both come from the replica's own CompiledModel cached
     // stats, so heterogeneous replicas report honestly different
-    // numbers (see CompiledModel's routing-estimate accessors).
-    double estPrefillMs = 0.0; ///< the candidate's prefill, served here
-    double estGenMs = 0.0;     ///< the candidate's generation, alone here
+    // numbers (see CompiledModel::estimateGenerationMs).
+    /** The candidate's prefill, served here: the wall ms of
+     *  prefillChunkStats(prior, input - prior, true), with prior the
+     *  cached prefix on a prefix-cache hit and 0 otherwise. */
+    double estPrefillMs = 0.0;
+    double estGenMs = 0.0; ///< the candidate's generation, alone here
 };
 
 /**
