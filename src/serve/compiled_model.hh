@@ -24,7 +24,7 @@
  *
  * It is the one place that prices work, with one call per kind:
  * prefillChunkStats for any prefill (a whole prompt is the chunk
- * (0, n, last)), generationStepStats for a run of batched generation
+ * (0, n, true)), generationStepStats for a run of batched generation
  * steps, run() for a whole request, and estimateGenerationMs for the
  * routers' generation estimate. The serving drain schedules and
  * attributes what these return but integrates nothing itself. Both
@@ -254,17 +254,17 @@ class CompiledModel
      * entry of @p kv_lens is one request's KV length at the first step,
      * and every step emits one token per request.
      *
-     * One step is the step's entry itself. The entry is memoized under
-     * the sorted KV-length multiset — request order never changes the
-     * cost — in the pool's store, a FIFO bounded to maxBatchEntries (a
-     * replica's keys rarely recur within a drain, since every member's
-     * KV length advances each step, but equal replicas serving one
-     * batch mix meet the same multisets). Returned by value, copied
-     * under the store's lock: another replica's insert may evict the
-     * entry as soon as that lock is released. A batch of one resolves
-     * to the scalar generation-step entry that run() uses, so batch-1
-     * numbers equal the unbatched path bit for bit (the batching cost
-     * model's regression anchor).
+     * One step is its cached entry, memoized under the sorted KV-length
+     * multiset — request order never changes the cost — in the pool's
+     * store, a FIFO bounded to maxBatchEntries (a replica's keys rarely
+     * recur within a drain, since every member's KV length advances
+     * each step, but equal replicas serving one batch mix meet the same
+     * multisets). Returned by value, copied under the store's lock:
+     * another replica's insert may evict the entry as soon as that lock
+     * is released. A batch of one resolves to the scalar
+     * generation-step entry that run() uses, so batch-1 numbers equal
+     * the unbatched path bit for bit (the batching cost model's
+     * regression anchor).
      *
      * More steps are a trapezoid over the segment: its entry step and
      * the step at every KV length plus @p steps, each weighted
