@@ -762,6 +762,13 @@ class Drain
         return !link_ || link_->roles[d] != ReplicaRole::Decode;
     }
 
+    /** Can replica d take a fresh candidate now, the KV gate aside? */
+    bool
+    freshSlot(std::size_t d) const
+    {
+        return capacity(d) > 0 && takesFreshWork(d);
+    }
+
     /** Worst-case KV a request can reach on replica d: a decoder's cache
      *  grows to prompt + every generated token; an encoder stops at the
      *  prompt. Reserving this at admission is what lets every admitted
@@ -1067,11 +1074,8 @@ class Drain
     /** Place fresh candidate q on dev, or say why it cannot go. The router
      *  contract, enforced here where the drain consumes the route (the
      *  selectBatch twin in admit): the router is called only when some
-     *  replica accepts, with a status vector carrying the load signals for
-     *  every replica and — only when the router declares needsEstimates()
-     *  — the candidate's service-time estimates on each replica's own
-     *  device model. It must return an in-range, accepting replica;
-     *  anything else is fatal. */
+     *  replica accepts, with one status row per accepting replica. It must
+     *  return the index of an offered row; anything else is fatal. */
     Attempt
     route(const QueuedRequest &q, double now, std::size_t &dev)
     {
@@ -1089,10 +1093,7 @@ class Drain
         // lowest replica index first, until one replica can take it.
         if (!accepting && prefix_ && kv_ &&
             prefix_->reclaimAny(
-                q.sessionId,
-                [&](std::size_t d) {
-                    return capacity(d) > 0 && takesFreshWork(d);
-                },
+                q.sessionId, [&](std::size_t d) { return freshSlot(d); },
                 [&](std::size_t d) { return kvBlocked(q, d); }))
             accepting = fillStatuses(q, hit_dev, open_slot);
         if (!accepting) {
@@ -1120,39 +1121,34 @@ class Drain
         } else {
             dev = router_.route(q, statuses_, now);
         }
-        if (dev >= n_)
-            IANUS_FATAL("router '", router_.name(),
-                        "' returned out-of-range replica ", dev, " (pool has ",
-                        n_, ")");
-        if (capacity(dev) == 0)
-            IANUS_FATAL("router '", router_.name(),
-                        "' routed to busy replica ", dev);
-        if (kvBlocked(q, dev))
-            IANUS_FATAL("router '", router_.name(),
-                        "' routed to KV-blocked replica ", dev);
+        auto offered = [&](const ReplicaStatus &s) { return s.index == dev; };
+        if (std::none_of(statuses_.begin(), statuses_.end(), offered))
+            IANUS_FATAL("router '", router_.name(), "' returned replica ",
+                        dev, ", which was not offered (pool has ", n_, ")");
         return Attempt::Launched;
     }
 
-    /** Fill the router's view of every replica for candidate q. Returns
-     *  whether any replica accepts it, and sets open_slot when some
-     *  replica could take fresh work but for the KV gate. A KV-blocked
-     *  replica is not accepting for this candidate (queue/shed modes;
-     *  `none` never blocks), so the router only ever sees placements the
-     *  block pool can honor. */
+    /** Offer the router a status row for each replica that accepts
+     *  candidate q, in index order. Returns whether any does, and sets
+     *  open_slot when some replica could take fresh work but for the KV
+     *  gate. A KV-blocked replica is not accepting for this candidate
+     *  (queue/shed modes; `none` never blocks), so the router only ever
+     *  sees placements the block pool can honor, and only offered rows
+     *  pay for the estimates. */
     bool
     fillStatuses(const QueuedRequest &q, std::size_t hit_dev,
                  bool &open_slot)
     {
         const bool est = router_.needsEstimates();
-        statuses_.assign(n_, ReplicaStatus{});
-        bool any = false;
+        statuses_.clear();
         for (std::size_t d = 0; d < n_; ++d) {
-            ReplicaStatus &s = statuses_[d];
+            if (!freshSlot(d))
+                continue;
+            open_slot = true;
+            if (kvBlocked(q, d))
+                continue;
+            ReplicaStatus &s = statuses_.emplace_back();
             s.index = d;
-            const bool slot = capacity(d) > 0 && takesFreshWork(d);
-            open_slot |= slot;
-            s.idle = slot && !kvBlocked(q, d);
-            any |= s.idle;
             s.freeAtMs = freeAt_[d];
             s.busyMs = report_.replicas[d].busyMs;
             s.dispatched = report_.replicas[d].dispatched;
@@ -1179,7 +1175,7 @@ class Drain
                 s.estGenMs = r.estimateGenerationMs(q.request);
             }
         }
-        return any;
+        return !statuses_.empty();
     }
 
     // --- Start service -------------------------------------------------------
@@ -1393,14 +1389,14 @@ class Drain
         r.prefillSinceGen = 0;
         r.sealed = true; // static batches freeze at first token
         std::uint64_t g = opts_.tokenStride;
-        std::vector<std::uint64_t> &kv = kvLens_;
-        kv.clear();
+        std::vector<std::uint64_t> kv;
         kv.reserve(r.gen.size());
         for (const Member &m : r.gen) {
             g = std::min<std::uint64_t>(g, m.remaining);
             kv.push_back(m.kvLen);
         }
-        const RunStats seg = replicas_[d]->generationStepStats(kv, g);
+        const RunStats seg =
+            replicas_[d]->generationStepStats(std::move(kv), g);
         // Each member owes a 1/B share of the shared step work.
         const double share = 1.0 / static_cast<double>(r.gen.size());
         for (Member &m : r.gen) {
@@ -1647,10 +1643,9 @@ class Drain
      *  accounting (and, conceptually, its on-replica KV cache) until
      *  the matching resumed QueuedRequest is re-dispatched. */
     std::map<std::uint64_t, Member> suspended_;
-    // Hot-path scratch, reused across events instead of reallocated
-    // per segment / per candidate (see docs/PERFORMANCE.md).
-    std::vector<std::uint64_t> kvLens_;   ///< startSegment KV samples
-    std::vector<ReplicaStatus> statuses_; ///< router input
+    /** Router input, reused across candidates instead of reallocated
+     *  (see docs/PERFORMANCE.md). */
+    std::vector<ReplicaStatus> statuses_;
 
     // Feature components: null while the feature is off.
     std::unique_ptr<KvGate> kv_;

@@ -117,15 +117,16 @@ RoundRobinRouter::route(const QueuedRequest &request,
 {
     (void)request;
     (void)now_ms;
-    const std::size_t n = replicas.size();
-    for (std::size_t k = 0; k < n; ++k) {
-        std::size_t d = (cursor_ + k) % n;
-        if (replicas[d].idle) {
-            cursor_ = (d + 1) % n;
-            return d;
-        }
-    }
-    IANUS_FATAL("round-robin router called with no idle replica");
+    if (replicas.empty())
+        IANUS_FATAL("round-robin router called with no accepting replica");
+    // Rows come in index order: the first offered replica at or after
+    // the cursor, else the first one.
+    auto it = std::find_if(
+        replicas.begin(), replicas.end(),
+        [this](const ReplicaStatus &r) { return r.index >= cursor_; });
+    const ReplicaStatus &pick = it != replicas.end() ? *it : replicas.front();
+    cursor_ = pick.index + 1;
+    return pick.index;
 }
 
 std::size_t
@@ -137,14 +138,12 @@ LeastLoadedRouter::route(const QueuedRequest &request,
     (void)now_ms;
     const ReplicaStatus *best = nullptr;
     for (const ReplicaStatus &r : replicas) {
-        if (!r.idle)
-            continue;
         if (!best || r.busyMs < best->busyMs ||
             (r.busyMs == best->busyMs && r.dispatched < best->dispatched))
             best = &r;
     }
     if (!best)
-        IANUS_FATAL("least-loaded router called with no idle replica");
+        IANUS_FATAL("least-loaded router called with no accepting replica");
     return best->index;
 }
 
@@ -157,8 +156,6 @@ QueueDepthRouter::route(const QueuedRequest &request,
     (void)now_ms;
     const ReplicaStatus *best = nullptr;
     for (const ReplicaStatus &r : replicas) {
-        if (!r.idle)
-            continue;
         auto key = [](const ReplicaStatus &s) {
             // kvPressure right after resident: a replica whose blocks
             // are spoken for is "deeper" than its batch slots show.
@@ -178,6 +175,16 @@ QueueDepthRouter::route(const QueuedRequest &request,
 
 namespace
 {
+
+/** The offered row of replica d, or null when d was not offered. */
+const ReplicaStatus *
+offeredRow(const std::vector<ReplicaStatus> &replicas, std::size_t d)
+{
+    auto it = std::find_if(
+        replicas.begin(), replicas.end(),
+        [d](const ReplicaStatus &r) { return r.index == d; });
+    return it == replicas.end() ? nullptr : &*it;
+}
 
 /**
  * The predicted-finish score (see PredictedFinishRouter): the replica's
@@ -209,8 +216,6 @@ earliestFinish(const std::vector<ReplicaStatus> &replicas, double now_ms,
     const ReplicaStatus *best = nullptr;
     double best_finish = 0.0;
     for (const ReplicaStatus &r : replicas) {
-        if (!r.idle)
-            continue;
         if (skip_parked_kv && r.suspendedKv > 0)
             continue;
         double finish = predictedFinishMs(r, now_ms);
@@ -247,20 +252,16 @@ KvAffinityRouter::route(const QueuedRequest &request,
     // replica — go back to it whenever it accepts. (A live drain pins
     // resumes there before routing; this branch keeps the choice
     // function total.)
-    if (request.resumed && request.boundReplica < replicas.size() &&
-        replicas[request.boundReplica].idle)
+    if (request.resumed && offeredRow(replicas, request.boundReplica))
         return request.boundReplica;
     // Session stickiness second: a later turn whose prefix KV is still
     // pinned on one replica goes back to it — the delta-only re-prefill
     // there beats a full re-prefill anywhere else — unless that replica
     // is drowning in KV pressure, where re-prefilling elsewhere is
     // cheaper than queueing behind spill-degraded segments.
-    if (request.sessionHitReplica != QueuedRequest::noReplica &&
-        request.sessionHitReplica < replicas.size()) {
-        const ReplicaStatus &bound = replicas[request.sessionHitReplica];
-        if (bound.idle && bound.kvPressure <= stickyPressureLimit)
-            return bound.index;
-    }
+    const ReplicaStatus *hit = offeredRow(replicas, request.sessionHitReplica);
+    if (hit && hit->kvPressure <= stickyPressureLimit)
+        return hit->index;
     // Fresh work avoids replicas whose open slot is spoken for by a
     // parked evictee; among the rest, earliest predicted finish.
     const ReplicaStatus *best = earliestFinish(replicas, now_ms, true);
@@ -296,8 +297,6 @@ SloBudgetRouter::route(const QueuedRequest &request,
     const ReplicaStatus *best = nullptr;
     double best_finish = 0.0;
     for (const ReplicaStatus &r : replicas) {
-        if (!r.idle)
-            continue;
         const double finish = predictedFinishMs(r, now_ms);
         if (finish > deadline)
             continue;

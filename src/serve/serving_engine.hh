@@ -290,13 +290,12 @@ class EdfPolicy : public SchedulingPolicy
 /** Policy by name: "fcfs", "sjf", "edf". Unknown names are fatal. */
 std::unique_ptr<SchedulingPolicy> makePolicy(const std::string &name);
 
-/** Live view of one replica, as routers see it. */
+/** Live view of one replica that accepts the candidate, as routers see
+ *  it: at a token boundary with a free batch slot (without batching,
+ *  plain idleness), able to take fresh work and not KV-blocked. */
 struct ReplicaStatus
 {
-    std::size_t index = 0;
-    /** Accepting: at a token boundary with a free batch slot. Without
-     *  batching this is plain idleness (no request in service). */
-    bool idle = true;
+    std::size_t index = 0; ///< the replica's index in the pool
     double freeAtMs = 0.0; ///< busy-until time; <= now_ms when idle
     double busyMs = 0.0;   ///< cumulative service time dispatched so far
     std::uint64_t dispatched = 0;
@@ -336,12 +335,13 @@ struct ReplicaStatus
 
 /**
  * Placement policy: which accepting replica a dispatched request lands
- * on. Called only when at least one replica accepts; must return the
- * index of an accepting replica (IANUS_FATAL otherwise — the contract
- * is enforced where drain() consumes the route, next to the selectBatch
- * enforcement). A resumed (previously evicted) request never reaches
- * the router in a live drain: the dispatch site pins it to the replica
- * holding its KV cache.
+ * on. Only the drain decides which replicas accept: it calls route()
+ * with one ReplicaStatus row per accepting replica, in index order, and
+ * only when there is one. route() must return an offered row's index
+ * (IANUS_FATAL otherwise — enforced where drain() consumes the route,
+ * next to the selectBatch enforcement). A resumed (previously evicted)
+ * request never reaches the router in a live drain: the dispatch site
+ * pins it to the replica holding its KV cache.
  */
 class Router
 {
@@ -352,9 +352,9 @@ class Router
 
     /** Routers that read the ReplicaStatus est*Ms fields declare it
      *  here; the engine fills those fields (executing and caching probe
-     *  programs on each replica as needed) only when this returns
-     *  true, so estimate-blind routers keep their replicas' cache
-     *  accounting untouched. */
+     *  programs on each offered replica as needed) only when this
+     *  returns true, so estimate-blind routers keep their replicas'
+     *  cache accounting untouched. */
     virtual bool needsEstimates() const { return false; }
 
     virtual std::size_t route(const QueuedRequest &request,
@@ -362,7 +362,7 @@ class Router
                               double now_ms) = 0;
 };
 
-/** Rotates over idle replicas, independent of their load. */
+/** Rotates over accepting replicas by pool index, independent of load. */
 class RoundRobinRouter : public Router
 {
   public:
@@ -376,7 +376,7 @@ class RoundRobinRouter : public Router
     std::size_t cursor_ = 0;
 };
 
-/** Idle replica with the least cumulative busy time (ties: fewest
+/** Accepting replica with the least cumulative busy time (ties: fewest
  *  dispatches, then lowest index). */
 class LeastLoadedRouter : public Router
 {

@@ -1,13 +1,14 @@
 /** @file Heterogeneity-aware routers: choice functions on hand-built
- *  ReplicaStatus vectors, contract enforcement, service-time
- *  estimates, and the PR-4 regression anchors for round-robin and
- *  least-loaded. */
+ *  rows of offered replicas, the drain's offer and its contract
+ *  enforcement, service-time estimates, and the PR-4 regression anchors
+ *  for round-robin and least-loaded. */
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
+#include "drain_audit.hh"
 #include "serve/serving_engine.hh"
 #include "serve/trace_gen.hh"
 
@@ -20,13 +21,12 @@ using workloads::InferenceRequest;
 
 workloads::ModelConfig m = workloads::gpt2("m");
 
-/** A hand-built status row: accepting by default, estimates settable. */
+/** A hand-built row offering replica @p index; estimates settable. */
 ReplicaStatus
-status(std::size_t index, bool idle = true)
+status(std::size_t index)
 {
     ReplicaStatus s;
     s.index = index;
-    s.idle = idle;
     return s;
 }
 
@@ -72,17 +72,18 @@ TEST(Routing, QueueDepthBreaksTiesByBacklogThenBusyThenIndex)
 TEST(Routing, QueueDepthIgnoresNonAcceptingReplicas)
 {
     serve::QueueDepthRouter router;
-    std::vector<ReplicaStatus> rs = {status(0, false), status(1)};
-    rs[0].resident = 0; // emptier, but not accepting
-    rs[1].resident = 5;
-    EXPECT_EQ(router.route(fresh(), rs, 0.0), 1u);
+    // Replicas 0 and 2 do not accept, so the drain offers only 1 and 3:
+    // the pick is a pool index, not a row position.
+    std::vector<ReplicaStatus> rs = {status(1), status(3)};
+    rs[0].resident = 5;
+    rs[1].resident = 2;
+    EXPECT_EQ(router.route(fresh(), rs, 0.0), 3u);
 }
 
 TEST(Routing, QueueDepthAllBusyIsFatal)
 {
     serve::QueueDepthRouter router;
-    std::vector<ReplicaStatus> rs = {status(0, false), status(1, false)};
-    EXPECT_THROW(router.route(fresh(), rs, 0.0), std::runtime_error);
+    EXPECT_THROW(router.route(fresh(), {}, 0.0), std::runtime_error);
 }
 
 // --- Predicted-finish -----------------------------------------------------
@@ -124,8 +125,7 @@ TEST(Routing, PredictedFinishIsBatchedStepAware)
 TEST(Routing, PredictedFinishAllBusyIsFatal)
 {
     serve::PredictedFinishRouter router;
-    std::vector<ReplicaStatus> rs = {status(0, false)};
-    EXPECT_THROW(router.route(fresh(), rs, 0.0), std::runtime_error);
+    EXPECT_THROW(router.route(fresh(), {}, 0.0), std::runtime_error);
 }
 
 // --- KV-affinity ----------------------------------------------------------
@@ -145,13 +145,12 @@ TEST(Routing, KvAffinityPrefersTheBoundReplica)
 TEST(Routing, KvAffinityFallsBackToPredictedFinishWhenBoundIsBusy)
 {
     serve::KvAffinityRouter router;
-    std::vector<ReplicaStatus> rs = {status(0, false), status(1),
-                                     status(2)};
-    rs[1].estGenMs = 9.0;
-    rs[2].estGenMs = 2.0;
+    std::vector<ReplicaStatus> rs = {status(1), status(2)};
+    rs[0].estGenMs = 9.0;
+    rs[1].estGenMs = 2.0;
     serve::QueuedRequest q = fresh();
     q.resumed = true;
-    q.boundReplica = 0; // not accepting -> predicted-finish fallback
+    q.boundReplica = 0; // not offered -> predicted-finish fallback
     EXPECT_EQ(router.route(q, rs, 0.0), 2u);
 }
 
@@ -174,8 +173,7 @@ TEST(Routing, KvAffinitySteersFreshWorkAwayFromParkedKv)
 TEST(Routing, KvAffinityAllBusyIsFatal)
 {
     serve::KvAffinityRouter router;
-    std::vector<ReplicaStatus> rs = {status(0, false), status(1, false)};
-    EXPECT_THROW(router.route(fresh(), rs, 0.0), std::runtime_error);
+    EXPECT_THROW(router.route(fresh(), {}, 0.0), std::runtime_error);
 }
 
 // --- SLO-budget -------------------------------------------------------------
@@ -252,21 +250,21 @@ TEST(Routing, SloBudgetBreaksFeasibleTiesByLowestIndex)
 TEST(Routing, SloBudgetIgnoresNonAcceptingReplicas)
 {
     serve::SloBudgetRouter router(10.0);
-    std::vector<ReplicaStatus> rs = {status(0, false), status(1)};
-    // The busy replica would be the feasible-latest pick if it were
-    // accepting.
-    rs[0].estPrefillMs = 20.0;
-    rs[0].estGenMs = 30.0;
-    rs[1].estPrefillMs = 2.0;
-    rs[1].estGenMs = 8.0;
-    EXPECT_EQ(router.route(fresh(), rs, 0.0), 1u);
+    // Replicas 0 and 2 do not accept, so the drain offers only 1 and 3.
+    // Both meet the 80 ms budget (10 and 50 ms); the later finish is
+    // replica 3's, at row position 1.
+    std::vector<ReplicaStatus> rs = {status(1), status(3)};
+    rs[0].estPrefillMs = 2.0;
+    rs[0].estGenMs = 8.0;
+    rs[1].estPrefillMs = 20.0;
+    rs[1].estGenMs = 30.0;
+    EXPECT_EQ(router.route(fresh(), rs, 0.0), 3u);
 }
 
 TEST(Routing, SloBudgetAllBusyIsFatal)
 {
     serve::SloBudgetRouter router(10.0);
-    std::vector<ReplicaStatus> rs = {status(0, false), status(1, false)};
-    EXPECT_THROW(router.route(fresh(), rs, 0.0), std::runtime_error);
+    EXPECT_THROW(router.route(fresh(), {}, 0.0), std::runtime_error);
 }
 
 TEST(Routing, SloBudgetRejectsNonPositiveSlo)
@@ -412,22 +410,131 @@ TEST(Routing, EngineFillsLoadSignalsAndGatesEstimates)
         }
 }
 
+/** Checks every row the drain offers against the pool's roles and its
+ *  one-slot replicas, then routes by kv-affinity, which reads the
+ *  estimates and looks its session-hit replica up among the rows. */
+struct OfferProbe : serve::Router
+{
+    serve::KvAffinityRouter inner;
+    std::vector<serve::ReplicaRole> roles;
+    std::size_t routes = 0;
+    std::size_t partialOffers = 0; ///< routes offered one prefill replica
+
+    const char *name() const override { return "offer-probe"; }
+    bool needsEstimates() const override { return true; }
+    std::size_t route(const serve::QueuedRequest &q,
+                      const std::vector<ReplicaStatus> &rs,
+                      double now) override
+    {
+        ++routes;
+        partialOffers += rs.size() == 1;
+        for (const ReplicaStatus &r : rs) {
+            const std::string row = "route " + std::to_string(routes) +
+                                    " offered replica " +
+                                    std::to_string(r.index);
+            EXPECT_NE(roles.at(r.index), serve::ReplicaRole::Decode) << row;
+            // maxBatch 1: a free slot is an empty replica that is not
+            // mid-segment.
+            EXPECT_EQ(r.resident, 0u) << row;
+            EXPECT_LE(r.freeAtMs, now) << row;
+            EXPECT_GT(r.estPrefillMs, 0.0) << row;
+        }
+        return inner.route(q, rs, now);
+    }
+};
+
+// A disaggregated session drain offers the router only replicas that can
+// take the candidate: never a Decode replica, never one whose only slot
+// is taken. So only the prefill side is priced, and the decode replicas
+// build no prefill program at all, although a session's pinned prefix
+// lives on them.
+TEST(Routing, DrainOffersOnlyReplicasThatCanTakeTheCandidate)
+{
+    serve::DevicePool pool;
+    for (serve::ReplicaRole role :
+         {serve::ReplicaRole::Prefill, serve::ReplicaRole::Prefill,
+          serve::ReplicaRole::Decode, serve::ReplicaRole::Decode})
+        pool.addReplica(std::make_unique<serve::CompiledModel>(
+                            role == serve::ReplicaRole::Prefill
+                                ? SystemConfig::npuMem()
+                                : SystemConfig::ianusDefault(),
+                            m),
+                        role);
+    serve::SessionOptions sopts;
+    sopts.seed = 29;
+    sopts.sessions = 12;
+    sopts.meanTurns = 3.0;
+    sopts.maxTurns = 5;
+    sopts.maxContextTokens = 256;
+    sopts.meanThinkMs = 20.0;
+    sopts.sessionsPerSec = 200.0;
+    sopts.deltaTokenChoices = {16, 48};
+    sopts.outputTokenChoices = {4, 16};
+    const serve::ArrivalTrace trace = serve::generateSessionTrace(sopts);
+
+    serve::ServingOptions opts;
+    opts.maxBatch = 1;
+    opts.tokenStride = 4;
+    opts.kv.capacityTokens = 2048;
+    opts.kv.admission = serve::KvAdmission::Queue;
+    auto router = std::make_unique<OfferProbe>();
+    router->roles = pool.roles();
+    OfferProbe *probe = router.get();
+    serve::ServingEngine engine(pool, opts, nullptr, std::move(router));
+    serve::submitAll(trace, engine);
+    const serve::ServingReport rep = engine.drain();
+
+    ASSERT_EQ(rep.requests(), trace.size());
+    EXPECT_GT(rep.prefixHits, 0u);
+    EXPECT_GT(rep.kvTransfers, 0u);
+    EXPECT_GT(probe->routes, 0u);
+    EXPECT_GT(probe->partialOffers, 0u);
+    // A store counts each build once, on whichever of its replicas asked
+    // first, so what each side did build is summed over its replicas.
+    std::uint64_t prefill_builds = 0;
+    std::uint64_t decode_builds = 0;
+    for (std::size_t d = 0; d < pool.size(); ++d) {
+        const serve::CacheStats &c = pool.replica(d).cacheStats();
+        if (pool.roles()[d] != serve::ReplicaRole::Decode) {
+            prefill_builds += c.summarizationBuilds + c.chunkBuilds;
+            continue;
+        }
+        EXPECT_EQ(c.summarizationBuilds, 0u) << "replica " << d;
+        EXPECT_EQ(c.chunkBuilds, 0u) << "replica " << d;
+        decode_builds += c.generationBuilds + c.batchBuilds;
+    }
+    EXPECT_GT(prefill_builds, 0u);
+    EXPECT_GT(decode_builds, 0u);
+}
+
 // --- PR-4 regression anchors ----------------------------------------------
 
+/** The offered row of replica @p d, or null: the PR-4 routers scanned
+ *  the whole pool and skipped every replica that did not accept. */
+const ReplicaStatus *
+offered(const std::vector<ReplicaStatus> &rs, std::size_t d)
+{
+    for (const ReplicaStatus &r : rs)
+        if (r.index == d)
+            return &r;
+    return nullptr;
+}
+
 /** The PR-4 round-robin, reimplemented against the PR-4 status fields
- *  only (idle + a rotating cursor). */
+ *  only: a cursor rotating over the pool's indices. */
 struct Pr4RoundRobin : serve::Router
 {
+    std::size_t replicas = 0; ///< pool size
     std::size_t cursor = 0;
     const char *name() const override { return "round-robin"; }
     std::size_t route(const serve::QueuedRequest &,
                       const std::vector<ReplicaStatus> &rs,
                       double) override
     {
-        for (std::size_t k = 0; k < rs.size(); ++k) {
-            std::size_t d = (cursor + k) % rs.size();
-            if (rs[d].idle) {
-                cursor = (d + 1) % rs.size();
+        for (std::size_t k = 0; k < replicas; ++k) {
+            std::size_t d = (cursor + k) % replicas;
+            if (offered(rs, d)) {
+                cursor = (d + 1) % replicas;
                 return d;
             }
         }
@@ -436,28 +543,52 @@ struct Pr4RoundRobin : serve::Router
 };
 
 /** The PR-4 least-loaded, reimplemented against the PR-4 status fields
- *  only (idle, cumulative busyMs, dispatch count). */
+ *  only (cumulative busyMs, dispatch count). */
 struct Pr4LeastLoaded : serve::Router
 {
+    std::size_t replicas = 0; ///< pool size
     const char *name() const override { return "least-loaded"; }
     std::size_t route(const serve::QueuedRequest &,
                       const std::vector<ReplicaStatus> &rs,
                       double) override
     {
         const ReplicaStatus *best = nullptr;
-        for (const ReplicaStatus &r : rs) {
-            if (!r.idle)
+        for (std::size_t d = 0; d < replicas; ++d) {
+            const ReplicaStatus *r = offered(rs, d);
+            if (!r)
                 continue;
-            if (!best || r.busyMs < best->busyMs ||
-                (r.busyMs == best->busyMs &&
-                 r.dispatched < best->dispatched))
-                best = &r;
+            if (!best || r->busyMs < best->busyMs ||
+                (r->busyMs == best->busyMs &&
+                 r->dispatched < best->dispatched))
+                best = r;
         }
         if (!best)
             throw std::runtime_error("no idle replica");
         return best->index;
     }
 };
+
+/** The shipped round-robin picks what the PR-4 cyclic scan picks on any
+ *  sequence of offers, including offers that skip the cursor's replica
+ *  and offers of a single replica. */
+TEST(Routing, RoundRobinMatchesTheCyclicScanOnAnyOffer)
+{
+    serve::RoundRobinRouter shipped;
+    Pr4RoundRobin pr4;
+    pr4.replicas = 4;
+    std::uint32_t lcg = 7;
+    for (int call = 0; call < 200; ++call) {
+        lcg = lcg * 1664525u + 1013904223u;
+        const std::uint32_t mask = 1 + (lcg >> 16) % 15; // non-empty subset
+        std::vector<ReplicaStatus> rs;
+        for (std::size_t d = 0; d < pr4.replicas; ++d)
+            if (mask & (1u << d))
+                rs.push_back(status(d));
+        EXPECT_EQ(shipped.route(fresh(), rs, 0.0), pr4.route(fresh(), rs, 0.0))
+            << "call " << call << ", offer mask " << mask;
+    }
+    EXPECT_THROW(shipped.route(fresh(), {}, 0.0), std::runtime_error);
+}
 
 /** On a homogeneous pool, the shipped round-robin and least-loaded
  *  must make dispatch decisions bit-identical to their PR-4 selves:
@@ -471,11 +602,12 @@ TEST(Routing, HomogeneousDispatchMatchesPr4BitForBit)
     topts.inputTokenChoices = {64, 128};
     topts.outputTokenChoices = {2, 4, 8};
     serve::ArrivalTrace trace = serve::generatePoissonTrace(topts);
+    const std::size_t replicas = 4;
 
     auto drain = [&](std::unique_ptr<serve::Router> router,
                      serve::BatchingMode mode, std::size_t cap) {
         serve::PoolOptions popts;
-        popts.replicas = 4;
+        popts.replicas = replicas;
         serve::DevicePool pool(SystemConfig::ianusDefault(), m, popts);
         serve::ServingOptions opts;
         opts.batching = mode;
@@ -497,26 +629,20 @@ TEST(Routing, HomogeneousDispatchMatchesPr4BitForBit)
     for (const Cell &cell : cells) {
         auto check = [&](std::unique_ptr<serve::Router> shipped,
                          std::unique_ptr<serve::Router> pr4) {
-            serve::ServingReport a =
+            const serve::ServingReport a =
                 drain(std::move(shipped), cell.mode, cell.cap);
-            serve::ServingReport b =
+            const serve::ServingReport b =
                 drain(std::move(pr4), cell.mode, cell.cap);
-            ASSERT_EQ(a.requests(), b.requests());
-            for (std::size_t i = 0; i < a.requests(); ++i) {
-                EXPECT_EQ(a.results[i].id, b.results[i].id);
-                EXPECT_EQ(a.results[i].deviceIndex,
-                          b.results[i].deviceIndex);
-                EXPECT_EQ(a.results[i].startMs, b.results[i].startMs);
-                EXPECT_EQ(a.results[i].finishMs, b.results[i].finishMs);
-                EXPECT_EQ(a.results[i].firstTokenMs,
-                          b.results[i].firstTokenMs);
-            }
-            EXPECT_EQ(a.makespanMs, b.makespanMs);
+            EXPECT_EQ(a.requests(), trace.size());
+            EXPECT_EQ(test::reportDifference(a, b), "")
+                << a.router << " at max batch " << cell.cap;
         };
-        check(std::make_unique<serve::RoundRobinRouter>(),
-              std::make_unique<Pr4RoundRobin>());
-        check(std::make_unique<serve::LeastLoadedRouter>(),
-              std::make_unique<Pr4LeastLoaded>());
+        auto rr = std::make_unique<Pr4RoundRobin>();
+        rr->replicas = replicas;
+        check(std::make_unique<serve::RoundRobinRouter>(), std::move(rr));
+        auto ll = std::make_unique<Pr4LeastLoaded>();
+        ll->replicas = replicas;
+        check(std::make_unique<serve::LeastLoadedRouter>(), std::move(ll));
     }
 }
 

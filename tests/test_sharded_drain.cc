@@ -704,7 +704,8 @@ TEST(ShardedDrain, InPlaceMergeMatchesAForwardMerge)
     }
 }
 
-/** Routes every request one past the shard's last replica. */
+/** Returns the number of offered rows: one past the shard's last
+ *  replica on its first route, when every replica accepts. */
 struct OutOfRangeRouter : Router
 {
     const char *name() const override { return "oob"; }
@@ -744,8 +745,8 @@ TEST(ShardedDrain, WorkerFailureReachesTheCaller)
     }
     ASSERT_EQ(messages.size(), 2u);
     EXPECT_EQ(messages[0], messages[1]);
-    EXPECT_NE(messages[0].find("returned out-of-range replica 1 (pool "
-                               "has 1)"),
+    EXPECT_NE(messages[0].find("returned replica 1, which was not offered "
+                               "(pool has 1)"),
               std::string::npos)
         << messages[0];
 }
