@@ -1,11 +1,11 @@
 /**
  * @file Every simulated number, pinned bit for bit. One small drain per
- * serving feature and a few whole-request reports of the paper's
- * configurations are digested field by field (drain_audit.hh's
- * ResultDigest) and compared with recorded digests. Tests that compare
- * a path only with another path pass whatever both compute, and the
- * goldens print one or two decimals; these fail when any result moves
- * by one unit in the last place. A change meant to move numbers
+ * serving feature, a few whole-request reports of the paper's
+ * configurations and raw device-engine runs are digested field by
+ * field (drain_audit.hh's ResultDigest) and compared with recorded
+ * digests. Tests that compare a path only with another path pass
+ * whatever both compute, and the goldens print one or two decimals;
+ * these fail when any result moves by one unit in the last place. A change meant to move numbers
  * re-records the digests it moves, in its own commit, and says which.
  *
  * Each drain also checks that it reaches its feature (a scenario that
@@ -20,10 +20,14 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "compiler/workload_builder.hh"
 #include "drain_audit.hh"
+#include "ianus/execution_engine.hh"
 #include "serve/sharded_drain.hh"
 #include "serve/serving_engine.hh"
 #include "serve/trace_gen.hh"
@@ -314,6 +318,101 @@ TEST(ResultDigest, InferenceReportsMatchRecordedDigests)
         digest.add(model.run(c.request, c.stride));
         got[c.name] = digest.value;
     }
+    expectDigests(want, got);
+}
+
+// Raw device runs, below every composition: ExecutionEngine::run on
+// the full program, and each of its block-end snapshots. The served
+// paths above compose a 2-block run, and the block-periodic tests
+// compare two runs of the same engine, so a timing slip that moves
+// both alike passes them; it moves these. The programs are a resumed
+// prefill chunk and a batch-4 generation step of GPT-2 M on the three
+// memory systems under five build options, plus partitioned GPT-2
+// 2.5B, whose spilled first blocks take the full-program path.
+TEST(ResultDigest, EngineRunsMatchRecordedDigests)
+{
+    const std::map<std::string, std::uint64_t> want = {
+        {"ianus/m/force-pim/batch-4", 0x3bd5ae6cebc560b8ull},
+        {"ianus/m/force-pim/chunk-96+64", 0xf4440f2d92a54b28ull},
+        {"ianus/m/naive/batch-4", 0x5a5ab029168ff0e1ull},
+        {"ianus/m/naive/chunk-96+64", 0xae1037b292c21f6eull},
+        {"ianus/m/pas/batch-4", 0x3bd5ae6cebc560b8ull},
+        {"ianus/m/pas/chunk-96+64", 0xb98ed36c18e88715ull},
+        {"ianus/m/pim-attn/batch-4", 0xaec138749196d90eull},
+        {"ianus/m/pim-attn/chunk-96+64", 0xb98ed36c18e88715ull},
+        {"ianus/m/tp2/batch-4", 0xadc6868c71efb8f3ull},
+        {"ianus/m/tp2/chunk-96+64", 0x409dd2999b3490c1ull},
+        {"npu-mem/m/force-pim/batch-4", 0xc949f82a017d1801ull},
+        {"npu-mem/m/force-pim/chunk-96+64", 0x61d3d5ad9b83826cull},
+        {"npu-mem/m/naive/batch-4", 0xda17ec5ab81836b0ull},
+        {"npu-mem/m/naive/chunk-96+64", 0x1ae80522162fc56bull},
+        {"npu-mem/m/pas/batch-4", 0xc949f82a017d1801ull},
+        {"npu-mem/m/pas/chunk-96+64", 0x61d3d5ad9b83826cull},
+        {"npu-mem/m/tp2/batch-4", 0x42aa57d16bb8776full},
+        {"npu-mem/m/tp2/chunk-96+64", 0x1af9b60c3e507568ull},
+        {"partitioned/2.5b/pas/batch-4", 0xda023783b39c1a88ull},
+        {"partitioned/2.5b/pas/chunk-96+64", 0x602611e0e2cb2aa1ull},
+        {"partitioned/m/force-pim/batch-4", 0xac35547d19c9c545ull},
+        {"partitioned/m/force-pim/chunk-96+64", 0x3500046de8b88610ull},
+        {"partitioned/m/naive/batch-4", 0x2f181b55f56f75bdull},
+        {"partitioned/m/naive/chunk-96+64", 0x34f5103f507bb45eull},
+        {"partitioned/m/pas/batch-4", 0xac35547d19c9c545ull},
+        {"partitioned/m/pas/chunk-96+64", 0x64bce85f74077f9eull},
+        {"partitioned/m/pim-attn/batch-4", 0xf6de6bce1e5c7578ull},
+        {"partitioned/m/pim-attn/chunk-96+64", 0x64bce85f74077f9eull},
+        {"partitioned/m/tp2/batch-4", 0x0a500bc68fd8d4baull},
+        {"partitioned/m/tp2/chunk-96+64", 0x8f35b5939ec0b1b2ull},
+    };
+
+    using compiler::BuildOptions;
+    BuildOptions naive;
+    naive.policy = compiler::SchedulingPolicy::Naive;
+    BuildOptions pim_attn;
+    pim_attn.attnMapping = compiler::AttnMapping::Pim;
+    BuildOptions force_pim;
+    force_pim.fcPlacement = compiler::FcPlacement::ForcePim;
+    const std::vector<std::pair<std::string, BuildOptions>> options = {
+        {"pas", {}},
+        {"naive", naive},
+        {"pim-attn", pim_attn},
+        {"force-pim", force_pim},
+        {"tp2", {.devices = 2}}};
+    const std::vector<std::pair<std::string, SystemConfig>> systems = {
+        {"ianus", SystemConfig::ianusDefault()},
+        {"npu-mem", SystemConfig::npuMem()},
+        {"partitioned", SystemConfig::partitioned()}};
+
+    std::map<std::string, std::uint64_t> got;
+    auto digestRuns = [&got](const std::string &name,
+                             const SystemConfig &sys,
+                             const workloads::ModelConfig &model,
+                             const BuildOptions &opts) {
+        std::optional<compiler::WorkloadBuilder> builder;
+        try {
+            builder.emplace(sys, model, opts);
+        } catch (const std::runtime_error &) {
+            return; // NPU-MEM has no PIM to map attention onto
+        }
+        ExecutionEngine engine(sys, opts.devices);
+        const std::pair<std::string, isa::Program> programs[] = {
+            {"chunk-96+64", builder->buildSummarizationChunk(96, 64, true)},
+            {"batch-4", builder->buildGenerationBatch({257, 318, 379, 440})}};
+        for (const auto &[what, prog] : programs) {
+            std::vector<RunStats> ends;
+            test::ResultDigest digest;
+            digest.add(engine.run(prog, &ends));
+            EXPECT_EQ(ends.size(), model.nBlocks) << name << '/' << what;
+            for (const RunStats &end : ends)
+                digest.add(end);
+            got[name + '/' + what] = digest.value;
+        }
+    };
+    const workloads::ModelConfig m = workloads::gpt2("m");
+    for (const auto &[sys_name, sys] : systems)
+        for (const auto &[opt_name, opts] : options)
+            digestRuns(sys_name + "/m/" + opt_name, sys, m, opts);
+    digestRuns("partitioned/2.5b/pas", SystemConfig::partitioned(),
+               workloads::gpt2("2.5b"), {});
     expectDigests(want, got);
 }
 
