@@ -28,6 +28,8 @@ PimChannelEngine::gemvTiming(const GemvTiling &tiling, bool fused_gelu,
     const std::uint64_t row_tiles = tiling.rowTiles();
     const std::uint64_t k_tiles = tiling.kTiles();
 
+    // Every row tile of a slice issues the same commands, so each
+    // slice adds its per-tile costs row_tiles times over.
     for (std::uint64_t kt = 0; kt < k_tiles; ++kt) {
         std::uint64_t k_elems = tiling.kSliceElems(kt);
         // WRGB: broadcast the input slice into every channel's global
@@ -37,28 +39,26 @@ PimChannelEngine::gemvTiming(const GemvTiling &tiling, bool fused_gelu,
         mt.gbFill += gb_bursts * burst;
         mt.micro.wrgb += gb_bursts;
 
+        // Per row tile: ACTAB -> MACAB stream -> RDMAC [-> ACTAF] ->
+        // PREAB, with the bias write on the first slice and the fused
+        // activation on the last.
         std::uint64_t mac_bursts = ceilDiv(k_elems,
                                            std::uint64_t{pu_.elemsPerMac});
-        for (std::uint64_t rt = 0; rt < row_tiles; ++rt) {
-            (void)rt;
-            // ACTAB -> MACAB stream -> RDMAC [-> ACTAF] -> PREAB.
-            mt.rowOverhead += t.tRCDRD;
-            mt.micro.actab += 1;
-            if (has_bias && kt == 0) {
-                mt.rowOverhead += burst;
-                mt.micro.wrbias += 1;
-            }
-            mt.macStream += mac_bursts * burst;
-            mt.micro.macab += mac_bursts;
-            mt.rowOverhead += burst; // RDMAC of the 16 accumulators
-            mt.micro.rdmac += 1;
-            if (fused_gelu && kt == k_tiles - 1) {
-                mt.rowOverhead += pu_.actafTicks;
-                mt.micro.actaf += 1;
-            }
-            mt.rowOverhead += t.tRP;
-            mt.micro.preab += 1;
+        Tick per_tile = t.tRCDRD + burst + t.tRP; // ACTAB, RDMAC, PREAB
+        mt.micro.actab += row_tiles;
+        mt.micro.rdmac += row_tiles;
+        mt.micro.preab += row_tiles;
+        if (has_bias && kt == 0) {
+            per_tile += burst;
+            mt.micro.wrbias += row_tiles;
         }
+        if (fused_gelu && kt == k_tiles - 1) {
+            per_tile += pu_.actafTicks;
+            mt.micro.actaf += row_tiles;
+        }
+        mt.rowOverhead += row_tiles * per_tile;
+        mt.macStream += row_tiles * mac_bursts * burst;
+        mt.micro.macab += row_tiles * mac_bursts;
     }
     mt.total = mt.gbFill + mt.macStream + mt.rowOverhead;
     return mt;
