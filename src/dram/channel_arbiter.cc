@@ -157,6 +157,21 @@ ChannelArbiter::startFlow(std::uint64_t bytes, ChannelSet channels,
 }
 
 void
+ChannelArbiter::reset()
+{
+    flows_.clear();
+    std::fill(exclusive_.begin(), exclusive_.end(), 0);
+    lastUpdate_ = 0;
+    pendingEvent_ = 0;
+    nextId_ = 1;
+    readBytes_ = 0;
+    writeBytes_ = 0;
+    exclusiveSince_ = 0;
+    exclusiveAccum_ = 0;
+    exclusiveChannels_ = 0;
+}
+
+void
 ChannelArbiter::acquireExclusive(ChannelSet channels)
 {
     advanceTo(eq_.now());
@@ -169,7 +184,9 @@ ChannelArbiter::acquireExclusive(ChannelSet channels)
     }
     if (was_idle && exclusiveChannels_ > 0)
         exclusiveSince_ = eq_.now();
-    recomputeRates();
+    // The shares change only on channels that carry a flow.
+    if (anyFlowOn(channels))
+        recomputeRates();
     rescheduleCompletion();
 }
 
@@ -187,7 +204,8 @@ ChannelArbiter::releaseExclusive(ChannelSet channels)
     }
     if (exclusiveChannels_ == 0 && exclusiveSince_ <= eq_.now())
         exclusiveAccum_ += eq_.now() - exclusiveSince_;
-    recomputeRates();
+    if (anyFlowOn(channels))
+        recomputeRates();
     rescheduleCompletion();
 }
 

@@ -62,6 +62,11 @@ class ChannelArbiter
     FlowId startFlow(std::uint64_t bytes, ChannelSet channels, bool is_write,
                      sim::SmallFn on_complete);
 
+    /** Forget every flow, reservation and byte count, as if newly
+     *  constructed, keeping the storage. Call it once the event queue
+     *  has dropped the arbiter's pending event (EventQueue::reset). */
+    void reset();
+
     /** Stall all flows on @p channels (PIM macro command entry). */
     void acquireExclusive(ChannelSet channels);
 

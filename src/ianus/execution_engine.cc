@@ -19,35 +19,30 @@ namespace ianus
 
 using isa::UnitKind;
 
-namespace
-{
-
-/** Per-run simulation state; one instance per ExecutionEngine::run(). */
-class RunContext
+/** The device model and the state of the run in progress. Every
+ *  buffer is sized by reset() and kept for the next run. */
+class ExecutionEngine::Machine
 {
   public:
-    RunContext(const SystemConfig &cfg, unsigned devices,
-               const isa::Program &prog, std::vector<RunStats> *block_ends)
-        : cfg_(cfg), devices_(devices), prog_(prog),
-          arbiter_(eq_, cfg.mem, cfg.dmaEfficiency),
-          sched_(prog, cfg.cores, cfg.sched), mu_(cfg.mu), vu_(cfg.vu),
-          pimEngine_(cfg.mem, cfg.pimUnit), noc_(cfg.noc),
-          dma_(noc_, cfg.mem),
-          unitBusy_(cfg.cores),
-          startTick_(prog.size(), 0), join_(prog.size()),
-          blockEnds_(block_ends)
+    Machine(const SystemConfig &cfg, unsigned devices)
+        : cfg_(cfg), devices_(devices),
+          arbiter_(eq_, cfg_.mem, cfg_.dmaEfficiency),
+          sched_(cfg_.cores, cfg_.sched), mu_(cfg_.mu), vu_(cfg_.vu),
+          pimEngine_(cfg_.mem, cfg_.pimUnit), noc_(cfg_.noc),
+          dma_(noc_, cfg_.mem), busy_(cfg_.cores)
     {
     }
 
     RunStats
-    execute()
+    run(const isa::Program &prog, std::vector<RunStats> *block_ends)
     {
+        reset(prog, block_ends);
         pump();
         while (!sched_.allDone()) {
             if (!eq_.step()) {
                 dumpDeadlock();
                 IANUS_PANIC("execution deadlock: ",
-                            sched_.completedCount(), "/", prog_.size(),
+                            sched_.completedCount(), "/", prog.size(),
                             " commands completed");
             }
         }
@@ -55,9 +50,23 @@ class RunContext
     }
 
   private:
-    const SystemConfig &cfg_;
-    unsigned devices_;
-    const isa::Program &prog_;
+    /** The channels a command waits on: a PIM command's macro channels,
+     *  or the channels an off-chip NPU command touches (0 for on-chip
+     *  work); and whether it is a GEMM that streams its weights, which
+     *  drives the core's load DMA for the whole stream. */
+    struct Gate
+    {
+        dram::ChannelSet channels = 0;
+        bool streamsWeights = false;
+    };
+
+    static constexpr std::uint8_t pimBit =
+        1u << static_cast<unsigned>(UnitKind::Pim);
+    static constexpr std::uint8_t dmaInBit =
+        1u << static_cast<unsigned>(UnitKind::DmaIn);
+
+    const SystemConfig cfg_;
+    const unsigned devices_;
     sim::EventQueue eq_;
     dram::ChannelArbiter arbiter_;
     npu::CommandScheduler sched_;
@@ -67,8 +76,16 @@ class RunContext
     noc::Noc noc_;
     npu::DmaEngine dma_;
 
-    std::vector<std::array<bool, RunStats::numUnits>> unitBusy_;
-    std::vector<Tick> startTick_;
+    /** The program running. Program::add numbers commands in order
+     *  and lets them depend only on earlier ones, so every id the
+     *  scheduler hands out indexes commands_. */
+    const isa::Program *prog_ = nullptr;
+    const isa::Command *commands_ = nullptr;
+    /** Per core, the units running a command (bit i == UnitKind i); a
+     *  weight-streaming GEMM also holds its core's DmaIn. */
+    std::vector<std::uint8_t> busy_;
+    std::vector<Gate> gate_;      ///< by command id
+    std::vector<Tick> startTick_; ///< by command id, set at dispatch
     /** A weight-streamed GEMM finishes when both its compute and its
      *  weight flow have: halves still running, and the latest end. */
     struct Join
@@ -76,9 +93,9 @@ class RunContext
         unsigned left = 0;
         Tick at = 0;
     };
-    std::vector<Join> join_; ///< by command id
-    std::vector<RunStats> *blockEnds_;
-    std::size_t nextEnd_ = 0; ///< next entry of prog_.blockEnds()
+    std::vector<Join> join_; ///< by command id, set at dispatch
+    std::vector<RunStats> *blockEnds_ = nullptr;
+    std::size_t nextEnd_ = 0; ///< next entry of prog_->blockEnds()
     dram::ChannelSet pimBusyMask_ = 0;
     dram::ChannelSet pimWaitMask_ = 0;
     RunStats stats_;
@@ -86,12 +103,62 @@ class RunContext
     /** In-flight command count and span-open timestamp per OpClass. */
     std::array<unsigned, RunStats::numClasses> classActive_{};
     std::array<Tick, RunStats::numClasses> classSpanStart_{};
+    /** The classes in flight, one bit per attribution rank (byRank). */
+    std::uint8_t activeRanks_ = 0;
     Tick lastAttr_ = 0;
 
     static std::size_t
     idx(UnitKind unit)
     {
         return static_cast<std::size_t>(unit);
+    }
+
+    /** Start over on @p prog at tick 0. */
+    void
+    reset(const isa::Program &prog, std::vector<RunStats> *block_ends)
+    {
+        prog_ = &prog;
+        commands_ = prog.commands().data();
+        blockEnds_ = block_ends;
+        nextEnd_ = 0;
+        eq_.reset();
+        arbiter_.reset();
+        sched_.reset(prog);
+        std::fill(busy_.begin(), busy_.end(), 0);
+        const std::size_t n = prog.size();
+        gate_.resize(n);
+        for (std::size_t id = 0; id < n; ++id)
+            gate_[id] = gateOf(commands_[id]);
+        startTick_.resize(n);
+        join_.resize(n);
+        pimBusyMask_ = 0;
+        pimWaitMask_ = 0;
+        stats_ = RunStats{};
+        classActive_ = {};
+        classSpanStart_ = {};
+        activeRanks_ = 0;
+        lastAttr_ = 0;
+    }
+
+    /** @p cmd's Gate; panics on a PIM command that names no channel,
+     *  the one payload rule the engine relies on that Program::add
+     *  does not check. */
+    static Gate
+    gateOf(const isa::Command &cmd)
+    {
+        if (cmd.unit == UnitKind::Pim) {
+            const auto *pim = std::get_if<isa::PimArgs>(&cmd.payload);
+            IANUS_ASSERT(pim, "PIM command without PimArgs");
+            IANUS_ASSERT(pim->macro.channelMask != 0,
+                         "PIM command with empty channel mask");
+            return {pim->macro.channelMask, false};
+        }
+        if (const auto *g = std::get_if<isa::MuGemmArgs>(&cmd.payload))
+            return g->weightBytes > 0 ? Gate{g->weightChannels, true}
+                                      : Gate{};
+        if (const auto *d = std::get_if<isa::DmaArgs>(&cmd.payload))
+            return {d->offChip ? d->channels : 0, false};
+        return {};
     }
 
     /** The statistics so far: wall time now, DRAM bytes moved so far. */
@@ -105,69 +172,50 @@ class RunContext
         return s;
     }
 
-    /** Whether (@p core, @p unit) has a ready command; one that has
-     *  none cannot dispatch, so pump() skips it. */
-    bool
-    hasReady(std::uint16_t core, UnitKind unit) const
-    {
-        return sched_.readyUnits(core) & (1u << idx(unit));
-    }
-
-    /** Channels an off-chip command would touch; 0 for on-chip work. */
-    static dram::ChannelSet
-    offChipChannels(const isa::Command &cmd)
-    {
-        if (const auto *g = std::get_if<isa::MuGemmArgs>(&cmd.payload))
-            return g->weightBytes > 0 ? g->weightChannels : 0;
-        if (const auto *d = std::get_if<isa::DmaArgs>(&cmd.payload))
-            return d->offChip ? d->channels : 0;
-        return 0;
-    }
-
+    /**
+     * Dispatch what can start now, in one pass: the PIM unit of every
+     * core, so that the NPU units see fresh wait masks, then each
+     * core's NPU units in UnitKind order. Only ready, idle units are
+     * visited. A second pass would start nothing: a dispatch completes
+     * no command (every completion is an event), so it readies no
+     * command and frees no unit, and the masks that hold a command
+     * back only grow during a pass.
+     */
     void
     pump()
     {
-        if (pumping_)
-            return; // completions re-enter; the outer loop re-scans
         pumping_ = true;
-        bool progress = true;
-        while (progress) {
-            progress = false;
-            // PIM pass first so DMA dispatch sees fresh wait masks.
-            pimWaitMask_ = 0;
-            for (std::uint16_t c = 0; c < cfg_.cores; ++c)
-                if (hasReady(c, UnitKind::Pim))
-                    progress |= tryDispatchPim(c);
-            static constexpr UnitKind npu_units[] = {
-                UnitKind::MatrixUnit, UnitKind::VectorUnit,
-                UnitKind::DmaIn, UnitKind::DmaOut, UnitKind::Sync};
-            for (std::uint16_t c = 0; c < cfg_.cores; ++c)
-                for (UnitKind unit : npu_units)
-                    if (hasReady(c, unit))
-                        progress |= tryDispatch(c, unit);
+        pimWaitMask_ = 0;
+        for (std::uint16_t c = 0; c < cfg_.cores; ++c)
+            if (sched_.readyUnits(c) & ~busy_[c] & pimBit)
+                tryDispatchPim(c);
+        for (std::uint16_t c = 0; c < cfg_.cores; ++c) {
+            std::uint8_t todo = sched_.readyUnits(c) & ~busy_[c] & ~pimBit;
+            while (todo) {
+                const auto unit = static_cast<UnitKind>(std::countr_zero(todo));
+                todo &= todo - 1;
+                if (tryDispatch(c, unit))
+                    todo &= ~busy_[c]; // a GEMM may have taken DmaIn
+            }
         }
         pumping_ = false;
     }
 
-    bool
+    void
     tryDispatchPim(std::uint16_t core)
     {
-        if (unitBusy_[core][idx(UnitKind::Pim)])
-            return false;
-        auto ready = sched_.peekReady(core, UnitKind::Pim);
-        if (!ready || !sched_.canIssue(core, UnitKind::Pim))
-            return false;
-        const isa::Command &cmd = prog_.at(*ready);
-        const auto &args = std::get<isa::PimArgs>(cmd.payload);
-        dram::ChannelSet mask = args.macro.channelMask;
+        const std::uint32_t id = sched_.readyHead(core, UnitKind::Pim);
+        const dram::ChannelSet mask = gate_[id].channels;
         // Admission: channels idle of both PIM work and normal flows.
         if ((mask & pimBusyMask_) || arbiter_.anyFlowOn(mask)) {
             pimWaitMask_ |= mask; // hold new off-chip traffic out
-            return false;
+            return;
         }
-        sched_.issue(*ready);
-        unitBusy_[core][idx(UnitKind::Pim)] = true;
-        startTick_[*ready] = eq_.now();
+        const isa::Command &cmd = commands_[id];
+        const auto &args = std::get<isa::PimArgs>(cmd.payload);
+        sched_.issue(id);
+        busy_[core] |= pimBit;
+        startTick_[id] = eq_.now();
         openSpan(cmd.opClass);
         pimBusyMask_ |= mask;
         arbiter_.acquireExclusive(mask);
@@ -188,87 +236,76 @@ class RunContext
 
         Tick dur = cfg_.pcuDispatch + noc_.broadcast() +
                    args.repeats * mt.total + cfg_.cmdOverhead;
-        std::uint32_t id = *ready;
         eq_.scheduleIn(dur, [this, id, mask] {
             pimBusyMask_ &= ~mask;
             arbiter_.releaseExclusive(mask);
             finish(id);
         });
-        return true;
     }
 
+    /** Dispatch the ready head of idle NPU unit (@p core, @p unit);
+     *  returns whether it started. A unit runs one command at a time,
+     *  so an idle unit has a free issue slot. */
     bool
     tryDispatch(std::uint16_t core, UnitKind unit)
     {
-        if (unitBusy_[core][idx(unit)])
-            return false;
-        auto ready = sched_.peekReady(core, unit);
-        if (!ready || !sched_.canIssue(core, unit))
-            return false;
-        const isa::Command &cmd = prog_.at(*ready);
-
+        const std::uint32_t id = sched_.readyHead(core, unit);
+        const Gate gate = gate_[id];
         // PAS hold: off-chip traffic stays out of running/waiting PIM
         // channel sets.
-        dram::ChannelSet touch = offChipChannels(cmd);
-        if (touch & (pimBusyMask_ | pimWaitMask_))
+        if (gate.channels & (pimBusyMask_ | pimWaitMask_))
             return false;
-
         // A GEMM with streamed weights drives the core's load DMA for
         // the whole stream — KV prefetches queue behind it (the paper's
         // "prefetching keys and values instead of the weight" point).
-        const auto *gemm = std::get_if<isa::MuGemmArgs>(&cmd.payload);
-        bool holds_dma = gemm && gemm->weightBytes > 0;
-        if (holds_dma && unitBusy_[core][idx(UnitKind::DmaIn)])
+        if (gate.streamsWeights && (busy_[core] & dmaInBit))
             return false;
 
-        sched_.issue(*ready);
-        unitBusy_[core][idx(unit)] = true;
-        if (holds_dma)
-            unitBusy_[core][idx(UnitKind::DmaIn)] = true;
-        startTick_[*ready] = eq_.now();
+        const isa::Command &cmd = commands_[id];
+        sched_.issue(id);
+        busy_[core] |= static_cast<std::uint8_t>(1u << idx(unit));
+        if (gate.streamsWeights)
+            busy_[core] |= dmaInBit;
+        startTick_[id] = eq_.now();
         openSpan(cmd.opClass);
         begin(cmd);
         return true;
     }
 
     /**
-     * Exclusive-attribution priority: FC classes first (an instant under
-     * an FC belongs to the FC even if attention work overlaps it), then
-     * the attention pipeline, then vector work.
+     * Exclusive-attribution priority, best first: FC classes (an
+     * instant under an FC belongs to the FC even if attention work
+     * overlaps it), then the attention pipeline, then vector work.
      */
-    static std::size_t
-    attributionRank(std::size_t cls)
-    {
-        using isa::OpClass;
-        switch (static_cast<OpClass>(cls)) {
-          case OpClass::FcQkv: return 0;
-          case OpClass::FfnAdd: return 1;
-          case OpClass::FcAttnAdd: return 2;
-          case OpClass::LmHead: return 3;
-          case OpClass::Embedding: return 4;
-          case OpClass::SelfAttention: return 5;
-          case OpClass::LayerNorm: return 6;
-          case OpClass::Other: return 7;
-        }
-        return 7;
-    }
+    static constexpr std::array<isa::OpClass, RunStats::numClasses>
+        byRank = {isa::OpClass::FcQkv,     isa::OpClass::FfnAdd,
+                  isa::OpClass::FcAttnAdd, isa::OpClass::LmHead,
+                  isa::OpClass::Embedding, isa::OpClass::SelfAttention,
+                  isa::OpClass::LayerNorm, isa::OpClass::Other};
 
+    /** Each class's bit in activeRanks_, by OpClass: one bit per
+     *  place in byRank. */
+    static constexpr std::array<std::uint8_t, RunStats::numClasses>
+        rankBit = [] {
+            std::array<std::uint8_t, RunStats::numClasses> bits{};
+            for (std::size_t r = 0; r < byRank.size(); ++r)
+                bits[static_cast<std::size_t>(byRank[r])] =
+                    static_cast<std::uint8_t>(1u << r);
+            return bits;
+        }();
+    static_assert(std::ranges::find(rankBit, 0) == rankBit.end(),
+                  "byRank ranks every OpClass once");
+
+    /** Give the time since the last span change to the best-ranked
+     *  class in flight. */
     void
     attributeElapsed()
     {
         Tick now = eq_.now();
-        if (now > lastAttr_) {
-            std::size_t best = RunStats::numClasses;
-            std::size_t best_rank = ~std::size_t{0};
-            for (std::size_t i = 0; i < RunStats::numClasses; ++i) {
-                if (classActive_[i] && attributionRank(i) < best_rank) {
-                    best_rank = attributionRank(i);
-                    best = i;
-                }
-            }
-            if (best < RunStats::numClasses)
-                stats_.classExclusive[best] +=
-                    static_cast<double>(now - lastAttr_);
+        if (now > lastAttr_ && activeRanks_) {
+            auto best = byRank[std::countr_zero(activeRanks_)];
+            stats_.classExclusive[static_cast<std::size_t>(best)] +=
+                static_cast<double>(now - lastAttr_);
         }
         lastAttr_ = now;
     }
@@ -278,8 +315,10 @@ class RunContext
     {
         attributeElapsed();
         auto i = static_cast<std::size_t>(cls);
-        if (classActive_[i]++ == 0)
+        if (classActive_[i]++ == 0) {
             classSpanStart_[i] = eq_.now();
+            activeRanks_ |= rankBit[i];
+        }
     }
 
     void
@@ -288,9 +327,11 @@ class RunContext
         attributeElapsed();
         auto i = static_cast<std::size_t>(cls);
         IANUS_ASSERT(classActive_[i] > 0, "span underflow");
-        if (--classActive_[i] == 0)
+        if (--classActive_[i] == 0) {
             stats_.classSpan[i] += static_cast<double>(
                 eq_.now() - classSpanStart_[i]);
+            activeRanks_ &= static_cast<std::uint8_t>(~rankBit[i]);
+        }
     }
 
     void
@@ -319,8 +360,7 @@ class RunContext
                                [this, id, fixed, core] {
                                    // Weight stream drained: the load DMA
                                    // engine frees up for queued loads.
-                                   unitBusy_[core][idx(UnitKind::DmaIn)] =
-                                       false;
+                                   busy_[core] &= ~dmaInBit;
                                    joinPart(id, eq_.now() + fixed);
                                    pump();
                                });
@@ -387,17 +427,18 @@ class RunContext
     void
     finish(std::uint32_t id)
     {
-        const isa::Command &cmd = prog_.at(id);
+        IANUS_ASSERT(!pumping_, "command ", id, " finished inside pump()");
+        const isa::Command &cmd = commands_[id];
         Tick dur = eq_.now() - startTick_[id];
         stats_.busy(cmd.opClass) += static_cast<double>(dur);
         stats_.busy(cmd.unit) += static_cast<double>(dur);
         stats_.commands += 1.0;
         closeSpan(cmd.opClass);
-        unitBusy_[cmd.core][idx(cmd.unit)] = false;
+        busy_[cmd.core] &= static_cast<std::uint8_t>(~(1u << idx(cmd.unit)));
         sched_.complete(id);
         // A block's closing barrier completes on a drained machine, and
         // the next block waits on it: snapshot before that dispatches.
-        const auto &ends = prog_.blockEnds();
+        const auto &ends = prog_->blockEnds();
         if (blockEnds_ && nextEnd_ < ends.size() && ends[nextEnd_] == id) {
             IANUS_ASSERT(eq_.empty(), "block ", nextEnd_,
                          " ends with work in flight");
@@ -416,28 +457,29 @@ class RunContext
                     c, static_cast<UnitKind>(u));
                 if (ready)
                     IANUS_WARN("stuck ready: ",
-                               prog_.at(*ready).describe());
+                               commands_[*ready].describe());
             }
         }
     }
 };
 
-} // namespace
-
 ExecutionEngine::ExecutionEngine(const SystemConfig &cfg, unsigned devices)
-    : cfg_(cfg), devices_(devices)
 {
-    cfg_.validate();
-    IANUS_ASSERT(devices_ >= 1, "need at least one device");
+    cfg.validate();
+    IANUS_ASSERT(devices >= 1, "need at least one device");
+    machine_ = std::make_unique<Machine>(cfg, devices);
 }
+
+ExecutionEngine::~ExecutionEngine() = default;
+ExecutionEngine::ExecutionEngine(ExecutionEngine &&) noexcept = default;
+ExecutionEngine &
+ExecutionEngine::operator=(ExecutionEngine &&) noexcept = default;
 
 RunStats
 ExecutionEngine::run(const isa::Program &prog,
                      std::vector<RunStats> *block_ends)
 {
-    prog.validate();
-    RunContext ctx(cfg_, devices_, prog, block_ends);
-    return ctx.execute();
+    return machine_->run(prog, block_ends);
 }
 
 } // namespace ianus

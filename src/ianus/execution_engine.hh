@@ -23,6 +23,7 @@
 #ifndef IANUS_IANUS_EXECUTION_ENGINE_HH
 #define IANUS_IANUS_EXECUTION_ENGINE_HH
 
+#include <memory>
 #include <vector>
 
 #include "ianus/report.hh"
@@ -32,7 +33,12 @@
 namespace ianus
 {
 
-/** Executes Programs on one device model. */
+/**
+ * Executes Programs on one device model. The model and every buffer a
+ * run needs are built once, with the engine, and kept across runs, so
+ * a run on a program no larger than earlier ones allocates nothing.
+ * One engine runs one program at a time.
+ */
 class ExecutionEngine
 {
   public:
@@ -42,6 +48,9 @@ class ExecutionEngine
      *                only affects inter-device barrier costs.
      */
     explicit ExecutionEngine(const SystemConfig &cfg, unsigned devices = 1);
+    ~ExecutionEngine();
+    ExecutionEngine(ExecutionEngine &&) noexcept;
+    ExecutionEngine &operator=(ExecutionEngine &&) noexcept;
 
     /**
      * Run @p prog to completion; panics on deadlock (a compiler bug).
@@ -54,12 +63,9 @@ class ExecutionEngine
     RunStats run(const isa::Program &prog,
                  std::vector<RunStats> *block_ends = nullptr);
 
-    const SystemConfig &config() const { return cfg_; }
-    unsigned devices() const { return devices_; }
-
   private:
-    SystemConfig cfg_;
-    unsigned devices_;
+    class Machine;
+    std::unique_ptr<Machine> machine_;
 };
 
 } // namespace ianus

@@ -101,6 +101,23 @@ EventQueue::step()
     return true;
 }
 
+void
+EventQueue::reset()
+{
+    for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+        if (slots_[slot].seq != 0) {
+            slots_[slot].fn = SmallFn{};
+            release(slot);
+        }
+    }
+    while (!queue_.empty())
+        queue_.pop();
+    now_ = 0;
+    nextSeq_ = 1;
+    liveEvents_ = 0;
+    executed_ = 0;
+}
+
 Tick
 EventQueue::run(Tick limit)
 {

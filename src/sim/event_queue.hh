@@ -197,7 +197,11 @@ class EventQueue
     /** Pop and execute exactly one event. Returns false if drained. */
     bool step();
 
-    /** Total events executed since construction. */
+    /** Drop every pending event and rewind to tick 0, as if newly
+     *  constructed, keeping the storage. */
+    void reset();
+
+    /** Total events executed since construction or reset(). */
     std::uint64_t executed() const { return executed_; }
 
   private:
