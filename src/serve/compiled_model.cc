@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "ianus/execution_engine.hh"
 
 namespace ianus::serve
 {
@@ -49,7 +48,9 @@ template <class Build>
 RunStats
 CompiledModel::execute(const Build &build) const
 {
-    ExecutionEngine engine(cfg_, opts_.devices);
+    if (!store_->engine)
+        store_->engine.emplace(cfg_, opts_.devices);
+    ExecutionEngine &engine = *store_->engine;
     isa::Program &prog = store_->spare;
     const std::uint64_t blocks = model_.nBlocks;
     if (blocks < 3 || !builder_.uniformBlocks()) {

@@ -52,8 +52,9 @@
  * into the store, whose scalar tables never move, evict or clear an
  * entry. A standalone CompiledModel's store is private. The request
  * memo stays per replica. Every miss builds and runs under the store's
- * lock, into the storage of the store's previous program, so a miss
- * allocates no program once that storage fits.
+ * lock, into the storage of the store's previous program and on the
+ * store's one ExecutionEngine, so a miss allocates no program and no
+ * engine buffer once that storage fits.
  */
 
 #ifndef IANUS_SERVE_COMPILED_MODEL_HH
@@ -64,11 +65,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "compiler/workload_builder.hh"
+#include "ianus/execution_engine.hh"
 #include "ianus/report.hh"
 #include "ianus/system_config.hh"
 #include "workloads/model_config.hh"
@@ -332,7 +335,7 @@ class CompiledModel
      *  makes a replayed request nearly free. */
     struct Store
     {
-        std::mutex mutex; ///< guards the tables and spare
+        std::mutex mutex; ///< guards the tables, spare and engine
         Table<std::uint64_t> summarization;
         Table<std::uint64_t> generation;
         // Resumed prefill chunks, keyed by (prior, chunk, has LM head).
@@ -350,6 +353,9 @@ class CompiledModel
         Table<std::vector<std::uint64_t>> batch{maxBatchEntries};
         /** The last program a miss ran, kept for its storage. */
         isa::Program spare;
+        /** The engine every miss runs on, built by the first; it keeps
+         *  its buffers from miss to miss. */
+        std::optional<ExecutionEngine> engine;
     };
 
     /** Use @p peer's store from now on (DevicePool, equal triples). The
@@ -418,7 +424,8 @@ class CompiledModel
      *  one run of build(2) when the model's blocks are uniform;
      *  @p build maps a block count and storage to fill to a Program.
      *  Called under the store's lock: it builds into the store's spare
-     *  program and keeps the result there. */
+     *  program, keeps the result there, and runs it on the store's
+     *  engine. */
     template <class Build> RunStats execute(const Build &build) const;
 
     SystemConfig cfg_;
