@@ -69,6 +69,10 @@ WorkloadBuilder::WorkloadBuilder(const SystemConfig &sys,
 
     if (opts_.attnMapping == AttnMapping::Pim && !sys_.pimEnabled)
         IANUS_FATAL("PIM attention mapping requires PIM");
+
+    if (sys_.pimPoolChips() > 0)
+        for (unsigned core = 0; core < sys_.cores; ++core)
+            pimChip_.push_back(sys_.pimChipMaskForCore(core));
 }
 
 // ---------------------------------------------------------------------
@@ -138,7 +142,7 @@ WorkloadBuilder::emitFc(Ctx &ctx, std::uint16_t core, OpClass cls,
         macro.cols = k;
         macro.hasBias = true;
         macro.fusedGelu = gelu_after; // GELU follows the FC into PIM
-        macro.channelMask = sys_.pimChipMaskForCore(core);
+        macro.channelMask = pimChipMask(core);
         isa::PimArgs args{macro, tokens};
         std::uint32_t id = emit(ctx, core, UnitKind::Pim, cls, args, deps);
         pim::GemvTiling tiling = pim::GemvTiling::compute(
@@ -224,6 +228,15 @@ WorkloadBuilder::weightMask(bool on_pim_side) const
     if (sys_.memoryMode == MemoryMode::Unified)
         return sys_.dramChannelMask();
     return on_pim_side ? sys_.pimChannelMask() : sys_.dramChannelMask();
+}
+
+dram::ChannelSet
+WorkloadBuilder::pimChipMask(std::uint16_t core) const
+{
+    // Without a whole PIM chip there is nothing to look up: no PIM
+    // gives 0, and a pool smaller than a chip panics there.
+    return pimChip_.empty() ? sys_.pimChipMaskForCore(core)
+                            : pimChip_[core];
 }
 
 dram::ChannelSet
@@ -481,7 +494,7 @@ WorkloadBuilder::attentionGenerationPim(Ctx &ctx, std::uint16_t core,
     const std::uint64_t hd = model_.headDim;
     const std::uint64_t heads = headsPerCore();
     const dram::ChannelSet kv = kvMask(core);
-    const dram::ChannelSet chip = sys_.pimChipMaskForCore(core);
+    const dram::ChannelSet chip = pimChipMask(core);
 
     FcMappingDecision qkv_dec = decideFc(1, e, hd, false, e);
     FcMappingDecision force_pim;

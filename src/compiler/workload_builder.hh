@@ -198,6 +198,9 @@ class WorkloadBuilder
     BuildOptions opts_;
     AnalyticalModel analytical_;
     double nonDupFraction_ = 0.0;
+    /** Each core's PIM chip (SystemConfig::pimChipMaskForCore), looked
+     *  up once; empty when the PIM pool holds no whole chip. */
+    std::vector<dram::ChannelSet> pimChip_;
 
     // Emission helpers -------------------------------------------------
     std::uint32_t emit(Ctx &ctx, std::uint16_t core, isa::UnitKind unit,
@@ -266,6 +269,7 @@ class WorkloadBuilder
                                std::optional<std::uint64_t> prev_vu) const;
     bool ffn2NonDuplicated(std::uint64_t block) const;
     dram::ChannelSet weightMask(bool on_pim_side) const;
+    dram::ChannelSet pimChipMask(std::uint16_t core) const;
     dram::ChannelSet kvMask(std::uint16_t core) const;
     void checkCapacity(std::uint64_t prior, std::uint64_t tokens) const;
 };

@@ -39,17 +39,24 @@ SystemConfig::dramChannelMask() const
     return all & ~lower;
 }
 
-dram::ChannelSet
-SystemConfig::pimChipMaskForCore(unsigned core) const
+unsigned
+SystemConfig::pimPoolChips() const
 {
     dram::ChannelSet pool = pimChannelMask();
-    if (pool == 0)
-        return 0;
     unsigned pool_chips = 0;
     for (unsigned chip = 0; chip < mem.chips(); ++chip)
         if ((dram::chipChannels(mem, chip) & pool) ==
             dram::chipChannels(mem, chip))
             ++pool_chips;
+    return pool_chips;
+}
+
+dram::ChannelSet
+SystemConfig::pimChipMaskForCore(unsigned core) const
+{
+    if (pimChannelMask() == 0)
+        return 0;
+    unsigned pool_chips = pimPoolChips();
     IANUS_ASSERT(pool_chips > 0, "PIM pool smaller than one chip");
     return dram::chipChannels(mem, core % pool_chips);
 }

@@ -117,7 +117,11 @@ struct SystemConfig
     /** Channels backing plain NPU DRAM traffic. */
     dram::ChannelSet dramChannelMask() const;
 
-    /** Channels of the chip serving core @p core's PIM work. */
+    /** Whole memory chips inside pimChannelMask() (0 without PIM). */
+    unsigned pimPoolChips() const;
+
+    /** Channels of the chip serving core @p core's PIM work; panics if
+     *  the PIM pool holds no whole chip. */
     dram::ChannelSet pimChipMaskForCore(unsigned core) const;
 
     /**
