@@ -233,10 +233,10 @@ WorkloadBuilder::weightMask(bool on_pim_side) const
 dram::ChannelSet
 WorkloadBuilder::pimChipMask(std::uint16_t core) const
 {
-    // Without a whole PIM chip there is nothing to look up: no PIM
-    // gives 0, and a pool smaller than a chip panics there.
-    return pimChip_.empty() ? sys_.pimChipMaskForCore(core)
-                            : pimChip_[core];
+    // Only PIM commands ask, and they need PIM, so an empty table
+    // means a pool smaller than one chip.
+    IANUS_ASSERT(!pimChip_.empty(), "PIM pool smaller than one chip");
+    return pimChip_[core];
 }
 
 dram::ChannelSet

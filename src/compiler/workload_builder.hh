@@ -199,7 +199,8 @@ class WorkloadBuilder
     AnalyticalModel analytical_;
     double nonDupFraction_ = 0.0;
     /** Each core's PIM chip (SystemConfig::pimChipMaskForCore), looked
-     *  up once; empty when the PIM pool holds no whole chip. */
+     *  up once; empty when the PIM pool holds no whole chip. Read
+     *  through pimChipMask(). */
     std::vector<dram::ChannelSet> pimChip_;
 
     // Emission helpers -------------------------------------------------
