@@ -69,10 +69,7 @@ WorkloadBuilder::WorkloadBuilder(const SystemConfig &sys,
 
     if (opts_.attnMapping == AttnMapping::Pim && !sys_.pimEnabled)
         IANUS_FATAL("PIM attention mapping requires PIM");
-
-    if (sys_.pimPoolChips() > 0)
-        for (unsigned core = 0; core < sys_.cores; ++core)
-            pimChip_.push_back(sys_.pimChipMaskForCore(core));
+    pimPoolChips_ = sys_.pimPoolChips();
 }
 
 // ---------------------------------------------------------------------
@@ -233,10 +230,10 @@ WorkloadBuilder::weightMask(bool on_pim_side) const
 dram::ChannelSet
 WorkloadBuilder::pimChipMask(std::uint16_t core) const
 {
-    // Only PIM commands ask, and they need PIM, so an empty table
-    // means a pool smaller than one chip.
-    IANUS_ASSERT(!pimChip_.empty(), "PIM pool smaller than one chip");
-    return pimChip_[core];
+    // SystemConfig::pimChipMaskForCore without recounting the pool's
+    // chips. Only PIM commands ask, and they need PIM.
+    IANUS_ASSERT(pimPoolChips_ > 0, "PIM pool smaller than one chip");
+    return dram::chipChannels(sys_.mem, core % pimPoolChips_);
 }
 
 dram::ChannelSet

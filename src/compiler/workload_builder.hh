@@ -198,10 +198,8 @@ class WorkloadBuilder
     BuildOptions opts_;
     AnalyticalModel analytical_;
     double nonDupFraction_ = 0.0;
-    /** Each core's PIM chip (SystemConfig::pimChipMaskForCore), looked
-     *  up once; empty when the PIM pool holds no whole chip. Read
-     *  through pimChipMask(). */
-    std::vector<dram::ChannelSet> pimChip_;
+    /** SystemConfig::pimPoolChips(), counted once for pimChipMask(). */
+    unsigned pimPoolChips_ = 0;
 
     // Emission helpers -------------------------------------------------
     std::uint32_t emit(Ctx &ctx, std::uint16_t core, isa::UnitKind unit,

@@ -133,6 +133,7 @@ class ExecutionEngine::Machine
         join_.resize(n);
         pimBusyMask_ = 0;
         pimWaitMask_ = 0;
+        pumping_ = false;
         stats_ = RunStats{};
         classActive_ = {};
         classSpanStart_ = {};
