@@ -193,7 +193,8 @@ class ExecutionEngine::Machine
         for (std::uint16_t c = 0; c < cfg_.cores; ++c) {
             std::uint8_t todo = sched_.readyUnits(c) & ~busy_[c] & ~pimBit;
             while (todo) {
-                const auto unit = static_cast<UnitKind>(std::countr_zero(todo));
+                const auto unit =
+                    static_cast<UnitKind>(std::countr_zero(todo));
                 todo &= todo - 1;
                 if (tryDispatch(c, unit))
                     todo &= ~busy_[c]; // a GEMM may have taken DmaIn
@@ -472,9 +473,6 @@ ExecutionEngine::ExecutionEngine(const SystemConfig &cfg, unsigned devices)
 }
 
 ExecutionEngine::~ExecutionEngine() = default;
-ExecutionEngine::ExecutionEngine(ExecutionEngine &&) noexcept = default;
-ExecutionEngine &
-ExecutionEngine::operator=(ExecutionEngine &&) noexcept = default;
 
 RunStats
 ExecutionEngine::run(const isa::Program &prog,

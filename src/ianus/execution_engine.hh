@@ -49,8 +49,6 @@ class ExecutionEngine
      */
     explicit ExecutionEngine(const SystemConfig &cfg, unsigned devices = 1);
     ~ExecutionEngine();
-    ExecutionEngine(ExecutionEngine &&) noexcept;
-    ExecutionEngine &operator=(ExecutionEngine &&) noexcept;
 
     /**
      * Run @p prog to completion; panics on deadlock (a compiler bug).
