@@ -5,8 +5,9 @@
  * field (drain_audit.hh's ResultDigest) and compared with recorded
  * digests. Tests that compare a path only with another path pass
  * whatever both compute, and the goldens print one or two decimals;
- * these fail when any result moves by one unit in the last place. A change meant to move numbers
- * re-records the digests it moves, in its own commit, and says which.
+ * these fail when any result moves by one unit in the last place. A
+ * change meant to move numbers re-records the digests it moves, in its
+ * own commit, and says which.
  *
  * Each drain also checks that it reaches its feature (a scenario that
  * never spills, sheds or hands off pins nothing of that path) and holds
