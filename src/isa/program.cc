@@ -8,27 +8,28 @@ namespace ianus::isa
 std::uint32_t
 Program::add(Command cmd, Deps deps)
 {
-    cmd.id = static_cast<std::uint32_t>(commands_.size());
-    for (std::uint32_t dep : deps)
-        IANUS_ASSERT(dep < cmd.id, "forward dependency ", dep,
-                     " from command ", cmd.id);
-    cmd.depBegin = static_cast<std::uint32_t>(deps_.size());
-    cmd.depCount = static_cast<std::uint32_t>(deps.size());
-    deps_.insert(deps_.end(), deps.begin(), deps.end());
-    commands_.push_back(std::move(cmd));
-    return commands_.back().id;
+    return add(cmd.core, cmd.unit, cmd.opClass, std::move(cmd.payload),
+               deps);
 }
 
 std::uint32_t
 Program::add(std::uint16_t core, UnitKind unit, OpClass cls,
              Payload payload, Deps deps)
 {
-    Command cmd;
+    const auto id = static_cast<std::uint32_t>(commands_.size());
+    for (std::uint32_t dep : deps)
+        IANUS_ASSERT(dep < id, "forward dependency ", dep,
+                     " from command ", id);
+    Command &cmd = commands_.emplace_back();
+    cmd.id = id;
     cmd.core = core;
     cmd.unit = unit;
     cmd.opClass = cls;
     cmd.payload = std::move(payload);
-    return add(std::move(cmd), deps);
+    cmd.depBegin = static_cast<std::uint32_t>(deps_.size());
+    cmd.depCount = static_cast<std::uint32_t>(deps.size());
+    deps_.insert(deps_.end(), deps.begin(), deps.end());
+    return id;
 }
 
 void
