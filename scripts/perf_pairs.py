@@ -15,9 +15,9 @@ sides serve that same file.
 The script then runs N pairs of single `perfbench run` processes per
 workload, alternating base and change and swapping which side goes first
 in each pair. For the end-to-end metrics of BENCHMARK.json, and for the
-run process's minor page faults and system time (getrusage), it prints
-both medians, the base's quartiles, how many pairs the change won, and a
-verdict (ROADMAP.md, "How to judge a perf claim"):
+run process's minor page faults, user CPU time and system time
+(getrusage), it prints both medians, the base's quartiles, how many pairs
+the change won, and a verdict (ROADMAP.md, "How to judge a perf claim"):
 
   gain          the change is better in at least 90% of the pairs, and
                 its median beats the base's by more than the base's
@@ -31,16 +31,19 @@ verdict (ROADMAP.md, "How to judge a perf claim"):
                 every change run is better than every base run);
   within bound  otherwise.
 
-The fault and system-time rows have no bound: they are judged gain,
-worse (the mirror image of gain) or unresolved.
+The fault and CPU-time rows have no bound: they are judged gain, worse
+(the mirror image of gain) or unresolved. A change that spends CPU on
+more threads to save wall time shows the trade as a worse user_s.
 
 Exit status: 0 when every run agrees; 1 when the two sides' per-request
 digests or simulated metrics (goodput, TTFT p50 and tail) differ, or a
 run fails its audit or exits non-zero; 2 on a usage error.
---selftest checks the verdict logic on fixed numbers and builds nothing.
+--selftest checks the verdict logic and the rusage rows on fixed numbers
+and builds nothing.
 """
 
 import argparse
+import collections
 import json
 import os
 import resource
@@ -55,7 +58,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHANGE_BUILD = os.path.join(ROOT, ".bench_build", "perfbench")
 
 # Host-side rows measured around each run process (getrusage).
-RUSAGE_ROWS = ["minor_faults", "sys_s"]
+RUSAGE_ROWS = ["minor_faults", "user_s", "sys_s"]
 # Simulated metrics of a run, which a host-side change must keep bit for bit.
 SIMULATED = ["sim_goodput_tok_s", "sim_ttft_p50_ms", "sim_ttft_tail_ms"]
 
@@ -110,8 +113,17 @@ def judge(base, change, better, bound):
             "pairs": len(base), "verdict": verdict}
 
 
+def rusage_rows(before, after):
+    """The RUSAGE_ROWS of one child process, from getrusage(RUSAGE_CHILDREN)
+    taken before and after it ran."""
+    return {"minor_faults": after.ru_minflt - before.ru_minflt,
+            "user_s": after.ru_utime - before.ru_utime,
+            "sys_s": after.ru_stime - before.ru_stime}
+
+
 def selftest():
-    """Check judge() on fixed numbers; return the exit status."""
+    """Check judge() and rusage_rows() on fixed numbers; return the exit
+    status."""
     base = [10.0, 10.1, 9.9, 10.2, 9.8, 10.0, 10.1, 9.9, 10.0, 10.0]
     cases = [
         # (name, base, change, better, bound, verdict, wins)
@@ -165,11 +177,17 @@ def selftest():
     if (q1, q3) != (2.75, 8.25):
         failed += 1
         print("FAIL quartiles: got %r, want (2.75, 8.25)" % ((q1, q3),))
+    usage = collections.namedtuple("usage", "ru_minflt ru_utime ru_stime")
+    rows = rusage_rows(usage(100, 1.25, 0.5), usage(350, 2.0, 0.625))
+    want = {"minor_faults": 250, "user_s": 0.75, "sys_s": 0.125}
+    if rows != want or sorted(rows) != sorted(RUSAGE_ROWS):
+        failed += 1
+        print("FAIL rusage rows: got %r, want %r" % (rows, want))
+    checks = len(cases) + 2
     if failed:
-        print("perf_pairs selftest: %d of %d checks failed"
-              % (failed, len(cases) + 1))
+        print("perf_pairs selftest: %d of %d checks failed" % (failed, checks))
         return 1
-    print("perf_pairs selftest: all %d checks passed" % (len(cases) + 1))
+    print("perf_pairs selftest: all %d checks passed" % checks)
     return 0
 
 
@@ -227,8 +245,7 @@ def run_once(binary, workload, trace_file):
         log(proc.stderr[-4000:])
         raise PairsError("%s exited %d on %s" % (binary, proc.returncode, workload))
     sample = json.loads(proc.stdout.strip().splitlines()[-1])
-    sample["minor_faults"] = after.ru_minflt - before.ru_minflt
-    sample["sys_s"] = after.ru_stime - before.ru_stime
+    sample.update(rusage_rows(before, after))
     return sample
 
 

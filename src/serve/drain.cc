@@ -121,7 +121,7 @@ class Drain
           sink_(sink), n_(replicas.size()),
           firstArrival_(rows.size == 0 ? 0.0 : rows[0].arrivalMs),
           order_(policy.queueOrder()), parked_(n_, 0), freeAt_(n_, 0.0),
-          busy_(n_, false), inFlight_(n_), rt_(n_)
+          busy_(n_, 0), inFlight_(n_), rt_(n_)
     {
         echoOptions(report_, policy.name(), router.name(), opts);
         report_.roles = opts.roles;
@@ -1636,7 +1636,9 @@ class Drain
      *  the waiting queue for it. */
     std::vector<std::size_t> parked_;
     std::vector<double> freeAt_;
-    std::vector<bool> busy_;
+    /** One byte per replica, read on every admission: not
+     *  vector<bool>'s bit-iterator arithmetic. */
+    std::vector<std::uint8_t> busy_;
     std::vector<InFlight> inFlight_; ///< whole-request path
     std::vector<ReplicaRun> rt_;     ///< segment path
     /** Evicted requests, keyed by id: the Member keeps its partial

@@ -2,18 +2,24 @@
  * @file
  * What the serving drain (drain.cc), the engine, policies and routers
  * (serving_engine.cc), the sharded drain (sharded_drain.cc) and the
- * trace parser (trace_gen.cc) share. Internal to src/serve: no public
- * header includes it.
+ * trace parser (trace_gen.cc) share, including the task runner that
+ * runs shards and the slices of large passes on threads. Internal to
+ * src/serve: no public header includes it.
  */
 
 #ifndef IANUS_SERVE_DRAIN_HH
 #define IANUS_SERVE_DRAIN_HH
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -22,6 +28,110 @@
 
 namespace ianus::serve
 {
+
+struct ArrivalTrace;
+
+/**
+ * Run task(0), ..., task(@p tasks - 1) on up to min(@p tasks,
+ * @p threads) threads, the calling thread among them; each thread takes
+ * the next task not yet started. A task's exception must not escape its
+ * thread (that would call std::terminate): each one is kept, and after
+ * every thread has joined the lowest-indexed one is rethrown, whatever
+ * the thread count. With one task or one thread no thread starts.
+ */
+template <typename Task>
+void
+runTasks(std::size_t tasks, std::size_t threads, const Task &task)
+{
+    std::vector<std::exception_ptr> failures(tasks);
+    std::atomic<std::size_t> next{0};
+    auto work = [&] {
+        for (std::size_t t = next.fetch_add(1); t < tasks;
+             t = next.fetch_add(1)) {
+            try {
+                task(t);
+            } catch (...) {
+                failures[t] = std::current_exception();
+            }
+        }
+    };
+    {
+        // A jthread joins when the scope ends, so a thread that fails
+        // to start cannot leave another running.
+        std::vector<std::jthread> workers;
+        for (std::size_t t = 1; t < std::min(tasks, threads); ++t)
+            workers.emplace_back(work);
+        work();
+    }
+    for (const std::exception_ptr &failure : failures)
+        if (failure)
+            std::rethrow_exception(failure);
+}
+
+/** How many slices a pass over @p n items cuts them into when a slice
+ *  should hold at least @p per_slice of them: at most
+ *  hardware_concurrency(), and 1 (the calling thread alone) below
+ *  2 * @p per_slice. */
+inline std::size_t
+sliceCount(std::size_t n, std::size_t per_slice)
+{
+    const std::size_t wanted = n / per_slice;
+    if (wanted < 2)
+        return 1;
+    return std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1,
+                                   wanted);
+}
+
+/** body(s, lo, hi) for each slice [lo, hi) of [0, @p n) cut into
+ *  @p slices contiguous slices, one task per slice (runTasks). */
+template <typename Body>
+void
+forEachSlice(std::size_t n, std::size_t slices, const Body &body)
+{
+    runTasks(slices, slices, [&](std::size_t s) {
+        body(s, s * n / slices, (s + 1) * n / slices);
+    });
+}
+
+/** parseTrace() with its rows cut into exactly @p slices slices (>= 1)
+ *  at line starts. Every row, and every fatal message, is the one a
+ *  single slice gives. (Not an overload: the parser fuzz tests take
+ *  parseTrace's address.) */
+ArrivalTrace parseTraceInSlices(std::string_view text, std::size_t slices);
+
+/** Results per slice of a ServingReport pass: a report below twice
+ *  this (fleet_cold keeps 100k results) runs each pass on the calling
+ *  thread alone. */
+constexpr std::size_t resultSliceRows = std::size_t{1} << 17;
+
+/** What one of ServingReport's integer passes counts per result. */
+enum class ResultCount
+{
+    SloMisses,      ///< sloMissRate()
+    DeadlineMisses, ///< deadlineMissRate()
+    Preemptions,    ///< preemptions()
+    GoodputTokens   ///< sloGoodputTokensPerSec(): met-deadline tokens
+};
+
+/** The sum of @p what over @p results: the partial sums of @p slices
+ *  slices, added in slice order. */
+std::uint64_t countResults(const std::vector<RequestResult> &results,
+                           ResultCount what, std::size_t slices);
+
+/** What one of ServingReport's percentile calls reads per result. */
+enum class ResultSample
+{
+    Latency, ///< latencyPercentiles(): totalMs()
+    Ttft,    ///< ttftPercentiles(): firstTokenMs
+    Service  ///< serviceTimePercentile(): serviceMs
+};
+
+/** ServingReport::percentiles() of @p what over @p results, gathered
+ *  by @p slices slices into the calling thread's one sample buffer. */
+std::vector<double> resultPercentiles(const std::vector<RequestResult> &results,
+                                      ResultSample what,
+                                      const std::vector<double> &ps,
+                                      std::size_t slices);
 
 /** The EDF completion budget: one definition for the scheduler's
  *  urgency key, the SLO-budget router and deadlineMiss accounting. */

@@ -369,10 +369,11 @@ percentileRead(std::size_t n, double p)
  *  ranks the ps read are selected: std::nth_element per distinct rank,
  *  ascending, each over the tail past the previous one (everything
  *  there is >= it, so the tail holds exactly the higher order
- *  statistics). An order statistic is one value whatever the
- *  algorithm, so this equals reading a full sort. The percentile
- *  contract (see ServingReport::percentile): empty values yield 0.0,
- *  p clamps to [0, 100], NaN p is fatal. */
+ *  statistics, and a rank adjacent to the previous one is the tail's
+ *  minimum). An order statistic is one value whatever the algorithm,
+ *  so this equals reading a full sort. The percentile contract (see
+ *  ServingReport::percentile): empty values yield 0.0, p clamps to
+ *  [0, 100], NaN p is fatal. */
 std::vector<double>
 percentilesInPlace(std::vector<double> &values,
                    const std::vector<double> &ps)
@@ -398,7 +399,10 @@ percentilesInPlace(std::vector<double> &values,
     auto from = values.begin();
     for (std::size_t rank : ranks) {
         auto at = values.begin() + static_cast<std::ptrdiff_t>(rank);
-        std::nth_element(from, at, values.end());
+        if (at == from) // the next rank (or rank 0): one scan
+            std::iter_swap(at, std::min_element(at, values.end()));
+        else
+            std::nth_element(from, at, values.end());
         from = at + 1;
     }
     for (std::size_t i = 0; i < ps.size(); ++i) {
@@ -410,20 +414,65 @@ percentilesInPlace(std::vector<double> &values,
     return out;
 }
 
-/** Gather one sample per result into a reused per-thread buffer:
- *  repeated summary()/percentile calls over a large report sort the
- *  same allocation instead of growing a fresh vector each time
- *  (thread_local keeps concurrent shard workers independent). */
+/** The sum of count(r) over @p results: the partial sums of @p slices
+ *  slices, each taken on its own task, added in slice order. */
+template <typename Count>
+std::uint64_t
+sumSlices(const std::vector<RequestResult> &results, std::size_t slices,
+          Count count)
+{
+    std::vector<std::uint64_t> partial(slices, 0);
+    forEachSlice(results.size(), slices,
+                 [&](std::size_t s, std::size_t lo, std::size_t hi) {
+                     std::uint64_t sum = 0;
+                     for (std::size_t i = lo; i < hi; ++i)
+                         sum += count(results[i]);
+                     partial[s] = sum;
+                 });
+    std::uint64_t total = 0;
+    for (std::uint64_t p : partial)
+        total += p;
+    return total;
+}
+
+/** One sample per result, gathered into a reused per-thread buffer
+ *  that the slices fill in place: repeated summary()/percentile calls
+ *  over a large report select in the same allocation instead of
+ *  growing a fresh vector each time (thread_local keeps concurrent
+ *  shard workers independent). */
 template <typename Sample>
 std::vector<double> &
-gather(const std::vector<RequestResult> &results, Sample sample)
+gather(const std::vector<RequestResult> &results, std::size_t slices,
+       Sample sample)
 {
     thread_local std::vector<double> buf;
-    buf.clear();
-    buf.reserve(results.size());
-    for (const RequestResult &r : results)
-        buf.push_back(sample(r));
-    return buf;
+    // Named inside a task, buf would be the task thread's own buffer.
+    std::vector<double> &out = buf;
+    out.resize(results.size());
+    forEachSlice(results.size(), slices,
+                 [&](std::size_t, std::size_t lo, std::size_t hi) {
+                     for (std::size_t i = lo; i < hi; ++i)
+                         out[i] = sample(results[i]);
+                 });
+    return out;
+}
+
+/** The slices a pass over @p results takes. */
+std::size_t
+slicesOf(const std::vector<RequestResult> &results)
+{
+    return sliceCount(results.size(), resultSliceRows);
+}
+
+/** @p count over @p results as a fraction of the results (0 for none). */
+double
+rateOf(const std::vector<RequestResult> &results, ResultCount count)
+{
+    if (results.empty())
+        return 0.0;
+    return static_cast<double>(
+               countResults(results, count, slicesOf(results))) /
+           static_cast<double>(results.size());
 }
 
 } // namespace
@@ -441,12 +490,61 @@ ServingReport::percentile(std::vector<double> values, double p)
     return percentiles(std::move(values), {p}).front();
 }
 
+std::uint64_t
+countResults(const std::vector<RequestResult> &results, ResultCount what,
+             std::size_t slices)
+{
+    switch (what) {
+    case ResultCount::SloMisses:
+        return sumSlices(results, slices, [](const RequestResult &r) {
+            return std::uint64_t{r.sloMiss};
+        });
+    case ResultCount::DeadlineMisses:
+        return sumSlices(results, slices, [](const RequestResult &r) {
+            return std::uint64_t{r.deadlineMiss};
+        });
+    case ResultCount::Preemptions:
+        return sumSlices(results, slices, [](const RequestResult &r) {
+            return r.preemptions;
+        });
+    case ResultCount::GoodputTokens:
+        return sumSlices(results, slices, [](const RequestResult &r) {
+            return r.deadlineMiss ? 0 : r.request.outputTokens;
+        });
+    }
+    IANUS_PANIC("unknown result count");
+}
+
+std::vector<double>
+resultPercentiles(const std::vector<RequestResult> &results,
+                  ResultSample what, const std::vector<double> &ps,
+                  std::size_t slices)
+{
+    switch (what) {
+    case ResultSample::Latency:
+        return percentilesInPlace(
+            gather(results, slices,
+                   [](const RequestResult &r) { return r.totalMs(); }),
+            ps);
+    case ResultSample::Ttft:
+        return percentilesInPlace(
+            gather(results, slices,
+                   [](const RequestResult &r) { return r.firstTokenMs; }),
+            ps);
+    case ResultSample::Service:
+        return percentilesInPlace(
+            gather(results, slices,
+                   [](const RequestResult &r) { return r.serviceMs; }),
+            ps);
+    }
+    IANUS_PANIC("unknown result sample");
+}
+
 std::vector<double>
 ServingReport::latencyPercentiles(const std::vector<double> &ps) const
 {
-    return percentilesInPlace(
-        gather(results, [](const RequestResult &r) { return r.totalMs(); }),
-        ps);
+    return resultPercentiles(results, ResultSample::Latency, ps,
+                             slicesOf(results));
 }
 
 double
@@ -458,11 +556,8 @@ ServingReport::latencyPercentile(double p) const
 std::vector<double>
 ServingReport::ttftPercentiles(const std::vector<double> &ps) const
 {
-    return percentilesInPlace(gather(results,
-                                     [](const RequestResult &r) {
-                                         return r.firstTokenMs;
-                                     }),
-                              ps);
+    return resultPercentiles(results, ResultSample::Ttft, ps,
+                             slicesOf(results));
 }
 
 double
@@ -474,11 +569,8 @@ ServingReport::ttftPercentile(double p) const
 double
 ServingReport::serviceTimePercentile(double p) const
 {
-    return percentilesInPlace(gather(results,
-                                     [](const RequestResult &r) {
-                                         return r.serviceMs;
-                                     }),
-                              {p})
+    return resultPercentiles(results, ResultSample::Service, {p},
+                             slicesOf(results))
         .front();
 }
 
@@ -494,25 +586,13 @@ ServingReport::tokensPerSecond() const
 double
 ServingReport::sloMissRate() const
 {
-    if (results.empty())
-        return 0.0;
-    std::size_t misses = 0;
-    for (const RequestResult &r : results)
-        misses += r.sloMiss ? 1 : 0;
-    return static_cast<double>(misses) /
-           static_cast<double>(results.size());
+    return rateOf(results, ResultCount::SloMisses);
 }
 
 double
 ServingReport::deadlineMissRate() const
 {
-    if (results.empty())
-        return 0.0;
-    std::size_t misses = 0;
-    for (const RequestResult &r : results)
-        misses += r.deadlineMiss ? 1 : 0;
-    return static_cast<double>(misses) /
-           static_cast<double>(results.size());
+    return rateOf(results, ResultCount::DeadlineMisses);
 }
 
 double
@@ -529,10 +609,7 @@ ServingReport::meanUtilization() const
 std::uint64_t
 ServingReport::preemptions() const
 {
-    std::uint64_t total = 0;
-    for (const RequestResult &r : results)
-        total += r.preemptions;
-    return total;
+    return countResults(results, ResultCount::Preemptions, slicesOf(results));
 }
 
 double
@@ -563,10 +640,8 @@ ServingReport::sloGoodputTokensPerSec() const
 {
     if (makespanMs <= 0.0)
         return 0.0;
-    std::uint64_t good = 0;
-    for (const RequestResult &r : results)
-        if (!r.deadlineMiss)
-            good += r.request.outputTokens;
+    const std::uint64_t good = countResults(
+        results, ResultCount::GoodputTokens, slicesOf(results));
     return static_cast<double>(good) / (makespanMs / 1000.0);
 }
 

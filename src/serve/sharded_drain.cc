@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
-#include <exception>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -384,36 +382,9 @@ drainSharded(const DevicePool &pool, const ServingOptions &opts,
         std::vector<std::size_t>().swap(r.globalIndex);
     };
 
-    // A failing shard must not escape a worker thread (that would call
-    // std::terminate): each shard's exception is kept, and after every
-    // worker has joined the lowest-indexed one is rethrown, whatever
-    // the thread count.
-    std::vector<std::exception_ptr> failures(S);
-    std::atomic<std::size_t> next{0};
-    auto work = [&] {
-        for (std::size_t s = next.fetch_add(1); s < S;
-             s = next.fetch_add(1)) {
-            try {
-                runShard(s);
-            } catch (...) {
-                failures[s] = std::current_exception();
-            }
-        }
-    };
-    std::size_t threads = shard.threads == 0 ? S : shard.threads;
-    threads = std::min(threads, S);
-    {
-        // The calling thread works too. A jthread joins when the scope
-        // ends, so a thread that fails to start cannot leave another
-        // running.
-        std::vector<std::jthread> workers;
-        for (std::size_t t = 1; t < threads; ++t)
-            workers.emplace_back(work);
-        work();
-    }
-    for (const std::exception_ptr &failure : failures)
-        if (failure)
-            std::rethrow_exception(failure);
+    // A failing shard's exception reaches the caller after every worker
+    // has joined: the lowest-indexed one, whatever the thread count.
+    runTasks(S, shard.threads == 0 ? S : shard.threads, runShard);
 
     // Results interleave by (completion tick, shard index), keeping each
     // shard's own completion order; the workers have placed all but the

@@ -4,8 +4,9 @@
  *  that meets the parser's contract, or end in a fatal error
  *  (std::runtime_error); a trace that parses must also survive
  *  formatTrace and parse again unchanged. Arrival doubles must
- *  round-trip bit for bit through %.17g. The sanitizer build runs this
- *  file like any other. */
+ *  round-trip bit for bit through %.17g, and a trace parsed in slices
+ *  must give what one slice gives. The sanitizer build runs this file
+ *  like any other. */
 
 #include <gtest/gtest.h>
 
@@ -17,9 +18,11 @@
 #include <map>
 #include <optional>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "serve/drain.hh"
 #include "serve/trace_gen.hh"
 
 namespace
@@ -180,6 +183,49 @@ TEST(ParserFuzz, MutatedTracesParseToTheContractOrFail)
         "ianus-arrival-trace v1\n2\n0 1 1\n1e-320 18446744073709551615 "
         "7\n"};
     fuzz(seeds, 20261017, 6000, serve::parseTrace, checkTrace);
+}
+
+/** What parseTraceInSlices(text, slices) gives: the rows, formatted, or the
+ *  fatal message. */
+std::string
+slicedOutcome(const std::string &text, std::size_t slices)
+{
+    try {
+        return serve::formatTrace(serve::parseTraceInSlices(text, slices));
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+}
+
+TEST(ParserFuzz, SlicedParsesAgreeWithOneSlice)
+{
+    // Each mutant parses in 1 and in 3 slices to the same rows or the
+    // same fatal message. The longer seeds put several rows, and most
+    // edits, inside each slice.
+    serve::TraceOptions poisson;
+    poisson.seed = 13;
+    poisson.requests = 40;
+    poisson.arrivalsPerSec = 40.0;
+    serve::SessionOptions sessions;
+    sessions.seed = 14;
+    sessions.sessions = 10;
+    sessions.meanTurns = 3.0;
+    const std::vector<std::string> seeds = {
+        serve::formatTrace(poissonTrace()), serve::formatTrace(sessionTrace()),
+        serve::formatTrace(serve::generatePoissonTrace(poisson)),
+        serve::formatTrace(serve::generateSessionTrace(sessions))};
+    std::mt19937 rng(20261020);
+    unsigned accepted = 0;
+    const unsigned iterations = 3000;
+    for (unsigned i = 0; i < iterations; ++i) {
+        const std::string input = mutate(seeds[i % seeds.size()], rng);
+        const std::string one = slicedOutcome(input, 1);
+        ASSERT_EQ(slicedOutcome(input, 3), one) << input;
+        accepted += one.rfind("fatal: ", 0) == 0 ? 0 : 1;
+    }
+    // Both outcomes must occur often, or the mutations test little.
+    EXPECT_GT(accepted, iterations / 50);
+    EXPECT_LT(accepted, iterations - iterations / 50);
 }
 
 TEST(ParserFuzz, MutatedRequestLogsImportToTheContractOrFail)

@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <map>
 #include <random>
 #include <vector>
 
+#include "serve/drain.hh"
 #include "serve/serving_engine.hh"
 
 namespace
@@ -214,10 +217,9 @@ TEST(ServingReport, SelectedPercentilesMatchAFullSort)
     // equal the closest-ranks interpolation over a fully sorted copy,
     // exactly. Small value ranges force heavy duplicates, and the p
     // lists are unsorted, repeated, and step past both bounds.
-    auto reference = [](std::vector<double> v, double p) {
+    auto readSorted = [](const std::vector<double> &v, double p) {
         if (v.empty())
             return 0.0;
-        std::sort(v.begin(), v.end());
         if (p <= 0.0)
             return v.front();
         if (p >= 100.0)
@@ -228,6 +230,10 @@ TEST(ServingReport, SelectedPercentilesMatchAFullSort)
         if (lo + 1 >= v.size())
             return v.back();
         return v[lo] + frac * (v[lo + 1] - v[lo]);
+    };
+    auto reference = [&](std::vector<double> v, double p) {
+        std::sort(v.begin(), v.end());
+        return readSorted(v, p);
     };
     const std::vector<std::vector<double>> p_lists = {
         {50.0},
@@ -258,6 +264,89 @@ TEST(ServingReport, SelectedPercentilesMatchAFullSort)
         EXPECT_EQ(ServingReport::percentile(v, 42.0),
                   reference(v, 42.0))
             << "n " << n;
+    }
+
+    // A report's passes over its results run in slices: sizes below and
+    // above the slice size (from twice it, a report takes one slice per
+    // core by itself), and every forced slice count from 1 to 8, read
+    // the same percentiles as a full sort and the same four counters as
+    // a serial loop. Few distinct values make heavy duplicates; the ps
+    // read ranks 0 and n - 1 and pairs of adjacent ranks.
+    using serve::ResultCount;
+    using serve::ResultSample;
+    for (std::size_t n : {std::size_t{1}, std::size_t{9}, std::size_t{5000},
+                          serve::resultSliceRows + 3,
+                          2 * serve::resultSliceRows + 5}) {
+        ServingReport rep;
+        rep.makespanMs = 1234.5;
+        rep.results.resize(n);
+        std::uniform_int_distribution<int> value_dist(0, 40);
+        std::uint64_t slo = 0, deadline = 0, preempted = 0, good = 0;
+        for (serve::RequestResult &r : rep.results) {
+            r.arrivalMs = 0.5 * value_dist(rng);
+            r.finishMs = r.arrivalMs + 0.25 * value_dist(rng);
+            r.firstTokenMs = 0.5 * value_dist(rng);
+            r.serviceMs = 0.125 * value_dist(rng);
+            r.request.outputTokens = 1 + rng() % 64;
+            r.sloMiss = rng() % 3 == 0;
+            r.deadlineMiss = rng() % 2 == 0;
+            r.preemptions = rng() % 3;
+            slo += r.sloMiss;
+            deadline += r.deadlineMiss;
+            preempted += r.preemptions;
+            good += r.deadlineMiss ? 0 : r.request.outputTokens;
+        }
+        const double last = static_cast<double>(n - 1);
+        const std::size_t mid = n / 2;
+        const std::vector<double> ps = {
+            50.0, 0.0, 100.0, 99.0, 12.5,
+            100.0 * static_cast<double>(mid) / std::max(last, 1.0),
+            100.0 * static_cast<double>(mid + 1) / std::max(last, 1.0)};
+        const std::map<ResultSample, double (*)(const serve::RequestResult &)>
+            samples = {
+                {ResultSample::Latency,
+                 [](const serve::RequestResult &r) { return r.totalMs(); }},
+                {ResultSample::Ttft,
+                 [](const serve::RequestResult &r) {
+                     return r.firstTokenMs;
+                 }},
+                {ResultSample::Service,
+                 [](const serve::RequestResult &r) { return r.serviceMs; }}};
+        std::map<ResultSample, std::vector<double>> want;
+        for (const auto &[what, sample] : samples) {
+            std::vector<double> sorted;
+            for (const serve::RequestResult &r : rep.results)
+                sorted.push_back(sample(r));
+            std::sort(sorted.begin(), sorted.end());
+            for (double p : ps)
+                want[what].push_back(readSorted(sorted, p));
+        }
+        const std::map<ResultCount, std::uint64_t> counts = {
+            {ResultCount::SloMisses, slo},
+            {ResultCount::DeadlineMisses, deadline},
+            {ResultCount::Preemptions, preempted},
+            {ResultCount::GoodputTokens, good}};
+        for (std::size_t k = 1; k <= 8; ++k) {
+            for (const auto &[what, values] : want)
+                EXPECT_EQ(serve::resultPercentiles(rep.results, what, ps, k),
+                          values)
+                    << "n " << n << " slices " << k;
+            for (const auto &[what, count] : counts)
+                EXPECT_EQ(serve::countResults(rep.results, what, k), count)
+                    << "n " << n << " slices " << k;
+        }
+        // The public calls, on the slices the report picks by itself.
+        EXPECT_EQ(rep.latencyPercentiles(ps), want[ResultSample::Latency]);
+        EXPECT_EQ(rep.ttftPercentiles(ps), want[ResultSample::Ttft]);
+        EXPECT_EQ(rep.serviceTimePercentile(99.0),
+                  want[ResultSample::Service][3]);
+        const double rows = static_cast<double>(n);
+        EXPECT_EQ(rep.sloMissRate(), static_cast<double>(slo) / rows);
+        EXPECT_EQ(rep.deadlineMissRate(),
+                  static_cast<double>(deadline) / rows);
+        EXPECT_EQ(rep.preemptions(), preempted);
+        EXPECT_EQ(rep.sloGoodputTokensPerSec(),
+                  static_cast<double>(good) / (rep.makespanMs / 1000.0));
     }
 }
 

@@ -8,7 +8,9 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "serve/drain.hh"
 #include "serve/serving_engine.hh"
 #include "serve/trace_gen.hh"
 
@@ -18,6 +20,7 @@ namespace
 using namespace ianus;
 using serve::ArrivalTrace;
 using serve::ClosedLoopOptions;
+using serve::TimedRequest;
 using serve::TraceOptions;
 
 workloads::ModelConfig m = workloads::gpt2("m");
@@ -324,6 +327,158 @@ TEST(TraceRoundtrip, RowContractErrorsNameAndQuoteTheRow)
                       std::string::npos)
                 << what;
             EXPECT_NE(what.find(rule), std::string::npos) << what;
+        }
+    }
+}
+
+// --- Sliced parse ---------------------------------------------------------
+
+/** What parseTraceInSlices(text, slices) gives: the rows, formatted, or the
+ *  fatal message. */
+std::string
+slicedOutcome(const std::string &text, std::size_t slices)
+{
+    try {
+        return serve::formatTrace(serve::parseTraceInSlices(text, slices));
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+}
+
+/** The one-slice outcome of @p text, after checking that 2 to 8
+ *  slices give the same. */
+std::string
+oneSliceOutcome(const std::string &text)
+{
+    const std::string one = slicedOutcome(text, 1);
+    for (std::size_t k = 2; k <= 8; ++k)
+        EXPECT_EQ(slicedOutcome(text, k), one) << k << " slices of\n"
+                                               << text;
+    return one;
+}
+
+/** A trace file: its magic, @p count, then @p rows one per line, with
+ *  @p tail after the last. */
+std::string
+traceText(bool v2, std::size_t count, const std::vector<std::string> &rows,
+          const std::string &tail = "\n")
+{
+    std::string text = v2 ? "ianus-arrival-trace v2\n"
+                          : "ianus-arrival-trace v1\n";
+    text += std::to_string(count);
+    for (const std::string &row : rows)
+        text += "\n" + row;
+    return text + tail;
+}
+
+/** The fatal message names row @p j. */
+bool
+namesRow(const std::string &outcome, std::size_t j)
+{
+    return outcome.find("arrival trace row " + std::to_string(j) + " '") !=
+           std::string::npos;
+}
+
+// Whatever the slice count, parseTrace reads the same rows, and a fault
+// gives the message a single slice gives: the first bad row in trace
+// order wins. Each single fault is swept over every row, so it lands
+// inside a slice and on every seam of 2 to 8 slices.
+TEST(TraceRoundtrip, SlicedParseMatchesOneSlice)
+{
+    for (const ArrivalTrace &trace :
+         {sampleTrace(48), sampleSessionTrace(5, 12)}) {
+        const bool v2 = trace.hasSessions();
+        const std::string good = serve::formatTrace(trace);
+        std::vector<std::string> rows;
+        for (std::size_t at = good.find('\n', good.find('\n') + 1) + 1;
+             at < good.size();) {
+            const std::size_t nl = good.find('\n', at);
+            rows.push_back(good.substr(at, nl - at));
+            at = nl + 1;
+        }
+        const std::size_t n = rows.size();
+        ASSERT_EQ(n, trace.size());
+        ASSERT_GE(n, 24u); // 3 rows or more in each of 8 slices
+
+        // The rows: with a last newline, without one, and before blank
+        // lines.
+        for (std::size_t k = 1; k <= 8; ++k)
+            EXPECT_EQ(slicedOutcome(good, k), good) << k;
+        EXPECT_EQ(oneSliceOutcome(traceText(v2, n, rows, "")), good);
+        EXPECT_EQ(oneSliceOutcome(traceText(v2, n, rows, "\n\n\n")), good);
+        // Two rows: most of 8 slices are empty, and the unterminated
+        // last row may start in one slice and end the body in another.
+        ArrivalTrace two;
+        two.requests.assign(trace.requests.begin(),
+                            trace.requests.begin() + 2);
+        EXPECT_EQ(oneSliceOutcome(traceText(v2, 2, {rows[0], rows[1]}, "")),
+                  serve::formatTrace(two));
+
+        for (std::size_t j = 0; j < n; ++j) {
+            // A bad field, also on a last row with no final newline.
+            std::vector<std::string> bad = rows;
+            bad[j] += " 7";
+            EXPECT_TRUE(namesRow(oneSliceOutcome(traceText(v2, n, bad)), j));
+            EXPECT_TRUE(
+                namesRow(oneSliceOutcome(traceText(v2, n, bad, "")), j));
+            // An arrival below the row before it.
+            if (j > 0 && trace.requests[j - 1].arrivalMs > 0.0) {
+                bad = rows;
+                bad[j] = "0" + rows[j].substr(rows[j].find(' '));
+                const std::string got = oneSliceOutcome(traceText(v2, n, bad));
+                EXPECT_TRUE(namesRow(got, j)) << got;
+                EXPECT_NE(got.find("non-decreasing"), std::string::npos)
+                    << got;
+            }
+        }
+        // Faults in two rows half the trace apart: the earlier one wins.
+        for (std::size_t j = 0; j < n / 2; ++j) {
+            std::vector<std::string> bad = rows;
+            bad[j] += " 7";
+            bad[j + n / 2] = "nan" + rows[j + n / 2].substr(
+                                         rows[j + n / 2].find(' '));
+            EXPECT_TRUE(namesRow(oneSliceOutcome(traceText(v2, n, bad)), j));
+        }
+        // A short trace, with and without a final newline.
+        const std::string ends = "ends after " + std::to_string(n) + " of " +
+                                 std::to_string(n + 5) + " requests";
+        EXPECT_NE(oneSliceOutcome(traceText(v2, n + 5, rows)).find(ends),
+                  std::string::npos);
+        EXPECT_NE(oneSliceOutcome(traceText(v2, n + 5, rows, "")).find(ends),
+                  std::string::npos);
+        // Trailing content, after blank lines and without a final
+        // newline.
+        for (const char *tail : {"\njunk\n", "\n\n\njunk", "\n\n1.5 64 8\n"})
+            EXPECT_NE(oneSliceOutcome(traceText(v2, n, rows, tail))
+                          .find("trailing content"),
+                      std::string::npos)
+                << tail;
+
+        if (!v2)
+            continue;
+        // A turn out of order ahead of a field error in a later row,
+        // which may lie in a later slice: the turn error wins.
+        for (std::size_t t = 0; t < n; ++t) {
+            if (trace.requests[t].turnIndex == 0)
+                continue;
+            // The row's columns up to its session id, then a turn
+            // index one past the one expected.
+            const TimedRequest &row = trace.requests[t];
+            const std::size_t turn_at =
+                rows[t].rfind(' ', rows[t].rfind(' ') - 1);
+            std::vector<std::string> bad = rows;
+            bad[t] = rows[t].substr(0, turn_at) + " " +
+                     std::to_string(row.turnIndex + 1) + " " +
+                     std::to_string(row.prefixTokens);
+            for (std::size_t j = t; j < n; j += 5) {
+                std::vector<std::string> both = bad;
+                if (j > t)
+                    both[j] += " 7";
+                const std::string got =
+                    oneSliceOutcome(traceText(v2, n, both));
+                EXPECT_TRUE(namesRow(got, t)) << got;
+                EXPECT_NE(got.find("gives turn"), std::string::npos) << got;
+            }
         }
     }
 }
