@@ -775,7 +775,6 @@ WorkloadBuilder::buildSummarizationChunk(
         emit(ctx, 0, UnitKind::MatrixUnit, OpClass::Other, qa, {});
         barrier(ctx, OpClass::Other);
     }
-    ctx.prog.validate();
     return std::move(ctx.prog);
 }
 
@@ -805,7 +804,6 @@ WorkloadBuilder::buildGenerationBatch(
     for (std::uint64_t blk = 0; blk < n_blocks; ++blk)
         blockGeneration(ctx, kv_lens);
     lmHead(ctx, b);
-    ctx.prog.validate();
     return std::move(ctx.prog);
 }
 
@@ -834,7 +832,6 @@ WorkloadBuilder::buildFcSweep(std::uint64_t tokens) const
             barrier(ctx, OpClass::Other);
         }
     }
-    ctx.prog.validate();
     return std::move(ctx.prog);
 }
 

@@ -1,12 +1,53 @@
 #include "serve/compiled_model.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
+#include "serve/drain.hh"
 
 namespace ianus::serve
 {
+
+namespace
+{
+
+/** Fatal unless @p kv_lens can take a generation step: at least one
+ *  request, each with a non-empty KV cache. */
+void
+checkStepBatch(const std::vector<std::uint64_t> &kv_lens)
+{
+    if (kv_lens.empty())
+        IANUS_FATAL("a generation step needs at least one request");
+    for (std::uint64_t kv : kv_lens)
+        if (kv == 0)
+            IANUS_FATAL("a generation step needs a non-empty KV cache "
+                        "for every request");
+}
+
+/** Visit the KV-length multisets a segment of @p steps batched
+ *  generation steps from @p kv_lens samples, each sorted: its entry,
+ *  and for more than one step its exit, every length plus @p steps.
+ *  The one rule both generationStepStats's trapezoid and the keys
+ *  buildStepsAhead builds follow. */
+template <class Visit>
+void
+segmentSamples(std::vector<std::uint64_t> &kv_lens, std::uint64_t steps,
+               const Visit &visit)
+{
+    std::sort(kv_lens.begin(), kv_lens.end());
+    visit(std::as_const(kv_lens));
+    if (steps == 1)
+        return;
+    for (std::uint64_t &kv : kv_lens)
+        kv += steps;
+    visit(std::as_const(kv_lens));
+}
+
+} // namespace
 
 CompiledModel::CompiledModel(const SystemConfig &sys,
                              const workloads::ModelConfig &model,
@@ -34,6 +75,20 @@ CompiledModel::batchedKeys() const
     return store_->batch.keys();
 }
 
+std::uint64_t
+CompiledModel::stepsBuiltAhead() const
+{
+    std::lock_guard<std::mutex> lock(store_->mutex);
+    return store_->aheadBuilds;
+}
+
+std::size_t
+CompiledModel::stepsWaitingAhead() const
+{
+    std::lock_guard<std::mutex> lock(store_->mutex);
+    return store_->ahead.size();
+}
+
 void
 CompiledModel::FrontIndex::add(std::uint64_t tokens, const RunStats &stats)
 {
@@ -46,12 +101,12 @@ CompiledModel::FrontIndex::add(std::uint64_t tokens, const RunStats &stats)
 
 template <class Build>
 RunStats
-CompiledModel::execute(const Build &build) const
+CompiledModel::execute(Worker &worker, const Build &build) const
 {
-    if (!store_->engine)
-        store_->engine.emplace(cfg_, opts_.devices);
-    ExecutionEngine &engine = *store_->engine;
-    isa::Program &prog = store_->spare;
+    if (!worker.engine)
+        worker.engine.emplace(cfg_, opts_.devices);
+    ExecutionEngine &engine = *worker.engine;
+    isa::Program &prog = worker.spare;
     const std::uint64_t blocks = model_.nBlocks;
     if (blocks < 3 || !builder_.uniformBlocks()) {
         prog = build(blocks, std::move(prog));
@@ -74,7 +129,7 @@ template <class Key, class Build>
 const RunStats &
 CompiledModel::cached(Table<Key> Store::*table, const Key &key,
                       std::uint64_t &hits, std::uint64_t &builds,
-                      const Build &build) const
+                      const Build &build, const RunStats *ready) const
 {
     Table<Key> &shared = (*store_).*table;
     if (const RunStats *entry = shared.find(key)) {
@@ -82,7 +137,8 @@ CompiledModel::cached(Table<Key> Store::*table, const Key &key,
         return *entry;
     }
     // Only the batched table is bounded, so only it evicts.
-    if (shared.insert(key, execute(build)))
+    if (shared.insert(key, ready ? *ready
+                                 : execute(store_->workers.front(), build)))
         ++cache_.batchEvictions;
     ++builds;
     return *shared.find(key);
@@ -153,54 +209,109 @@ CompiledModel::prefillChunkStats(std::uint64_t prior_tokens,
 }
 
 RunStats
-CompiledModel::batchStep(std::vector<std::uint64_t> &kv_lens) const
+CompiledModel::batchStep(const std::vector<std::uint64_t> &key) const
 {
     // A batch of one is the scalar entry — sharing the cache makes
     // batch-1 equivalence structural rather than numerical.
-    if (kv_lens.size() == 1)
-        return generation(kv_lens.front());
+    if (key.size() == 1)
+        return generation(key.front());
 
-    std::sort(kv_lens.begin(), kv_lens.end());
     // Copied into the return value before the lock is released: the
     // store evicts its oldest batched entry beyond the cap, on any
     // replica's insert. An evicted entry is a pure function of its key,
     // so a re-miss just recomputes the same bits.
     std::lock_guard<std::mutex> lock(store_->mutex);
-    return cached(&Store::batch, kv_lens, cache_.batchHits,
-                  cache_.batchBuilds,
-                  [&](std::uint64_t blocks, isa::Program storage) {
-                      return builder_.buildGenerationBatch(
-                          kv_lens, blocks, std::move(storage));
-                  });
+    // A key built ahead is not in the table, so this lookup misses and
+    // takes it instead of executing.
+    auto ahead = store_->ahead.extract(key);
+    return cached(
+        &Store::batch, key, cache_.batchHits, cache_.batchBuilds,
+        [&](std::uint64_t blocks, isa::Program storage) {
+            return builder_.buildGenerationBatch(key, blocks,
+                                                 std::move(storage));
+        },
+        ahead ? &ahead.mapped() : nullptr);
+}
+
+void
+CompiledModel::buildStepsAhead(std::vector<std::uint64_t> kv_lens,
+                               std::uint64_t steps,
+                               unsigned token_stride) const
+{
+    checkStepBatch(kv_lens);
+    if (token_stride == 0)
+        IANUS_FATAL("token stride must be positive (1 = exact)");
+    if (kv_lens.size() < 2)
+        return;
+    std::vector<std::vector<std::uint64_t>> keys;
+    for (std::uint64_t done = 0; done < steps;) {
+        const std::uint64_t g =
+            std::min<std::uint64_t>(token_stride, steps - done);
+        std::vector<std::uint64_t> entry = kv_lens;
+        for (std::uint64_t &kv : entry)
+            kv += done;
+        segmentSamples(entry, g, [&](const std::vector<std::uint64_t> &key) {
+            keys.push_back(key);
+        });
+        done += g;
+    }
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+
+    std::lock_guard<std::mutex> lock(store_->mutex);
+    Store &store = *store_;
+    std::erase_if(keys, [&](const std::vector<std::uint64_t> &key) {
+        return store.batch.find(key) || store.ahead.contains(key);
+    });
+    if (keys.empty())
+        return;
+    const std::size_t threads = std::min<std::size_t>(
+        keys.size(), std::max(1u, std::thread::hardware_concurrency()));
+    while (store.workers.size() < threads)
+        store.workers.emplace_back();
+    // Task w runs on worker w, taking keys until none is left; runTasks
+    // runs no task on two threads at once, so no worker is shared.
+    std::vector<RunStats> built(keys.size());
+    std::atomic<std::size_t> next{0};
+    runTasks(threads, threads, [&](std::size_t w) {
+        for (std::size_t k = next.fetch_add(1); k < keys.size();
+             k = next.fetch_add(1))
+            built[k] = execute(
+                store.workers[w],
+                [&](std::uint64_t blocks, isa::Program storage) {
+                    return builder_.buildGenerationBatch(
+                        keys[k], blocks, std::move(storage));
+                });
+    });
+    for (std::size_t k = 0; k < keys.size(); ++k)
+        store.ahead.emplace(std::move(keys[k]), built[k]);
+    store.aheadBuilds += keys.size();
 }
 
 RunStats
 CompiledModel::generationStepStats(std::vector<std::uint64_t> kv_lens,
                                    std::uint64_t steps) const
 {
-    if (kv_lens.empty())
-        IANUS_FATAL("a generation step needs at least one request");
-    for (std::uint64_t kv : kv_lens)
-        if (kv == 0)
-            IANUS_FATAL("a generation step needs a non-empty KV cache "
-                        "for every request");
+    checkStepBatch(kv_lens);
     if (steps == 0)
         IANUS_FATAL("a generation segment needs at least one step");
-    const RunStats entry = batchStep(kv_lens);
-    if (steps == 1)
-        return entry;
 
-    // Trapezoid over the segment: cost its steps from the entry and exit
-    // samples (KV lengths all advance together, so only those two
-    // entries differ). The exit sample sits at kv + steps — the next
-    // segment's entry — so back-to-back segments with unchanged
-    // membership share cache entries, like run()'s strided samples.
-    for (std::uint64_t &kv : kv_lens)
-        kv += steps;
-    const RunStats exit = batchStep(kv_lens);
+    // One step is its entry sample. More are a trapezoid over the
+    // segment: its steps cost from the entry and exit samples (KV
+    // lengths all advance together, so only those two entries differ).
+    // The exit sample sits at kv + steps — the next segment's entry — so
+    // back-to-back segments with unchanged membership share cache
+    // entries, like run()'s strided samples.
     RunStats segment;
-    segment.scaleAdd(entry, static_cast<double>(steps) / 2.0);
-    segment.scaleAdd(exit, static_cast<double>(steps) / 2.0);
+    segmentSamples(kv_lens, steps,
+                   [&](const std::vector<std::uint64_t> &key) {
+                       const RunStats sample = batchStep(key);
+                       if (steps == 1)
+                           segment = sample;
+                       else
+                           segment.scaleAdd(sample,
+                                            static_cast<double>(steps) / 2.0);
+                   });
     return segment;
 }
 

@@ -53,14 +53,23 @@
  * entry. A standalone CompiledModel's store is private. The request
  * memo stays per replica. Every miss builds and runs under the store's
  * lock, into the storage of the store's previous program and on the
- * store's one ExecutionEngine, so a miss allocates no program and no
+ * store's first ExecutionEngine, so a miss allocates no program and no
  * engine buffer once that storage fits.
+ *
+ * A batch whose membership cannot change until its first member
+ * finishes looks up step keys that are fixed in advance, so the drain
+ * hands them to buildStepsAhead: it builds and runs the missing ones on
+ * several threads, each with its own engine and program storage kept
+ * in the store, and the results wait there unpublished until the miss
+ * that takes each one. Tables, counters and results stay those of the
+ * serial path.
  */
 
 #ifndef IANUS_SERVE_COMPILED_MODEL_HH
 #define IANUS_SERVE_COMPILED_MODEL_HH
 
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <map>
 #include <memory>
@@ -277,6 +286,34 @@ class CompiledModel
     RunStats generationStepStats(std::vector<std::uint64_t> kv_lens,
                                  std::uint64_t steps = 1) const;
 
+    /**
+     * Build ahead the batched steps that @p steps generation steps of a
+     * batch at KV lengths @p kv_lens will look up, when no member can
+     * join or leave before they are done: the samples of segments of
+     * @p token_stride steps, the last one shorter, as
+     * generationStepStats takes them. Under the store's lock it builds
+     * and runs every such key that the store neither holds nor has
+     * built ahead already, on up to hardware_concurrency() threads that
+     * take no lock. The results wait in the store, out of its table and
+     * uncounted, until a generationStepStats miss on the key takes one
+     * instead of executing and then inserts and counts it as it always
+     * does: table contents, FIFO evictions, every CacheStats counter and
+     * every result stay those of the serial path, since an entry is a
+     * pure function of its key. A batch of one builds nothing. Rejects
+     * the batches generationStepStats rejects, and a zero
+     * @p token_stride, with a fatal error.
+     */
+    void buildStepsAhead(std::vector<std::uint64_t> kv_lens,
+                         std::uint64_t steps, unsigned token_stride) const;
+
+    /** Batched steps the store this replica reads has built ahead, in
+     *  total (test introspection). */
+    std::uint64_t stepsBuiltAhead() const;
+
+    /** Batched steps built ahead that no miss has taken yet (test
+     *  introspection). */
+    std::size_t stepsWaitingAhead() const;
+
     /** Most batched-step entries the pool's store retains (FIFO
      *  eviction; safe because entries are pure recomputable functions
      *  of the key). */
@@ -330,12 +367,22 @@ class CompiledModel
 
     template <class Key> using Table = FifoMap<Key, RunStats>;
 
+    /** What one thread builds and runs a miss with. */
+    struct Worker
+    {
+        /** The last program this worker ran, kept for its storage. */
+        isa::Program spare;
+        /** Built by the worker's first miss; it keeps its buffers from
+         *  miss to miss. */
+        std::optional<ExecutionEngine> engine;
+    };
+
     /** The entries every replica of one triple in a pool shares. The
      *  device model is deterministic, so memoizing a program's stats
      *  makes a replayed request nearly free. */
     struct Store
     {
-        std::mutex mutex; ///< guards the tables, spare and engine
+        std::mutex mutex; ///< guards everything below
         Table<std::uint64_t> summarization;
         Table<std::uint64_t> generation;
         // Resumed prefill chunks, keyed by (prior, chunk, has LM head).
@@ -351,11 +398,15 @@ class CompiledModel
         // segments share trapezoid endpoints, and equal replicas meet
         // the same multisets — while capping memory.
         Table<std::vector<std::uint64_t>> batch{maxBatchEntries};
-        /** The last program a miss ran, kept for its storage. */
-        isa::Program spare;
-        /** The engine every miss runs on, built by the first; it keeps
-         *  its buffers from miss to miss. */
-        std::optional<ExecutionEngine> engine;
+        /** Batched steps buildStepsAhead ran that no lookup has taken
+         *  yet. A key here is never in the batched table: it enters
+         *  only through the miss that takes it from here. */
+        std::map<std::vector<std::uint64_t>, RunStats> ahead;
+        std::uint64_t aheadBuilds = 0; ///< keys buildStepsAhead ran
+        /** One per thread that builds at once: the first serves every
+         *  miss, and buildStepsAhead's threads one each. A deque, since
+         *  an engine cannot move. */
+        std::deque<Worker> workers = std::deque<Worker>(1);
     };
 
     /** Use @p peer's store from now on (DevicePool, equal triples). The
@@ -392,17 +443,18 @@ class CompiledModel
         void add(std::uint64_t tokens, const RunStats &stats);
     };
 
-    /** The entry of @p key in the store's @p table, executing @p build
-     *  on a miss; counts a hit or a build in @p hits / @p builds, and
-     *  in batchEvictions an entry the insert evicted. The caller holds
-     *  the store's lock, so a pool builds each key once even when
-     *  shards on several threads miss it together. An entry of an
-     *  unbounded table stays valid as long as the store; a batched
-     *  entry only while the lock is held. */
+    /** The entry of @p key in the store's @p table, on a miss taking
+     *  @p ready when given, else executing @p build; counts a hit or a
+     *  build in @p hits / @p builds, and in batchEvictions an entry the
+     *  insert evicted. The caller holds the store's lock, so a pool
+     *  builds each key once even when shards on several threads miss it
+     *  together. An entry of an unbounded table stays valid as long as
+     *  the store; a batched entry only while the lock is held. */
     template <class Key, class Build>
     const RunStats &cached(Table<Key> Store::*table, const Key &key,
                            std::uint64_t &hits, std::uint64_t &builds,
-                           const Build &build) const;
+                           const Build &build,
+                           const RunStats *ready = nullptr) const;
 
     /** cached() for a table keyed by token count: through @p index,
      *  else under the store's lock. */
@@ -415,18 +467,20 @@ class CompiledModel
 
     const RunStats &summarization(std::uint64_t input_tokens) const;
     const RunStats &generation(std::uint64_t kv_len) const;
-    /** One batched step over @p kv_lens, which it sorts. */
-    RunStats batchStep(std::vector<std::uint64_t> &kv_lens) const;
+    /** One batched step over the sorted KV-length multiset @p key. */
+    RunStats batchStep(const std::vector<std::uint64_t> &key) const;
     /** run() without the memo: the request costed from program stats. */
     InferenceReport cost(const workloads::InferenceRequest &request,
                          unsigned token_stride) const;
     /** Executed statistics of the full program build(nBlocks), from
      *  one run of build(2) when the model's blocks are uniform;
      *  @p build maps a block count and storage to fill to a Program.
-     *  Called under the store's lock: it builds into the store's spare
-     *  program, keeps the result there, and runs it on the store's
-     *  engine. */
-    template <class Build> RunStats execute(const Build &build) const;
+     *  It builds into @p worker's spare program, keeps the result
+     *  there, and runs it on @p worker's engine, which no other thread
+     *  may use meanwhile: a miss holds the store's lock, and each of
+     *  buildStepsAhead's threads has a worker of its own. */
+    template <class Build>
+    RunStats execute(Worker &worker, const Build &build) const;
 
     SystemConfig cfg_;
     workloads::ModelConfig model_;

@@ -80,6 +80,10 @@ struct ReplicaRun
      *  (strict alternation through a long prefill, back-to-back
      *  packing of brief ones). */
     std::uint64_t prefillSinceGen = 0;
+    /** The step programs up to the first member's finish were built
+     *  ahead (CompiledModel::buildStepsAhead); cleared when a member
+     *  leaves. */
+    bool builtAhead = false;
 
     std::size_t resident() const { return prefill.size() + gen.size(); }
 };
@@ -1388,13 +1392,24 @@ class Drain
         ReplicaRun &r = rt_[d];
         r.prefillSinceGen = 0;
         r.sealed = true; // static batches freeze at first token
-        std::uint64_t g = opts_.tokenStride;
+        // Steps until the first member finishes.
+        std::uint64_t left = std::numeric_limits<std::uint64_t>::max();
         std::vector<std::uint64_t> kv;
         kv.reserve(r.gen.size());
         for (const Member &m : r.gen) {
-            g = std::min<std::uint64_t>(g, m.remaining);
+            left = std::min(left, m.remaining);
             kv.push_back(m.kvLen);
         }
+        // With no open slot, no prefill pending and no preemption, no
+        // member joins or leaves before the first one finishes, so every
+        // step key up to there is fixed now.
+        if (!r.builtAhead && capacity(d) == 0 && r.prefill.empty() &&
+            !opts_.preempt) {
+            replicas_[d]->buildStepsAhead(kv, left, opts_.tokenStride);
+            r.builtAhead = true;
+        }
+        const std::uint64_t g =
+            std::min<std::uint64_t>(opts_.tokenStride, left);
         const RunStats seg =
             replicas_[d]->generationStepStats(std::move(kv), g);
         // Each member owes a 1/B share of the shared step work.
@@ -1425,6 +1440,7 @@ class Drain
             if (it->remaining == 0) {
                 complete(*it, end, d);
                 it = rr.gen.erase(it);
+                rr.builtAhead = false;
             } else {
                 ++it;
             }

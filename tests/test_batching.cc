@@ -8,9 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdio>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "compiler/workload_builder.hh"
+#include "drain_audit.hh"
 #include "serve/serving_engine.hh"
+#include "serve/sharded_drain.hh"
 #include "serve/trace_gen.hh"
 
 namespace
@@ -113,6 +120,11 @@ TEST(Batching, StepValidation)
                  std::runtime_error);
     EXPECT_THROW((void)model.generationStepStats({64}, 0),
                  std::runtime_error);
+    EXPECT_THROW(model.buildStepsAhead({}, 4, 2), std::runtime_error);
+    EXPECT_THROW(model.buildStepsAhead({64, 0}, 4, 2), std::runtime_error);
+    EXPECT_THROW(model.buildStepsAhead({64, 70}, 4, 0), std::runtime_error);
+    model.buildStepsAhead({64}, 4, 2); // a batch of one builds nothing
+    EXPECT_EQ(model.stepsBuiltAhead(), 0u);
 }
 
 // --- Engine: batch-1 equivalence ------------------------------------------
@@ -295,6 +307,147 @@ TEST(Batching, OptionValidation)
               BatchingMode::Continuous);
     EXPECT_THROW(serve::makeBatchingMode("dynamic"), std::runtime_error);
     EXPECT_STREQ(serve::toString(BatchingMode::Continuous), "continuous");
+}
+
+// --- Steps built ahead ----------------------------------------------------
+
+/** Every CacheStats counter, in declaration order. */
+using Counters = std::array<std::uint64_t, 10>;
+
+Counters
+counters(const serve::CacheStats &c)
+{
+    return {c.summarizationBuilds, c.summarizationHits, c.generationBuilds,
+            c.generationHits,      c.batchBuilds,       c.batchHits,
+            c.batchEvictions,      c.chunkBuilds,       c.chunkHits,
+            c.requestHits};
+}
+
+/** A trace of (input, output, arrival ms) rows. */
+using Rows = std::vector<std::tuple<std::uint64_t, std::uint64_t, double>>;
+
+serve::ArrivalTrace
+traceOf(const Rows &rows)
+{
+    serve::ArrivalTrace trace;
+    for (const auto &[input, output, arrival] : rows) {
+        serve::TimedRequest row;
+        row.request = {input, output};
+        row.arrivalMs = arrival;
+        trace.requests.push_back(row);
+    }
+    return trace;
+}
+
+// A batch whose membership cannot change before its first member
+// finishes builds the step programs up to that finish ahead, on several
+// threads. The digests and cache counters below were recorded before
+// any step was built ahead, so the ahead path must reproduce the serial
+// one's results and counters exactly. A drain must also leave no step
+// waiting: one built for a membership that then changed is never
+// looked up. The cases: full continuous batches whose members finish
+// together (both replicas meet the same multisets, so one replica's
+// miss often takes a step the other built); full ones with mixed
+// outputs that queued requests join, chunked so that a joiner's prefill
+// runs between a full batch's segments, and later ones that join a
+// batch with open slots; full batches that short arrivals preempt;
+// sealed static batches of three in four slots; and stride 1, whose
+// one-step segments sample no exit. Building ahead without any one of
+// the three conditions (no open slot, no prefill pending, preemption
+// off) fails here. The first case also drains as two shards on two
+// threads over one store, where which replica builds a step depends on
+// timing, so only the totals are fixed.
+TEST(Batching, StepsBuiltAheadMatchTheSerialPath)
+{
+    Rows together, joining, preempted, sealed, stride1;
+    for (std::uint64_t k = 0; k < 16; ++k)
+        together.emplace_back(k % 4 < 2 ? 32 : 64, 18, 0.0);
+    for (std::uint64_t k = 0; k < 12; ++k)
+        joining.emplace_back(40 + 16 * (k % 3), 10 + 8 * (k % 4), 0.0);
+    for (std::uint64_t k = 0; k < 6; ++k)
+        joining.emplace_back(56, 30 + 5 * k, k < 4 ? 500.0 : 540.0);
+    for (std::uint64_t k = 0; k < 8; ++k)
+        preempted.emplace_back(40 + 16 * (k % 2), 40, 0.0);
+    for (std::uint64_t k = 0; k < 4; ++k)
+        preempted.emplace_back(24, 4, 20.0 + 5.0 * k);
+    for (std::uint64_t k = 0; k < 12; ++k)
+        sealed.emplace_back(48 + 8 * (k % 2), 5 + 4 * (k % 3),
+                            60.0 * static_cast<double>(k / 6));
+    for (std::uint64_t k = 0; k < 9; ++k)
+        stride1.emplace_back(k % 2 ? 24 : 40, 4 + 3 * (k % 3), 0.0);
+    serve::ServingOptions chunked = batched(BatchingMode::Continuous, 4, 4);
+    chunked.prefillChunk = 32;
+    serve::ServingOptions preempting = chunked;
+    preempting.preempt = true;
+
+    struct Case
+    {
+        std::string name;
+        serve::ServingOptions opts;
+        std::string policy;
+        Rows rows;
+        std::size_t shards;
+        std::uint64_t digest;
+        std::vector<Counters> stats; ///< per replica, or the shards' total
+    };
+    const std::vector<Case> cases = {
+        {"together", batched(BatchingMode::Continuous, 4, 4), "fcfs",
+         together, 1, 0xca4ba7c736c9f497ull,
+         {{2, 6, 0, 0, 5, 13, 0, 0, 0, 0}, {0, 8, 0, 0, 0, 18, 0, 0, 0, 0}}},
+        {"joining", chunked, "fcfs", joining, 1, 0x5cb877a3df0b55a9ull,
+         {{0, 0, 17, 20, 32, 13, 0, 4, 19, 0},
+          {0, 0, 14, 15, 20, 19, 0, 1, 16, 0}}},
+        {"preempted", preempting, "sjf", preempted, 1, 0x3901f00456b46accull,
+         {{1, 2, 3, 5, 13, 11, 0, 2, 6, 0}, {0, 1, 2, 4, 18, 6, 0, 1, 7, 0}}},
+        {"sealed", batched(BatchingMode::Static, 4, 2), "fcfs", sealed, 1,
+         0x707d0927d0cbc44eull,
+         {{1, 5, 3, 5, 6, 10, 0, 0, 0, 0}, {1, 5, 3, 5, 6, 10, 0, 0, 0, 0}}},
+        {"stride-1", batched(BatchingMode::Continuous, 3, 1), "fcfs",
+         stride1, 1, 0x918684bd2003efe8ull,
+         {{1, 3, 0, 0, 9, 0, 0, 0, 0, 0}, {1, 4, 6, 0, 9, 0, 0, 0, 0, 0}}},
+        {"together-sharded", batched(BatchingMode::Continuous, 4, 4), "fcfs",
+         together, 2, 0x12a83706c0c89e24ull,
+         {{2, 14, 0, 0, 5, 31, 0, 0, 0, 0}}},
+    };
+
+    serve::PoolOptions two;
+    two.replicas = 2;
+    for (const Case &c : cases) {
+        serve::DevicePool pool(SystemConfig::ianusDefault(), m, two);
+        const serve::ArrivalTrace trace = traceOf(c.rows);
+        ServingReport rep;
+        if (c.shards > 1) {
+            rep = serve::drainSharded(pool, c.opts, trace,
+                                      serve::ShardOptions{c.shards, 2},
+                                      c.policy, "round-robin");
+        } else {
+            serve::ServingEngine engine(pool, c.opts,
+                                        serve::makePolicy(c.policy));
+            serve::submitAll(trace, engine);
+            rep = engine.drain();
+        }
+        test::ResultDigest digest;
+        digest.add(rep);
+        std::vector<Counters> stats(c.shards > 1 ? 1 : pool.size());
+        for (std::size_t i = 0; i < pool.size(); ++i) {
+            const Counters one = counters(pool.replica(i).cacheStats());
+            for (std::size_t k = 0; k < one.size(); ++k)
+                stats[c.shards > 1 ? 0 : i][k] += one[k];
+        }
+        char hex[32];
+        std::snprintf(hex, sizeof(hex), "0x%016llxull",
+                      static_cast<unsigned long long>(digest.value));
+        EXPECT_EQ(digest.value, c.digest) << c.name << " digests to " << hex;
+        EXPECT_EQ(stats, c.stats) << c.name;
+        // Preemption can take a member out of a full batch at any token
+        // boundary, so a drain with it on builds nothing ahead.
+        EXPECT_EQ(pool.replica(0).stepsBuiltAhead() > 0, !c.opts.preempt)
+            << c.name;
+        EXPECT_EQ(pool.replica(0).stepsWaitingAhead(), 0u) << c.name;
+        if (c.opts.preempt) {
+            EXPECT_GT(rep.preemptions(), 0u) << c.name;
+        }
+    }
 }
 
 } // namespace

@@ -8,7 +8,9 @@
  * checked at finish's scale (the traces run late). The same case
  * drained again on a fresh engine must give the same report, bit for
  * bit; a sharded case must give the same report on one worker thread
- * and on two.
+ * and on two. No drain may leave a step program built ahead that no
+ * lookup took: it would have been built for a batch whose membership
+ * changed although the drain judged it fixed.
  *
  * Options the engine constructor rejects, and role lists that do not
  * partition across shards, end in a fatal error, which is accepted.
@@ -409,10 +411,23 @@ drainShards(const Case &c, std::size_t threads)
         [&router, slo] { return makeRouter(router, slo); });
 }
 
-/** What is wrong with case @p c, empty when it passes. Sets @p ran
- *  when a drain actually ran (the options were accepted). */
+/** Step programs built ahead that no lookup has taken, over every
+ *  replica of every pool (equal replicas share a store, so a store
+ *  counts once per replica that reads it). */
+std::size_t
+stepsWaitingAhead()
+{
+    std::size_t waiting = 0;
+    for (std::size_t r = 1; r <= 4; ++r)
+        for (std::size_t d = 0; d < r; ++d)
+            waiting += pool(r).replica(d).stepsWaitingAhead();
+    return waiting;
+}
+
+/** What is wrong with the drains of case @p c, empty when they pass.
+ *  Sets @p ran when a drain actually ran (the options were accepted). */
 std::vector<std::string>
-check(const Case &c, bool &ran)
+checkDrains(const Case &c, bool &ran)
 {
     ran = false;
     std::vector<std::string> bad;
@@ -464,6 +479,19 @@ check(const Case &c, bool &ran)
     } catch (const std::exception &e) {
         bad.push_back(std::string("drain threw: ") + e.what());
     }
+    return bad;
+}
+
+/** What is wrong with case @p c, empty when it passes: its drains, and
+ *  any step built ahead that they left untaken. Sets @p ran when a
+ *  drain actually ran. */
+std::vector<std::string>
+check(const Case &c, bool &ran)
+{
+    const std::size_t waiting = stepsWaitingAhead();
+    std::vector<std::string> bad = checkDrains(c, ran);
+    if (stepsWaitingAhead() > waiting)
+        bad.push_back("a step program built ahead was never looked up");
     return bad;
 }
 
